@@ -2,18 +2,19 @@
 
 An order-congruence is a preorder refining the lattice order that is
 meet-stable and for which lattice joins remain joins.  The closure
-engine works on boolean matrices so that exhaustive enumeration stays
-tractable on lattices with a few dozen elements.
+engine stores a relation as one int mask per row, over the element
+positions of the lattice's shared index, so that exhaustive
+enumeration stays tractable on lattices with a few dozen elements.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_, or_
 from typing import Iterable
 
-import numpy as np
-
 from .errors import DomainError, StructureError
-from .lattice import FinLattice, LatticeHom, lattice_from_abstract
+from .lattice import FinLattice, LatticeHom, _bits, _index, _Index, lattice_from_abstract
 
 __all__ = [
     "OrderCongruence",
@@ -24,73 +25,69 @@ __all__ = [
 ]
 
 
-class _Tables:
-    """Index tables for one lattice: leq matrix, meet/join index tables."""
-
-    def __init__(self, a: FinLattice):
-        self.lattice = a
-        self.elems = list(a.elements)
-        self.index = {e: i for i, e in enumerate(self.elems)}
-        n = len(self.elems)
-        self.n = n
-        self.leq = np.zeros((n, n), dtype=bool)
-        self.meet = np.zeros((n, n), dtype=np.int64)
-        self.join = np.zeros((n, n), dtype=np.int64)
-        for i, x in enumerate(self.elems):
-            for j, y in enumerate(self.elems):
-                self.leq[i, j] = x <= y
-                self.meet[i, j] = self.index[x & y]
-                self.join[i, j] = self.index[x | y]
+def _compose(r: list[int]) -> list[int]:
+    """One transitivity step: row i gains the rows of its entries."""
+    out = []
+    for ri in r:
+        m = ri
+        while m:  # _bits, inlined: the hottest loop of the enumeration
+            low = m & -m
+            ri |= r[low.bit_length() - 1]
+            m ^= low
+        out.append(ri)
+    return out
 
 
-_TABLE_CACHE: dict[FinLattice, _Tables] = {}
+def _row_rule(ix: _Index, r: list[int]) -> list[int]:
+    """Meet rule: each row gains the up-set of the meet of the row, the
+    intersection of the up-sets of the irreducibles that contain the row.
+    For a transitive relation containing the order this is meet-stability.
+    """
+    ups = [ix.leq[ix.pos[j]] for j in ix.irr]
+    full = (1 << len(r)) - 1
+    return [ri | reduce(and_, (u for u in ups if not ri & ~u), full) for ri in r]
 
 
-def _tables(a: FinLattice) -> _Tables:
-    t = _TABLE_CACHE.get(a)
-    if t is None:
-        t = _Tables(a)
-        _TABLE_CACHE[a] = t
-    return t
+def _column_rule(ix: _Index, r: list[int]) -> list[int]:
+    """Join rule: each column gains the down-set of the join of the column.
+
+    The join of column c lies above irreducible k when c is in the union
+    ``cols[k]`` of the rows above k.  For a transitive relation containing
+    the order this is join-closure of every column.
+    """
+    full = (1 << len(r)) - 1
+    cols = [reduce(or_, (r[a] for a in _bits(ix.leq[ix.pos[j]])), 0) for j in ix.irr]
+    return [
+        ra | reduce(and_, (cols[k] for k in _bits(ma)), full)
+        for ma, ra in zip(ix.mask, r)
+    ]
 
 
-def _close(t: _Tables, rel: np.ndarray) -> np.ndarray:
-    """Least order-congruence (as a boolean matrix) containing ``rel``.
+def _close(ix: _Index, rel: list[int]) -> list[int]:
+    """Least order-congruence (as rows of position masks) containing ``rel``.
 
     Fixpoint of: contains leq; transitive; meet-stable; the set of
     elements below any fixed right-hand side is join-closed.
     """
-    r = rel | t.leq
-    n = t.n
+    r = [ri | li for ri, li in zip(rel, ix.leq)]
     while True:
-        before = r.tobytes()
-        # transitivity
-        u = r.astype(np.uint8)
-        r = r | (u @ u > 0)
-        # meet stability: (a, b) forces (c /\ a, c /\ b) for every c
-        rows, cols = np.nonzero(r)
-        for c in range(n):
-            r[t.meet[c, rows], t.meet[c, cols]] = True
-        # join rule: {a | (a, c) in r} is closed under binary joins
-        for c in range(n):
-            sel = np.nonzero(r[:, c])[0]
-            if len(sel) > 1:
-                r[t.join[np.ix_(sel, sel)].ravel(), c] = True
-        if r.tobytes() == before:
+        nxt = _column_rule(ix, _row_rule(ix, _compose(r)))
+        if nxt == r:
             return r
+        r = nxt
 
 
-def _matrix_to_pairs(t: _Tables, r: np.ndarray) -> frozenset:
-    rows, cols = np.nonzero(r)
-    return frozenset((t.elems[i], t.elems[j]) for i, j in zip(rows, cols))
+def _rows_to_pairs(ix: _Index, r: list[int]) -> frozenset:
+    elems = ix.elems
+    return frozenset((elems[i], elems[j]) for i, ri in enumerate(r) for j in _bits(ri))
 
 
-def _pairs_to_matrix(t: _Tables, pairs: Iterable[tuple]) -> np.ndarray:
-    r = np.zeros((t.n, t.n), dtype=bool)
+def _pairs_to_rows(ix: _Index, pairs: Iterable[tuple]) -> list[int]:
+    r = [0] * len(ix.elems)
     for a, b in pairs:
-        if a not in t.index or b not in t.index:
+        if a not in ix.pos or b not in ix.pos:
             raise DomainError(f"pair ({a!r}, {b!r}) mentions a non-element")
-        r[t.index[a], t.index[b]] = True
+        r[ix.pos[a]] |= 1 << ix.pos[b]
     return r
 
 
@@ -100,23 +97,20 @@ class OrderCongruence:
     __slots__ = ("base", "rel")
 
     def __init__(self, base: FinLattice, rel: Iterable[tuple]):
-        t = _tables(base)
-        r = _pairs_to_matrix(t, rel)
-        if not (r | t.leq == r).all():
+        ix = _index(base)
+        r = _pairs_to_rows(ix, rel)
+        # one step of each closure rule, in order; a valid relation is
+        # fixed by all four
+        if [ri | li for ri, li in zip(r, ix.leq)] != r:
             raise StructureError("congruence must contain the lattice order")
-        u = r.astype(np.uint8)
-        if ((u @ u > 0) & ~r).any():
+        if _compose(r) != r:
             raise StructureError("congruence must be transitive")
-        rows, cols = np.nonzero(r)
-        for c in range(t.n):
-            if (~r[t.meet[c, rows], t.meet[c, cols]]).any():
-                raise StructureError("congruence must be meet-stable")
-        for c in range(t.n):
-            sel = np.nonzero(r[:, c])[0]
-            if len(sel) > 1 and (~r[t.join[np.ix_(sel, sel)].ravel(), c]).any():
-                raise StructureError("lattice joins must remain joins")
+        if _row_rule(ix, r) != r:
+            raise StructureError("congruence must be meet-stable")
+        if _column_rule(ix, r) != r:
+            raise StructureError("lattice joins must remain joins")
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "rel", _matrix_to_pairs(t, r))
+        object.__setattr__(self, "rel", _rows_to_pairs(ix, r))
 
     def __setattr__(self, *a):
         raise AttributeError("OrderCongruence is immutable")
@@ -154,9 +148,9 @@ class OrderCongruence:
 
 def gen_order_congruence(a: FinLattice, pairs: Iterable[tuple]) -> OrderCongruence:
     """Least order-congruence on ``a`` containing the given pairs."""
-    t = _tables(a)
-    r = _close(t, _pairs_to_matrix(t, pairs))
-    return OrderCongruence(a, _matrix_to_pairs(t, r))
+    ix = _index(a)
+    r = _close(ix, _pairs_to_rows(ix, pairs))
+    return OrderCongruence(a, _rows_to_pairs(ix, r))
 
 
 def order_kernel(f: LatticeHom) -> OrderCongruence:
@@ -195,26 +189,26 @@ def enumerate_order_congruences(a: FinLattice) -> list[OrderCongruence]:
     the two elements, so closures of cover collapses generate
     everything.  Breadth-first join closure over that generating set.
     """
-    t = _tables(a)
-    bottom = _close(t, np.zeros((t.n, t.n), dtype=bool))
-    covers = a.element_poset().cover_pairs()
+    ix = _index(a)
+    n = len(ix.elems)
+    bottom = tuple(_close(ix, [0] * n))
     steps = []
-    for low, high in covers:
-        g = np.zeros((t.n, t.n), dtype=bool)
-        g[t.index[high], t.index[low]] = True
-        steps.append((t.index[high], t.index[low], _close(t, g)))
-    seen = {bottom.tobytes(): bottom}
+    for low, high in a.element_poset().cover_pairs():
+        hi, lo = ix.pos[high], ix.pos[low]
+        g = [0] * n
+        g[hi] = 1 << lo
+        steps.append((hi, 1 << lo, _close(ix, g)))
+    seen = {bottom}
     queue = [bottom]
     while queue:
         cur = queue.pop()
-        for hi, lo, theta in steps:
-            if cur[hi, lo]:
+        for hi, lo_bit, theta in steps:
+            if cur[hi] & lo_bit:
                 continue
-            nxt = _close(t, cur | theta)
-            key = nxt.tobytes()
-            if key not in seen:
-                seen[key] = nxt
+            nxt = tuple(_close(ix, [c | t for c, t in zip(cur, theta)]))
+            if nxt not in seen:
+                seen.add(nxt)
                 queue.append(nxt)
-    out = [OrderCongruence(a, _matrix_to_pairs(t, r)) for r in seen.values()]
+    out = [OrderCongruence(a, _rows_to_pairs(ix, r)) for r in seen]
     out.sort(key=lambda c: (len(c.rel), sorted(map(repr, c.rel))))
     return out

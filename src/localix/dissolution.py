@@ -6,7 +6,8 @@ differences "a minus b".  Ideals are saturated lower sets of pairs,
 closed under joins in the first coordinate, meets in the second, the
 order pairs a <= b, and a mixing rule; every column {a | (a, neg b)}
 of an ideal is then a principal lower set, so an ideal is stored as
-the vector of its column heads.  The construction never consults the
+the vector of its column heads, each a mask over the join-irreducibles
+of the lattice's shared index.  The construction never consults the
 powerset oracle; agreement with the free Boolean extension is test
 surface.
 """
@@ -15,11 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .congruence import OrderCongruence
 from .errors import DomainError, StructureError
-from .lattice import FinLattice, LatticeHom, join_irreducibles
+from .lattice import FinLattice, LatticeHom, _index, _Index
 from .order import FinPoset
 
 __all__ = ["Dissolution", "dissolve", "eta_principal", "nA_congruence_bijection"]
@@ -30,83 +29,59 @@ def neg(b):
     return ("neg", b)
 
 
-class _PairEngine:
-    """Closure engine over column-head vectors, one per lattice.
+def _close(ix: _Index, heads: list[int]) -> list[int]:
+    """Least ideal whose column heads dominate ``heads``.
 
-    Elements are encoded as bitmasks of the join-irreducibles below
-    them, so meet/join are bitwise and/or and the head vectors are
-    int64 arrays.
+    Heads are masks over the join-irreducibles, one per negated element
+    b.  Rules on the head vector A: A_b >= b; A monotone and
+    meet-preserving in b; and the mixing rule A_b >= A_d /\\ c for every
+    d, where c is the largest element with c /\\ d <= A_b.
     """
-
-    def __init__(self, a: FinLattice):
-        self.lattice = a
-        self.elems = list(a.elements)
-        self.index = {e: i for i, e in enumerate(self.elems)}
-        irr = list(join_irreducibles(a).elements)
-        if len(irr) > 62:
-            raise StructureError("lattice too large to dissolve")
-        self.mask = np.array(
-            [sum(1 << k for k, j in enumerate(irr) if j <= e) for e in self.elems],
-            dtype=np.int64,
-        )
-        self.of_mask = {int(m): i for i, m in enumerate(self.mask)}
-        n = len(self.elems)
-        self.n = n
-        # pairwise meets of element masks, used by the mixing rule
-        self.meet2 = self.mask[:, None] & self.mask[None, :]
-        self.idx_meet = np.empty((n, n), dtype=np.int64)
-        self.idx_join = np.empty((n, n), dtype=np.int64)
+    mask = ix.mask
+    down = [mask[ix.pos[j]] for j in ix.irr]  # principal down-masks of J
+    meet, join = ix.meet, ix.join
+    largest: dict[int, int] = {}  # x -> mask of the largest c missing x
+    a = [h | m for h, m in zip(heads, mask)]
+    n = len(a)
+    while True:
+        before = a[:]
+        # A_{d /\ d'} >= A_d /\ A_{d'} and A_{d \/ d'} >= A_d \/ A_{d'};
+        # with A_b >= b these are exactly the lower-set and coordinate
+        # closure rules.  Both operations commute, so pairs i < j suffice.
         for i in range(n):
-            for j in range(n):
-                self.idx_meet[i, j] = self.of_mask[int(self.mask[i] & self.mask[j])]
-                self.idx_join[i, j] = self.of_mask[int(self.mask[i] | self.mask[j])]
-
-    def close(self, heads: np.ndarray) -> np.ndarray:
-        """Least ideal whose column heads dominate ``heads``.
-
-        Rules on the head vector A (indexed by the negated element b):
-        A_b >= b; A monotone and meet-preserving in b; and the mixing
-        rule A_b >= A_d /\\ max{c | c /\\ d <= A_b} for every d.
-        """
-        a = heads | self.mask
-        mask = self.mask
-        n = self.n
-        while True:
-            before = a.tobytes()
-            # monotone + meet-preserving: A_{d /\ d'} >= A_d /\ A_{d'}
-            # and A_{d \/ d'} >= A_d \/ A_{d'}; with A_b >= b these are
-            # exactly the lower-set and coordinate closure rules
-            pair_meet = a[:, None] & a[None, :]
-            pair_join = a[:, None] | a[None, :]
-            np.bitwise_or.at(a, self.idx_meet.ravel(), pair_meet.ravel())
-            np.bitwise_or.at(a, self.idx_join.ravel(), pair_join.ravel())
-            # mixing: per column b, the largest c with c /\ d <= A_b,
-            # met with A_d, may enter the column
-            for b in range(n):
-                fits = (self.meet2 & ~a[b]) == 0  # fits[c, d]
-                h = np.bitwise_or.reduce(np.where(fits, mask[:, None], 0), axis=0)
-                a[b] |= np.bitwise_or.reduce(a & h)
-            if a.tobytes() == before:
-                return a
-
-    def heads_to_pairs(self, heads: np.ndarray) -> frozenset:
-        out = []
-        for b in range(self.n):
-            for c in range(self.n):
-                if self.mask[c] & ~heads[b] == 0:
-                    out.append((self.elems[c], neg(self.elems[b])))
-        return frozenset(out)
+            ai, mi, ji = a[i], meet[i], join[i]
+            for j in range(i + 1, n):
+                aj = a[j]
+                a[mi[j]] |= ai & aj
+                a[ji[j]] |= ai | aj
+        # mixing: c has as mask the irreducibles whose down-mask misses
+        # d minus A_b
+        for b in range(n):
+            ab = a[b]
+            for d in range(n):
+                ad = a[d]
+                if not ad & ~ab:
+                    continue
+                x = mask[d] & ~ab
+                c = largest.get(x)
+                if c is None:
+                    c = largest[x] = sum(
+                        1 << k for k, dk in enumerate(down) if not dk & x
+                    )
+                ab |= ad & c
+            a[b] = ab
+        if a == before:
+            return a
 
 
-_ENGINES: dict[FinLattice, _PairEngine] = {}
-
-
-def _engine(a: FinLattice) -> _PairEngine:
-    e = _ENGINES.get(a)
-    if e is None:
-        e = _PairEngine(a)
-        _ENGINES[a] = e
-    return e
+def _heads_to_pairs(ix: _Index, heads: list[int]) -> frozenset:
+    elems, mask = ix.elems, ix.mask
+    return frozenset(
+        (elems[c], neg(elems[b]))
+        for b, h in enumerate(heads)
+        for c, m in enumerate(mask)
+        if not m & ~h
+    )
 
 
 @dataclass(frozen=True)
@@ -131,46 +106,50 @@ def dissolve(a: FinLattice) -> Dissolution:
     Ideals are enumerated as the join closure of the principal ideals
     of single pairs, starting from the least ideal.
     """
-    eng = _engine(a)
-    n = eng.n
-    bottom = eng.close(eng.mask.copy())
-    principals = {}
+    ix = _index(a)
+    if len(ix.irr) > 62:  # the point numbering below packs each head in 8 bytes
+        raise StructureError("lattice too large to dissolve")
+    mask = ix.mask
+    n = len(mask)
+    bottom = tuple(_close(ix, mask))
+    principals = set()
     for i in range(n):
         for j in range(n):
-            if eng.mask[i] & ~eng.mask[j] == 0:
+            if not mask[i] & ~mask[j]:
                 continue  # pair below the order diagonal: least ideal
-            g = bottom.copy()
-            g[j] |= eng.mask[i]
-            c = eng.close(g)
-            principals[c.tobytes()] = c
-    gens = list(principals.values())
-    seen = {bottom.tobytes(): bottom}
+            g = list(bottom)
+            g[j] |= mask[i]
+            principals.add(tuple(_close(ix, g)))
+    seen = {bottom}
     queue = [bottom]
     while queue:
         cur = queue.pop()
-        for g in gens:
-            if (g & ~cur).any():
-                nxt = eng.close(cur | g)
-                key = nxt.tobytes()
-                if key not in seen:
-                    seen[key] = nxt
+        for g in principals:
+            if any(h & ~c for h, c in zip(g, cur)):
+                nxt = tuple(_close(ix, [h | c for h, c in zip(g, cur)]))
+                if nxt not in seen:
+                    seen.add(nxt)
                     queue.append(nxt)
-    vecs = sorted(seen.values(), key=lambda v: (int(v.sum()), v.tobytes()))
+    # this order numbers the points of the result, which reports show:
+    # head sum, then the heads as 8-byte little-endian words
+    vecs = sorted(
+        seen, key=lambda v: (sum(v), b"".join(h.to_bytes(8, "little") for h in v))
+    )
     # build the ideal lattice directly on integer labels: ideals are
     # ordered by pointwise mask inclusion, and an ideal is
     # join-irreducible when it exceeds the join of everything below it
     def vleq(u, v):
-        return not (u & ~v).any()
+        return not any(h & ~k for h, k in zip(u, v))
 
     below = [[j for j, u in enumerate(vecs) if i != j and vleq(u, v)] for i, v in enumerate(vecs)]
     irr = []
     for i, v in enumerate(vecs):
         if not below[i]:
             continue
-        acc = np.zeros(n, dtype=np.int64)
+        acc = [0] * n
         for j in below[i]:
-            acc |= vecs[j]
-        if eng.close(acc).tobytes() != v.tobytes():
+            acc = [h | k for h, k in zip(acc, vecs[j])]
+        if tuple(_close(ix, acc)) != v:
             irr.append(i)
     elems = {i: frozenset(j for j in irr if vleq(vecs[j], vecs[i])) for i in range(len(vecs))}
     if len(set(elems.values())) != len(vecs):
@@ -184,13 +163,13 @@ def dissolve(a: FinLattice) -> Dissolution:
         else "distributive"
     )
     result = FinLattice(spectrum, family, kind)
-    by_key = {v.tobytes(): i for i, v in enumerate(vecs)}
-    repr_map = {elems[i]: eng.heads_to_pairs(v) for i, v in enumerate(vecs)}
+    by_vec = {v: i for i, v in enumerate(vecs)}
+    repr_map = {elems[i]: _heads_to_pairs(ix, v) for i, v in enumerate(vecs)}
     unit_graph = {}
     for x in a.elements:
-        g = bottom.copy()
-        g[eng.index[a.bot]] |= eng.mask[eng.index[x]]
-        unit_graph[x] = elems[by_key[eng.close(g).tobytes()]]
+        g = list(bottom)
+        g[ix.pos[a.bot]] |= mask[ix.pos[x]]
+        unit_graph[x] = elems[by_vec[tuple(_close(ix, g))]]
     unit = LatticeHom(a, result, unit_graph)
     return Dissolution(a, result, unit, repr_map)
 
@@ -203,10 +182,10 @@ def eta_principal(a: FinLattice, x) -> frozenset:
     """
     if x not in a.elements:
         raise DomainError(f"{x!r} not in the lattice")
-    eng = _engine(a)
-    g = eng.mask.copy()
-    g[eng.index[a.bot]] |= eng.mask[eng.index[x]]
-    closed = eng.heads_to_pairs(eng.close(g))
+    ix = _index(a)
+    g = list(ix.mask)
+    g[ix.pos[a.bot]] |= ix.mask[ix.pos[x]]
+    closed = _heads_to_pairs(ix, _close(ix, g))
     direct = frozenset(
         (b, neg(c)) for b in a.elements for c in a.elements if b <= x | c
     )
@@ -225,7 +204,7 @@ def nA_congruence_bijection(a: FinLattice):
     test suite, orientation fixed as stated here.
     """
     d = dissolve(a)
-    eng = _engine(a)
+    ix = _index(a)
     by_pairs = {v: k for k, v in d.repr.items()}
 
     def to_congruence(element) -> OrderCongruence:
@@ -237,9 +216,9 @@ def nA_congruence_bijection(a: FinLattice):
     def to_element(c: OrderCongruence):
         if c.base != a:
             raise DomainError("congruence is not on this lattice")
-        g = eng.mask.copy()
+        g = list(ix.mask)
         for p, q in c.rel:
-            g[eng.index[q]] |= eng.mask[eng.index[p]]
-        return by_pairs[eng.heads_to_pairs(eng.close(g))]
+            g[ix.pos[q]] |= ix.mask[ix.pos[p]]
+        return by_pairs[_heads_to_pairs(ix, _close(ix, g))]
 
     return to_congruence, to_element

@@ -37,7 +37,7 @@ __all__ = [
 class FinLattice:
     """Immutable finite distributive (or Boolean) lattice of sets."""
 
-    __slots__ = ("spectrum", "elements", "kind", "_eset", "_hash")
+    __slots__ = ("spectrum", "elements", "kind", "_eset", "_hash", "_index")
 
     def __init__(
         self,
@@ -77,6 +77,7 @@ class FinLattice:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "_eset", eset)
         object.__setattr__(self, "_hash", hash((spectrum, eset, kind)))
+        object.__setattr__(self, "_index", None)  # built by _index() on first use
 
     def __setattr__(self, *a):
         raise AttributeError("FinLattice is immutable")
@@ -263,6 +264,44 @@ def join_irreducibles(a: FinLattice) -> FinPoset:
         if e != below:
             irr.append(e)
     return FinPoset(irr, [(x, y) for x in irr for y in irr if x <= y])
+
+
+class _Index:
+    """Integer index of one lattice, shared by the fixpoint engines.
+
+    ``mask[i]`` encodes ``a.elements[i]`` as the join-irreducibles below
+    it (bit k: the k-th of ``join_irreducibles(a)``); ``meet``/``join``
+    are position tables and ``leq[i]`` masks the positions above ``i``.
+    """
+
+    __slots__ = ("elems", "pos", "irr", "mask", "meet", "join", "leq")
+
+    def __init__(self, a: FinLattice):
+        self.elems = elems = a.elements
+        self.pos = {e: i for i, e in enumerate(elems)}
+        self.irr = irr = join_irreducibles(a).elements
+        self.mask = mask = [sum(1 << k for k, j in enumerate(irr) if j <= e) for e in elems]
+        of_mask = {m: i for i, m in enumerate(mask)}
+        self.meet = [[of_mask[m & m2] for m2 in mask] for m in mask]
+        self.join = [[of_mask[m | m2] for m2 in mask] for m in mask]
+        self.leq = [sum(1 << j for j, m2 in enumerate(mask) if not m & ~m2) for m in mask]
+
+
+def _bits(m: int):
+    """Positions of the set bits of ``m``, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _index(a: FinLattice) -> _Index:
+    """The index of ``a``, built on first use and kept on the lattice."""
+    ix = a._index
+    if ix is None:
+        ix = _Index(a)
+        object.__setattr__(a, "_index", ix)
+    return ix
 
 
 def birkhoff_embedding(a: FinLattice) -> tuple[FinLattice, LatticeHom]:

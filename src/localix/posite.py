@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
 from .errors import DomainError, StructureError
-from .lattice import FinLattice, lattice_from_abstract
+from .lattice import FinLattice, _bits, _index, _Index, lattice_from_abstract
 from .order import canon_key
 
 __all__ = [
@@ -32,33 +32,19 @@ __all__ = [
 ]
 
 
-class _CovIndex:
-    """Bitmask tables for one coverage base."""
+def _mask(ix: _Index, subset: Iterable[frozenset]) -> int:
+    m = 0
+    for c in subset:
+        if c not in ix.pos:
+            raise DomainError(f"{c!r} not in the coverage base")
+        m |= 1 << ix.pos[c]
+    return m
 
-    def __init__(self, base: FinLattice):
-        self.base = base
-        self.elems = list(base.elements)
-        self.index = {e: i for i, e in enumerate(self.elems)}
-        n = len(self.elems)
-        self.n = n
-        self.below = [
-            [j for j in range(n) if self.elems[j] <= self.elems[i]] for i in range(n)
-        ]
-        self.meet = [
-            [self.index[self.elems[i] & self.elems[j]] for j in range(n)]
-            for i in range(n)
-        ]
 
-    def mask(self, subset: Iterable[frozenset]) -> int:
-        m = 0
-        for c in subset:
-            if c not in self.index:
-                raise DomainError(f"{c!r} not in the coverage base")
-            m |= 1 << self.index[c]
-        return m
-
-    def unmask(self, m: int) -> frozenset:
-        return frozenset(self.elems[i] for i in range(self.n) if m >> i & 1)
+def _below(ix: _Index) -> list[list[int]]:
+    """Per element position, the positions below it."""
+    n = len(ix.elems)
+    return [[j for j in range(n) if ix.leq[j] >> i & 1] for i in range(n)]
 
 
 class Coverage:
@@ -66,7 +52,7 @@ class Coverage:
 
     __slots__ = ("base", "generators", "_idx", "_rel")
 
-    def __init__(self, base: FinLattice, generators, idx: _CovIndex, rel: list[set]):
+    def __init__(self, base: FinLattice, generators, idx: _Index, rel: list[set]):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "_idx", idx)
@@ -77,14 +63,16 @@ class Coverage:
 
     def covers(self, a: frozenset, c: Iterable[frozenset]) -> bool:
         idx = self._idx
-        if a not in idx.index:
+        if a not in idx.pos:
             raise DomainError(f"{a!r} not in the coverage base")
-        return idx.mask(c) in self._rel[idx.index[a]]
+        return _mask(idx, c) in self._rel[idx.pos[a]]
 
     def pairs(self) -> list[tuple[frozenset, frozenset]]:
         idx = self._idx
         out = [
-            (idx.elems[i], idx.unmask(m)) for i in range(idx.n) for m in self._rel[i]
+            (e, frozenset(idx.elems[c] for c in _bits(m)))
+            for e, ms in zip(idx.elems, self._rel)
+            for m in ms
         ]
         out.sort(key=canon_key)
         return out
@@ -93,18 +81,21 @@ class Coverage:
         return f"Coverage({sum(len(s) for s in self._rel)} pairs on {len(self.base)} elements)"
 
 
-def _meet_stabilize(idx: _CovIndex, gen_pairs: set[tuple[int, int]]) -> set:
+def _meet_mask(idx: _Index, a: int, cm: int) -> int:
+    """The mask of the meets of ``a`` with the members of mask ``cm``."""
+    m = 0
+    for c in _bits(cm):
+        m |= 1 << idx.meet[a][c]
+    return m
+
+
+def _meet_stabilize(idx: _Index, gen_pairs: set[tuple[int, int]]) -> set:
     """Close generators under: a <= b covered by C forces a covered by a /\\ C."""
     out = set(gen_pairs)
+    below = _below(idx)
     for i, cm in gen_pairs:
-        for a in idx.below[i]:
-            m = 0
-            j = cm
-            while j:
-                low = (j & -j).bit_length() - 1
-                m |= 1 << idx.meet[a][low]
-                j &= j - 1
-            out.add((a, m))
+        for a in below[i]:
+            out.add((a, _meet_mask(idx, a, cm)))
     return out
 
 
@@ -115,40 +106,33 @@ def saturate_coverage(
 ) -> Coverage:
     """Least coverage containing ``gen``; fixpoint over the closure rules."""
     check_budget(budgets, "carrier", len(base))
-    idx = _CovIndex(base)
-    n = idx.n
+    idx = _index(base)
+    n = len(idx.elems)
+    below = _below(idx)
     gen_pairs = set()
     for a, c in gen:
-        if a not in idx.index:
+        if a not in idx.pos:
             raise DomainError(f"{a!r} not in the coverage base")
-        gen_pairs.add((idx.index[a], idx.mask(c)))
+        gen_pairs.add((idx.pos[a], _mask(idx, c)))
     gen_pairs = _meet_stabilize(idx, gen_pairs)
     rel: list[set] = [set() for _ in range(n)]
     for i, cm in gen_pairs:
         rel[i].add(cm)
     # reflexivity over every subset
     for cm in range(1 << n):
-        j = cm
-        while j:
-            low = (j & -j).bit_length() - 1
-            rel[low].add(cm)
-            j &= j - 1
+        for c in _bits(cm):
+            rel[c].add(cm)
     changed = True
     while changed:
         changed = False
         # left-transitivity and meet-stability
         for b in range(n):
             for cm in list(rel[b]):
-                for a in idx.below[b]:
+                for a in below[b]:
                     if cm not in rel[a]:
                         rel[a].add(cm)
                         changed = True
-                    m = 0
-                    j = cm
-                    while j:
-                        low = (j & -j).bit_length() - 1
-                        m |= 1 << idx.meet[a][low]
-                        j &= j - 1
+                    m = _meet_mask(idx, a, cm)
                     if m not in rel[a]:
                         rel[a].add(m)
                         changed = True
@@ -169,16 +153,12 @@ def saturate_coverage(
 def canonical_coverage(base: FinLattice, budgets: Budgets = DEFAULT_BUDGETS) -> Coverage:
     """The coverage ``a covered by C  iff  a <= join(C)`` (separated)."""
     check_budget(budgets, "carrier", len(base))
-    idx = _CovIndex(base)
-    rel: list[set] = [set() for _ in range(idx.n)]
-    for cm in range(1 << idx.n):
-        j = base.bot
-        m = cm
-        while m:
-            low = (m & -m).bit_length() - 1
-            j |= idx.elems[low]
-            m &= m - 1
-        for a in range(idx.n):
+    idx = _index(base)
+    n = len(idx.elems)
+    rel: list[set] = [set() for _ in range(n)]
+    for cm in range(1 << n):
+        j = base.bot.union(*(idx.elems[c] for c in _bits(cm)))
+        for a in range(n):
             if idx.elems[a] <= j:
                 rel[a].add(cm)
     return Coverage(base, (), idx, rel)
@@ -205,21 +185,16 @@ def cov_ideals(
     """The lattice of cover-ideals ordered by inclusion.
 
     An ideal is a lower set D with: a covered by C, C a subset of D,
-    implies a in D.  With ``include_empty_join`` the nullary cover of
-    bottom is added first, so every ideal contains bottom.
+    implies a in D.  With ``include_empty_join`` only the ideals that
+    contain bottom are kept: the ideals of ``c`` with the nullary cover
+    of bottom added.
     Returns the lattice together with the ideal -> element map.
     """
-    if include_empty_join:
-        c = saturate_coverage(
-            c.base,
-            list(c.generators) + [(c.base.bot, frozenset())],
-            DEFAULT_BUDGETS.bumped(unsafe=True),
-        )
     idx = c._idx
 
     def closed(d: frozenset) -> bool:
-        dm = idx.mask(d)
-        for a in range(idx.n):
+        dm = _mask(idx, d)
+        for a in range(len(idx.elems)):
             if dm >> a & 1:
                 continue
             for cm in c._rel[a]:
@@ -227,7 +202,7 @@ def cov_ideals(
                     return False
         return True
 
-    ideals = _ideals_against(c.base, closed, False)
+    ideals = _ideals_against(c.base, closed, include_empty_join)
     lat, to_elem = lattice_from_abstract(ideals, lambda i, j: i <= j)
     return lat, to_elem
 
@@ -242,16 +217,16 @@ def cov_ideals_from_generators(
     Closure under the generators suffices to characterize the ideals of
     the full saturation; the agreement is a test surface, not assumed.
     """
-    idx = _CovIndex(base)
+    idx = _index(base)
     pairs = set()
     for a, c in gen:
-        pairs.add((idx.index[a], idx.mask(c)))
+        pairs.add((idx.pos[a], _mask(idx, c)))
     pairs = _meet_stabilize(idx, pairs)
     if include_empty_join:
-        pairs.add((idx.index[base.bot], 0))
+        pairs.add((idx.pos[base.bot], 0))
 
     def closed(d: frozenset) -> bool:
-        dm = idx.mask(d)
+        dm = _mask(idx, d)
         for a, cm in pairs:
             if cm & ~dm == 0 and not dm >> a & 1:
                 return False
@@ -263,10 +238,10 @@ def cov_ideals_from_generators(
 def downtri(c: Coverage, a: frozenset) -> frozenset:
     """The least cover-ideal containing ``a``: everything covered by {a}."""
     idx = c._idx
-    if a not in idx.index:
+    if a not in idx.pos:
         raise DomainError(f"{a!r} not in the coverage base")
-    am = 1 << idx.index[a]
-    return frozenset(idx.elems[b] for b in range(idx.n) if am in c._rel[b])
+    am = 1 << idx.pos[a]
+    return frozenset(e for e, ms in zip(idx.elems, c._rel) if am in ms)
 
 
 # -- polyposets ---------------------------------------------------------------

@@ -246,11 +246,13 @@ def realize(
                 for z in (x & y, x | y):
                     if z not in family:
                         family.add(z)
+                        check_budget(budgets, "elements", len(family))
                         changed = True
         if p.kind == "boolean":
             for x in list(family):
                 if full - x not in family:
                     family.add(full - x)
+                    check_budget(budgets, "elements", len(family))
                     changed = True
     check_budget(budgets, "elements", len(family))
     if p.kind == "boolean":

@@ -40,6 +40,45 @@ def test_invalid_congruence_rejected():
     gen_order_congruence(a, [(top, bot)])
 
 
+def _square_order():
+    b = powerset_lattice("xy")
+    return b, [(p, q) for p in b.elements for q in b.elements if p <= q]
+
+
+def test_rejects_relation_missing_the_order():
+    a = chain_lattice(3)
+    with pytest.raises(StructureError) as err:
+        OrderCongruence(a, [(x, x) for x in a.elements])
+    assert str(err.value) == "congruence must contain the lattice order"
+
+
+def test_rejects_intransitive_relation():
+    a = chain_lattice(3)
+    bot, mid, top = frozenset(), frozenset([0]), frozenset([0, 1])
+    order = [(x, y) for x in a.elements for y in a.elements if x <= y]
+    with pytest.raises(StructureError) as err:
+        OrderCongruence(a, order + [(top, mid), (mid, bot)])
+    assert str(err.value) == "congruence must be transitive"
+
+
+def test_rejects_relation_that_is_not_meet_stable():
+    # y <= x without y <= y /\ x = bottom
+    b, order = _square_order()
+    x, y, top = frozenset("x"), frozenset("y"), frozenset("xy")
+    with pytest.raises(StructureError) as err:
+        OrderCongruence(b, order + [(top, x), (y, x)])
+    assert str(err.value) == "congruence must be meet-stable"
+
+
+def test_rejects_relation_whose_joins_stop_being_joins():
+    # x and y both collapse to bottom, but their join top does not
+    b, order = _square_order()
+    bot, x, y = frozenset(), frozenset("x"), frozenset("y")
+    with pytest.raises(StructureError) as err:
+        OrderCongruence(b, order + [(x, bot), (y, bot), (x, y), (y, x)])
+    assert str(err.value) == "lattice joins must remain joins"
+
+
 def test_congruence_count_is_power_of_irreducibles():
     for p in posets_up_to(4):
         a = lower_sets(p)

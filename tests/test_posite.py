@@ -82,9 +82,10 @@ def test_generated_vs_saturated_ideals_agree(rng):
         base = lower_sets(random_poset(rng, rng.randint(1, 3)))
         gens = random_coverage_generators(rng, base, rng.randint(0, 3))
         sat = saturate_coverage(base, gens, DEFAULT_BUDGETS.bumped(carrier=8))
-        lat, to_elem = cov_ideals(sat)
-        plain = cov_ideals_from_generators(base, gens)
-        assert sorted(to_elem, key=sorted) == sorted(plain, key=sorted)
+        for include_empty_join in (False, True):
+            lat, to_elem = cov_ideals(sat, include_empty_join)
+            plain = cov_ideals_from_generators(base, gens, include_empty_join)
+            assert sorted(to_elem, key=sorted) == sorted(plain, key=sorted)
 
 
 def test_coverage_budget_enforced():

@@ -2,7 +2,12 @@ import itertools
 
 import pytest
 
-from localix.errors import DomainError, PreconditionError, StructureError
+from localix.errors import (
+    DomainError,
+    PreconditionError,
+    ResourceBudgetError,
+    StructureError,
+)
 from localix.lattice import (
     LatticeHom,
     borel_image,
@@ -209,3 +214,11 @@ def test_presentation_validation():
 def test_presentation_json_round_trip():
     p = Presentation(("a", "b"), ((meet(var("a"), var("b")), BOT),), "boolean")
     assert Presentation.from_json(p.to_json()) == p
+
+
+@pytest.mark.parametrize("kind", ["distributive", "boolean"])
+def test_realize_stops_at_the_elements_budget(kind):
+    # five free generators present 7581 (distributive) or 2**32 (boolean)
+    # elements; the budget of 4096 must stop the closure while it grows
+    with pytest.raises(ResourceBudgetError):
+        realize(Presentation(tuple("abcde"), (), kind))
