@@ -6,6 +6,33 @@ the family is closed under intersection and union, and contains the
 empty and the full set.  Order is inclusion, meet is intersection,
 join is union.  Boolean lattices additionally have an antichain
 spectrum and a complement-closed element family.
+
+Validation.  The constructor encodes each element once as an int mask
+over the spectrum points (bit i is ``spectrum.elements[i]``) and checks
+everything on the masks; the public API stays frozenset-valued.  With
+``n`` elements and ``p`` spectrum points:
+
+* lower sets: no point of an element has a point below it outside the
+  element, O(n·p);
+* closure under intersection and union: ``least[x]``, the intersection
+  of the elements containing ``x``, contains ``x`` and lies inside every
+  element that does, so each element is the union of its ``least[x]``.
+  The family is closed exactly when ``m | least[x]`` is an element for
+  every element ``m`` and point ``x`` (given the empty and full set); it
+  is then the lattice of down-sets of the preorder "y in least[x]"
+  (Birkhoff; Davey & Priestley, *Introduction to Lattices and Order*,
+  ch. 5).  O(n·|J|), with J the distinct ``least[x]``, which are the
+  join-irreducibles;
+* Boolean kind: an antichain spectrum and ``full ^ m`` in the family;
+* element order: ``canon_key``, which on masks over the ``canon_key``
+  ordered points is (size, bit positions), O(n log n) comparisons.
+
+A :class:`LatticeHom` is checked on the same masks in O(n·(|J|+|M|)),
+not on all n² pairs: in a distributive lattice join-irreducibles are
+join-prime and meet-irreducibles (M, the largest elements missing a
+point) are meet-prime, so ``f`` preserves binary joins and meets iff
+``f(a)`` is the union of ``f(j)`` over ``j <= a`` in J and the
+intersection of ``f(m)`` over ``m >= a`` in M.
 """
 
 from __future__ import annotations
@@ -37,7 +64,7 @@ __all__ = [
 class FinLattice:
     """Immutable finite distributive (or Boolean) lattice of sets."""
 
-    __slots__ = ("spectrum", "elements", "kind", "_eset", "_hash", "_index")
+    __slots__ = ("spectrum", "elements", "kind", "_mask", "_least", "_hash", "_index")
 
     def __init__(
         self,
@@ -47,36 +74,59 @@ class FinLattice:
     ):
         if kind not in ("distributive", "boolean"):
             raise DomainError(f"unknown lattice kind {kind!r}")
-        elems = tuple(sorted({frozenset(e) for e in elements}, key=canon_key))
-        eset = frozenset(elems)
-        pts = frozenset(spectrum.elements)
-        full = pts
-        if frozenset() not in eset or full not in eset:
+        family = {frozenset(e) for e in elements}
+        pts = spectrum.elements
+        if frozenset() not in family or frozenset(pts) not in family:
             raise StructureError("element family must contain the empty and full set")
-        for e in elems:
-            if not e <= pts:
-                raise StructureError(f"element {e!r} is not a subset of the spectrum")
+        pos = spectrum._index
+        bit = {x: 1 << i for x, i in pos.items()}
+        down = dict(bit)
+        for y, x in spectrum._leq:
+            down[x] |= bit[y]
+        full = (1 << len(pts)) - 1
+        least = [full] * len(pts)
+        mask_of = {}
+        bad = []
+        for e in family:
+            try:
+                m = sum(map(bit.__getitem__, e))
+            except KeyError:
+                bad.append(e)
+                continue
             for x in e:
-                for y in spectrum.elements:
-                    if spectrum.leq(y, x) and y not in e:
-                        raise StructureError(
-                            f"element {e!r} is not a lower set: misses {y!r} <= {x!r}"
-                        )
-        for a in elems:
-            for b in elems:
-                if (a & b) not in eset or (a | b) not in eset:
+                if down[x] & ~m:
+                    bad.append(e)
+                    break
+                least[pos[x]] &= m
+            mask_of[e] = m
+        if bad:
+            _reject_element(spectrum, min(bad, key=canon_key), mask_of, down)
+        # closed under & and | iff closed under m | least[x] (module docstring)
+        masks = set(mask_of.values())
+        joins = set(least)
+        for m in masks:
+            for j in joins:
+                if m | j not in masks:
                     raise StructureError("family not closed under intersection/union")
+        # canon_key order: by size, then by bit positions; in the reversed
+        # bit string the lowest differing position is the most significant
+        width = f"0{len(pts)}b"
+        ordered = sorted(
+            mask_of.items(),
+            key=lambda em: (em[1].bit_count(), -int(format(em[1], width)[::-1], 2)),
+        )
         if kind == "boolean":
-            if not spectrum.is_antichain():
+            if any(down[x] != bit[x] for x in pts):
                 raise StructureError("boolean lattice requires an antichain spectrum")
-            for a in elems:
-                if (full - a) not in eset:
-                    raise StructureError(f"no complement for {a!r}")
+            for e, m in ordered:
+                if full ^ m not in masks:
+                    raise StructureError(f"no complement for {e!r}")
         object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "elements", tuple(e for e, _ in ordered))
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "_eset", eset)
-        object.__setattr__(self, "_hash", hash((spectrum, eset, kind)))
+        object.__setattr__(self, "_mask", dict(ordered))
+        object.__setattr__(self, "_least", tuple(least))
+        object.__setattr__(self, "_hash", hash((spectrum, frozenset(family), kind)))
         object.__setattr__(self, "_index", None)  # built by _index() on first use
 
     def __setattr__(self, *a):
@@ -86,14 +136,14 @@ class FinLattice:
         return len(self.elements)
 
     def __contains__(self, e) -> bool:
-        return e in self._eset
+        return e in self._mask
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FinLattice)
             and self.kind == other.kind
             and self.spectrum == other.spectrum
-            and self._eset == other._eset
+            and self._mask.keys() == other._mask.keys()
         )
 
     def __hash__(self) -> int:
@@ -114,7 +164,7 @@ class FinLattice:
 
     def _check(self, *xs):
         for x in xs:
-            if x not in self._eset:
+            if x not in self._mask:
                 raise DomainError(f"{x!r} is not an element of this lattice")
 
     def leq(self, a: frozenset, b: frozenset) -> bool:
@@ -133,7 +183,7 @@ class FinLattice:
         """The unique complement, when one exists in the family."""
         self._check(a)
         c = self.top - a
-        if c not in self._eset:
+        if c not in self._mask:
             raise StructureError(f"{a!r} has no complement in this lattice")
         return c
 
@@ -194,6 +244,17 @@ class FinLattice:
         return self.element_poset().to_dot(name)
 
 
+def _reject_element(spectrum: FinPoset, e: frozenset, mask_of: dict, down: dict):
+    """Raise the error for ``e``, a member that is not a lower set of the spectrum."""
+    if e not in mask_of:
+        raise StructureError(f"element {e!r} is not a subset of the spectrum")
+    for x in e:
+        missing = down[x] & ~mask_of[e]
+        if missing:
+            y = spectrum.elements[(missing & -missing).bit_length() - 1]
+            raise StructureError(f"element {e!r} is not a lower set: misses {y!r} <= {x!r}")
+
+
 class LatticeHom:
     """A bounded lattice homomorphism, validated on construction."""
 
@@ -207,12 +268,34 @@ class LatticeHom:
                 raise DomainError(f"image {v!r} not in codomain")
         if graph[dom.bot] != cod.bot or graph[dom.top] != cod.top:
             raise StructureError("homomorphism must preserve bottom and top")
-        for a in dom.elements:
-            for b in dom.elements:
-                if graph[a & b] != graph[a] & graph[b]:
-                    raise StructureError(f"meet not preserved at ({a!r}, {b!r})")
-                if graph[a | b] != graph[a] | graph[b]:
-                    raise StructureError(f"join not preserved at ({a!r}, {b!r})")
+        # f(a) must be the union of f(j) over join-irreducibles j <= a and
+        # the intersection of f(m) over meet-irreducibles m >= a (module
+        # docstring); m = full ^ up[x] is the largest element missing x.
+        dmask, cmask = dom._mask, cod._mask
+        image = {m: cmask[graph[e]] for e, m in dmask.items()}
+        n = len(dom.spectrum.elements)
+        up = [0] * n
+        for x, j in enumerate(dom._least):
+            for y in _bits(j):
+                up[y] |= 1 << x
+        full = (1 << n) - 1
+        joins = {j: image[j] for j in dom._least}.items()
+        meets = {full ^ u: image[full ^ u] for u in up}.items()
+        ctop = cmask[cod.top]
+        for e, a in dmask.items():
+            fa = image[a]
+            v = ctop
+            for m, fm in meets:
+                if not a & ~m:
+                    v &= fm
+            if v != fa:
+                raise StructureError(f"meet not preserved at {e!r}")
+            v = 0
+            for j, fj in joins:
+                if not j & ~a:
+                    v |= fj
+            if v != fa:
+                raise StructureError(f"join not preserved at {e!r}")
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "graph", dict(graph))
@@ -256,14 +339,12 @@ def join_irreducibles(a: FinLattice) -> FinPoset:
     """The poset of join-irreducible elements of ``a``.
 
     An element is join-irreducible when it differs from the join of
-    everything strictly below it (so bottom is excluded).
+    everything strictly below it (so bottom is excluded).  These are the
+    least elements containing each spectrum point.
     """
-    irr = []
-    for e in a.elements:
-        below = frozenset().union(*[x for x in a.elements if x < e]) if e else frozenset()
-        if e != below:
-            irr.append(e)
-    return FinPoset(irr, [(x, y) for x in irr for y in irr if x <= y])
+    pts = a.spectrum.elements
+    irr = {j: frozenset(pts[i] for i in _bits(j)) for j in a._least}
+    return FinPoset(irr.values(), [(irr[j], irr[k]) for j in irr for k in irr if not j & ~k])
 
 
 class _Index:
@@ -280,7 +361,10 @@ class _Index:
         self.elems = elems = a.elements
         self.pos = {e: i for i, e in enumerate(elems)}
         self.irr = irr = join_irreducibles(a).elements
-        self.mask = mask = [sum(1 << k for k, j in enumerate(irr) if j <= e) for e in elems]
+        irr_masks = [a._mask[j] for j in irr]
+        self.mask = mask = [
+            sum(1 << k for k, j in enumerate(irr_masks) if not j & ~m) for m in a._mask.values()
+        ]
         of_mask = {m: i for i, m in enumerate(mask)}
         self.meet = [[of_mask[m & m2] for m2 in mask] for m in mask]
         self.join = [[of_mask[m | m2] for m2 in mask] for m in mask]

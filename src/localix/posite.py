@@ -402,9 +402,13 @@ def polyposet_oracle(p: PolyOrder, left: Iterable, right: Iterable) -> bool:
     return True
 
 
-def polyposet_coproduct(ps: list[PolyOrder]) -> PolyOrder:
+def polyposet_coproduct(ps: list[PolyOrder], budgets: Budgets = DEFAULT_BUDGETS) -> PolyOrder:
     """Disjoint-union polyorder: a pair holds iff some component affirms
-    its restriction to that component's carrier."""
+    its restriction to that component's carrier.
+
+    The relation has 4^n candidate pairs on the joint carrier of ``n``
+    points, so ``n`` is checked against the ``carrier`` budget first.
+    """
     carrier = []
     tagged: list[tuple] = []
     for i, p in enumerate(ps):
@@ -414,9 +418,8 @@ def polyposet_coproduct(ps: list[PolyOrder]) -> PolyOrder:
     carrier = tuple(sorted(carrier, key=canon_key))
     index = {x: k for k, x in enumerate(carrier)}
     n = len(carrier)
+    check_budget(budgets, "carrier", n)
     rel = set()
-    import itertools
-
     for lm in range(1 << n):
         left = [carrier[k] for k in range(n) if lm >> k & 1]
         for rm in range(1 << n):

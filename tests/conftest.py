@@ -4,11 +4,23 @@ seeded random structure generators used across the suites."""
 from __future__ import annotations
 
 import random
+import tempfile
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from localix.order import FinPoset, lower_sets_of, poset_isomorphic
+
+# Property tests replay the same examples on every run and keep no example
+# database; hypothesis's remaining cache goes to the temporary directory,
+# not the checkout.  The host's speed varies too much for a per-example
+# deadline.
+settings.register_profile("localix", derandomize=True, deadline=None, database=None)
+settings.load_profile("localix")
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "localix-hypothesis")
 
 
 @lru_cache(maxsize=None)

@@ -360,7 +360,7 @@ def test_posite(rng):
             ),
         ]
         for p1, p2 in combos:
-            cp = polyposet_coproduct([p1, p2])
+            cp = polyposet_coproduct([p1, p2], DEFAULT_BUDGETS.bumped(carrier=12))
             # saturating the tagged component generators alone recovers
             # the full componentwise relation
             resat = saturate_polyposet(

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localix.errors import DomainError, PreconditionError, StructureError
 from localix.lattice import (
@@ -19,8 +20,9 @@ from localix.lattice import (
     powerset_lattice,
     product_decompose,
 )
-from localix.order import FinPoset, poset_isomorphic
+from localix.order import FinPoset, canon_key, lower_sets_of, poset_isomorphic
 
+import oracles
 from conftest import posets_up_to, random_poset
 
 
@@ -175,3 +177,126 @@ def test_dot_has_cover_edges_only():
     a = powerset_lattice("ab")
     dot = a.to_dot()
     assert dot.count("->") == 4  # Hasse diagram of the square
+
+
+@pytest.mark.parametrize(
+    "spectrum, family, kind, message",
+    [
+        (FinPoset("ab"), ["", "a", "ab", "c"], "distributive", "is not a subset of the spectrum"),
+        (chain_poset(2), [[], [1], [0, 1]], "distributive", "not a lower set: misses 0 <= 1"),
+        (FinPoset("ab"), ["a", "ab"], "distributive", "must contain the empty and full set"),
+        (FinPoset("ab"), ["", "a"], "distributive", "must contain the empty and full set"),
+        # closed under intersection, not under union: a | b is missing
+        (FinPoset("abc"), ["", "a", "b", "abc"], "distributive", "not closed"),
+        # closed under union, not under intersection: ab & bc is missing
+        (FinPoset("abc"), ["", "ab", "bc", "abc"], "distributive", "not closed"),
+        (chain_poset(2), [[], [0], [0, 1]], "boolean", "requires an antichain spectrum"),
+        (FinPoset("ab"), ["", "a", "ab"], "boolean", "no complement for frozenset"),
+    ],
+)
+def test_lattice_rejects_each_condition(spectrum, family, kind, message):
+    with pytest.raises(StructureError, match=message):
+        FinLattice(spectrum, [frozenset(e) for e in family], kind)
+
+
+def _two_point_maps():
+    b2 = powerset_lattice("ab")
+    two = powerset_lattice("x")
+    a, b, x = frozenset("a"), frozenset("b"), frozenset("x")
+    joins_only = {b2.bot: two.bot, a: x, b: x, b2.top: x}
+    meets_only = {b2.bot: two.bot, a: two.bot, b: two.bot, b2.top: x}
+    return b2, two, joins_only, meets_only
+
+
+def test_hom_rejects_map_preserving_joins_only():
+    b2, two, f, _ = _two_point_maps()
+    assert all(f[p | q] == f[p] | f[q] for p in b2.elements for q in b2.elements)
+    with pytest.raises(StructureError, match="meet not preserved"):
+        LatticeHom(b2, two, f)
+
+
+def test_hom_rejects_map_preserving_meets_only():
+    b2, two, _, f = _two_point_maps()
+    assert all(f[p & q] == f[p] & f[q] for p in b2.elements for q in b2.elements)
+    with pytest.raises(StructureError, match="join not preserved"):
+        LatticeHom(b2, two, f)
+
+
+# -- properties against the pairwise oracles ----------------------------------
+
+LABELS = st.one_of(
+    st.integers(-3, 9),
+    st.text("abc", min_size=1, max_size=2),
+    st.tuples(st.integers(0, 2), st.text("xy", max_size=1)),
+    st.frozensets(st.integers(0, 3), max_size=2),
+)
+
+
+@st.composite
+def posets(draw, max_points=5):
+    pts = draw(st.lists(LABELS, unique=True, max_size=max_points))
+    up = draw(st.lists(st.booleans(), min_size=len(pts) ** 2, max_size=len(pts) ** 2))
+    n = len(pts)
+    return FinPoset(pts, [(pts[i], pts[j]) for i in range(n) for j in range(i + 1, n) if up[i * n + j]])
+
+
+@st.composite
+def families(draw):
+    """A poset and a family of its subsets, often but not always a lattice."""
+    p = draw(posets())
+    pts = list(p.elements)
+    lows = lower_sets_of(p)
+    keep = draw(st.lists(st.booleans(), min_size=len(lows), max_size=len(lows)))
+    fam = {low for low, k in zip(lows, keep) if k}
+    if pts:
+        fam |= set(draw(st.lists(st.frozensets(st.sampled_from(pts)), max_size=2)))
+    if draw(st.booleans()):
+        grown = True
+        while grown:
+            new = {x & y for x in fam for y in fam} | {x | y for x in fam for y in fam}
+            grown = not new <= fam
+            fam |= new
+    # each of these is a rare defect; 0 is the value hypothesis tries most
+    if draw(st.integers(0, 19)) == 19:
+        fam.add(frozenset(["out"]))
+    if draw(st.integers(0, 9)) < 9:
+        fam.add(frozenset())
+    if draw(st.integers(0, 9)) < 9:
+        fam.add(frozenset(pts))
+    return p, sorted(fam, key=canon_key), draw(st.sampled_from(["distributive", "boolean"]))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (DomainError, StructureError) as e:
+        return type(e)
+
+
+@settings(max_examples=400)
+@given(families())
+def test_lattice_accepts_what_the_pairwise_oracle_accepts(case):
+    p, fam, kind = case
+    want = _outcome(oracles.lattice_elements, p, fam, kind)
+    got = _outcome(FinLattice, p, fam, kind)
+    if isinstance(got, FinLattice):
+        assert got.elements == want == tuple(sorted(fam, key=canon_key))
+        assert join_irreducibles(got) == oracles.join_irreducibles(got)
+    else:
+        assert got == want
+
+
+@given(posets(max_points=3), posets(max_points=3), st.data())
+def test_hom_accepts_what_the_pairwise_oracle_accepts(p, q, data):
+    a, b = lower_sets(p), lower_sets(q)
+    homs = enumerate_homs(a, b)
+    if homs and data.draw(st.booleans()):
+        graph = dict(data.draw(st.sampled_from(homs)).graph)
+        if data.draw(st.booleans()):
+            graph[data.draw(st.sampled_from(a.elements))] = data.draw(st.sampled_from(b.elements))
+    else:
+        graph = {x: data.draw(st.sampled_from(b.elements)) for x in a.elements}
+        graph[a.bot], graph[a.top] = b.bot, b.top
+    want = _outcome(oracles.check_hom, a, b, graph)
+    got = _outcome(LatticeHom, a, b, graph)
+    assert (None if isinstance(got, LatticeHom) else got) == want

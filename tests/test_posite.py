@@ -158,3 +158,15 @@ def test_coproduct_is_saturated_and_componentwise(rng):
     assert resat.rel == cp.rel
     assert cp.holds([(0, "a")], [(0, "b")])
     assert not cp.holds([(0, "a")], [(1, "y")])
+
+
+def test_coproduct_checks_carrier_budget_before_pairing(monkeypatch):
+    p1 = canonical_polyorder("abcd", [("a", "b")])
+    p2 = canonical_polyorder("wxyz", [("x", "y")])
+
+    def no_pairs(self, left, right):
+        raise AssertionError("coproduct entered the pair loop")
+
+    monkeypatch.setattr(PolyOrder, "holds", no_pairs)
+    with pytest.raises(ResourceBudgetError, match="carrier budget exceeded: 8 > 6"):
+        polyposet_coproduct([p1, p2])
