@@ -2,7 +2,7 @@
 
 Everything here is exact and finite: posets and their lattices of
 lower sets, presented lattices and their spectra, cover relations and
-their ideals, free complementation, sequent proof search with
+their ideals, free complementation, cut-free sequent proofs with
 interpolation, finite topologies with Baire-category structure, and
 codirected diagram pruning.  Each module re-exports its public surface
 here; the ``localix`` console script exposes the same engines over a

@@ -19,7 +19,7 @@ class Budgets:
     gens: int = 20            # presentation generators (2^gens valuations)
     carrier: int = 6          # polyposet / coverage base carrier size
     elements: int = 4096      # materialized lattice size
-    sequent_gens: int = 6     # distinct generators per proof search
+    sequent_gens: int = 6     # distinct generators per sequent (2^n-bit tables)
     sequent_depth: int = 5    # term nesting depth
     diagram: int = 64         # total diagram level size
     unsafe: bool = False      # when set, budgets are not enforced

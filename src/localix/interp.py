@@ -85,14 +85,18 @@ def _assign_blocks(terms, left, right, blocks, prefer="L"):
 
 
 def maehara_interpolant(
-    d: Derivation, left: Iterable, right: Iterable, blocks: Optional[dict] = None
+    d: Derivation,
+    left: Iterable,
+    right: Iterable,
+    blocks: Optional[dict] = None,
+    budgets: Budgets = DEFAULT_BUDGETS,
 ) -> Term:
     """Interpolant extraction by induction over a cut-free derivation.
 
     Each term of the root sequent is assigned to the block covering its
     generators (left preferred); rule premises inherit the principal's
-    block.  The two obligations are re-proved and the shared-generator
-    condition is asserted before returning.
+    block.  The two obligations are re-proved under ``budgets`` and the
+    shared-generator condition is asserted before returning.
     """
     d.validate()
     left, right = frozenset(left), frozenset(right)
@@ -130,9 +134,9 @@ def maehara_interpolant(
         raise StructureError("interpolant escapes the shared generators")
     a_l = frozenset(t for t in d.sequent if blocks[t] == "L")
     a_r = d.sequent - a_l
-    if not prove(a_l | {i}).derivable:
+    if not prove(a_l | {i}, budgets=budgets).derivable:
         raise StructureError("left interpolation obligation failed to re-prove")
-    if not prove(a_r | {neg(i)}).derivable:
+    if not prove(a_r | {neg(i)}, budgets=budgets).derivable:
         raise StructureError("right interpolation obligation failed to re-prove")
     return i
 
@@ -153,7 +157,8 @@ def interpolate_sequent(
     blocks: dict = {}
     _assign_blocks((neg(t) for t in s.left), left, right, blocks, prefer="L")
     _assign_blocks(s.right, left, right, blocks, prefer="R")
-    return maehara_interpolant(result.derivation, left, right, blocks), result.derivation
+    i = maehara_interpolant(result.derivation, left, right, blocks, budgets)
+    return i, result.derivation
 
 
 # -- Boolean pushout separation ----------------------------------------------

@@ -2,14 +2,18 @@
 
 Terms are negation-normal: literals over generators, and set-valued
 meet/join nodes.  A two-sided sequent A |- B is decided through its
-one-sided form |- notA, B.  Proof search is backward, memoized over
-the finite subterm-closed sequent space; refutations come with a
-two-valuation countermodel.
+one-sided form |- notA, B.  With n generators a term's meaning is its
+truth table, one int of 2^n bits (bit i is the i-th valuation in
+``itertools.product`` order), and the one-sided sequent is valid iff
+the OR of its tables is all ones.  A valid sequent's cut-free
+derivation is then built top-down without backtracking; a refuted one
+gets the first falsifying valuation as its countermodel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional
 
 from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
@@ -43,10 +47,11 @@ class Term:
     """A prenex term: ``kind`` is pos/neg/meet/join.
 
     Structurally equal terms are interned, so identity comparison and
-    hashing are cheap and child sets deduplicate for free.
+    hashing are cheap and child sets deduplicate for free.  ``sort_key``
+    (see ``term_key``) is computed once, when the term is first built.
     """
 
-    __slots__ = ("kind", "gen", "children", "depth", "_hash")
+    __slots__ = ("kind", "gen", "children", "depth", "sort_key", "_hash")
     _interned: dict = {}
 
     def __new__(cls, kind: str, gen=None, children: frozenset = frozenset()):
@@ -58,8 +63,13 @@ class Term:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "children", children)
-        depth = 1 + max((c.depth for c in children), default=0) if children else 1
+        if kind in ("pos", "neg"):
+            depth, sort_key = 1, (0, kind, canon_key(gen))
+        else:
+            depth = 1 + max((c.depth for c in children), default=0)
+            sort_key = (1, kind, len(children), tuple(sorted(c.sort_key for c in children)))
         object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "sort_key", sort_key)
         object.__setattr__(self, "_hash", hash(key))
         cls._interned[key] = self
         return self
@@ -109,10 +119,12 @@ def neg(t: Term) -> Term:
 
 
 def term_key(t: Term):
-    """Deterministic total order on terms, for canonical display."""
-    if t.kind in ("pos", "neg"):
-        return (0, t.kind, canon_key(t.gen))
-    return (1, t.kind, len(t.children), tuple(sorted(term_key(c) for c in t.children)))
+    """Deterministic total order on terms, for canonical display.
+
+    Literals ``(0, kind, canon_key(gen))`` come first, then compound terms
+    ``(1, kind, arity, sorted child keys)``; cached on the term.
+    """
+    return t.sort_key
 
 
 def term_vars(t: Term) -> frozenset:
@@ -242,82 +254,125 @@ def _as_one_sided(s) -> frozenset:
 def prove(
     s, calculus: str = "finitary", budgets: Budgets = DEFAULT_BUDGETS
 ) -> ProofResult:
-    """Decide a sequent by complete backward search.
+    """Decide a sequent by truth tables, then replay its derivation.
 
     Accepts a two-sided ``Sequent`` or a set of terms read as the
-    one-sided right side.  A repeated sequent along a branch cannot
-    occur in any minimal derivation (premises only grow), so cyclic
-    branches are failures and both verdicts memoize soundly.
+    one-sided right side.  The budgets are checked before any table is
+    built.  A refuted sequent gets the first falsifying valuation (in
+    ``itertools.product`` order over the generators in ``canon_key``
+    order); each is re-checked, the derivation by ``validate`` and the
+    countermodel by evaluation.
     """
     if calculus not in ("finitary", "infinitary"):
         raise DomainError(f"unknown calculus {calculus!r}")
     a0 = _as_one_sided(s)
-    gens = frozenset()
     for t in a0:
-        gens |= term_vars(t)
         check_budget(budgets, "sequent_depth", t.depth)
+    subterms: dict[Term, None] = {}
+    for t in a0:
+        _collect(t, subterms)
+    gens = sorted({t.gen for t in subterms if t.kind in ("pos", "neg")}, key=canon_key)
     check_budget(budgets, "sequent_gens", len(gens))
-    memo: dict[frozenset, Optional[Derivation] | bool] = {}
-    in_progress: set[frozenset] = set()
+    n = len(gens)
+    full = (1 << (1 << n)) - 1
+    masks = dict(zip(gens, _gen_masks(n)))
+    table: dict[Term, int] = {}
+    for t in subterms:  # children come before their parents
+        if t.kind == "pos":
+            m = masks[t.gen]
+        elif t.kind == "neg":
+            m = full ^ masks[t.gen]
+        elif t.kind == "meet":
+            m = full
+            for c in t.children:
+                m &= table[c]
+        else:
+            m = 0
+            for c in t.children:
+                m |= table[c]
+        table[t] = m
+    union = 0
+    for t in a0:
+        union |= table[t]
+    if union != full:
+        i = ((union + 1) & ~union).bit_length() - 1  # the lowest zero bit
+        v = {g: bool(i >> (n - 1 - j) & 1) for j, g in enumerate(gens)}
+        if any(eval_term(t, v) for t in a0):
+            raise StructureError("countermodel does not falsify the sequent")
+        return ProofResult(False, None, v)
+    d = _replay(a0, calculus)
+    d.validate()
+    return ProofResult(True, d, None)
 
-    def search(a: frozenset):
-        if a in memo:
-            return memo[a]
-        if a in in_progress:
-            return False  # exact self-repeat: no minimal derivation here
-        for t in a:
-            if t.kind == "pos" and Term("neg", t.gen) in a:
-                d = Derivation(a, "axiom", None, ())
-                memo[a] = d
-                return d
-        in_progress.add(a)
-        found = False
-        for p in sorted(a, key=term_key):
-            if p.kind == "meet":  # empty meet: zero premises, immediate
-                subs = []
-                for b in sorted(p.children, key=term_key):
-                    sub = search(a | {b})
-                    if not sub:
+
+def _collect(t: Term, out: dict) -> None:
+    """Add the distinct subterms of ``t`` to ``out``, children first."""
+    if t not in out:
+        for c in t.children:
+            _collect(c, out)
+        out[t] = None
+
+
+@lru_cache(maxsize=8)
+def _gen_masks(n: int) -> tuple:
+    """The truth tables of n generators over the 2^n valuations.
+
+    Valuation i gives generator j the bit n-1-j of i, so the first
+    generator varies slowest, as in ``itertools.product``.  The table of
+    bit k repeats, with period 2^(k+1), 2^k zeros followed by 2^k ones.
+    """
+    full = (1 << (1 << n)) - 1
+    out = []
+    for j in range(n):
+        half = 1 << (n - 1 - j)
+        period = (1 << (2 * half)) - 1
+        out.append(full // period * (((1 << half) - 1) << half))
+    return tuple(out)
+
+
+def _replay(a0: frozenset, calculus: str) -> Derivation:
+    """The derivation of the valid one-sided sequent ``a0``.
+
+    Every sequent reached is a superset of ``a0``, hence valid too.  At
+    each node the principal is the first term, in ``term_key`` order,
+    whose rule adds a new term to every premise (a meet none of whose
+    conjuncts is present, a join with a disjunct not yet present); the
+    finitary join adds the first such disjunct.  Such a term exists in
+    every valid sequent that is not an axiom: otherwise the literals
+    ``pos x`` in it, set false, and the rest, set true, would falsify
+    it.  Premises only grow, so the replay ends.  Equal sub-sequents
+    share one node.
+    """
+    built: dict[frozenset, Derivation] = {}
+
+    def build(a: frozenset) -> Derivation:
+        d = built.get(a)
+        if d is not None:
+            return d
+        if any(t.kind == "pos" and Term("neg", t.gen) in a for t in a):
+            d = Derivation(a, "axiom", None, ())
+        else:
+            for p in sorted(a, key=term_key):
+                if p.kind == "meet":  # the empty meet has no premise
+                    if p.children.isdisjoint(a):
+                        subs = tuple(
+                            build(a | {b}) for b in sorted(p.children, key=term_key)
+                        )
+                        d = Derivation(a, "meetR", p, subs)
                         break
-                    subs.append(sub)
-                else:
-                    found = Derivation(a, "meetR", p, tuple(subs))
+                elif p.kind == "join" and not p.children <= a:
+                    if calculus == "finitary":
+                        b = min((b for b in p.children if b not in a), key=term_key)
+                        d = Derivation(a, "joinR", p, (build(a | {b}),))
+                    else:
+                        d = Derivation(a, "joinR-inf", p, (build(a | p.children),))
                     break
-            elif p.kind == "join" and p.children:
-                if calculus == "finitary":
-                    for b in sorted(p.children, key=term_key):
-                        sub = search(a | {b})
-                        if sub:
-                            found = Derivation(a, "joinR", p, (sub,))
-                            break
-                    if found:
-                        break
-                else:
-                    sub = search(a | p.children)
-                    if sub:
-                        found = Derivation(a, "joinR-inf", p, (sub,))
-                        break
-        in_progress.discard(a)
-        memo[a] = found
-        return found
+            else:
+                raise StructureError("valid sequent has no rule that adds a term")
+        built[a] = d
+        return d
 
-    d = search(a0)
-    if d:
-        d.validate()
-        return ProofResult(True, d, None)
-    counter = _countermodel(a0, gens)
-    return ProofResult(False, None, counter)
-
-
-def _countermodel(a: frozenset, gens: frozenset) -> dict:
-    import itertools
-
-    order = sorted(gens, key=canon_key)
-    for bits in itertools.product((False, True), repeat=len(order)):
-        v = dict(zip(order, bits))
-        if not any(eval_term(t, v) for t in a):
-            return v
-    raise StructureError("refuted sequent admits no countermodel")
+    return build(a0)
 
 
 def term_leq(a: Term, b: Term, budgets: Budgets = DEFAULT_BUDGETS) -> bool:

@@ -108,6 +108,15 @@ def test_budget_flags_lift_limits(monkeypatch):
     assert code == 0
 
 
+def test_unsafe_budgets_reach_the_interpolation_re_proofs():
+    code, out = invoke([
+        "--unsafe-budgets", "interp", "--left", "a,b,c,d,e,f,g,h", "--right", "a,h",
+        "{a & b & c & d & e & f & g & h} |- {a | h}",
+    ])
+    assert code == 0
+    assert "  interpolant: a\n" in out
+
+
 def test_every_json_golden_validates():
     count = 0
     for case in MANIFEST["cases"]:

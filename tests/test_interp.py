@@ -1,6 +1,12 @@
 import pytest
 
-from localix.errors import DomainError, NotSeparableError, PreconditionError
+from localix.budgets import DEFAULT_BUDGETS
+from localix.errors import (
+    DomainError,
+    NotSeparableError,
+    PreconditionError,
+    ResourceBudgetError,
+)
 from localix.interp import (
     InterpolationProblem,
     bilax_separators,
@@ -33,6 +39,19 @@ def test_identity_sequent_interpolates_to_the_variable():
     s = Sequent(frozenset([var("x")]), frozenset([var("x")]))
     i, _ = interpolate_sequent(s, {"x"}, {"x"})
     assert i is var("x")
+
+
+def test_interpolation_re_proves_under_the_callers_budgets():
+    gens = "abcdefgh"
+    s = Sequent(
+        frozenset([meet_t(var(g) for g in gens)]),
+        frozenset([join_t([var("a"), var("h")])]),
+    )
+    wide = DEFAULT_BUDGETS.bumped(sequent_gens=8)
+    i, _ = interpolate_sequent(s, set(gens), {"a", "h"}, wide)
+    assert i is var("a")
+    with pytest.raises(ResourceBudgetError):
+        interpolate_sequent(s, set(gens), {"a", "h"})
 
 
 def test_shared_middle_variable():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from localix import lattice
 from localix.errors import DomainError, PreconditionError, StructureError
 from localix.lattice import (
     FinLattice,
@@ -166,6 +167,20 @@ def test_ideal_completion_is_identity_at_finite_scale(rng):
         a = lower_sets(random_poset(rng, 4))
         lat, unit = ideal_completion(a)
         assert len(lat) == len(a)
+        want_lat, want_graph = oracles.ideal_completion(a)
+        assert lat == want_lat
+        assert unit.graph == want_graph
+
+
+def test_ideal_completion_builds_only_principal_ideals(monkeypatch):
+    # all down-sets of its 64-element poset would number 7,828,354
+    def no_enumeration(p):
+        raise AssertionError("ideal_completion enumerated down-sets")
+
+    monkeypatch.setattr(lattice, "lower_sets_of", no_enumeration)
+    a = powerset_lattice(range(6))
+    lat, unit = ideal_completion(a)
+    assert len(lat) == 64 and unit.is_surjective()
 
 
 def test_json_round_trip(rng):

@@ -1,7 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from localix.budgets import DEFAULT_BUDGETS
 from localix.errors import DomainError, ResourceBudgetError, StructureError
 from localix.sequent import (
@@ -16,6 +18,7 @@ from localix.sequent import (
     neg,
     nvar,
     prove,
+    term_key,
     term_leq,
     term_to_str,
     term_vars,
@@ -158,3 +161,102 @@ def test_budgets_enforced():
 def test_sequent_rejects_non_terms():
     with pytest.raises(DomainError):
         Sequent(frozenset(["x"]), frozenset())
+
+
+# -- properties against the reference implementations in ``oracles`` ---------
+
+MIXED_GENS = ["a", "b", "c", 0, 1, 2]
+GENS = st.sampled_from(MIXED_GENS)
+
+
+def terms(depth: int):
+    leaf = st.one_of(st.builds(var, GENS), st.builds(nvar, GENS), st.sampled_from([TOP, BOT]))
+    if depth == 1:
+        return leaf
+    kids = st.lists(terms(depth - 1), max_size=3)
+    return st.one_of(leaf, st.builds(meet_t, kids), st.builds(join_t, kids))
+
+
+def literals(t) -> int:
+    return 1 if t.kind in ("pos", "neg") else sum(map(literals, t.children))
+
+
+sides = st.frozensets(terms(3), max_size=2)
+
+
+def bench_like_term(rng, depth):
+    """A term of depth at most ``depth``; compound nodes have 2-3 children."""
+    if depth == 1 or rng.random() < 0.3:
+        r = rng.random()
+        if r < 0.05:
+            return rng.choice([TOP, BOT])
+        return (nvar if r < 0.3 else var)(rng.choice(MIXED_GENS))
+    kids = [bench_like_term(rng, depth - 1) for _ in range(rng.randint(2, 3))]
+    return (meet_t if rng.random() < 0.5 else join_t)(kids)
+
+
+@st.composite
+def sequents(draw, max_literals=12):
+    """Random depth-3 sequents; the literal cap keeps the reference search fast."""
+    rng = draw(st.randoms(use_true_random=False))
+    while True:
+        s = Sequent(
+            frozenset(bench_like_term(rng, 3) for _ in range(rng.randint(1, 2))),
+            frozenset(bench_like_term(rng, 3) for _ in range(rng.randint(1, 2))),
+        )
+        if sum(map(literals, s.left | s.right)) <= max_literals:
+            return s
+
+
+def rendered(t) -> str:
+    if t.kind == "pos":
+        return str(t.gen)
+    if t.kind == "neg":
+        return f"!{t.gen}"
+    body = ",".join(rendered(c) for c in sorted(t.children, key=oracles.term_key))
+    return ("/\\{" if t.kind == "meet" else "\\/{") + body + "}"
+
+
+@given(terms(4))
+def test_cached_key_is_the_recursive_key(t):
+    assert term_key(t) == oracles.term_key(t)
+    assert term_to_str(t) == rendered(t)
+
+
+@given(sides, sides)
+def test_sequent_rendering_orders_by_the_key(left, right):
+    def side(ts):
+        return "{" + ",".join(rendered(t) for t in sorted(ts, key=oracles.term_key)) + "}"
+
+    assert str(Sequent(left, right)) == f"{side(left)} |- {side(right)}"
+
+
+@settings(max_examples=300)
+@given(sequents())
+def test_prove_matches_the_reference_search(s):
+    for calculus in ("finitary", "infinitary"):
+        assert prove(s, calculus) == oracles.prove(s, calculus)
+
+
+def test_large_refutation_is_decided_without_search():
+    a, b, c, d, e, f = map(var, "abcdef")
+    s = Sequent(
+        frozenset([
+            join_t([nvar("b"), join_t([nvar("e"), c, f])]),
+            meet_t([meet_t([a, c]), meet_t([b, e]), meet_t([a, b, e])]),
+        ]),
+        frozenset([
+            join_t([meet_t([c, f]), meet_t([d, e])]),
+            join_t([join_t([d, f]), meet_t([b, d]), meet_t([nvar("d"), nvar("e"), b])]),
+        ]),
+    )
+    assert str(s) == (
+        "{\\/{!b,\\/{!e,c,f}},/\\{/\\{a,c},/\\{b,e},/\\{a,b,e}}} |- "
+        "{\\/{/\\{c,f},/\\{d,e}},\\/{\\/{d,f},/\\{b,d},/\\{!d,!e,b}}}"
+    )
+    res = prove(s)
+    assert not res.derivable
+    v = res.countermodel
+    assert v == {"a": True, "b": True, "c": True, "d": False, "e": True, "f": False}
+    assert all(eval_term(t, v) for t in s.left)
+    assert not any(eval_term(t, v) for t in s.right)
