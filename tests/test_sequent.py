@@ -185,7 +185,11 @@ sides = st.frozensets(terms(3), max_size=2)
 
 
 def bench_like_term(rng, depth):
-    """A term of depth at most ``depth``; compound nodes have 2-3 children."""
+    """A term of depth at most ``depth``; compound nodes have 2-3 children.
+
+    Unlike ``random_term``'s 0-3 children, this reaches sequents of 8-12
+    literals often enough for the refutation and replay paths to matter.
+    """
     if depth == 1 or rng.random() < 0.3:
         r = rng.random()
         if r < 0.05:
