@@ -51,12 +51,13 @@ def budgets_from_env(base: Budgets = DEFAULT_BUDGETS) -> Budgets:
     return base.bumped(**overrides)
 
 
-def check_budget(budgets: Budgets, field: str, actual: int) -> None:
+def check_budget(budgets: Budgets, field: str, actual: int, shown: str = "") -> None:
+    """Raise when ``actual`` exceeds the limit; ``shown`` replaces it in the message."""
     if budgets.unsafe:
         return
     limit = getattr(budgets, field)
     if actual > limit:
         raise ResourceBudgetError(
-            f"{field} budget exceeded: {actual} > {limit} "
+            f"{field} budget exceeded: {shown or actual} > {limit} "
             f"(pass a larger budget or unsafe=True to proceed)"
         )

@@ -1,10 +1,14 @@
 """Order-congruences on finite distributive lattices.
 
 An order-congruence is a preorder refining the lattice order that is
-meet-stable and for which lattice joins remain joins.  The closure
-engine stores a relation as one int mask per row, over the element
-positions of the lattice's shared index, so that exhaustive
-enumeration stays tractable on lattices with a few dozen elements.
+meet-stable and for which lattice joins remain joins.  On the shared
+index, where an element is its mask of join-irreducibles J, they are
+exactly the relations "a minus b lies inside S", one for each subset S
+of J (Birkhoff duality; Davey & Priestley, *Introduction to Lattices
+and Order*, ch. 5).  Relations are built from that closed form as one
+int mask per row, over the element positions of the index.  The
+constructor re-checks every relation with one step of each closure
+rule; the rule fixpoint itself is the test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from functools import reduce
 from operator import and_, or_
 from typing import Iterable
 
+from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
 from .errors import DomainError, StructureError
 from .lattice import FinLattice, LatticeHom, _bits, _index, _Index, lattice_from_abstract
 
@@ -30,7 +35,7 @@ def _compose(r: list[int]) -> list[int]:
     out = []
     for ri in r:
         m = ri
-        while m:  # _bits, inlined: the hottest loop of the enumeration
+        while m:  # _bits, inlined: this check runs on every congruence built
             low = m & -m
             ri |= r[low.bit_length() - 1]
             m ^= low
@@ -63,18 +68,26 @@ def _column_rule(ix: _Index, r: list[int]) -> list[int]:
     ]
 
 
-def _close(ix: _Index, rel: list[int]) -> list[int]:
-    """Least order-congruence (as rows of position masks) containing ``rel``.
+def _check_subsets(budgets: Budgets, ix: _Index) -> None:
+    """One structure per subset of J, each with a row per element: check
+    both counts against the ``elements`` budget."""
+    check_budget(budgets, "elements", 2 ** len(ix.irr))
+    check_budget(budgets, "elements", len(ix.elems) << len(ix.irr))
 
-    Fixpoint of: contains leq; transitive; meet-stable; the set of
-    elements below any fixed right-hand side is join-closed.
-    """
-    r = [ri | li for ri, li in zip(rel, ix.leq)]
-    while True:
-        nxt = _column_rule(ix, _row_rule(ix, _compose(r)))
-        if nxt == r:
-            return r
-        r = nxt
+
+def _rows(ix: _Index, s: int, above: dict) -> list[int]:
+    """The order-congruence of ``s`` as rows: i relates to j when
+    mask[i] minus mask[j] lies in ``s``.  ``above`` caches, per mask t,
+    the positions whose mask contains t."""
+    mask = ix.mask
+    out = []
+    for mi in mask:
+        t = mi & ~s
+        r = above.get(t)
+        if r is None:
+            r = above[t] = sum(1 << j for j, mj in enumerate(mask) if not t & ~mj)
+        out.append(r)
+    return out
 
 
 def _rows_to_pairs(ix: _Index, r: list[int]) -> frozenset:
@@ -147,10 +160,15 @@ class OrderCongruence:
 
 
 def gen_order_congruence(a: FinLattice, pairs: Iterable[tuple]) -> OrderCongruence:
-    """Least order-congruence on ``a`` containing the given pairs."""
+    """Least order-congruence on ``a`` containing the given pairs: the one
+    whose S joins the differences a minus b of the pairs."""
     ix = _index(a)
-    r = _close(ix, _pairs_to_rows(ix, pairs))
-    return OrderCongruence(a, _rows_to_pairs(ix, r))
+    mask = ix.mask
+    s = 0
+    for mi, ri in zip(mask, _pairs_to_rows(ix, pairs)):
+        for j in _bits(ri):
+            s |= mi & ~mask[j]
+    return OrderCongruence(a, _rows_to_pairs(ix, _rows(ix, s, {})))
 
 
 def order_kernel(f: LatticeHom) -> OrderCongruence:
@@ -181,34 +199,20 @@ def quotient(a: FinLattice, c: OrderCongruence) -> tuple[FinLattice, LatticeHom]
     return lat, q
 
 
-def enumerate_order_congruences(a: FinLattice) -> list[OrderCongruence]:
-    """All order-congruences on ``a``.
+def enumerate_order_congruences(
+    a: FinLattice, budgets: Budgets = DEFAULT_BUDGETS
+) -> list[OrderCongruence]:
+    """All order-congruences on ``a``: one per subset S of J.
 
-    Search: any congruence is a join of single-step ones, and a
-    collapsed pair forces the collapse of each covering step between
-    the two elements, so closures of cover collapses generate
-    everything.  Breadth-first join closure over that generating set.
+    There are 2^|J| of them with one row per element of ``a``; both
+    counts are checked against the ``elements`` budget first.
     """
     ix = _index(a)
-    n = len(ix.elems)
-    bottom = tuple(_close(ix, [0] * n))
-    steps = []
-    for low, high in a.element_poset().cover_pairs():
-        hi, lo = ix.pos[high], ix.pos[low]
-        g = [0] * n
-        g[hi] = 1 << lo
-        steps.append((hi, 1 << lo, _close(ix, g)))
-    seen = {bottom}
-    queue = [bottom]
-    while queue:
-        cur = queue.pop()
-        for hi, lo_bit, theta in steps:
-            if cur[hi] & lo_bit:
-                continue
-            nxt = tuple(_close(ix, [c | t for c, t in zip(cur, theta)]))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    out = [OrderCongruence(a, _rows_to_pairs(ix, r)) for r in seen]
+    _check_subsets(budgets, ix)
+    above: dict[int, int] = {}
+    out = [
+        OrderCongruence(a, _rows_to_pairs(ix, _rows(ix, s, above)))
+        for s in range(1 << len(ix.irr))
+    ]
     out.sort(key=lambda c: (len(c.rel), sorted(map(repr, c.rel))))
     return out

@@ -1,24 +1,29 @@
 """Free complementation of a finite distributive lattice.
 
-``dissolve`` adjoins a complement for every element: the result is the
-ideal lattice of a cover structure on pairs (a, neg b), read as the
-differences "a minus b".  Ideals are saturated lower sets of pairs,
-closed under joins in the first coordinate, meets in the second, the
-order pairs a <= b, and a mixing rule; every column {a | (a, neg b)}
-of an ideal is then a principal lower set, so an ideal is stored as
-the vector of its column heads, each a mask over the join-irreducibles
-of the lattice's shared index.  The construction never consults the
-powerset oracle; agreement with the free Boolean extension is test
-surface.
+``dissolve`` adjoins a complement for every element.  Its result is
+read on pairs (a, neg b), the differences "a minus b".  On the shared
+index an element is its mask of join-irreducibles J, and the result is
+the Boolean lattice 2^J (Birkhoff duality; Davey & Priestley,
+*Introduction to Lattices and Order*, ch. 5): the element for S, a
+subset of J, holds the pairs with a minus b inside S.  Its pair set is
+stored as the vector of column heads.  The head of neg b is the
+largest a with a <= b \\/ S: the irreducibles whose down-set lies in
+mask(b) | S.  The unit sends x to the S equal to mask(x).
+
+The rule-based fixpoint that builds the same pair ideals by closure is
+the test oracle (``tests/oracles.py``).  Every call still re-checks the
+result lattice, the unit as a lattice hom, and the complements of the
+unit images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .congruence import OrderCongruence
+from .budgets import DEFAULT_BUDGETS, Budgets
+from .congruence import OrderCongruence, _check_subsets
 from .errors import DomainError, StructureError
-from .lattice import FinLattice, LatticeHom, _index, _Index
+from .lattice import FinLattice, LatticeHom, _bits, _index, _Index
 from .order import FinPoset
 
 __all__ = ["Dissolution", "dissolve", "eta_principal", "nA_congruence_bijection"]
@@ -29,59 +34,19 @@ def neg(b):
     return ("neg", b)
 
 
-def _close(ix: _Index, heads: list[int]) -> list[int]:
-    """Least ideal whose column heads dominate ``heads``.
-
-    Heads are masks over the join-irreducibles, one per negated element
-    b.  Rules on the head vector A: A_b >= b; A monotone and
-    meet-preserving in b; and the mixing rule A_b >= A_d /\\ c for every
-    d, where c is the largest element with c /\\ d <= A_b.
-    """
-    mask = ix.mask
-    down = [mask[ix.pos[j]] for j in ix.irr]  # principal down-masks of J
-    meet, join = ix.meet, ix.join
-    largest: dict[int, int] = {}  # x -> mask of the largest c missing x
-    a = [h | m for h, m in zip(heads, mask)]
-    n = len(a)
-    while True:
-        before = a[:]
-        # A_{d /\ d'} >= A_d /\ A_{d'} and A_{d \/ d'} >= A_d \/ A_{d'};
-        # with A_b >= b these are exactly the lower-set and coordinate
-        # closure rules.  Both operations commute, so pairs i < j suffice.
-        for i in range(n):
-            ai, mi, ji = a[i], meet[i], join[i]
-            for j in range(i + 1, n):
-                aj = a[j]
-                a[mi[j]] |= ai & aj
-                a[ji[j]] |= ai | aj
-        # mixing: c has as mask the irreducibles whose down-mask misses
-        # d minus A_b
-        for b in range(n):
-            ab = a[b]
-            for d in range(n):
-                ad = a[d]
-                if not ad & ~ab:
-                    continue
-                x = mask[d] & ~ab
-                c = largest.get(x)
-                if c is None:
-                    c = largest[x] = sum(
-                        1 << k for k, dk in enumerate(down) if not dk & x
-                    )
-                ab |= ad & c
-            a[b] = ab
-        if a == before:
-            return a
-
-
-def _heads_to_pairs(ix: _Index, heads: list[int]) -> frozenset:
-    elems, mask = ix.elems, ix.mask
-    return frozenset(
-        (elems[c], neg(elems[b]))
-        for b, h in enumerate(heads)
-        for c, m in enumerate(mask)
-        if not m & ~h
-    )
+def _pair_sets(ix: _Index, vecs: list[list[int]]):
+    """The pair set of each head vector: the pairs (c, neg b) with c
+    below the head of neg b."""
+    negs = [neg(e) for e in ix.elems]
+    under: dict[int, list] = {}  # head -> the elements below it
+    for v in vecs:
+        pairs = []
+        for nb, h in zip(negs, v):
+            u = under.get(h)
+            if u is None:
+                u = under[h] = [e for e, m in zip(ix.elems, ix.mask) if not m & ~h]
+            pairs += [(c, nb) for c in u]
+        yield frozenset(pairs)
 
 
 @dataclass(frozen=True)
@@ -100,98 +65,49 @@ class Dissolution:
             self.result.complement(self.unit(x))  # raises if missing
 
 
-def dissolve(a: FinLattice) -> Dissolution:
-    """Freely adjoin complements: the pair-ideal lattice of ``a``.
+def dissolve(a: FinLattice, budgets: Budgets = DEFAULT_BUDGETS) -> Dissolution:
+    """Freely adjoin complements: the Boolean lattice on the irreducibles of ``a``.
 
-    Ideals are enumerated as the join closure of the principal ideals
-    of single pairs, starting from the least ideal.
+    The result has 2^|J| elements, and each pair set has one column per
+    element of ``a``; both counts are checked against the ``elements``
+    budget before anything is built.
     """
     ix = _index(a)
-    if len(ix.irr) > 62:  # the point numbering below packs each head in 8 bytes
-        raise StructureError("lattice too large to dissolve")
+    _check_subsets(budgets, ix)
     mask = ix.mask
-    n = len(mask)
-    bottom = tuple(_close(ix, mask))
-    principals = set()
-    for i in range(n):
-        for j in range(n):
-            if not mask[i] & ~mask[j]:
-                continue  # pair below the order diagonal: least ideal
-            g = list(bottom)
-            g[j] |= mask[i]
-            principals.add(tuple(_close(ix, g)))
-    seen = {bottom}
-    queue = [bottom]
-    while queue:
-        cur = queue.pop()
-        for g in principals:
-            if any(h & ~c for h, c in zip(g, cur)):
-                nxt = tuple(_close(ix, [h | c for h, c in zip(g, cur)]))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
+    nj = len(ix.irr)
+    if nj > 62:  # the point numbering below packs each head in 8 bytes
+        raise StructureError("lattice too large to dissolve")
+    down = [mask[ix.pos[j]] for j in ix.irr]
+    interior: dict[int, int] = {}  # t -> the irreducibles whose down-set lies in t
+
+    def head(t: int) -> int:
+        h = interior.get(t)
+        if h is None:
+            h = interior[t] = sum(1 << k for k, dk in enumerate(down) if not dk & ~t)
+        return h
+
+    heads = [[head(m | s) for m in mask] for s in range(1 << nj)]
     # this order numbers the points of the result, which reports show:
     # head sum, then the heads as 8-byte little-endian words
-    vecs = sorted(
-        seen, key=lambda v: (sum(v), b"".join(h.to_bytes(8, "little") for h in v))
+    order = sorted(
+        range(1 << nj),
+        key=lambda s: (sum(heads[s]), b"".join(h.to_bytes(8, "little") for h in heads[s])),
     )
-    # build the ideal lattice directly on integer labels: ideals are
-    # ordered by pointwise mask inclusion, and an ideal is
-    # join-irreducible when it exceeds the join of everything below it
-    def vleq(u, v):
-        return not any(h & ~k for h, k in zip(u, v))
-
-    below = [[j for j, u in enumerate(vecs) if i != j and vleq(u, v)] for i, v in enumerate(vecs)]
-    irr = []
-    for i, v in enumerate(vecs):
-        if not below[i]:
-            continue
-        acc = [0] * n
-        for j in below[i]:
-            acc = [h | k for h, k in zip(acc, vecs[j])]
-        if tuple(_close(ix, acc)) != v:
-            irr.append(i)
-    elems = {i: frozenset(j for j in irr if vleq(vecs[j], vecs[i])) for i in range(len(vecs))}
-    if len(set(elems.values())) != len(vecs):
-        raise StructureError("ideal lattice is not distributive")
-    spectrum = FinPoset(irr, [(i, j) for i in irr for j in irr if vleq(vecs[i], vecs[j])])
-    family = set(elems.values())
-    full = frozenset(irr)
-    kind = (
-        "boolean"
-        if spectrum.is_antichain() and all(full - e in family for e in family)
-        else "distributive"
-    )
-    result = FinLattice(spectrum, family, kind)
-    by_vec = {v: i for i, v in enumerate(vecs)}
-    repr_map = {elems[i]: _heads_to_pairs(ix, v) for i, v in enumerate(vecs)}
-    unit_graph = {}
-    for x in a.elements:
-        g = list(bottom)
-        g[ix.pos[a.bot]] |= mask[ix.pos[x]]
-        unit_graph[x] = elems[by_vec[tuple(_close(ix, g))]]
-    unit = LatticeHom(a, result, unit_graph)
+    label = {s: i for i, s in enumerate(order)}
+    atoms = [label[1 << k] for k in range(nj)]
+    elem = [frozenset(sorted(atoms[k] for k in _bits(s))) for s in range(1 << nj)]
+    result = FinLattice(FinPoset(atoms), elem, "boolean")
+    repr_map = dict(zip([elem[s] for s in order], _pair_sets(ix, [heads[s] for s in order])))
+    unit = LatticeHom(a, result, {x: elem[m] for x, m in zip(ix.elems, mask)})
     return Dissolution(a, result, unit, repr_map)
 
 
 def eta_principal(a: FinLattice, x) -> frozenset:
-    """The pair set of the unit image of ``x``.
-
-    Computed as the fixpoint closure of {(x, neg bottom)} and asserted
-    equal to the closed form {(b, neg c) | b <= x \\/ c}.
-    """
+    """The pair set of the unit image of ``x``: {(b, neg c) | b <= x \\/ c}."""
     if x not in a.elements:
         raise DomainError(f"{x!r} not in the lattice")
-    ix = _index(a)
-    g = list(ix.mask)
-    g[ix.pos[a.bot]] |= ix.mask[ix.pos[x]]
-    closed = _heads_to_pairs(ix, _close(ix, g))
-    direct = frozenset(
-        (b, neg(c)) for b in a.elements for c in a.elements if b <= x | c
-    )
-    if closed != direct:
-        raise StructureError("principal closure disagrees with its closed form")
-    return closed
+    return frozenset((b, neg(c)) for c in a.elements for b in a.elements if b <= x | c)
 
 
 def nA_congruence_bijection(a: FinLattice):
@@ -200,12 +116,11 @@ def nA_congruence_bijection(a: FinLattice):
 
     An element maps to the congruence relating a to b when the pair
     (a, neg b) lies in its pair set; a congruence maps back to the join
-    of the pairs it relates.  Round-trip identities are verified by the
-    test suite, orientation fixed as stated here.
+    of the differences unit(p) minus unit(q) over the pairs it relates.
+    Round-trip identities are verified by the test suite, orientation
+    fixed as stated here.
     """
     d = dissolve(a)
-    ix = _index(a)
-    by_pairs = {v: k for k, v in d.repr.items()}
 
     def to_congruence(element) -> OrderCongruence:
         if element not in d.repr:
@@ -216,9 +131,6 @@ def nA_congruence_bijection(a: FinLattice):
     def to_element(c: OrderCongruence):
         if c.base != a:
             raise DomainError("congruence is not on this lattice")
-        g = list(ix.mask)
-        for p, q in c.rel:
-            g[ix.pos[q]] |= ix.mask[ix.pos[p]]
-        return by_pairs[_heads_to_pairs(ix, _close(ix, g))]
+        return d.result.join_of(d.unit(p) - d.unit(q) for p, q in c.rel)
 
     return to_congruence, to_element

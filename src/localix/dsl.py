@@ -19,7 +19,7 @@ from typing import Optional
 from . import presented as pr
 from . import sequent as sq
 from .baire import FrameTopology, baire_decompose, comgr, regular_opens
-from .budgets import Budgets, DEFAULT_BUDGETS
+from .budgets import Budgets, DEFAULT_BUDGETS, check_budget
 from .dissolution import dissolve
 from .errors import (
     DomainError,
@@ -731,8 +731,13 @@ class _Runner:
         if op == "chain":
             if arg < 1:
                 raise DomainError("chain length must be at least 1")
+            check_budget(self.budgets, "elements", arg)
             lat = lower_sets(FinPoset(range(arg - 1), [(i, i + 1) for i in range(arg - 2)]))
         elif op == "bool":
+            # 2**arg elements; past the limit's bit length the power exceeds
+            # the limit anyway, so a huge arg is never raised to it
+            limit = self.budgets.elements
+            check_budget(self.budgets, "elements", 1 << min(arg, limit.bit_length()), f"2^{arg}")
             lat = powerset_lattice(range(arg))
         elif op == "downsets":
             lat = lower_sets(self.lookup(arg, "poset"))
@@ -838,7 +843,7 @@ class _Runner:
 
     def run_DissolveQuery(self, s: DissolveQuery):
         lat = self.lookup(s.name, "lattice")
-        d = dissolve(lat)
+        d = dissolve(lat, self.budgets)
         self.report.add(
             "dissolve",
             base=s.name,

@@ -5,7 +5,9 @@ its saturation is the least relation closed under reflexivity, both
 transitivities, and meet-stability.  Cover-ideals of the saturation
 form the presented frame at finite scale.  Polyposets relate finite
 subsets to finite subsets and present lattices with both meets and
-joins; their saturation is checked against a Boolean entailment oracle.
+joins; their saturation is Boolean entailment from the generators,
+read off the generators' models.  The rule fixpoint that reaches the
+same relation is the test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -284,55 +286,33 @@ class PolyOrder:
         return f"PolyOrder({len(self.rel)} pairs on {len(self.carrier)} points)"
 
 
-def _saturate_masks(n: int, gen: set[tuple[int, int]]) -> set[tuple[int, int]]:
+def _entailed(n: int, gen: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    """The pairs (L, R) of masks over ``n`` points that every model of
+    ``gen`` satisfies.
+
+    A model is a set v of points with no generator (l, r) having l in v
+    and r outside it; it refutes (L, R) when L lies in v and R outside.
+    Walking the submasks of v and of its complement removes those pairs,
+    at most 4^n steps over all models.
+    """
     full = (1 << n) - 1
-    rel = set(gen)
-    # reflexivity
-    for i in range(n):
-        rel.add((1 << i, 1 << i))
-    subsets = list(range(full + 1))
-    changed = True
-    while changed:
-        changed = False
-        # monotonicity: grow both sides
-        for l, r in list(rel):
-            for i in range(n):
-                for pair in ((l | 1 << i, r), (l, r | 1 << i)):
-                    if pair not in rel:
-                        rel.add(pair)
-                        changed = True
-        # one-sided transitivity, left form: B u C covered, and B covered
-        # by {c} u E for each c in C, gives B covered by E
-        for b in subsets:
-            for e in subsets:
-                if (b, e) in rel:
-                    continue
-                for c in subsets:
-                    if (b | c, e) not in rel:
-                        continue
-                    if all(
-                        (b, (1 << i) | e) in rel
-                        for i in range(n)
-                        if c >> i & 1
-                    ):
-                        rel.add((b, e))
-                        changed = True
-                        break
-                else:
-                    # right form: B covered by D u E, and B u {d} covered
-                    # by E for each d in D
-                    for d in subsets:
-                        if (b, d | e) not in rel:
-                            continue
-                        if all(
-                            (b | (1 << i), e) in rel
-                            for i in range(n)
-                            if d >> i & 1
-                        ):
-                            rel.add((b, e))
-                            changed = True
-                            break
-    return rel
+    refuted = set()
+    for v in range(full + 1):
+        if any(not gl & ~v and not gr & v for gl, gr in gen):
+            continue
+        w = full ^ v
+        l = v
+        while True:
+            r = w
+            while True:
+                refuted.add((l, r))
+                if not r:
+                    break
+                r = (r - 1) & w
+            if not l:
+                break
+            l = (l - 1) & v
+    return {(l, r) for l in range(full + 1) for r in range(full + 1)} - refuted
 
 
 def saturate_polyposet(
@@ -340,8 +320,10 @@ def saturate_polyposet(
 ) -> PolyOrder:
     """Least polyorder containing ``gen``.
 
-    Closure under monotonicity, reflexivity, and the two one-sided
-    transitivity forms (equivalent to the two-sided rule).
+    This is the least relation closed under monotonicity, reflexivity
+    and the two one-sided transitivity forms (equivalent to the
+    two-sided rule), and it equals Boolean entailment from the
+    generators, which is computed here on their models.
     """
     carrier = tuple(sorted(set(carrier), key=canon_key))
     check_budget(budgets, "carrier", len(carrier))
@@ -360,7 +342,7 @@ def saturate_polyposet(
             r |= 1 << index[x]
         gm.add((l, r))
         gens.append((frozenset(left), frozenset(right)))
-    rel = _saturate_masks(len(carrier), gm)
+    rel = _entailed(len(carrier), gm)
     return PolyOrder(carrier, tuple(sorted(gens, key=canon_key)), rel)
 
 
@@ -406,34 +388,18 @@ def polyposet_coproduct(ps: list[PolyOrder], budgets: Budgets = DEFAULT_BUDGETS)
     """Disjoint-union polyorder: a pair holds iff some component affirms
     its restriction to that component's carrier.
 
-    The relation has 4^n candidate pairs on the joint carrier of ``n``
-    points, so ``n`` is checked against the ``carrier`` budget first.
+    The models of a disjoint union are the products of the components'
+    models, so this is the saturation of the tagged union of the
+    generators.  It has 4^n candidate pairs on the joint carrier of
+    ``n`` points, so the saturation checks ``n`` against the
+    ``carrier`` budget first.
     """
-    carrier = []
-    tagged: list[tuple] = []
-    for i, p in enumerate(ps):
-        tags = tuple((i, x) for x in p.carrier)
-        carrier += list(tags)
-        tagged.append(tags)
-    carrier = tuple(sorted(carrier, key=canon_key))
-    index = {x: k for k, x in enumerate(carrier)}
-    n = len(carrier)
-    check_budget(budgets, "carrier", n)
-    rel = set()
-    for lm in range(1 << n):
-        left = [carrier[k] for k in range(n) if lm >> k & 1]
-        for rm in range(1 << n):
-            right = [carrier[k] for k in range(n) if rm >> k & 1]
-            for i, p in enumerate(ps):
-                li = [x for (j, x) in left if j == i]
-                ri = [x for (j, x) in right if j == i]
-                if p.holds(li, ri):
-                    rel.add((lm, rm))
-                    break
     gens = []
+    carrier = []
     for i, p in enumerate(ps):
+        carrier += [(i, x) for x in p.carrier]
         for l, r in p.generators:
             gens.append(
                 (frozenset((i, x) for x in l), frozenset((i, x) for x in r))
             )
-    return PolyOrder(carrier, tuple(sorted(gens, key=canon_key)), rel)
+    return saturate_polyposet(carrier, gens, budgets)

@@ -1,5 +1,6 @@
-"""Shared enumeration helpers: all small posets up to isomorphism, and
-seeded random structure generators used across the suites."""
+"""Shared enumeration helpers: all small posets up to isomorphism,
+seeded random structure generators, and the hypothesis poset strategy
+used across the suites."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from localix.order import FinPoset, lower_sets_of, poset_isomorphic
@@ -52,6 +53,23 @@ def posets_up_to(n: int) -> tuple:
                 bucket.append(p)
         all_posets.extend(p for bucket in seen.values() for p in bucket)
     return tuple(all_posets)
+
+
+# mixed label types, so that orders that depend on canon_key get exercised
+LABELS = st.one_of(
+    st.integers(-3, 9),
+    st.text("abc", min_size=1, max_size=2),
+    st.tuples(st.integers(0, 2), st.text("xy", max_size=1)),
+    st.frozensets(st.integers(0, 3), max_size=2),
+)
+
+
+@st.composite
+def posets(draw, max_points=5):
+    pts = draw(st.lists(LABELS, unique=True, max_size=max_points))
+    up = draw(st.lists(st.booleans(), min_size=len(pts) ** 2, max_size=len(pts) ** 2))
+    n = len(pts)
+    return FinPoset(pts, [(pts[i], pts[j]) for i in range(n) for j in range(i + 1, n) if up[i * n + j]])
 
 
 def _poset_signature(p: FinPoset) -> tuple:

@@ -1,7 +1,11 @@
 """Reference implementations that the library's fast paths are tested against.
 
-Each oracle follows the definition directly, with frozenset pairs and no
-masks, so that it shares no logic with the code under test.
+Most oracles follow the definition directly, with frozenset pairs and no
+masks, so that they share no logic with the code under test.  The rule
+fixpoints for dissolution, order-congruences and polyorders work on the
+lattice's shared bitmask index, as the library did before it switched
+to their closed forms; they share with it only the index and the
+one-step congruence rules that the library keeps as its runtime check.
 """
 
 from __future__ import annotations
@@ -9,8 +13,17 @@ from __future__ import annotations
 import itertools
 
 from localix.budgets import DEFAULT_BUDGETS, Budgets, check_budget
+from localix.congruence import (
+    OrderCongruence,
+    _column_rule,
+    _compose,
+    _pairs_to_rows,
+    _row_rule,
+    _rows_to_pairs,
+)
+from localix.dissolution import Dissolution, neg
 from localix.errors import DomainError, StructureError
-from localix.lattice import lattice_from_abstract
+from localix.lattice import FinLattice, LatticeHom, _index, _Index, lattice_from_abstract
 from localix.order import FinPoset, canon_key, lower_sets_of
 from localix.sequent import (
     Derivation,
@@ -175,3 +188,268 @@ def ideal_completion(a) -> tuple:
     lat, to_elem = lattice_from_abstract(ideals, lambda i, j: i <= j)
     graph = {x: to_elem[frozenset(y for y in a.elements if y <= x)] for x in a.elements}
     return lat, graph
+
+
+# -- the rule fixpoints behind the dissolution, congruence and polyorder
+# closed forms ------------------------------------------------------------
+
+
+def _heads_to_pairs(ix: _Index, heads: list[int]) -> frozenset:
+    elems, mask = ix.elems, ix.mask
+    return frozenset(
+        (elems[c], neg(elems[b]))
+        for b, h in enumerate(heads)
+        for c, m in enumerate(mask)
+        if not m & ~h
+    )
+
+
+def dissolution_close(ix: _Index, heads: list[int]) -> list[int]:
+    """Least pair ideal whose column heads dominate ``heads``.
+
+    Heads are masks over the join-irreducibles, one per negated element
+    b.  Rules on the head vector A: A_b >= b; A monotone and
+    meet-preserving in b; and the mixing rule A_b >= A_d /\\ c for every
+    d, where c is the largest element with c /\\ d <= A_b.
+    """
+    mask = ix.mask
+    down = [mask[ix.pos[j]] for j in ix.irr]  # principal down-masks of J
+    meet, join = ix.meet, ix.join
+    largest: dict[int, int] = {}  # x -> mask of the largest c missing x
+    a = [h | m for h, m in zip(heads, mask)]
+    n = len(a)
+    while True:
+        before = a[:]
+        # A_{d /\ d'} >= A_d /\ A_{d'} and A_{d \/ d'} >= A_d \/ A_{d'};
+        # with A_b >= b these are exactly the lower-set and coordinate
+        # closure rules.  Both operations commute, so pairs i < j suffice.
+        for i in range(n):
+            ai, mi, ji = a[i], meet[i], join[i]
+            for j in range(i + 1, n):
+                aj = a[j]
+                a[mi[j]] |= ai & aj
+                a[ji[j]] |= ai | aj
+        # mixing: c has as mask the irreducibles whose down-mask misses
+        # d minus A_b
+        for b in range(n):
+            ab = a[b]
+            for d in range(n):
+                ad = a[d]
+                if not ad & ~ab:
+                    continue
+                x = mask[d] & ~ab
+                c = largest.get(x)
+                if c is None:
+                    c = largest[x] = sum(
+                        1 << k for k, dk in enumerate(down) if not dk & x
+                    )
+                ab |= ad & c
+            a[b] = ab
+        if a == before:
+            return a
+
+
+def dissolve(a: FinLattice) -> Dissolution:
+    """The pair-ideal lattice of ``a``, as the join closure of the
+    principal ideals of single pairs, starting from the least ideal."""
+    ix = _index(a)
+    if len(ix.irr) > 62:  # the point numbering below packs each head in 8 bytes
+        raise StructureError("lattice too large to dissolve")
+    mask = ix.mask
+    n = len(mask)
+    bottom = tuple(dissolution_close(ix, mask))
+    principals = set()
+    for i in range(n):
+        for j in range(n):
+            if not mask[i] & ~mask[j]:
+                continue  # pair below the order diagonal: least ideal
+            g = list(bottom)
+            g[j] |= mask[i]
+            principals.add(tuple(dissolution_close(ix, g)))
+    seen = {bottom}
+    queue = [bottom]
+    while queue:
+        cur = queue.pop()
+        for g in principals:
+            if any(h & ~c for h, c in zip(g, cur)):
+                nxt = tuple(dissolution_close(ix, [h | c for h, c in zip(g, cur)]))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    # this order numbers the points of the result, which reports show:
+    # head sum, then the heads as 8-byte little-endian words
+    vecs = sorted(
+        seen, key=lambda v: (sum(v), b"".join(h.to_bytes(8, "little") for h in v))
+    )
+    # build the ideal lattice directly on integer labels: ideals are
+    # ordered by pointwise mask inclusion, and an ideal is
+    # join-irreducible when it exceeds the join of everything below it
+    def vleq(u, v):
+        return not any(h & ~k for h, k in zip(u, v))
+
+    below = [[j for j, u in enumerate(vecs) if i != j and vleq(u, v)] for i, v in enumerate(vecs)]
+    irr = []
+    for i, v in enumerate(vecs):
+        if not below[i]:
+            continue
+        acc = [0] * n
+        for j in below[i]:
+            acc = [h | k for h, k in zip(acc, vecs[j])]
+        if tuple(dissolution_close(ix, acc)) != v:
+            irr.append(i)
+    elems = {i: frozenset(j for j in irr if vleq(vecs[j], vecs[i])) for i in range(len(vecs))}
+    if len(set(elems.values())) != len(vecs):
+        raise StructureError("ideal lattice is not distributive")
+    spectrum = FinPoset(irr, [(i, j) for i in irr for j in irr if vleq(vecs[i], vecs[j])])
+    family = set(elems.values())
+    full = frozenset(irr)
+    kind = (
+        "boolean"
+        if spectrum.is_antichain() and all(full - e in family for e in family)
+        else "distributive"
+    )
+    result = FinLattice(spectrum, family, kind)
+    by_vec = {v: i for i, v in enumerate(vecs)}
+    repr_map = {elems[i]: _heads_to_pairs(ix, v) for i, v in enumerate(vecs)}
+    unit_graph = {}
+    for x in a.elements:
+        g = list(bottom)
+        g[ix.pos[a.bot]] |= mask[ix.pos[x]]
+        unit_graph[x] = elems[by_vec[tuple(dissolution_close(ix, g))]]
+    unit = LatticeHom(a, result, unit_graph)
+    return Dissolution(a, result, unit, repr_map)
+
+
+def eta_principal(a: FinLattice, x) -> frozenset:
+    """The fixpoint closure of {(x, neg bottom)}."""
+    ix = _index(a)
+    g = list(ix.mask)
+    g[ix.pos[a.bot]] |= ix.mask[ix.pos[x]]
+    return _heads_to_pairs(ix, dissolution_close(ix, g))
+
+
+def nA_congruence_bijection(a: FinLattice):
+    """The element -> congruence map, and its inverse by closing the
+    congruence's pairs into a pair ideal."""
+    d = dissolve(a)
+    ix = _index(a)
+    by_pairs = {v: k for k, v in d.repr.items()}
+
+    def to_congruence(element) -> OrderCongruence:
+        return OrderCongruence(a, [(p, q[1]) for p, q in d.repr[element]])
+
+    def to_element(c: OrderCongruence):
+        g = list(ix.mask)
+        for p, q in c.rel:
+            g[ix.pos[q]] |= ix.mask[ix.pos[p]]
+        return by_pairs[_heads_to_pairs(ix, dissolution_close(ix, g))]
+
+    return to_congruence, to_element
+
+
+def congruence_close(ix: _Index, rel: list[int]) -> list[int]:
+    """Least order-congruence (as rows of position masks) containing ``rel``.
+
+    Fixpoint of: contains leq; transitive; meet-stable; the set of
+    elements below any fixed right-hand side is join-closed.
+    """
+    r = [ri | li for ri, li in zip(rel, ix.leq)]
+    while True:
+        nxt = _column_rule(ix, _row_rule(ix, _compose(r)))
+        if nxt == r:
+            return r
+        r = nxt
+
+
+def gen_order_congruence(a: FinLattice, pairs) -> OrderCongruence:
+    """Least order-congruence on ``a`` containing the given pairs."""
+    ix = _index(a)
+    r = congruence_close(ix, _pairs_to_rows(ix, pairs))
+    return OrderCongruence(a, _rows_to_pairs(ix, r))
+
+
+def enumerate_order_congruences(a: FinLattice) -> list[OrderCongruence]:
+    """All order-congruences on ``a``.
+
+    Search: any congruence is a join of single-step ones, and a
+    collapsed pair forces the collapse of each covering step between
+    the two elements, so closures of cover collapses generate
+    everything.  Breadth-first join closure over that generating set.
+    """
+    ix = _index(a)
+    n = len(ix.elems)
+    bottom = tuple(congruence_close(ix, [0] * n))
+    steps = []
+    for low, high in a.element_poset().cover_pairs():
+        hi, lo = ix.pos[high], ix.pos[low]
+        g = [0] * n
+        g[hi] = 1 << lo
+        steps.append((hi, 1 << lo, congruence_close(ix, g)))
+    seen = {bottom}
+    queue = [bottom]
+    while queue:
+        cur = queue.pop()
+        for hi, lo_bit, theta in steps:
+            if cur[hi] & lo_bit:
+                continue
+            nxt = tuple(congruence_close(ix, [c | t for c, t in zip(cur, theta)]))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    out = [OrderCongruence(a, _rows_to_pairs(ix, r)) for r in seen]
+    out.sort(key=lambda c: (len(c.rel), sorted(map(repr, c.rel))))
+    return out
+
+
+def saturate_masks(n: int, gen: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    """Least polyorder on masks over ``n`` points containing ``gen``:
+    closure under reflexivity, monotonicity and the two one-sided
+    transitivity forms."""
+    full = (1 << n) - 1
+    rel = set(gen)
+    # reflexivity
+    for i in range(n):
+        rel.add((1 << i, 1 << i))
+    subsets = list(range(full + 1))
+    changed = True
+    while changed:
+        changed = False
+        # monotonicity: grow both sides
+        for l, r in list(rel):
+            for i in range(n):
+                for pair in ((l | 1 << i, r), (l, r | 1 << i)):
+                    if pair not in rel:
+                        rel.add(pair)
+                        changed = True
+        # one-sided transitivity, left form: B u C covered, and B covered
+        # by {c} u E for each c in C, gives B covered by E
+        for b in subsets:
+            for e in subsets:
+                if (b, e) in rel:
+                    continue
+                for c in subsets:
+                    if (b | c, e) not in rel:
+                        continue
+                    if all(
+                        (b, (1 << i) | e) in rel
+                        for i in range(n)
+                        if c >> i & 1
+                    ):
+                        rel.add((b, e))
+                        changed = True
+                        break
+                else:
+                    # right form: B covered by D u E, and B u {d} covered
+                    # by E for each d in D
+                    for d in subsets:
+                        if (b, d | e) not in rel:
+                            continue
+                        if all(
+                            (b | (1 << i), e) in rel
+                            for i in range(n)
+                            if d >> i & 1
+                        ):
+                            rel.add((b, e))
+                            changed = True
+                            break
+    return rel

@@ -131,3 +131,16 @@ def test_every_json_golden_validates():
 def test_manifest_has_twenty_cases():
     assert len(MANIFEST["cases"]) == 20
     assert len({c["name"] for c in MANIFEST["cases"]}) == 20
+
+
+def test_dissolve_past_the_elements_budget_exits_at_once():
+    # 512 result elements with 512 pair-set columns each
+    code, out = invoke(["run", "-"], stdin_text="lattice B = bool 9;\ndissolve B;")
+    assert code == 2
+    assert "elements budget exceeded: 262144 > 4096" in out
+
+
+def test_unsafe_budgets_still_dissolve_seven_atoms():
+    code, out = invoke(["--unsafe-budgets", "dissolve", "--bool", "7"])
+    assert code == 0
+    assert "  result_size: 128\n" in out

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localix.congruence import (
     OrderCongruence,
@@ -7,11 +8,13 @@ from localix.congruence import (
     order_kernel,
     quotient,
 )
-from localix.errors import StructureError
+from localix.budgets import DEFAULT_BUDGETS
+from localix.errors import ResourceBudgetError, StructureError
 from localix.lattice import join_irreducibles, lower_sets, powerset_lattice
 from localix.order import FinPoset
 
-from conftest import posets_up_to, random_poset
+import oracles
+from conftest import posets, posets_up_to, random_poset
 
 
 def chain_lattice(n):
@@ -112,3 +115,34 @@ def test_classes_partition(rng):
             assert not (cls & seen)
             seen |= cls
         assert seen == set(a.elements)
+
+
+def test_enumeration_checks_the_budget_first(monkeypatch):
+    import localix.congruence as congruence
+
+    def no_rows(*args):
+        raise AssertionError("enumeration built a congruence")
+
+    monkeypatch.setattr(congruence, "_rows", no_rows)
+    with pytest.raises(ResourceBudgetError, match="elements budget exceeded: 256 > 64"):
+        enumerate_order_congruences(powerset_lattice("wxyz"), DEFAULT_BUDGETS.bumped(elements=64))
+
+
+# -- properties against the rule fixpoint ---------------------------------------
+
+
+@settings(max_examples=150)
+@given(posets(max_points=5))
+def test_enumeration_matches_the_fixpoint_search(p):
+    a = lower_sets(p)
+    got, want = enumerate_order_congruences(a), oracles.enumerate_order_congruences(a)
+    assert [c.rel for c in got] == [c.rel for c in want]
+
+
+@settings(max_examples=150)
+@given(posets(max_points=5), st.data())
+def test_generated_congruence_matches_the_fixpoint(p, data):
+    a = lower_sets(p)
+    elems = st.sampled_from(a.elements)
+    pairs = data.draw(st.lists(st.tuples(elems, elems), max_size=4))
+    assert gen_order_congruence(a, pairs) == oracles.gen_order_congruence(a, pairs)

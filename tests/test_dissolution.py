@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
 
+from localix import dissolution
+from localix.budgets import DEFAULT_BUDGETS
 from localix.congruence import enumerate_order_congruences
 from localix.dissolution import dissolve, eta_principal, nA_congruence_bijection, neg
-from localix.errors import DomainError
+from localix.errors import DomainError, ResourceBudgetError
 from localix.lattice import (
     join_irreducibles,
     lattice_isomorphic,
@@ -11,7 +14,8 @@ from localix.lattice import (
 )
 from localix.order import FinPoset
 
-from conftest import posets_up_to, random_poset
+import oracles
+from conftest import posets, posets_up_to, random_poset
 
 
 def chain_lattice(n):
@@ -107,3 +111,56 @@ def test_dissolution_is_idempotent_up_to_iso():
     d = dissolve(a)
     dd = dissolve(d.result)
     assert lattice_isomorphic(dd.result, d.result)
+
+
+def test_budget_is_checked_before_any_pair_set_is_built(monkeypatch):
+    def no_pairs(ix, vecs):
+        raise AssertionError("dissolve built a pair set")
+
+    monkeypatch.setattr(dissolution, "_pair_sets", no_pairs)
+    small = DEFAULT_BUDGETS.bumped(elements=64)
+    # 16 result elements fit, 16 rows of 16 base elements do not
+    with pytest.raises(ResourceBudgetError, match="elements budget exceeded: 256 > 64"):
+        dissolve(powerset_lattice("wxyz"), small)
+    with pytest.raises(ResourceBudgetError, match="elements budget exceeded: 128 > 64"):
+        dissolve(powerset_lattice(range(7)), small)
+
+
+def test_default_budget_admits_six_atoms():
+    d = dissolve(powerset_lattice(range(6)))  # 64 rows of 64: exactly the limit
+    assert len(d.result) == 64
+
+
+# -- properties against the pair-ideal fixpoint ---------------------------------
+
+
+@settings(max_examples=150)
+@given(posets(max_points=5))
+def test_dissolve_matches_the_fixpoint(p):
+    a = lower_sets(p)
+    d, want = dissolve(a), oracles.dissolve(a)
+    assert d.result == want.result
+    assert d.result.to_json() == want.result.to_json()
+    assert d.unit.graph == want.unit.graph
+    assert list(d.unit.graph) == list(want.unit.graph)
+    assert list(d.repr.items()) == list(want.repr.items())
+
+
+@settings(max_examples=100)
+@given(posets(max_points=5))
+def test_eta_principal_matches_the_fixpoint(p):
+    a = lower_sets(p)
+    for x in a.elements:
+        assert eta_principal(a, x) == oracles.eta_principal(a, x)
+
+
+@settings(max_examples=60)
+@given(posets(max_points=5))
+def test_congruence_bijection_matches_the_fixpoint(p):
+    a = lower_sets(p)
+    to_c, to_e = nA_congruence_bijection(a)
+    want_c, want_e = oracles.nA_congruence_bijection(a)
+    for e in dissolve(a).result.elements:
+        assert to_c(e) == want_c(e)
+    for c in enumerate_order_congruences(a):
+        assert to_e(c) == want_e(c)

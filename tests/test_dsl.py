@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from localix import dsl
 from localix.budgets import DEFAULT_BUDGETS
 from localix.dsl import Report, Script, parse, render, run
 from localix.errors import DomainError, ParseError
@@ -119,6 +120,30 @@ def test_budget_violation_stops_the_run():
     assert report.exit_code == 2
     assert report.records[-1]["error"] == "budget"
     assert len(report.records) == 1  # nothing after the violation
+
+
+def test_bool_lattice_checks_its_size_before_building(monkeypatch):
+    def no_lattice(points):
+        raise AssertionError("the powerset was built")
+
+    monkeypatch.setattr(dsl, "powerset_lattice", no_lattice)
+    for n, shown in ((14, "2^14 > 4096"), (10**12, f"2^{10**12} > 4096")):
+        report = run(parse(f"lattice B = bool {n};"))
+        assert report.exit_code == 2
+        assert report.records[-1]["error"] == "budget"
+        assert f"elements budget exceeded: {shown}" in report.records[-1]["detail"]
+
+
+def test_chain_lattice_checks_its_size_before_building(monkeypatch):
+    def no_chain(*args):
+        raise AssertionError("the chain was built")
+
+    monkeypatch.setattr(dsl, "FinPoset", no_chain)
+    monkeypatch.setattr(dsl, "lower_sets", no_chain)
+    report = run(parse("lattice C = chain 5000;"))
+    assert report.exit_code == 2
+    assert report.records[-1]["error"] == "budget"
+    assert "elements budget exceeded: 5000 > 4096" in report.records[-1]["detail"]
 
 
 def test_diagram_validation():

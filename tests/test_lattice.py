@@ -24,7 +24,7 @@ from localix.lattice import (
 from localix.order import FinPoset, canon_key, lower_sets_of, poset_isomorphic
 
 import oracles
-from conftest import posets_up_to, random_poset
+from conftest import posets, posets_up_to, random_poset
 
 
 def chain_poset(n):
@@ -238,22 +238,6 @@ def test_hom_rejects_map_preserving_meets_only():
 
 
 # -- properties against the pairwise oracles ----------------------------------
-
-LABELS = st.one_of(
-    st.integers(-3, 9),
-    st.text("abc", min_size=1, max_size=2),
-    st.tuples(st.integers(0, 2), st.text("xy", max_size=1)),
-    st.frozensets(st.integers(0, 3), max_size=2),
-)
-
-
-@st.composite
-def posets(draw, max_points=5):
-    pts = draw(st.lists(LABELS, unique=True, max_size=max_points))
-    up = draw(st.lists(st.booleans(), min_size=len(pts) ** 2, max_size=len(pts) ** 2))
-    n = len(pts)
-    return FinPoset(pts, [(pts[i], pts[j]) for i in range(n) for j in range(i + 1, n) if up[i * n + j]])
-
 
 @st.composite
 def families(draw):

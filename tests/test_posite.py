@@ -1,6 +1,8 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localix.budgets import DEFAULT_BUDGETS
 from localix.errors import DomainError, ResourceBudgetError
@@ -20,6 +22,7 @@ from localix.posite import (
     saturate_polyposet,
 )
 
+import oracles
 from conftest import random_poset
 
 
@@ -170,3 +173,72 @@ def test_coproduct_checks_carrier_budget_before_pairing(monkeypatch):
     monkeypatch.setattr(PolyOrder, "holds", no_pairs)
     with pytest.raises(ResourceBudgetError, match="carrier budget exceeded: 8 > 6"):
         polyposet_coproduct([p1, p2])
+
+
+def _componentwise(ps, cp, lm, rm) -> bool:
+    """The coproduct's definition: some component affirms the restriction."""
+    left = [cp.carrier[k] for k in range(len(cp.carrier)) if lm >> k & 1]
+    right = [cp.carrier[k] for k in range(len(cp.carrier)) if rm >> k & 1]
+    return any(
+        p.holds([x for j, x in left if j == i], [x for j, x in right if j == i])
+        for i, p in enumerate(ps)
+    )
+
+
+def _random_polyorder(rng, n):
+    carrier = tuple(f"p{i}" for i in range(n))
+
+    def side():
+        return tuple(x for x in carrier if rng.random() < 0.4)
+
+    return saturate_polyposet(carrier, [(side(), side()) for _ in range(rng.randint(0, 3))])
+
+
+def test_coproduct_is_the_componentwise_relation():
+    rng = random.Random(7)
+    for _ in range(25):
+        ps = [_random_polyorder(rng, rng.randint(0, 2)) for _ in range(rng.randint(1, 3))]
+        cp = polyposet_coproduct(ps)
+        n = len(cp.carrier)
+        want = {
+            (lm, rm)
+            for lm in range(1 << n)
+            for rm in range(1 << n)
+            if _componentwise(ps, cp, lm, rm)
+        }
+        assert cp.rel == want
+
+
+# -- properties against the rule fixpoint ---------------------------------------
+
+MASK_PAIRS = st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=4)
+
+
+def _check_saturation(n, gen):
+    carrier = tuple(f"p{i}" for i in range(n))
+    named = [
+        ([carrier[i] for i in range(n) if l >> i & 1], [carrier[i] for i in range(n) if r >> i & 1])
+        for l, r in gen
+    ]
+    p = saturate_polyposet(carrier, named)
+    assert p.rel == oracles.saturate_masks(n, {(p.mask(l), p.mask(r)) for l, r in named})
+    for lm in range(1 << n):
+        for rm in range(1 << n):
+            assert ((lm, rm) in p.rel) == polyposet_oracle(p, p.unmask(lm), p.unmask(rm))
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 4), MASK_PAIRS)
+def test_saturation_matches_the_rule_fixpoint(n, gen):
+    full = (1 << n) - 1
+    _check_saturation(n, [(l & full, r & full) for l, r in gen])
+
+
+def test_saturation_matches_the_rule_fixpoint_on_five_points():
+    rng = random.Random(11)
+
+    def side():
+        return rng.randrange(32) & rng.randrange(32)
+
+    for _ in range(4):
+        _check_saturation(5, [(side(), side()) for _ in range(rng.randint(1, 3))])
