@@ -740,7 +740,7 @@ class _Runner:
             check_budget(self.budgets, "elements", 1 << min(arg, limit.bit_length()), f"2^{arg}")
             lat = powerset_lattice(range(arg))
         elif op == "downsets":
-            lat = lower_sets(self.lookup(arg, "poset"))
+            lat = lower_sets(self.lookup(arg, "poset"), self.budgets)
         else:  # opens
             top = self.lookup(arg, "topology")
             lat = top.opens_lattice()[0]

@@ -37,11 +37,13 @@ intersection of ``f(m)`` over ``m >= a`` in M.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Callable, Hashable, Iterable
 
+from .budgets import Budgets
 from .errors import DomainError, NoImageError, PreconditionError, StructureError
-from .order import FinPoset, canon_key, lower_sets_of, poset_isomorphic
+from .order import FinPoset, _bits, _canon_mask_key, canon_key, lower_sets_of, poset_isomorphic
 
 __all__ = [
     "FinLattice",
@@ -108,13 +110,8 @@ class FinLattice:
             for j in joins:
                 if m | j not in masks:
                     raise StructureError("family not closed under intersection/union")
-        # canon_key order: by size, then by bit positions; in the reversed
-        # bit string the lowest differing position is the most significant
-        width = f"0{len(pts)}b"
-        ordered = sorted(
-            mask_of.items(),
-            key=lambda em: (em[1].bit_count(), -int(format(em[1], width)[::-1], 2)),
-        )
+        key = _canon_mask_key(len(pts))
+        ordered = sorted(mask_of.items(), key=lambda em: key(em[1]))
         if kind == "boolean":
             if any(down[x] != bit[x] for x in pts):
                 raise StructureError("boolean lattice requires an antichain spectrum")
@@ -329,10 +326,14 @@ class LatticeHom:
 # -- constructions ----------------------------------------------------------
 
 
-def lower_sets(p: FinPoset) -> FinLattice:
-    """The lattice of all lower sets of ``p`` (Boolean iff ``p`` is an antichain)."""
+def lower_sets(p: FinPoset, budgets: Budgets | None = None) -> FinLattice:
+    """The lattice of all lower sets of ``p`` (Boolean iff ``p`` is an antichain).
+
+    With ``budgets``, the number of lower sets is checked against the
+    ``elements`` budget while they are enumerated.
+    """
     kind = "boolean" if p.is_antichain() else "distributive"
-    return FinLattice(p, lower_sets_of(p), kind)
+    return FinLattice(p, lower_sets_of(p, budgets), kind)
 
 
 def join_irreducibles(a: FinLattice) -> FinPoset:
@@ -371,14 +372,6 @@ class _Index:
         self.leq = [sum(1 << j for j, m2 in enumerate(mask) if not m & ~m2) for m in mask]
 
 
-def _bits(m: int):
-    """Positions of the set bits of ``m``, lowest first."""
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
-
-
 def _index(a: FinLattice) -> _Index:
     """The index of ``a``, built on first use and kept on the lattice."""
     ix = a._index
@@ -409,51 +402,41 @@ def lattice_from_abstract(
 ) -> tuple[FinLattice, dict]:
     """Realize an abstract finite lattice given by a leq predicate.
 
-    Meets and joins are computed from ``leq`` (they must exist), the
-    join-irreducibles become the spectrum, and each item maps to the
-    set of irreducibles below it.  Raises when the input is not a
-    distributive lattice.  Returns the lattice and the item->element map.
+    ``leq`` is read once per pair of items, into one int row per item.
+    The join-irreducibles, the items with exactly one lower cover,
+    become the spectrum, and each item maps to the set of irreducibles
+    below it.  The items form a distributive lattice exactly when that
+    map is an order embedding onto a family closed under intersection
+    and union (Birkhoff; Davey & Priestley, *Introduction to Lattices
+    and Order*, ch. 5): the embedding is checked here and the closure by
+    ``FinLattice``, and both raise StructureError otherwise.  Returns
+    the lattice and the item->element map.
     """
     items = list(dict.fromkeys(items))
-
-    def glb(x, y):
-        lows = [z for z in items if leq(z, x) and leq(z, y)]
-        for m in lows:
-            if all(leq(z, m) for z in lows):
-                return m
-        raise StructureError(f"no meet for ({x!r}, {y!r})")
-
-    def lub(x, y):
-        ups = [z for z in items if leq(x, z) and leq(y, z)]
-        for m in ups:
-            if all(leq(m, z) for z in ups):
-                return m
-        raise StructureError(f"no join for ({x!r}, {y!r})")
-
-    irr = []
-    for e in items:
-        strictly_below = [x for x in items if leq(x, e) and x != e]
-        if not strictly_below:
-            continue  # bottom
-        j = strictly_below[0]
-        for x in strictly_below[1:]:
-            j = lub(j, x)
-        if j != e:
-            irr.append(e)
     if not items:
         raise StructureError("empty carrier is not a lattice")
-    to_elem = {x: frozenset(j for j in irr if leq(j, x)) for x in items}
-    if len(set(to_elem.values())) != len(items):
+    up = [sum(1 << k for k, y in enumerate(items) if leq(x, y)) for x in items]
+    down = [0] * len(items)
+    for i, u in enumerate(up):
+        for k in _bits(u):
+            down[k] |= 1 << i
+    irr = 0
+    for k, d in enumerate(down):
+        d &= ~(1 << k)
+        # the lower covers of k are the maximal items strictly below it
+        if sum(1 for i in _bits(d) if not up[i] & d & ~(1 << i)) == 1:
+            irr |= 1 << k
+    masks = [d & irr for d in down]
+    if len(set(masks)) != len(items):
         raise StructureError("not a distributive lattice: representation collapses items")
-    for x in items:
-        for y in items:
-            if to_elem[glb(x, y)] != to_elem[x] & to_elem[y]:
-                raise StructureError("not distributive: meet is not intersection")
-            if to_elem[lub(x, y)] != to_elem[x] | to_elem[y]:
-                raise StructureError("not distributive: join is not union")
-    spectrum = FinPoset(irr, [(x, y) for x in irr for y in irr if leq(x, y)])
+    for u, m in zip(up, masks):
+        if u != sum(1 << k for k, m2 in enumerate(masks) if not m & ~m2):
+            raise StructureError("not a distributive lattice: order is not inclusion")
+    js = [items[j] for j in _bits(irr)]
+    spectrum = FinPoset(js, [(items[j], items[k]) for j in _bits(irr) for k in _bits(up[j] & irr)])
+    to_elem = {x: frozenset(items[j] for j in _bits(m)) for x, m in zip(items, masks)}
     family = set(to_elem.values())
-    full = frozenset(irr)
+    full = frozenset(js)
     kind = "boolean" if spectrum.is_antichain() and all(full - e in family for e in family) else "distributive"
     return FinLattice(spectrum, family, kind), to_elem
 
@@ -473,52 +456,60 @@ def lattice_isomorphic(a: FinLattice, b: FinLattice) -> bool:
     return poset_isomorphic(join_irreducibles(a), join_irreducibles(b))
 
 
-def enumerate_homs(a: FinLattice, b: FinLattice) -> list[LatticeHom]:
-    """All bounded lattice homs ``a -> b`` (small instances only).
+def _hom_from_irreducibles(a: FinLattice, b: FinLattice, irr_img: dict) -> LatticeHom:
+    """The hom ``a -> b`` sending x to the join of ``irr_img[j]`` over the keys j <= x.
 
-    A hom is determined by its values on join-irreducibles; candidates
-    are monotone assignments that respect the meet table and top.
+    Keys are join-irreducibles of ``a``, values elements of ``b``; the
+    result is validated by ``LatticeHom``.
     """
-    jp = join_irreducibles(a)
-    js = list(jp.elements)
-    out = []
+    imgs = [(a._mask[j], b._mask[v]) for j, v in irr_img.items()]
+    elem_b = {m: e for e, m in b._mask.items()}
+    graph = {}
+    for e, m in a._mask.items():
+        v = 0
+        for j, fj in imgs:
+            if not j & ~m:
+                v |= fj
+        graph[e] = elem_b[v]
+    return LatticeHom(a, b, graph)
 
-    def extend(i: int, assign: dict):
-        if i == len(js):
-            # meet condition: e_j /\ e_k must equal the join of e_r over
-            # irreducibles r below both j and k
-            for j in js:
-                for k in js:
-                    lows = [r for r in js if r <= j and r <= k]
-                    rhs = frozenset().union(*[assign[r] for r in lows]) if lows else frozenset()
-                    if assign[j] & assign[k] != rhs:
-                        return
-            total = frozenset().union(*assign.values()) if assign else frozenset()
-            if total != b.top:
-                return
-            graph = {
-                x: frozenset().union(*[assign[j] for j in js if j <= x]) if any(j <= x for j in js) else frozenset()
-                for x in a.elements
-            }
-            try:
-                out.append(LatticeHom(a, b, graph))
-            except StructureError:
-                pass
-            return
-        j = js[i]
-        for v in b.elements:
-            ok = all(
-                (not jp.leq(js[k], j) or assign[js[k]] <= v)
-                and (not jp.leq(j, js[k]) or v <= assign[js[k]])
-                for k in range(i)
-            )
-            if ok:
-                assign[j] = v
-                extend(i + 1, assign)
-                del assign[j]
 
-    extend(0, {})
-    return out
+def enumerate_homs(a: FinLattice, b: FinLattice) -> list[LatticeHom]:
+    """All bounded lattice homs ``a -> b``.
+
+    By Birkhoff duality they are the monotone maps phi from J(b) to
+    J(a), the join-irreducibles, with f(x) the join of the q in J(b)
+    whose phi(q) is below x (Davey & Priestley, *Introduction to
+    Lattices and Order*, ch. 5).  The maps are built along J(b), which
+    is listed by size and so is a linear extension: each q takes a
+    common upper bound of the images of the irreducibles below it.  The
+    homs are ordered by the positions in ``b.elements`` of f(j), for j
+    over J(a) in order.
+    """
+    ja, jb = (sorted(set(x._least), key=_canon_mask_key(len(x.spectrum.elements))) for x in (a, b))
+    up_a = [sum(1 << i for i, j2 in enumerate(ja) if not j & ~j2) for j in ja]
+    phis = [[]]
+    for k, q in enumerate(jb):
+        below = [l for l in range(k) if not jb[l] & ~q]
+        grown = []
+        for phi in phis:
+            cand = (1 << len(ja)) - 1
+            for l in below:
+                cand &= up_a[phi[l]]
+            grown += [phi + [i] for i in _bits(cand)]
+        phis = grown
+    elem_a = {m: e for e, m in a._mask.items()}
+    elem_b = {m: e for e, m in b._mask.items()}
+    homs = []
+    for phi in phis:
+        img = [0] * len(ja)
+        for q, i in zip(jb, phi):
+            img[i] |= q
+        homs.append(_hom_from_irreducibles(a, b, {elem_a[j]: elem_b[v] for j, v in zip(ja, img)}))
+    pos = {e: i for i, e in enumerate(b.elements)}
+    irr = [elem_a[j] for j in ja]
+    homs.sort(key=lambda h: [pos[h.graph[j]] for j in irr])
+    return homs
 
 
 # -- derived operations ------------------------------------------------------
@@ -618,8 +609,6 @@ def product_decompose(
 
     # bijectivity check
     seen = set()
-    import itertools
-
     for combo in itertools.product(*[fac.elements for fac, _ in factors]):
         seen.add(reassemble(combo))
     if seen != set(a.elements):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
+from .budgets import Budgets, check_budget
 from .errors import DomainError, StructureError
 
 __all__ = [
@@ -50,36 +51,36 @@ class FinPoset:
     """An immutable finite poset.
 
     ``leq`` is stored as the full reflexive-transitive relation; the
-    constructor closes the given pairs and rejects antisymmetry
-    violations.
+    constructor closes the given pairs (Warshall, on one int row per
+    element) and rejects antisymmetry violations.
     """
 
     __slots__ = ("elements", "_leq", "_index", "_hash")
 
     def __init__(self, elements: Iterable[Hashable], leq_pairs: Iterable[tuple] = ()):
         elems = _sorted(set(elements))
-        eset = set(elems)
-        rel: set[tuple] = {(e, e) for e in elems}
+        pos = {e: i for i, e in enumerate(elems)}
+        up = [1 << i for i in range(len(elems))]  # bit j of up[i]: elems[i] <= elems[j]
         for a, b in leq_pairs:
-            if a not in eset or b not in eset:
+            if a not in pos or b not in pos:
                 raise DomainError(f"leq pair ({a!r}, {b!r}) mentions a non-element")
-            rel.add((a, b))
-        # transitive closure; tiny posets, so the naive loop is fine
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(rel):
-                for c in elems:
-                    if (b, c) in rel and (a, c) not in rel:
-                        rel.add((a, c))
-                        changed = True
-        for a, b in rel:
-            if a != b and (b, a) in rel:
+            up[pos[a]] |= 1 << pos[b]
+        for k in range(len(up)):  # Warshall: close through elems[k]
+            bit, uk = 1 << k, up[k]
+            for i, ui in enumerate(up):
+                if ui & bit:
+                    up[i] = ui | uk
+        first: dict[int, int] = {}
+        for i, ui in enumerate(up):  # two points share a closed row iff they form a cycle
+            j = first.setdefault(ui, i)
+            if j != i:
+                a, b = elems[j], elems[i]
                 raise StructureError(f"antisymmetry fails: {a!r} <= {b!r} <= {a!r}")
+        rel = frozenset((a, elems[j]) for a, ui in zip(elems, up) for j in _bits(ui))
         object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "_leq", frozenset(rel))
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(elems)})
-        object.__setattr__(self, "_hash", hash((elems, frozenset(rel))))
+        object.__setattr__(self, "_leq", rel)
+        object.__setattr__(self, "_index", pos)
+        object.__setattr__(self, "_hash", hash((elems, rel)))
 
     def __setattr__(self, *a):
         raise AttributeError("FinPoset is immutable")
@@ -283,17 +284,54 @@ class MonotoneMap:
             raise DomainError(f"{x!r} not in domain") from None
 
 
-def lower_sets_of(p: FinPoset) -> list[frozenset]:
+def _bits(m: int):
+    """Positions of the set bits of ``m``, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _canon_mask_key(n: int) -> Callable[[int], tuple]:
+    """Sort key on masks over ``n`` points in ``canon_key`` order that lists
+    their point sets in ``canon_key`` order: by size, then by bit positions
+    (in the reversed bit string the lowest differing one is the most significant)."""
+    width = f"0{n}b"
+    return lambda m: (m.bit_count(), -int(format(m, width)[::-1], 2))
+
+
+def _lower_masks(steps: Iterable[tuple[int, int]], budgets: Budgets | None) -> list[int]:
+    """The masks of all lower sets of a poset, grown one point at a time.
+
+    ``steps`` yields each point's bit with the mask of the points strictly
+    below it, along a linear extension: a point joins a lower set once
+    everything strictly below it is present.  The list only grows, so
+    the ``elements`` budget is checked after each point.
+    """
+    downs = [0]
+    for bit, below in steps:
+        downs += [d | bit for d in downs if not below & ~d]
+        if budgets is not None:
+            check_budget(budgets, "elements", len(downs))
+    return downs
+
+
+def lower_sets_of(p: FinPoset, budgets: Budgets | None = None) -> list[frozenset]:
     """All lower (downward-closed) subsets of ``p``, canonically ordered.
 
-    Built by scanning a linear extension: an element may join a lower
-    set only once everything strictly below it is present.
+    With ``budgets``, their number is checked against the ``elements``
+    budget while they are enumerated.
     """
-    downs: list[frozenset] = [frozenset()]
-    for x in p.linear_extension():
-        need = p.down(x) - {x}
-        downs += [d | {x} for d in downs if need <= d]
-    return sorted(set(downs), key=canon_key)
+    pos, elems = p._index, p.elements
+    below = [0] * len(elems)
+    for a, b in p._leq:
+        if a != b:
+            below[pos[b]] |= 1 << pos[a]
+    # a point has fewer points below it than anything above it
+    order = sorted(range(len(elems)), key=lambda i: below[i].bit_count())
+    masks = _lower_masks(((1 << i, below[i]) for i in order), budgets)
+    masks.sort(key=_canon_mask_key(len(elems)))
+    return [frozenset(elems[i] for i in _bits(m)) for m in masks]
 
 
 def poset_isomorphic(p: FinPoset, q: FinPoset) -> bool:

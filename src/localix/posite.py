@@ -12,12 +12,13 @@ same relation is the test oracle (``tests/oracles.py``).
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable
 
 from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
 from .errors import DomainError, StructureError
 from .lattice import FinLattice, _bits, _index, _Index, lattice_from_abstract
-from .order import canon_key
+from .order import canon_key, lower_sets_of
 
 __all__ = [
     "Coverage",
@@ -170,8 +171,6 @@ def _ideals_against(
     base: FinLattice, pair_test, include_empty_join: bool
 ) -> list[frozenset]:
     """Lower sets closed under a cover-pair predicate."""
-    from .order import lower_sets_of
-
     out = []
     for d in lower_sets_of(base.element_poset()):
         if include_empty_join and base.bot not in d:
@@ -367,8 +366,6 @@ def polyposet_entails(p: PolyOrder, left: Iterable, right: Iterable) -> bool:
 
 def polyposet_oracle(p: PolyOrder, left: Iterable, right: Iterable) -> bool:
     """Truth-table entailment over all valuations satisfying the generators."""
-    import itertools
-
     n = len(p.carrier)
     lm, rm = p.mask(left), p.mask(right)
     gens = [(p.mask(l), p.mask(r)) for l, r in p.generators]

@@ -17,8 +17,14 @@ from typing import Callable, Iterable
 
 from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
 from .errors import DomainError, PreconditionError, StructureError
-from .lattice import FinLattice, LatticeHom, join_irreducibles, powerset_lattice
-from .order import FinPoset, canon_key
+from .lattice import (
+    FinLattice,
+    LatticeHom,
+    _hom_from_irreducibles,
+    join_irreducibles,
+    powerset_lattice,
+)
+from .order import FinPoset, _bits, _lower_masks, canon_key
 
 __all__ = [
     "TOP",
@@ -225,50 +231,34 @@ def realize(
     Returns the lattice and the map from generator names to elements.
     For distributive presentations the spectrum carries the reverse
     valuation order, under which every generated element is a lower
-    set; boolean spectra are discrete.
+    set, and the generated lattice is all of its lower sets: a lower
+    set is the union over its points of the meet of the generators true
+    there.  Boolean spectra are discrete, so there it is all subsets.
+    The lower sets are enumerated on masks, fewest true generators
+    last, and their number is checked against the ``elements`` budget
+    after each point, before the spectrum poset is built.
     """
     model = spec(p, budgets)
     pts = model.points
-    full = frozenset(range(len(pts)))
     gen_img = {
         g: frozenset(i for i, bits in enumerate(pts) if bits[k])
         for k, g in enumerate(p.gens)
     }
-    family = {frozenset(), full} | set(gen_img.values())
-    if p.kind == "boolean":
-        family |= {full - e for e in gen_img.values()}
-    changed = True
-    while changed:
-        changed = False
-        items = list(family)
-        for i, x in enumerate(items):
-            for y in items[i + 1 :]:
-                for z in (x & y, x | y):
-                    if z not in family:
-                        family.add(z)
-                        check_budget(budgets, "elements", len(family))
-                        changed = True
-        if p.kind == "boolean":
-            for x in list(family):
-                if full - x not in family:
-                    family.add(full - x)
-                    check_budget(budgets, "elements", len(family))
-                    changed = True
-    check_budget(budgets, "elements", len(family))
-    if p.kind == "boolean":
-        spectrum = FinPoset(range(len(pts)))
-    else:
+    vals = [sum(1 << k for k, bit in enumerate(bits) if bit) for bits in pts]
+    boolean = p.kind == "boolean"
+
+    def below(i: int) -> int:
         # reverse valuation order: smaller points satisfy more generators
-        spectrum = FinPoset(
-            range(len(pts)),
-            [
-                (i, j)
-                for i in range(len(pts))
-                for j in range(len(pts))
-                if all(x >= y for x, y in zip(pts[i], pts[j]))
-            ],
-        )
-    lat = FinLattice(spectrum, family, p.kind)
+        if boolean:
+            return 0
+        return sum(1 << k for k, v in enumerate(vals) if k != i and not vals[i] & ~v)
+
+    order = sorted(range(len(pts)), key=lambda i: -vals[i].bit_count())
+    masks = _lower_masks(((1 << i, below(i)) for i in order), budgets)
+    pairs = [] if boolean else [
+        (i, j) for i, v in enumerate(vals) for j, w in enumerate(vals) if not w & ~v
+    ]
+    lat = FinLattice(FinPoset(range(len(pts)), pairs), [frozenset(_bits(m)) for m in masks], p.kind)
     return lat, gen_img
 
 
@@ -331,55 +321,30 @@ def extend_hom(
 ) -> LatticeHom:
     """The unique hom out of the realized lattice extending ``assign``.
 
-    Runs the generation closure on (element, image) pairs in parallel;
-    a collision would mean the assignment violates the relations.
+    Each join-irreducible q of ``target`` is join-prime, so once the
+    assignment satisfies the relations, g -> (q <= assign[g]) is a
+    spectrum point p(q), found by its valuation in ``gen_img``; the hom
+    sends e to the join of the q with p(q) in e.  It is validated by
+    ``LatticeHom`` and must send each generator to its assigned value.
     """
     lat, gen_img = realized
     if not check_assignment(p, assign, target):
         raise PreconditionError("relations", "assignment does not satisfy the relations")
-    images: dict[frozenset, frozenset] = {lat.bot: target.bot, lat.top: target.top}
-    for g in p.gens:
-        e = gen_img[g]
-        if e in images and images[e] != assign[g]:
+    point_of = {tuple(x in gen_img[g] for g in p.gens): x for x in lat.spectrum.elements}
+    elem_of = {m: e for e, m in lat._mask.items()}
+    least = dict(zip(lat.spectrum.elements, lat._least))
+    tmask = target._mask
+    irr_img: dict = {}
+    for e in join_irreducibles(target).elements:
+        val = tuple(not tmask[e] & ~tmask[assign[g]] for g in p.gens)
+        if val not in point_of:
             raise StructureError("assignment does not extend to a hom")
-        images[e] = assign[g]
-    changed = True
-    while changed:
-        changed = False
-        items = list(images.items())
-        for i, (e1, v1) in enumerate(items):
-            for e2, v2 in items[i:]:
-                for e, v in ((e1 & e2, v1 & v2), (e1 | e2, v1 | v2)):
-                    if e in images:
-                        if images[e] != v:
-                            raise StructureError("assignment does not extend to a hom")
-                    else:
-                        images[e] = v
-                        changed = True
-        if p.kind == "boolean":
-            for e, v in list(images.items()):
-                ce, cv = lat.top - e, target.complement(v)
-                if ce in images:
-                    if images[ce] != cv:
-                        raise StructureError("assignment does not extend to a hom")
-                else:
-                    images[ce] = cv
-                    changed = True
-    if set(images) != set(lat.elements):
-        raise StructureError("generators do not generate the realized lattice")
-    return LatticeHom(lat, target, images)
-
-
-def _hom_from_irreducibles(b: FinLattice, d: FinLattice, irr_img: dict) -> LatticeHom:
-    """Hom ``b -> d`` determined by images of the irreducibles of ``b``."""
-    graph = {}
-    for x in b.elements:
-        v = d.bot
-        for j, img in irr_img.items():
-            if j <= x:
-                v |= img
-        graph[x] = v
-    return LatticeHom(b, d, graph)
+        j = elem_of[least[point_of[val]]]  # the least element containing p(q)
+        irr_img[j] = irr_img.get(j, target.bot) | e
+    h = _hom_from_irreducibles(lat, target, irr_img)
+    if any(h(gen_img[g]) != assign[g] for g in p.gens):
+        raise StructureError("assignment does not extend to a hom")
+    return h
 
 
 def coproduct_dl(

@@ -1,7 +1,9 @@
 """Reference implementations that the library's fast paths are tested against.
 
 Most oracles follow the definition directly, with frozenset pairs and no
-masks, so that they share no logic with the code under test.  The rule
+masks, so that they share no logic with the code under test: the poset
+closure, the glb/lub realization of abstract lattices, the hom search and
+the generation closures of ``realize`` and ``extend_hom``.  The rule
 fixpoints for dissolution, order-congruences and polyorders work on the
 lattice's shared bitmask index, as the library did before it switched
 to their closed forms; they share with it only the index and the
@@ -22,9 +24,10 @@ from localix.congruence import (
     _rows_to_pairs,
 )
 from localix.dissolution import Dissolution, neg
-from localix.errors import DomainError, StructureError
-from localix.lattice import FinLattice, LatticeHom, _index, _Index, lattice_from_abstract
+from localix.errors import DomainError, PreconditionError, StructureError
+from localix.lattice import FinLattice, LatticeHom, _index, _Index
 from localix.order import FinPoset, canon_key, lower_sets_of
+from localix.presented import check_assignment, spec
 from localix.sequent import (
     Derivation,
     ProofResult,
@@ -33,6 +36,30 @@ from localix.sequent import (
     eval_term,
     term_vars,
 )
+
+
+def poset_leq(elements, leq_pairs) -> frozenset:
+    """The relation ``FinPoset`` stores, by the naive transitive-closure
+    fixpoint; raises what ``FinPoset`` raises on the same input."""
+    elems = sorted(set(elements), key=canon_key)
+    eset = set(elems)
+    rel = {(e, e) for e in elems}
+    for a, b in leq_pairs:
+        if a not in eset or b not in eset:
+            raise DomainError(f"leq pair ({a!r}, {b!r}) mentions a non-element")
+        rel.add((a, b))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(rel):
+            for c in elems:
+                if (b, c) in rel and (a, c) not in rel:
+                    rel.add((a, c))
+                    changed = True
+    for a, b in rel:
+        if a != b and (b, a) in rel:
+            raise StructureError(f"antisymmetry fails: {a!r} <= {b!r} <= {a!r}")
+    return frozenset(rel)
 
 
 def lattice_elements(spectrum: FinPoset, elements, kind: str = "distributive") -> tuple:
@@ -94,6 +121,177 @@ def join_irreducibles(a) -> FinPoset:
         if e and e != below:
             irr.append(e)
     return FinPoset(irr, [(x, y) for x in irr for y in irr if x <= y])
+
+
+def lattice_from_abstract(items, leq) -> tuple:
+    """Realize an abstract lattice by finding every meet and join with a
+    scan of all items; returns what ``lattice.lattice_from_abstract``
+    returns and raises StructureError where it does."""
+    items = list(dict.fromkeys(items))
+
+    def glb(x, y):
+        lows = [z for z in items if leq(z, x) and leq(z, y)]
+        for m in lows:
+            if all(leq(z, m) for z in lows):
+                return m
+        raise StructureError(f"no meet for ({x!r}, {y!r})")
+
+    def lub(x, y):
+        ups = [z for z in items if leq(x, z) and leq(y, z)]
+        for m in ups:
+            if all(leq(m, z) for z in ups):
+                return m
+        raise StructureError(f"no join for ({x!r}, {y!r})")
+
+    irr = []
+    for e in items:
+        strictly_below = [x for x in items if leq(x, e) and x != e]
+        if not strictly_below:
+            continue  # bottom
+        j = strictly_below[0]
+        for x in strictly_below[1:]:
+            j = lub(j, x)
+        if j != e:
+            irr.append(e)
+    if not items:
+        raise StructureError("empty carrier is not a lattice")
+    to_elem = {x: frozenset(j for j in irr if leq(j, x)) for x in items}
+    if len(set(to_elem.values())) != len(items):
+        raise StructureError("not a distributive lattice: representation collapses items")
+    for x in items:
+        for y in items:
+            if to_elem[glb(x, y)] != to_elem[x] & to_elem[y]:
+                raise StructureError("not distributive: meet is not intersection")
+            if to_elem[lub(x, y)] != to_elem[x] | to_elem[y]:
+                raise StructureError("not distributive: join is not union")
+    spectrum = FinPoset(irr, [(x, y) for x in irr for y in irr if leq(x, y)])
+    family = set(to_elem.values())
+    full = frozenset(irr)
+    boolean = spectrum.is_antichain() and all(full - e in family for e in family)
+    return FinLattice(spectrum, family, "boolean" if boolean else "distributive"), to_elem
+
+
+def enumerate_homs(a, b) -> list:
+    """Every hom ``a -> b``, by trying each element of ``b`` as the image
+    of each join-irreducible of ``a`` in turn, in that order."""
+    jp = join_irreducibles(a)
+    js = list(jp.elements)
+    out = []
+
+    def extend(i: int, assign: dict):
+        if i == len(js):
+            # meet condition: e_j /\ e_k must equal the join of e_r over
+            # irreducibles r below both j and k
+            for j in js:
+                for k in js:
+                    lows = [r for r in js if r <= j and r <= k]
+                    rhs = frozenset().union(*[assign[r] for r in lows])
+                    if assign[j] & assign[k] != rhs:
+                        return
+            if frozenset().union(*assign.values()) != b.top:
+                return
+            graph = {x: frozenset().union(*[assign[j] for j in js if j <= x]) for x in a.elements}
+            try:
+                out.append(LatticeHom(a, b, graph))
+            except StructureError:
+                pass
+            return
+        j = js[i]
+        for v in b.elements:
+            ok = all(
+                (not jp.leq(js[k], j) or assign[js[k]] <= v)
+                and (not jp.leq(j, js[k]) or v <= assign[js[k]])
+                for k in range(i)
+            )
+            if ok:
+                assign[j] = v
+                extend(i + 1, assign)
+                del assign[j]
+
+    extend(0, {})
+    return out
+
+
+def realize(p, budgets: Budgets = DEFAULT_BUDGETS) -> tuple:
+    """The presented lattice as the closure of the generators' point sets
+    under pairwise intersection and union (and complement, when Boolean),
+    with the ``elements`` budget checked on every new element."""
+    pts = spec(p, budgets).points
+    full = frozenset(range(len(pts)))
+    gen_img = {
+        g: frozenset(i for i, bits in enumerate(pts) if bits[k])
+        for k, g in enumerate(p.gens)
+    }
+    family = {frozenset(), full} | set(gen_img.values())
+    if p.kind == "boolean":
+        family |= {full - e for e in gen_img.values()}
+    changed = True
+    while changed:
+        changed = False
+        items = list(family)
+        for i, x in enumerate(items):
+            for y in items[i + 1 :]:
+                for z in (x & y, x | y):
+                    if z not in family:
+                        family.add(z)
+                        check_budget(budgets, "elements", len(family))
+                        changed = True
+        if p.kind == "boolean":
+            for x in list(family):
+                if full - x not in family:
+                    family.add(full - x)
+                    check_budget(budgets, "elements", len(family))
+                    changed = True
+    check_budget(budgets, "elements", len(family))
+    pairs = []
+    if p.kind == "distributive":
+        # reverse valuation order: smaller points satisfy more generators
+        pairs = [
+            (i, j)
+            for i in range(len(pts))
+            for j in range(len(pts))
+            if all(x >= y for x, y in zip(pts[i], pts[j]))
+        ]
+    return FinLattice(FinPoset(range(len(pts)), pairs), family, p.kind), gen_img
+
+
+def extend_hom(p, realized, assign: dict, target):
+    """The hom extending ``assign``, by closing the (element, image) pairs
+    of the generators under intersection, union and complement."""
+    lat, gen_img = realized
+    if not check_assignment(p, assign, target):
+        raise PreconditionError("relations", "assignment does not satisfy the relations")
+    images = {lat.bot: target.bot, lat.top: target.top}
+    for g in p.gens:
+        e = gen_img[g]
+        if e in images and images[e] != assign[g]:
+            raise StructureError("assignment does not extend to a hom")
+        images[e] = assign[g]
+    changed = True
+    while changed:
+        changed = False
+        items = list(images.items())
+        for i, (e1, v1) in enumerate(items):
+            for e2, v2 in items[i:]:
+                for e, v in ((e1 & e2, v1 & v2), (e1 | e2, v1 | v2)):
+                    if e in images:
+                        if images[e] != v:
+                            raise StructureError("assignment does not extend to a hom")
+                    else:
+                        images[e] = v
+                        changed = True
+        if p.kind == "boolean":
+            for e, v in list(images.items()):
+                ce, cv = lat.top - e, target.complement(v)
+                if ce in images:
+                    if images[ce] != cv:
+                        raise StructureError("assignment does not extend to a hom")
+                else:
+                    images[ce] = cv
+                    changed = True
+    if set(images) != set(lat.elements):
+        raise StructureError("generators do not generate the realized lattice")
+    return LatticeHom(lat, target, images)
 
 
 def term_key(t: Term):

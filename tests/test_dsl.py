@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from localix import dsl
+from localix import dsl, lattice
 from localix.budgets import DEFAULT_BUDGETS
 from localix.dsl import Report, Script, parse, render, run
 from localix.errors import DomainError, ParseError
@@ -144,6 +144,19 @@ def test_chain_lattice_checks_its_size_before_building(monkeypatch):
     assert report.exit_code == 2
     assert report.records[-1]["error"] == "budget"
     assert "elements budget exceeded: 5000 > 4096" in report.records[-1]["detail"]
+
+
+def test_downsets_check_their_count_while_enumerating(monkeypatch):
+    # a 13-point antichain has 8192 down-sets
+    def no_lattice(*args):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setattr(lattice, "FinLattice", no_lattice)
+    pts = ", ".join("abcdefghijklm")
+    report = run(parse(f"poset P {{ {pts} }};\nlattice L = downsets P;"))
+    assert report.exit_code == 2
+    assert report.records[-1]["error"] == "budget"
+    assert "elements budget exceeded: 8192 > 4096" in report.records[-1]["detail"]
 
 
 def test_diagram_validation():

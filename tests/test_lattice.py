@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from localix import lattice
+from localix.baire import FrameTopology, regular_opens
 from localix.errors import DomainError, PreconditionError, StructureError
 from localix.lattice import (
     FinLattice,
@@ -240,9 +241,9 @@ def test_hom_rejects_map_preserving_meets_only():
 # -- properties against the pairwise oracles ----------------------------------
 
 @st.composite
-def families(draw):
+def families(draw, max_points=5):
     """A poset and a family of its subsets, often but not always a lattice."""
-    p = draw(posets())
+    p = draw(posets(max_points))
     pts = list(p.elements)
     lows = lower_sets_of(p)
     keep = draw(st.lists(st.booleans(), min_size=len(lows), max_size=len(lows)))
@@ -299,3 +300,55 @@ def test_hom_accepts_what_the_pairwise_oracle_accepts(p, q, data):
     want = _outcome(oracles.check_hom, a, b, graph)
     got = _outcome(LatticeHom, a, b, graph)
     assert (None if isinstance(got, LatticeHom) else got) == want
+
+
+@st.composite
+def lattices(draw, max_points=3):
+    """A lattice from ``families``, or the lower sets of its poset when the
+    family is rejected: spectra need not be the join-irreducibles."""
+    p, fam, kind = draw(families(max_points))
+    try:
+        return FinLattice(p, fam, kind)
+    except (DomainError, StructureError):
+        return lower_sets(p)
+
+
+@settings(max_examples=200)
+@given(lattices(), lattices())
+def test_enumerate_homs_matches_the_search(a, b):
+    want = [h.graph for h in oracles.enumerate_homs(a, b)]
+    assert [h.graph for h in enumerate_homs(a, b)] == want
+
+
+@st.composite
+def abstract_orders(draw):
+    """Items and a partial order: a family of sets under inclusion or reverse
+    inclusion, often not a lattice; the same family closed under union and
+    intersection; or the regular opens of that closure, whose join is not
+    union."""
+    fam = set(draw(st.lists(st.frozensets(st.integers(0, 3)), min_size=1, max_size=8)))
+    shape = draw(st.sampled_from(["family", "closed", "regular"]))
+    if shape == "family":
+        return fam, draw(st.sampled_from([frozenset.__le__, frozenset.__ge__]))
+    grown = True
+    while grown:
+        new = {x & y for x in fam for y in fam} | {x | y for x in fam for y in fam}
+        grown = not new <= fam
+        fam |= new
+    if shape == "closed":
+        return fam, frozenset.__le__
+    return regular_opens(FrameTopology(frozenset().union(*fam), fam)), frozenset.__le__
+
+
+@settings(max_examples=300)
+@given(abstract_orders())
+def test_lattice_from_abstract_matches_the_glb_lub_oracle(case):
+    items, leq = case
+    want = _outcome(oracles.lattice_from_abstract, items, leq)
+    got = _outcome(lattice_from_abstract, items, leq)
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple)
+        assert got[0] == want[0] and got[0].spectrum == want[0].spectrum
+        assert got[1] == want[1]
+    else:
+        assert got == want

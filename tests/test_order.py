@@ -1,11 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from localix.errors import DomainError, StructureError
 from localix.order import FinPoset, MonotoneMap, lower_sets_of, poset_isomorphic
 
-from conftest import posets_up_to, random_poset
+import oracles
+from conftest import LABELS, posets_up_to, random_poset
 
 
 def chain(n):
@@ -103,3 +105,29 @@ def test_directedness_and_extremes():
     assert not FinPoset("ab").is_directed()
     assert chain(3).maximal() == (2,)
     assert chain(3).minimal() == (0,)
+
+
+@st.composite
+def relations(draw):
+    """Up to 8 mixed-label points and random pairs, cycles and strays included."""
+    pts = draw(st.lists(LABELS, unique=True, max_size=8))
+    pairs = []
+    if pts:
+        pairs = draw(st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)), max_size=12))
+    if draw(st.integers(0, 19)) == 19:
+        pairs.append((draw(LABELS), pts[0] if pts else 0))
+    return pts, pairs
+
+
+@given(relations())
+def test_closure_matches_the_fixpoint(case):
+    pts, pairs = case
+    try:
+        want = oracles.poset_leq(pts, pairs)
+    except (DomainError, StructureError) as e:
+        with pytest.raises(type(e)) as got:
+            FinPoset(pts, pairs)
+        if isinstance(e, DomainError):
+            assert str(got.value) == str(e)
+        return
+    assert FinPoset(pts, pairs)._leq == want

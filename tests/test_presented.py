@@ -1,7 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from localix import presented
 from localix.errors import (
     DomainError,
     PreconditionError,
@@ -19,13 +21,16 @@ from localix.lattice import (
 from localix.order import FinPoset
 from localix.presented import (
     Presentation,
+    TOP,
     bilax_pushout,
     check_assignment,
     cocomma_dl,
     coproduct_dl,
     direct_image,
     extend_hom,
+    join,
     meet,
+    neg,
     preimage_hom,
     presentation_of_lattice,
     pushout_ba,
@@ -35,7 +40,8 @@ from localix.presented import (
     var,
 )
 
-from conftest import random_poset
+import oracles
+from conftest import posets, random_poset
 
 BOT = ("bot",)
 
@@ -217,8 +223,69 @@ def test_presentation_json_round_trip():
 
 
 @pytest.mark.parametrize("kind", ["distributive", "boolean"])
-def test_realize_stops_at_the_elements_budget(kind):
+def test_realize_stops_at_the_elements_budget(monkeypatch, kind):
     # five free generators present 7581 (distributive) or 2**32 (boolean)
-    # elements; the budget of 4096 must stop the closure while it grows
-    with pytest.raises(ResourceBudgetError):
-        realize(Presentation(tuple("abcde"), (), kind))
+    # elements; twelve have 4096 spectrum points, whose poset would hold
+    # 16M pairs.  The budget of 4096 must stop the enumeration while it
+    # grows, before the spectrum poset is built.
+    def no_poset(*args):
+        raise AssertionError("the spectrum poset was built")
+
+    monkeypatch.setattr(presented, "FinPoset", no_poset)
+    for n in (5, 12):
+        with pytest.raises(ResourceBudgetError):
+            realize(Presentation(tuple(f"g{i}" for i in range(n)), (), kind))
+
+
+# -- properties against the generation closures -------------------------------
+
+
+@st.composite
+def presentations(draw, max_gens=4):
+    """Random relations over nested terms with top, bottom and, in Boolean
+    presentations, complements."""
+    gens = tuple(f"g{i}" for i in range(draw(st.integers(1, max_gens))))
+    kind = draw(st.sampled_from(["distributive", "boolean"]))
+    leaves = st.sampled_from([var(g) for g in gens] + [TOP, BOT])
+
+    def extend(terms):
+        ops = [st.lists(terms, max_size=3).map(lambda ts: meet(*ts)),
+               st.lists(terms, max_size=3).map(lambda ts: join(*ts))]
+        if kind == "boolean":
+            ops.append(terms.map(neg))
+        return st.one_of(ops)
+
+    terms = st.recursive(leaves, extend, max_leaves=5)
+    rels = draw(st.lists(st.tuples(terms, terms), max_size=3))
+    return Presentation(gens, tuple(rels), kind)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (DomainError, PreconditionError, ResourceBudgetError, StructureError) as e:
+        return type(e)
+
+
+@settings(max_examples=150)
+@given(presentations())
+def test_realize_matches_the_generation_closure(p):
+    got, want = _outcome(realize, p), _outcome(oracles.realize, p)
+    if isinstance(want, tuple):
+        assert got == want and got[0].elements == want[0].elements
+    else:
+        assert got == want
+
+
+@settings(max_examples=150)
+@given(presentations(max_gens=3), posets(max_points=3), st.data())
+def test_extend_hom_matches_the_generation_closure(p, q, data):
+    target = powerset_lattice(q.elements) if data.draw(st.booleans()) else lower_sets(q)
+    realized = realize(p)
+    assign = {g: data.draw(st.sampled_from(target.elements)) for g in p.gens}
+    got = _outcome(extend_hom, p, realized, assign, target)
+    want = _outcome(oracles.extend_hom, p, realized, assign, target)
+    if isinstance(want, LatticeHom):
+        assert got.graph == want.graph
+    else:
+        assert got == want
