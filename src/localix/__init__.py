@@ -104,7 +104,6 @@ from .pruning import (
     limit_image,
     prune_sequence,
     rank,
-    rank_oracle,
 )
 from .sequent import (
     BOT,

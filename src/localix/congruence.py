@@ -6,9 +6,10 @@ index, where an element is its mask of join-irreducibles J, they are
 exactly the relations "a minus b lies inside S", one for each subset S
 of J (Birkhoff duality; Davey & Priestley, *Introduction to Lattices
 and Order*, ch. 5).  Relations are built from that closed form as one
-int mask per row, over the element positions of the index.  The
-constructor re-checks every relation with one step of each closure
-rule; the rule fixpoint itself is the test oracle (``tests/oracles.py``).
+int mask per row, over the element positions of the index, and every
+relation, enumerated or passed to the constructor, is re-checked on
+its rows with one step of each closure rule; the rule fixpoint itself
+is the test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -104,6 +105,19 @@ def _pairs_to_rows(ix: _Index, pairs: Iterable[tuple]) -> list[int]:
     return r
 
 
+def _certify(ix: _Index, r: list[int]) -> None:
+    """One step of each closure rule, in order; a valid relation is fixed
+    by all four."""
+    if [ri | li for ri, li in zip(r, ix.leq)] != r:
+        raise StructureError("congruence must contain the lattice order")
+    if _compose(r) != r:
+        raise StructureError("congruence must be transitive")
+    if _row_rule(ix, r) != r:
+        raise StructureError("congruence must be meet-stable")
+    if _column_rule(ix, r) != r:
+        raise StructureError("lattice joins must remain joins")
+
+
 class OrderCongruence:
     """A validated order-congruence, stored as its full pair set."""
 
@@ -111,17 +125,16 @@ class OrderCongruence:
 
     def __init__(self, base: FinLattice, rel: Iterable[tuple]):
         ix = _index(base)
-        r = _pairs_to_rows(ix, rel)
-        # one step of each closure rule, in order; a valid relation is
-        # fixed by all four
-        if [ri | li for ri, li in zip(r, ix.leq)] != r:
-            raise StructureError("congruence must contain the lattice order")
-        if _compose(r) != r:
-            raise StructureError("congruence must be transitive")
-        if _row_rule(ix, r) != r:
-            raise StructureError("congruence must be meet-stable")
-        if _column_rule(ix, r) != r:
-            raise StructureError("lattice joins must remain joins")
+        self._certified(base, ix, _pairs_to_rows(ix, rel))
+
+    @classmethod
+    def _of_rows(cls, base: FinLattice, ix: _Index, r: list[int]) -> "OrderCongruence":
+        c = object.__new__(cls)
+        c._certified(base, ix, r)
+        return c
+
+    def _certified(self, base: FinLattice, ix: _Index, r: list[int]) -> None:
+        _certify(ix, r)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "rel", _rows_to_pairs(ix, r))
 
@@ -168,7 +181,7 @@ def gen_order_congruence(a: FinLattice, pairs: Iterable[tuple]) -> OrderCongruen
     for mi, ri in zip(mask, _pairs_to_rows(ix, pairs)):
         for j in _bits(ri):
             s |= mi & ~mask[j]
-    return OrderCongruence(a, _rows_to_pairs(ix, _rows(ix, s, {})))
+    return OrderCongruence._of_rows(a, ix, _rows(ix, s, {}))
 
 
 def order_kernel(f: LatticeHom) -> OrderCongruence:
@@ -205,14 +218,20 @@ def enumerate_order_congruences(
     """All order-congruences on ``a``: one per subset S of J.
 
     There are 2^|J| of them with one row per element of ``a``; both
-    counts are checked against the ``elements`` budget first.
+    counts are checked against the ``elements`` budget first.  They are
+    sorted by size, then by the sorted reprs of their pairs, compared
+    through the dense rank of each pair's repr among all n^2 pairs.
     """
     ix = _index(a)
     _check_subsets(budgets, ix)
+    pairs = [(x, y) for x in ix.elems for y in ix.elems]
+    reprs = list(map(repr, pairs))
+    dense = {t: k for k, t in enumerate(sorted(set(reprs)))}
+    rank = {p: dense[t] for p, t in zip(pairs, reprs)}.__getitem__
     above: dict[int, int] = {}
     out = [
-        OrderCongruence(a, _rows_to_pairs(ix, _rows(ix, s, above)))
+        OrderCongruence._of_rows(a, ix, _rows(ix, s, above))
         for s in range(1 << len(ix.irr))
     ]
-    out.sort(key=lambda c: (len(c.rel), sorted(map(repr, c.rel))))
+    out.sort(key=lambda c: (len(c.rel), sorted(map(rank, c.rel))))
     return out

@@ -197,9 +197,12 @@ def pushout_separators(
     """Elements a_i with meet(a_i) <= target and b_i <= f_i(a_i).
 
     The hypothesis — the meet of the b_i lies below the target inside
-    the pushout — is checked first on the spectra pullback.  The
-    spectral witness (join of traced atoms of each b_i) is tried, then
-    exhaustive search over tuples from ``a``.
+    the pushout — is checked first on the spectra pullback.  The answer
+    is the spectral witness: a_i is the join of the atoms traced by the
+    atoms under b_i, the least a with b_i <= f_i(a).  Under the
+    hypothesis the Boolean interpolation theorem makes it a separator;
+    it is re-checked before it is returned.  The exhaustive search over
+    tuples from ``a`` is the test oracle (``tests/oracles.py``).
     """
     if len(homs) != len(bs) or not homs:
         raise DomainError("one element per hom required")
@@ -211,13 +214,6 @@ def pushout_separators(
             raise PreconditionError(
                 "hypothesis", "meet of the b_i is not below the target in the pushout"
             )
-
-    def ok(cand):
-        m = a.top
-        for x in cand:
-            m &= x
-        return m <= target and all(b <= h(x) for h, b, x in zip(homs, bs, cand))
-
     spectral = []
     for h, b in zip(homs, bs):
         traced = [_atom_trace(h, q) for q in h.cod.atoms() if q <= b]
@@ -226,11 +222,8 @@ def pushout_separators(
             if p is not None:
                 x |= p
         spectral.append(x)
-    if ok(spectral):
+    if a.meet_of(spectral) <= target and all(b <= h(x) for h, b, x in zip(homs, bs, spectral)):
         return spectral
-    for cand in itertools.product(sorted(a.elements, key=canon_key), repeat=len(homs)):
-        if ok(list(cand)):
-            return list(cand)
     raise StructureError("no separator tuple exists despite the hypothesis")
 
 

@@ -3,16 +3,18 @@
 A coverage relates elements to finite subsets ("a is covered by C");
 its saturation is the least relation closed under reflexivity, both
 transitivities, and meet-stability.  Cover-ideals of the saturation
-form the presented frame at finite scale.  Polyposets relate finite
+form the presented frame at finite scale, and the saturation is read
+off them: a is covered by C exactly when a lies in the least down-set
+that contains C and is closed under the meet-stabilized generators
+(Johnstone, *Stone Spaces*, II.2.11).  Polyposets relate finite
 subsets to finite subsets and present lattices with both meets and
 joins; their saturation is Boolean entailment from the generators,
-read off the generators' models.  The rule fixpoint that reaches the
-same relation is the test oracle (``tests/oracles.py``).
+read off the generators' models.  For both, the rule fixpoint that
+reaches the same relation is the test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable
 
 from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
@@ -44,10 +46,10 @@ def _mask(ix: _Index, subset: Iterable[frozenset]) -> int:
     return m
 
 
-def _below(ix: _Index) -> list[list[int]]:
-    """Per element position, the positions below it."""
+def _down(ix: _Index) -> list[int]:
+    """Per element position, the mask of the positions below it."""
     n = len(ix.elems)
-    return [[j for j in range(n) if ix.leq[j] >> i & 1] for i in range(n)]
+    return [sum(1 << j for j in range(n) if ix.leq[j] >> i & 1) for i in range(n)]
 
 
 class Coverage:
@@ -92,14 +94,39 @@ def _meet_mask(idx: _Index, a: int, cm: int) -> int:
     return m
 
 
-def _meet_stabilize(idx: _Index, gen_pairs: set[tuple[int, int]]) -> set:
-    """Close generators under: a <= b covered by C forces a covered by a /\\ C."""
-    out = set(gen_pairs)
-    below = _below(idx)
-    for i, cm in gen_pairs:
-        for a in below[i]:
-            out.add((a, _meet_mask(idx, a, cm)))
-    return out
+def _gen_masks(idx: _Index, gen: Iterable[tuple[frozenset, Iterable[frozenset]]]) -> set:
+    pairs = set()
+    for a, c in gen:
+        if a not in idx.pos:
+            raise DomainError(f"{a!r} not in the coverage base")
+        pairs.add((idx.pos[a], _mask(idx, c)))
+    return pairs
+
+
+def _ideal_closure(idx: _Index, down: list[int], gen_pairs: set[tuple[int, int]]):
+    """The closure of down-set masks under the meet-stabilized generators.
+
+    Stabilizing turns a generator "b covered by C" into "a covered by
+    a /\\ C" for every a <= b.  The returned ``close(d)`` is the least
+    down-set containing the down-set ``d`` that holds a whenever it
+    holds the cover of such a generator; the down-sets it fixes are the
+    cover-ideals.
+    """
+    rules = {
+        (down[a], _meet_mask(idx, a, cm)) for b, cm in gen_pairs for a in _bits(down[b])
+    }
+
+    def close(d: int) -> int:
+        grown = True
+        while grown:
+            grown = False
+            for da, cm in rules:
+                if da & ~d and not cm & ~d:
+                    d |= da
+                    grown = True
+        return d
+
+    return close
 
 
 def saturate_coverage(
@@ -107,49 +134,28 @@ def saturate_coverage(
     gen: Iterable[tuple[frozenset, Iterable[frozenset]]],
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> Coverage:
-    """Least coverage containing ``gen``; fixpoint over the closure rules."""
+    """Least coverage containing ``gen``.
+
+    a is covered by C exactly when a lies in the least cover-ideal
+    containing C: one closure of the down-set of C per subset C.
+    """
     check_budget(budgets, "carrier", len(base))
     idx = _index(base)
     n = len(idx.elems)
-    below = _below(idx)
-    gen_pairs = set()
-    for a, c in gen:
-        if a not in idx.pos:
-            raise DomainError(f"{a!r} not in the coverage base")
-        gen_pairs.add((idx.pos[a], _mask(idx, c)))
-    gen_pairs = _meet_stabilize(idx, gen_pairs)
+    down = _down(idx)
+    close = _ideal_closure(idx, down, _gen_masks(idx, gen))
     rel: list[set] = [set() for _ in range(n)]
-    for i, cm in gen_pairs:
-        rel[i].add(cm)
-    # reflexivity over every subset
+    start = [0] * (1 << n)  # per subset mask, its down-set
+    ideal: dict[int, int] = {}
     for cm in range(1 << n):
-        for c in _bits(cm):
-            rel[c].add(cm)
-    changed = True
-    while changed:
-        changed = False
-        # left-transitivity and meet-stability
-        for b in range(n):
-            for cm in list(rel[b]):
-                for a in below[b]:
-                    if cm not in rel[a]:
-                        rel[a].add(cm)
-                        changed = True
-                    m = _meet_mask(idx, a, cm)
-                    if m not in rel[a]:
-                        rel[a].add(m)
-                        changed = True
-        # right-transitivity: a covered by C, every c in C covered by D
-        for dm in range(1 << n):
-            ok = 0  # elements covered by D
-            for c in range(n):
-                if dm in rel[c]:
-                    ok |= 1 << c
-            for a in range(n):
-                for cm in list(rel[a]):
-                    if cm & ~ok == 0 and dm not in rel[a]:
-                        rel[a].add(dm)
-                        changed = True
+        if cm:
+            low = cm & -cm
+            start[cm] = start[cm ^ low] | down[low.bit_length() - 1]
+        d = ideal.get(start[cm])
+        if d is None:
+            d = ideal[start[cm]] = close(start[cm])
+        for a in _bits(d):
+            rel[a].add(cm)
     return Coverage(base, tuple(sorted(((a, frozenset(c)) for a, c in gen), key=canon_key)), idx, rel)
 
 
@@ -219,19 +225,14 @@ def cov_ideals_from_generators(
     the full saturation; the agreement is a test surface, not assumed.
     """
     idx = _index(base)
-    pairs = set()
-    for a, c in gen:
-        pairs.add((idx.pos[a], _mask(idx, c)))
-    pairs = _meet_stabilize(idx, pairs)
+    pairs = _gen_masks(idx, gen)
     if include_empty_join:
         pairs.add((idx.pos[base.bot], 0))
+    close = _ideal_closure(idx, _down(idx), pairs)
 
     def closed(d: frozenset) -> bool:
         dm = _mask(idx, d)
-        for a, cm in pairs:
-            if cm & ~dm == 0 and not dm >> a & 1:
-                return False
-        return True
+        return close(dm) == dm
 
     return _ideals_against(base, closed, False)
 
@@ -357,28 +358,11 @@ def canonical_polyorder(
 def polyposet_entails(p: PolyOrder, left: Iterable, right: Iterable) -> bool:
     """Membership in the saturated relation.
 
-    The independent oracle (used by tests) is Boolean entailment of
-    ``meet(left) <= join(right)`` under the generator relations; the
+    The independent oracle (``tests/oracles.py``) is Boolean entailment
+    of ``meet(left) <= join(right)`` under the generator relations; the
     saturation theorem says the two agree.
     """
     return p.holds(left, right)
-
-
-def polyposet_oracle(p: PolyOrder, left: Iterable, right: Iterable) -> bool:
-    """Truth-table entailment over all valuations satisfying the generators."""
-    n = len(p.carrier)
-    lm, rm = p.mask(left), p.mask(right)
-    gens = [(p.mask(l), p.mask(r)) for l, r in p.generators]
-    for bits in itertools.product((0, 1), repeat=n):
-        v = 0
-        for i, b in enumerate(bits):
-            if b:
-                v |= 1 << i
-        if any((gl & ~v == 0) and (gr & v == 0) for gl, gr in gens):
-            continue
-        if (lm & ~v == 0) and (rm & v == 0):
-            return False
-    return True
 
 
 def polyposet_coproduct(ps: list[PolyOrder], budgets: Budgets = DEFAULT_BUDGETS) -> PolyOrder:

@@ -23,7 +23,6 @@ __all__ = [
     "prune_sequence",
     "desc_diagram",
     "rank",
-    "rank_oracle",
     "cycle_core",
     "limit_image",
     "inverse_limit",
@@ -365,37 +364,6 @@ def desc_diagram(r: Relation, depth: int, with_base: bool = False) -> CoDiagram:
         )
         return CoDiagram.chain(levels[1:], maps[1:], base, complete)
     return CoDiagram.chain(levels, maps, None, complete)
-
-
-def rank_oracle(r: Relation) -> object:
-    """Recursive well-founded rank, or "ill-founded" (independent of
-    the pruning machinery)."""
-    memo: dict = {}
-
-    def rk(x, stack):
-        if x in memo:
-            return memo[x]
-        if x in stack:
-            return None  # cycle
-        stack = stack | {x}
-        best = 0
-        for y in r.predecessors(x):
-            s = rk(y, stack)
-            if s is None:
-                return None
-            best = max(best, s + 1)
-        memo[x] = best
-        return best
-
-    if not r.carrier:
-        return 0
-    best = 0
-    for x in r.carrier:
-        s = rk(x, frozenset())
-        if s is None:
-            return "ill-founded"
-        best = max(best, s)
-    return best + 1
 
 
 def cycle_core(r: Relation) -> frozenset:

@@ -2,12 +2,14 @@
 
 Most oracles follow the definition directly, with frozenset pairs and no
 masks, so that they share no logic with the code under test: the poset
-closure, the glb/lub realization of abstract lattices, the hom search and
-the generation closures of ``realize`` and ``extend_hom``.  The rule
-fixpoints for dissolution, order-congruences and polyorders work on the
-lattice's shared bitmask index, as the library did before it switched
-to their closed forms; they share with it only the index and the
-one-step congruence rules that the library keeps as its runtime check.
+closure, the glb/lub realization of abstract lattices, the hom search,
+the generation closures of ``realize`` and ``extend_hom``, the recursive
+well-founded rank, truth-table polyorder entailment and the separator
+search in Boolean pushouts.  The rule fixpoints for dissolution,
+order-congruences, coverages and polyorders work on the lattice's shared
+bitmask index, as the library did before it switched to their closed
+forms; they share with it only the index and the one-step congruence
+rules that the library keeps as its runtime check.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ from localix.congruence import (
 )
 from localix.dissolution import Dissolution, neg
 from localix.errors import DomainError, PreconditionError, StructureError
-from localix.lattice import FinLattice, LatticeHom, _index, _Index
+from localix.lattice import FinLattice, LatticeHom, _bits, _index, _Index
 from localix.order import FinPoset, canon_key, lower_sets_of
+from localix.posite import Coverage, PolyOrder, _mask
 from localix.presented import check_assignment, spec
+from localix.pruning import Relation
 from localix.sequent import (
     Derivation,
     ProofResult,
@@ -388,8 +392,8 @@ def ideal_completion(a) -> tuple:
     return lat, graph
 
 
-# -- the rule fixpoints behind the dissolution, congruence and polyorder
-# closed forms ------------------------------------------------------------
+# -- the rule fixpoints behind the dissolution, congruence, coverage and
+# polyorder closed forms -----------------------------------------------------
 
 
 def _heads_to_pairs(ix: _Index, heads: list[int]) -> frozenset:
@@ -651,3 +655,141 @@ def saturate_masks(n: int, gen: set[tuple[int, int]]) -> set[tuple[int, int]]:
                             changed = True
                             break
     return rel
+
+
+def polyposet_oracle(p: PolyOrder, left, right) -> bool:
+    """Truth-table entailment over all valuations satisfying the generators."""
+    n = len(p.carrier)
+    lm, rm = p.mask(left), p.mask(right)
+    gens = [(p.mask(l), p.mask(r)) for l, r in p.generators]
+    for bits in itertools.product((0, 1), repeat=n):
+        v = 0
+        for i, b in enumerate(bits):
+            if b:
+                v |= 1 << i
+        if any((gl & ~v == 0) and (gr & v == 0) for gl, gr in gens):
+            continue
+        if (lm & ~v == 0) and (rm & v == 0):
+            return False
+    return True
+
+
+def _below(ix: _Index) -> list[list[int]]:
+    """Per element position, the positions below it."""
+    n = len(ix.elems)
+    return [[j for j in range(n) if ix.leq[j] >> i & 1] for i in range(n)]
+
+
+def _meet_mask(idx: _Index, a: int, cm: int) -> int:
+    """The mask of the meets of ``a`` with the members of mask ``cm``."""
+    m = 0
+    for c in _bits(cm):
+        m |= 1 << idx.meet[a][c]
+    return m
+
+
+def _meet_stabilize(idx: _Index, gen_pairs: set[tuple[int, int]]) -> set:
+    """Close generators under: a <= b covered by C forces a covered by a /\\ C."""
+    out = set(gen_pairs)
+    below = _below(idx)
+    for i, cm in gen_pairs:
+        for a in below[i]:
+            out.add((a, _meet_mask(idx, a, cm)))
+    return out
+
+
+def saturate_coverage(
+    base: FinLattice, gen, budgets: Budgets = DEFAULT_BUDGETS
+) -> Coverage:
+    """Least coverage containing ``gen``; fixpoint over the closure rules:
+    reflexivity, left- and right-transitivity and meet-stability."""
+    check_budget(budgets, "carrier", len(base))
+    idx = _index(base)
+    n = len(idx.elems)
+    below = _below(idx)
+    gen_pairs = set()
+    for a, c in gen:
+        if a not in idx.pos:
+            raise DomainError(f"{a!r} not in the coverage base")
+        gen_pairs.add((idx.pos[a], _mask(idx, c)))
+    gen_pairs = _meet_stabilize(idx, gen_pairs)
+    rel: list[set] = [set() for _ in range(n)]
+    for i, cm in gen_pairs:
+        rel[i].add(cm)
+    # reflexivity over every subset
+    for cm in range(1 << n):
+        for c in _bits(cm):
+            rel[c].add(cm)
+    changed = True
+    while changed:
+        changed = False
+        # left-transitivity and meet-stability
+        for b in range(n):
+            for cm in list(rel[b]):
+                for a in below[b]:
+                    if cm not in rel[a]:
+                        rel[a].add(cm)
+                        changed = True
+                    m = _meet_mask(idx, a, cm)
+                    if m not in rel[a]:
+                        rel[a].add(m)
+                        changed = True
+        # right-transitivity: a covered by C, every c in C covered by D
+        for dm in range(1 << n):
+            ok = 0  # elements covered by D
+            for c in range(n):
+                if dm in rel[c]:
+                    ok |= 1 << c
+            for a in range(n):
+                for cm in list(rel[a]):
+                    if cm & ~ok == 0 and dm not in rel[a]:
+                        rel[a].add(dm)
+                        changed = True
+    return Coverage(base, tuple(sorted(((a, frozenset(c)) for a, c in gen), key=canon_key)), idx, rel)
+
+
+# -- searches behind the pruning rank and pushout separation ------------------
+
+
+def rank_oracle(r: Relation) -> object:
+    """Recursive well-founded rank, or "ill-founded" (independent of
+    the pruning machinery)."""
+    memo: dict = {}
+
+    def rk(x, stack):
+        if x in memo:
+            return memo[x]
+        if x in stack:
+            return None  # cycle
+        stack = stack | {x}
+        best = 0
+        for y in r.predecessors(x):
+            s = rk(y, stack)
+            if s is None:
+                return None
+            best = max(best, s + 1)
+        memo[x] = best
+        return best
+
+    if not r.carrier:
+        return 0
+    best = 0
+    for x in r.carrier:
+        s = rk(x, frozenset())
+        if s is None:
+            return "ill-founded"
+        best = max(best, s)
+    return best + 1
+
+
+def pushout_separators(a: FinLattice, homs, bs, target):
+    """The first tuple over ``a`` (in ``canon_key`` order) whose meet lies
+    below ``target`` with b_i <= f_i(a_i), by exhaustive search over all
+    |a|^k tuples; None if there is none."""
+    for cand in itertools.product(sorted(a.elements, key=canon_key), repeat=len(homs)):
+        m = a.top
+        for x in cand:
+            m &= x
+        if m <= target and all(b <= h(x) for h, b, x in zip(homs, bs, cand)):
+            return list(cand)
+    return None

@@ -51,7 +51,6 @@ from localix.posite import (
     cov_ideals_from_generators,
     polyposet_coproduct,
     polyposet_entails,
-    polyposet_oracle,
     saturate_coverage,
     saturate_polyposet,
 )
@@ -72,7 +71,6 @@ from localix.pruning import (
     limit_image,
     prune_sequence,
     rank,
-    rank_oracle,
 )
 from localix.sequent import (
     Sequent,
@@ -86,6 +84,7 @@ from localix.sequent import (
 )
 
 from conftest import posets_up_to, random_poset, random_relation_pairs
+from oracles import polyposet_oracle, rank_oracle
 
 
 @contextlib.contextmanager

@@ -128,6 +128,29 @@ def test_enumeration_checks_the_budget_first(monkeypatch):
         enumerate_order_congruences(powerset_lattice("wxyz"), DEFAULT_BUDGETS.bumped(elements=64))
 
 
+def _collapsed(p, c):
+    """The points whose principal down-set collapses onto its strict part."""
+    def down(j, strict):
+        return frozenset(x for x in p.elements if p.leq(x, j) and not (strict and x == j))
+
+    return {j for j in p.elements if (down(j, False), down(j, True)) in c.rel}
+
+
+def test_enumeration_order_follows_pair_reprs():
+    # repr order puts frozenset({10}) before frozenset({9}); canon_key
+    # would put 9 first.  Only int labels here: a frozenset mixing ints
+    # and strings iterates, and so prints, in hash-seed order.
+    for p in (FinPoset([9, 10]), FinPoset([9, 10], [(9, 10)])):
+        cs = enumerate_order_congruences(lower_sets(p))
+        assert [_collapsed(p, c) for c in cs] == [set(), {10}, {9}, {9, 10}]
+    # with strings, the order is compared with the fixpoint search, which
+    # sorts by the reprs themselves
+    for p in (FinPoset([9, 10, "1", 1]), FinPoset([9, 10, "1", 1], [(9, 10), ("1", 1)])):
+        a = lower_sets(p)
+        got, want = enumerate_order_congruences(a), oracles.enumerate_order_congruences(a)
+        assert [c.rel for c in got] == [c.rel for c in want]
+
+
 # -- properties against the rule fixpoint ---------------------------------------
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localix.budgets import DEFAULT_BUDGETS
 from localix.errors import (
@@ -29,6 +30,8 @@ from localix.sequent import (
     term_vars,
     var,
 )
+
+import oracles
 
 
 def two():
@@ -161,6 +164,29 @@ def test_pushout_separators_random_instances(rng):
         assert m <= target
         for bx, x in zip(bs, seps):
             assert bx <= f(x)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_spectral_witness_separates_whenever_a_separator_exists(data):
+    src = [f"p{i}" for i in range(data.draw(st.integers(1, 3)))]
+    a = powerset_lattice(src)
+    homs, bs = [], []
+    for i in range(data.draw(st.integers(1, 2))):
+        cod = [f"q{i}{k}" for k in range(data.draw(st.integers(1, 3)))]
+        b = powerset_lattice(cod)
+        sigma = {q: data.draw(st.sampled_from(src)) for q in cod}
+        homs.append(LatticeHom(a, b, {s: frozenset(q for q in cod if sigma[q] in s) for s in a.elements}))
+        bs.append(data.draw(st.sampled_from(b.elements)))
+    target = data.draw(st.sampled_from(a.elements))
+    found = oracles.pushout_separators(a, homs, bs, target)
+    if found is None:
+        with pytest.raises(PreconditionError):
+            pushout_separators(a, homs, bs, target)
+        return
+    seps = pushout_separators(a, homs, bs, target)
+    assert a.meet_of(seps) <= target
+    assert all(b <= h(x) for h, b, x in zip(homs, bs, seps))
 
 
 def test_pushout_separators_require_boolean():

@@ -17,3 +17,12 @@ def test_import_loads_only_the_standard_library():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_python_example_runs():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("```python\n") + len("```python\n")
+    code = text[start : text.index("```", start)]
+    exec(compile(code, "README.md", "exec"), {})

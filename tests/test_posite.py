@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from localix.budgets import DEFAULT_BUDGETS
 from localix.errors import DomainError, ResourceBudgetError
@@ -17,13 +17,13 @@ from localix.posite import (
     downtri,
     polyposet_coproduct,
     polyposet_entails,
-    polyposet_oracle,
     saturate_coverage,
     saturate_polyposet,
 )
 
 import oracles
-from conftest import random_poset
+from conftest import posets, random_poset
+from oracles import polyposet_oracle
 
 
 def chain_lattice(n):
@@ -89,6 +89,31 @@ def test_generated_vs_saturated_ideals_agree(rng):
             lat, to_elem = cov_ideals(sat, include_empty_join)
             plain = cov_ideals_from_generators(base, gens, include_empty_join)
             assert sorted(to_elem, key=sorted) == sorted(plain, key=sorted)
+
+
+@settings(max_examples=100)
+@given(posets(max_points=5), st.data())
+def test_coverage_saturation_matches_the_rule_fixpoint(p, data):
+    base = lower_sets(p)
+    assume(len(base) <= 8)
+    elems = st.sampled_from(base.elements)
+    gens = data.draw(st.lists(st.tuples(elems, st.lists(elems, max_size=2)), max_size=3))
+    budgets = DEFAULT_BUDGETS.bumped(carrier=8)
+    got, want = saturate_coverage(base, gens, budgets), oracles.saturate_coverage(base, gens, budgets)
+    assert got.pairs() == want.pairs()
+    assert got._rel == want._rel
+
+
+def test_coverage_saturation_on_empty_covers():
+    # a nullary cover of the middle element forces everything below it
+    # into every ideal, the empty one included
+    a = chain_lattice(4)
+    mid = frozenset([0, 1])
+    gens = [(mid, [])]
+    c = saturate_coverage(a, gens)
+    assert c._rel == oracles.saturate_coverage(a, gens)._rel
+    assert c.covers(frozenset([0]), []) and not c.covers(a.top, [])
+    assert downtri(c, a.bot) == frozenset(e for e in a.elements if e <= mid)
 
 
 def test_coverage_budget_enforced():

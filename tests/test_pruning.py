@@ -14,10 +14,10 @@ from localix.pruning import (
     limit_image,
     prune_sequence,
     rank,
-    rank_oracle,
 )
 
 from conftest import random_relation_pairs
+from oracles import rank_oracle
 
 
 def rel(carrier, pairs):
