@@ -44,25 +44,34 @@ def _compose(r: list[int]) -> list[int]:
     return out
 
 
-def _row_rule(ix: _Index, r: list[int]) -> list[int]:
-    """Meet rule: each row gains the up-set of the meet of the row, the
-    intersection of the up-sets of the irreducibles that contain the row.
-    For a transitive relation containing the order this is meet-stability.
-    """
+def _rule_rows(ix: _Index) -> tuple[list[int], list[list[int]]]:
+    """The lattice's constants for the two rules below: the up-row of
+    each irreducible and the positions in it, in ``ix.irr`` order.  Built
+    once per check or enumeration."""
     ups = [ix.leq[ix.pos[j]] for j in ix.irr]
+    return ups, [list(_bits(u)) for u in ups]
+
+
+def _row_rule(r: list[int], ups: list[int]) -> list[int]:
+    """Meet rule: each row gains the up-set of the meet of the row, the
+    intersection of the up-sets ``ups`` of the irreducibles that contain
+    the row.  For a transitive relation containing the order this is
+    meet-stability.
+    """
     full = (1 << len(r)) - 1
     return [ri | reduce(and_, (u for u in ups if not ri & ~u), full) for ri in r]
 
 
-def _column_rule(ix: _Index, r: list[int]) -> list[int]:
+def _column_rule(ix: _Index, r: list[int], up_pos: list[list[int]]) -> list[int]:
     """Join rule: each column gains the down-set of the join of the column.
 
     The join of column c lies above irreducible k when c is in the union
-    ``cols[k]`` of the rows above k.  For a transitive relation containing
-    the order this is join-closure of every column.
+    ``cols[k]`` of the rows above k (at positions ``up_pos[k]``).  For a
+    transitive relation containing the order this is join-closure of
+    every column.
     """
     full = (1 << len(r)) - 1
-    cols = [reduce(or_, (r[a] for a in _bits(ix.leq[ix.pos[j]])), 0) for j in ix.irr]
+    cols = [reduce(or_, (r[a] for a in pos), 0) for pos in up_pos]
     return [
         ra | reduce(and_, (cols[k] for k in _bits(ma)), full)
         for ma, ra in zip(ix.mask, r)
@@ -105,16 +114,17 @@ def _pairs_to_rows(ix: _Index, pairs: Iterable[tuple]) -> list[int]:
     return r
 
 
-def _certify(ix: _Index, r: list[int]) -> None:
+def _certify(ix: _Index, r: list[int], rules: tuple) -> None:
     """One step of each closure rule, in order; a valid relation is fixed
-    by all four."""
+    by all four.  ``rules`` is ``_rule_rows(ix)``."""
+    ups, up_pos = rules
     if [ri | li for ri, li in zip(r, ix.leq)] != r:
         raise StructureError("congruence must contain the lattice order")
     if _compose(r) != r:
         raise StructureError("congruence must be transitive")
-    if _row_rule(ix, r) != r:
+    if _row_rule(r, ups) != r:
         raise StructureError("congruence must be meet-stable")
-    if _column_rule(ix, r) != r:
+    if _column_rule(ix, r, up_pos) != r:
         raise StructureError("lattice joins must remain joins")
 
 
@@ -125,16 +135,18 @@ class OrderCongruence:
 
     def __init__(self, base: FinLattice, rel: Iterable[tuple]):
         ix = _index(base)
-        self._certified(base, ix, _pairs_to_rows(ix, rel))
+        self._certified(base, ix, _pairs_to_rows(ix, rel), _rule_rows(ix))
 
     @classmethod
-    def _of_rows(cls, base: FinLattice, ix: _Index, r: list[int]) -> "OrderCongruence":
+    def _of_rows(
+        cls, base: FinLattice, ix: _Index, r: list[int], rules: tuple
+    ) -> "OrderCongruence":
         c = object.__new__(cls)
-        c._certified(base, ix, r)
+        c._certified(base, ix, r, rules)
         return c
 
-    def _certified(self, base: FinLattice, ix: _Index, r: list[int]) -> None:
-        _certify(ix, r)
+    def _certified(self, base: FinLattice, ix: _Index, r: list[int], rules: tuple) -> None:
+        _certify(ix, r, rules)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "rel", _rows_to_pairs(ix, r))
 
@@ -181,7 +193,7 @@ def gen_order_congruence(a: FinLattice, pairs: Iterable[tuple]) -> OrderCongruen
     for mi, ri in zip(mask, _pairs_to_rows(ix, pairs)):
         for j in _bits(ri):
             s |= mi & ~mask[j]
-    return OrderCongruence._of_rows(a, ix, _rows(ix, s, {}))
+    return OrderCongruence._of_rows(a, ix, _rows(ix, s, {}), _rule_rows(ix))
 
 
 def order_kernel(f: LatticeHom) -> OrderCongruence:
@@ -229,8 +241,9 @@ def enumerate_order_congruences(
     dense = {t: k for k, t in enumerate(sorted(set(reprs)))}
     rank = {p: dense[t] for p, t in zip(pairs, reprs)}.__getitem__
     above: dict[int, int] = {}
+    rules = _rule_rows(ix)
     out = [
-        OrderCongruence._of_rows(a, ix, _rows(ix, s, above))
+        OrderCongruence._of_rows(a, ix, _rows(ix, s, above), rules)
         for s in range(1 << len(ix.irr))
     ]
     out.sort(key=lambda c: (len(c.rel), sorted(map(rank, c.rel))))

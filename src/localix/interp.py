@@ -2,7 +2,10 @@
 
 Maehara-style extraction over the one-sided calculus, Boolean pushout
 separators via spectra, cocomma and bilax-pushout interpolation by
-guaranteed exhaustive/extremal search, and spatial Novikov separation.
+extremal witnesses, and spatial Novikov separation.  Every witness is
+re-checked before it is returned.  ``interpolate_sequent`` extracts from
+the derivation ``prove`` has just validated and does not validate it
+again; ``maehara_interpolant``, which takes any derivation, does.
 """
 
 from __future__ import annotations
@@ -64,14 +67,17 @@ class InterpolationProblem:
 
 
 def _assign_blocks(terms, left, right, blocks, prefer="L"):
+    """Put each new term in the first block, in ``prefer`` order, that
+    covers its generators.  A term that fits no block is reported, the
+    first in ``term_key`` order, after the others are assigned, so the
+    message does not depend on set order."""
     order = ("L", "R") if prefer == "L" else ("R", "L")
     sides = {"L": left, "R": right}
+    bad = []
     for t in terms:
         if t in blocks:
             if not term_vars(t) <= sides[blocks[t]]:
-                raise PreconditionError(
-                    "split", f"term {t!r} does not fit its assigned block"
-                )
+                bad.append((t, "does not fit its assigned block"))
             continue
         vs = term_vars(t)
         for side in order:
@@ -79,9 +85,10 @@ def _assign_blocks(terms, left, right, blocks, prefer="L"):
                 blocks[t] = side
                 break
         else:
-            raise PreconditionError(
-                "split", f"term {t!r} uses generators from both blocks"
-            )
+            bad.append((t, "uses generators from both blocks"))
+    if bad:
+        t, why = min(bad, key=lambda tw: term_key(tw[0]))
+        raise PreconditionError("split", f"term {t!r} {why}")
 
 
 def maehara_interpolant(
@@ -95,11 +102,18 @@ def maehara_interpolant(
 
     Each term of the root sequent is assigned to the block covering its
     generators (left preferred); rule premises inherit the principal's
-    block.  The two obligations are re-proved under ``budgets`` and the
-    shared-generator condition is asserted before returning.
+    block.  The derivation is validated first; the two obligations are
+    re-proved under ``budgets`` and the shared-generator condition is
+    asserted before returning.
     """
     d.validate()
-    left, right = frozenset(left), frozenset(right)
+    return _extract(d, frozenset(left), frozenset(right), blocks, budgets)
+
+
+def _extract(
+    d: Derivation, left: frozenset, right: frozenset, blocks: Optional[dict], budgets: Budgets
+) -> Term:
+    """``maehara_interpolant`` on a derivation already validated."""
 
     def go(node: Derivation, blocks: dict) -> Term:
         a = node.sequent
@@ -107,7 +121,7 @@ def maehara_interpolant(
             for t in sorted(a, key=term_key):
                 if t.kind != "pos":
                     continue
-                nt = Term("neg", t.gen)
+                nt = t.dual
                 if nt not in a:
                     continue
                 bl, bn = blocks[t], blocks[nt]
@@ -148,7 +162,9 @@ def interpolate_sequent(
 
     Antecedent terms default into the left block and succedent terms
     into the right block, so shared-vocabulary terms interpolate the
-    way the turnstile reads.
+    way the turnstile reads.  ``prove`` has just validated the
+    derivation, so extraction does not validate it again; both
+    obligations are still re-proved.
     """
     left, right = frozenset(left), frozenset(right)
     result = prove(s, budgets=budgets)
@@ -157,7 +173,7 @@ def interpolate_sequent(
     blocks: dict = {}
     _assign_blocks((neg(t) for t in s.left), left, right, blocks, prefer="L")
     _assign_blocks(s.right, left, right, blocks, prefer="R")
-    i = maehara_interpolant(result.derivation, left, right, blocks, budgets)
+    i = _extract(result.derivation, left, right, blocks, budgets)
     return i, result.derivation
 
 
@@ -236,11 +252,17 @@ def cocomma_interpolant(
     c2: frozenset,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> frozenset:
-    """The element a with b <= f(a) \\/ b2 and c /\\ g(a) <= c2.
+    """The least element a with b <= f(a) \\/ b2 and c /\\ g(a) <= c2.
 
     The hypothesis b /\\ c <= b2 \\/ c2 is checked inside the cocomma of
-    ``f`` and ``g``; existence is then guaranteed, so the exhaustive
-    scan failing is a structural error, not a result.
+    ``f`` and ``g``.  The first clause is closed upward and ``f``
+    preserves meets, so its least solution is x0, the meet of all y
+    with b <= f(y) \\/ b2.  The second clause is closed downward, so an
+    interpolant exists exactly when x0 satisfies it, which the
+    hypothesis guarantees; x0 failing is a structural error, not a
+    result.  The scan of the domain for the first solution in
+    ``canon_key`` order, which is x0, is the test oracle
+    (``tests/oracles.py``).
     """
     for x, lat in ((b, f.cod), (b2, f.cod), (c, g.cod), (c2, g.cod)):
         if x not in lat:
@@ -250,9 +272,12 @@ def cocomma_interpolant(
         raise PreconditionError(
             "hypothesis", "b /\\ c <= b2 \\/ c2 fails in the cocomma"
         )
-    for x in sorted(f.dom.elements, key=canon_key):
-        if b <= f(x) | b2 and c & g(x) <= c2:
-            return x
+    x = f.dom.top
+    for y in f.dom.elements:
+        if b <= f(y) | b2:
+            x &= y
+    if b <= f(x) | b2 and c & g(x) <= c2:
+        return x
     raise StructureError("no interpolant exists despite the hypothesis")
 
 

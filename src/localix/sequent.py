@@ -1,13 +1,17 @@
 """Prenex Boolean terms and the one-sided cut-free sequent calculus.
 
 Terms are negation-normal: literals over generators, and set-valued
-meet/join nodes.  A two-sided sequent A |- B is decided through its
-one-sided form |- notA, B.  With n generators a term's meaning is its
-truth table, one int of 2^n bits (bit i is the i-th valuation in
-``itertools.product`` order), and the one-sided sequent is valid iff
-the OR of its tables is all ones.  A valid sequent's cut-free
-derivation is then built top-down without backtracking; a refuted one
-gets the first falsifying valuation as its countermodel.
+meet/join nodes.  They are interned, so equal terms are one object and
+compare and hash by identity; each caches its negation in ``dual``.
+A two-sided sequent A |- B is decided through its one-sided form
+|- notA, B.  With n generators a term's meaning is its truth table, one
+int of 2^n bits (bit i is the i-th valuation in ``itertools.product``
+order), and the one-sided sequent is valid iff the OR of its tables is
+all ones.  A valid sequent's cut-free derivation is then built top-down
+without backtracking, on int masks over the ranks of its subterms in
+``term_key`` order; a refuted one gets the first falsifying valuation
+as its countermodel.  ``Derivation.validate`` re-checks each distinct
+node of the derivation once.
 """
 
 from __future__ import annotations
@@ -46,12 +50,17 @@ __all__ = [
 class Term:
     """A prenex term: ``kind`` is pos/neg/meet/join.
 
-    Structurally equal terms are interned, so identity comparison and
-    hashing are cheap and child sets deduplicate for free.  ``sort_key``
-    (see ``term_key``) is computed once, when the term is first built.
+    Structurally equal terms are interned, so equality is identity and
+    terms keep object's identity hash and equality; child sets
+    deduplicate for free.  No output depends on the resulting set
+    order: everything shown is sorted by ``term_key``.  ``sort_key`` (see
+    ``term_key``) is computed once, when the term is first built.
+    ``dual`` is the negation once it has been interned, else None: a
+    literal is linked to its opposite when the second of the two is
+    built, a compound term by ``neg``, always in both directions.
     """
 
-    __slots__ = ("kind", "gen", "children", "depth", "sort_key", "_hash")
+    __slots__ = ("kind", "gen", "children", "depth", "sort_key", "dual")
     _interned: dict = {}
 
     def __new__(cls, kind: str, gen=None, children: frozenset = frozenset()):
@@ -63,25 +72,23 @@ class Term:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "children", children)
+        dual = None
         if kind in ("pos", "neg"):
             depth, sort_key = 1, (0, kind, canon_key(gen))
+            dual = cls._interned.get(("neg" if kind == "pos" else "pos", gen, children))
+            if dual is not None:
+                object.__setattr__(dual, "dual", self)
         else:
             depth = 1 + max((c.depth for c in children), default=0)
             sort_key = (1, kind, len(children), tuple(sorted(c.sort_key for c in children)))
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "sort_key", sort_key)
-        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "dual", dual)
         cls._interned[key] = self
         return self
 
     def __setattr__(self, *a):
         raise AttributeError("Term is immutable")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return self is other
 
     def __repr__(self) -> str:
         return term_to_str(self)
@@ -108,14 +115,24 @@ BOT = join_t([])
 
 
 def neg(t: Term) -> Term:
-    """The involution swapping pos/neg literals and meet/join nodes."""
-    if t.kind == "pos":
-        return Term("neg", t.gen)
-    if t.kind == "neg":
-        return Term("pos", t.gen)
-    if t.kind == "meet":
-        return join_t(neg(c) for c in t.children)
-    return meet_t(neg(c) for c in t.children)
+    """The involution swapping pos/neg literals and meet/join nodes.
+
+    Read off ``t.dual``; the first call on a term interns the negation
+    and links the two.
+    """
+    d = t.dual
+    if d is None:
+        if t.kind == "pos":
+            d = Term("neg", t.gen)
+        elif t.kind == "neg":
+            d = Term("pos", t.gen)
+        elif t.kind == "meet":
+            d = join_t(neg(c) for c in t.children)
+        else:
+            d = meet_t(neg(c) for c in t.children)
+        object.__setattr__(t, "dual", d)
+        object.__setattr__(d, "dual", t)
+    return d
 
 
 def term_key(t: Term):
@@ -182,7 +199,12 @@ class Sequent:
 
 @dataclass(frozen=True)
 class Derivation:
-    """A one-sided derivation tree; ``validate`` re-checks every node."""
+    """A one-sided derivation, a DAG when equal sub-sequents share a node.
+
+    ``validate`` re-checks every distinct node (by identity) once, in
+    pre-order, so the first error it raises is the one a walk of the
+    whole tree would raise first.
+    """
 
     sequent: frozenset
     rule: str
@@ -190,11 +212,22 @@ class Derivation:
     children: tuple
 
     def validate(self) -> None:
+        seen: set[int] = set()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                node._check()
+                stack.extend(reversed(node.children))
+
+    def _check(self) -> None:
+        """The rule at this node, given its premises' sequents."""
         a = self.sequent
         if self.rule == "axiom":
             if self.children:
                 raise StructureError("axiom must be a leaf")
-            if not any(t.kind == "pos" and Term("neg", t.gen) in a for t in a):
+            if not any(t.kind == "pos" and t.dual in a for t in a):
                 raise StructureError("axiom leaf lacks a complementary literal pair")
             return
         p = self.principal
@@ -221,8 +254,6 @@ class Derivation:
                 raise StructureError("joinR-inf premise must add all disjuncts")
         else:
             raise StructureError(f"unknown rule {self.rule!r}")
-        for c in self.children:
-            c.validate()
 
     def pretty(self, left_origin: frozenset = frozenset(), indent: int = 0) -> str:
         names = {"meetR": "/\\R", "joinR": "\\/R", "joinR-inf": "\\/R", "axiom": "ax"}
@@ -266,12 +297,12 @@ def prove(
     if calculus not in ("finitary", "infinitary"):
         raise DomainError(f"unknown calculus {calculus!r}")
     a0 = _as_one_sided(s)
-    for t in a0:
-        check_budget(budgets, "sequent_depth", t.depth)
+    check_budget(budgets, "sequent_depth", max((t.depth for t in a0), default=0))
     subterms: dict[Term, None] = {}
     for t in a0:
         _collect(t, subterms)
-    gens = sorted({t.gen for t in subterms if t.kind in ("pos", "neg")}, key=canon_key)
+    keys = {t.gen: t.sort_key[2] for t in subterms if t.kind in ("pos", "neg")}
+    gens = sorted(keys, key=keys.__getitem__)  # in canon_key order
     check_budget(budgets, "sequent_gens", len(gens))
     n = len(gens)
     full = (1 << (1 << n)) - 1
@@ -300,7 +331,7 @@ def prove(
         if any(eval_term(t, v) for t in a0):
             raise StructureError("countermodel does not falsify the sequent")
         return ProofResult(False, None, v)
-    d = _replay(a0, calculus)
+    d = _replay(a0, subterms, calculus)
     d.validate()
     return ProofResult(True, d, None)
 
@@ -330,7 +361,7 @@ def _gen_masks(n: int) -> tuple:
     return tuple(out)
 
 
-def _replay(a0: frozenset, calculus: str) -> Derivation:
+def _replay(a0: frozenset, subterms: Iterable[Term], calculus: str) -> Derivation:
     """The derivation of the valid one-sided sequent ``a0``.
 
     Every sequent reached is a superset of ``a0``, hence valid too.  At
@@ -340,39 +371,69 @@ def _replay(a0: frozenset, calculus: str) -> Derivation:
     finitary join adds the first such disjunct.  Such a term exists in
     every valid sequent that is not an axiom: otherwise the literals
     ``pos x`` in it, set false, and the rest, set true, would falsify
-    it.  Premises only grow, so the replay ends.  Equal sub-sequents
-    share one node.
-    """
-    built: dict[frozenset, Derivation] = {}
+    it.  Premises only grow, so the replay ends.
 
-    def build(a: frozenset) -> Derivation:
-        d = built.get(a)
-        if d is not None:
-            return d
-        if any(t.kind == "pos" and Term("neg", t.gen) in a for t in a):
-            d = Derivation(a, "axiom", None, ())
+    Every term reached is a subterm of ``a0``, so the search runs on int
+    masks over the subterms' ranks in ``term_key`` order: the principal
+    is the lowest rank whose rule adds a term, the finitary join adds
+    the lowest absent child.  Equal sub-sequents (equal masks) share
+    one node.
+    """
+    order = sorted(subterms, key=term_key)
+    rank = {t: i for i, t in enumerate(order)}
+    kids = [0] * len(order)
+    compound = meets = 0
+    pairs = []  # the mask of each complementary literal pair
+    for i, t in enumerate(order):
+        if t.kind == "pos":
+            if t.dual in rank:
+                pairs.append(1 << i | 1 << rank[t.dual])
+        elif t.kind != "neg":
+            compound |= 1 << i
+            if t.kind == "meet":
+                meets |= 1 << i
+            for c in t.children:
+                kids[i] |= 1 << rank[c]
+    finitary = calculus == "finitary"
+    built: dict[int, Derivation] = {}
+
+    def build(m: int, a: frozenset) -> Derivation:
+        for pm in pairs:
+            if m & pm == pm:
+                d = built[m] = Derivation(a, "axiom", None, ())
+                return d
+        rest = m & compound
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            ch = kids[i]
+            if low & meets:
+                if ch & m:
+                    continue
+                subs = []
+                while ch:  # the empty meet has no premise
+                    b = ch & -ch
+                    ch ^= b
+                    subs.append(built.get(m | b) or build(m | b, a | {order[b.bit_length() - 1]}))
+                d = Derivation(a, "meetR", order[i], tuple(subs))
+                break
+            new = ch & ~m
+            if new:
+                p = order[i]
+                if finitary:
+                    b = new & -new
+                    m2, a2, rule = m | b, a | {order[b.bit_length() - 1]}, "joinR"
+                else:
+                    m2, a2, rule = m | ch, a | p.children, "joinR-inf"
+                d = Derivation(a, rule, p, (built.get(m2) or build(m2, a2),))
+                break
         else:
-            for p in sorted(a, key=term_key):
-                if p.kind == "meet":  # the empty meet has no premise
-                    if p.children.isdisjoint(a):
-                        subs = tuple(
-                            build(a | {b}) for b in sorted(p.children, key=term_key)
-                        )
-                        d = Derivation(a, "meetR", p, subs)
-                        break
-                elif p.kind == "join" and not p.children <= a:
-                    if calculus == "finitary":
-                        b = min((b for b in p.children if b not in a), key=term_key)
-                        d = Derivation(a, "joinR", p, (build(a | {b}),))
-                    else:
-                        d = Derivation(a, "joinR-inf", p, (build(a | p.children),))
-                    break
-            else:
-                raise StructureError("valid sequent has no rule that adds a term")
-        built[a] = d
+            raise StructureError("valid sequent has no rule that adds a term")
+        built[m] = d
         return d
 
-    return build(a0)
+    return build(sum(1 << rank[t] for t in a0), a0)
 
 
 def term_leq(a: Term, b: Term, budgets: Budgets = DEFAULT_BUDGETS) -> bool:

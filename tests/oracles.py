@@ -24,6 +24,7 @@ from localix.congruence import (
     _pairs_to_rows,
     _row_rule,
     _rows_to_pairs,
+    _rule_rows,
 )
 from localix.dissolution import Dissolution, neg
 from localix.errors import DomainError, PreconditionError, StructureError
@@ -555,9 +556,10 @@ def congruence_close(ix: _Index, rel: list[int]) -> list[int]:
     Fixpoint of: contains leq; transitive; meet-stable; the set of
     elements below any fixed right-hand side is join-closed.
     """
+    ups, up_pos = _rule_rows(ix)
     r = [ri | li for ri, li in zip(rel, ix.leq)]
     while True:
-        nxt = _column_rule(ix, _row_rule(ix, _compose(r)))
+        nxt = _column_rule(ix, _row_rule(_compose(r), ups), up_pos)
         if nxt == r:
             return r
         r = nxt
@@ -792,4 +794,14 @@ def pushout_separators(a: FinLattice, homs, bs, target):
             m &= x
         if m <= target and all(b <= h(x) for h, b, x in zip(homs, bs, cand)):
             return list(cand)
+    return None
+
+
+def cocomma_interpolant(f: LatticeHom, g: LatticeHom, b, b2, c, c2):
+    """The first element x of the domain (in ``canon_key`` order) with
+    b <= f(x) \\/ b2 and c /\\ g(x) <= c2, by a scan of the domain; None
+    if there is none."""
+    for x in sorted(f.dom.elements, key=canon_key):
+        if b <= f(x) | b2 and c & g(x) <= c2:
+            return x
     return None

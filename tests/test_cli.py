@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import jsonschema
@@ -144,3 +146,40 @@ def test_unsafe_budgets_still_dissolve_seven_atoms():
     code, out = invoke(["--unsafe-budgets", "dissolve", "--bool", "7"])
     assert code == 0
     assert "  result_size: 128\n" in out
+
+
+# The proof goldens, and the script goldens that prove and interpolate.
+SET_ORDER_CASES = ["prove_ok", "prove_counter_json", "interp", "run_full_text", "run_full_json"]
+SET_ORDER_RUNNER = """
+import contextlib, io, json, sys
+from localix.sequent import join_t, meet_t, nvar, var
+decoys = [meet_t([var(("decoy", i)), nvar(("decoy", i + 1))]) for i in range(int(sys.argv[1]))]
+decoys += [join_t([t, var(i)]) for i, t in enumerate(decoys)]
+from localix.cli import main
+outs = []
+for argv in json.loads(sys.argv[2]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    outs.append([code, buf.getvalue()])
+print(json.dumps(outs))
+"""
+
+
+def test_proof_output_does_not_depend_on_set_order():
+    # Terms hash by identity, so set order follows memory addresses: two
+    # fresh interpreters with different hash seeds, one of which interns
+    # 1,500 decoy terms first, must print the goldens byte for byte.
+    cases = [c for c in MANIFEST["cases"] if c["name"] in SET_ORDER_CASES]
+    assert len(cases) == len(SET_ORDER_CASES)
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    argvs = json.dumps([c["argv"] for c in cases])
+    for seed, decoys in (("1", 0), ("2718", 300)):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        out = subprocess.run(
+            [sys.executable, "-c", SET_ORDER_RUNNER, str(decoys), argvs],
+            cwd=GOLDEN, env=env, capture_output=True, text=True, check=True,
+        )
+        for case, (code, text) in zip(cases, json.loads(out.stdout)):
+            assert code == case["exit"]
+            assert text == (GOLDEN / (case["name"] + ".out")).read_text(), case["name"]

@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from localix.budgets import DEFAULT_BUDGETS
 from localix.errors import (
@@ -17,7 +19,7 @@ from localix.interp import (
     novikov_separate,
     pushout_separators,
 )
-from localix.lattice import LatticeHom, lower_sets, powerset_lattice
+from localix.lattice import LatticeHom, enumerate_homs, lower_sets, powerset_lattice
 from localix.order import FinPoset
 from localix.sequent import (
     BOT,
@@ -25,13 +27,16 @@ from localix.sequent import (
     eval_term,
     join_t,
     meet_t,
+    neg,
     nvar,
     prove,
+    term_key,
     term_vars,
     var,
 )
 
 import oracles
+from conftest import posets
 
 
 def two():
@@ -91,6 +96,15 @@ def test_unsplittable_term_rejected():
     )
     with pytest.raises(PreconditionError):
         interpolate_sequent(s, {"p"}, {"r"})
+
+
+def test_unsplittable_terms_are_reported_in_term_order():
+    p, q, r = var("p"), var("q"), var("r")
+    left = [meet_t([p, r]), meet_t([p, q, r]), meet_t([q, r])]
+    s = Sequent(frozenset(left), frozenset([p]))
+    first = min(map(neg, left), key=term_key)
+    with pytest.raises(PreconditionError, match=re.escape(f"term {first!r} uses generators")):
+        interpolate_sequent(s, {"p", "q"}, {"r"})
 
 
 def test_maehara_obligations_reprove(rng):
@@ -225,6 +239,23 @@ def test_cocomma_interpolant_clauses(rng):
             continue
         assert b <= h(x) | b2
         assert c & h(x) <= c2
+
+
+@settings(max_examples=150)
+@given(posets(max_points=3), posets(max_points=3), posets(max_points=3), st.data())
+def test_cocomma_closed_form_is_the_scan(p, q, r, data):
+    a, b, c = lower_sets(p), lower_sets(q), lower_sets(r)
+    fs, gs = enumerate_homs(a, b), enumerate_homs(a, c)
+    assume(fs and gs)
+    f, g = data.draw(st.sampled_from(fs)), data.draw(st.sampled_from(gs))
+    bx, b2 = (data.draw(st.sampled_from(b.elements)) for _ in range(2))
+    cx, c2 = (data.draw(st.sampled_from(c.elements)) for _ in range(2))
+    found = oracles.cocomma_interpolant(f, g, bx, b2, cx, c2)
+    if found is None:
+        with pytest.raises(PreconditionError):
+            cocomma_interpolant(f, g, bx, b2, cx, c2)
+    else:
+        assert cocomma_interpolant(f, g, bx, b2, cx, c2) == found
 
 
 def test_bilax_separators_clauses():

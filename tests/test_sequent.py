@@ -11,6 +11,7 @@ from localix.sequent import (
     TOP,
     Derivation,
     Sequent,
+    Term,
     cut_check,
     eval_term,
     join_t,
@@ -154,6 +155,9 @@ def test_budgets_enforced():
         deep = meet_t([deep])
     with pytest.raises(ResourceBudgetError):
         prove(frozenset([deep]))
+    # the deepest term is reported, whatever the set order
+    with pytest.raises(ResourceBudgetError, match="sequent_depth budget exceeded: 22 > 5"):
+        prove(frozenset([meet_t([deep]), join_t([var("y")]), deep]))
     with pytest.raises(DomainError):
         prove(frozenset([var("x")]), calculus="classical")
 
@@ -264,3 +268,124 @@ def test_large_refutation_is_decided_without_search():
     assert v == {"a": True, "b": True, "c": True, "d": False, "e": True, "f": False}
     assert all(eval_term(t, v) for t in s.left)
     assert not any(eval_term(t, v) for t in s.right)
+
+
+# -- identity hashing, the cached dual, one check per derivation node --------
+
+
+def structural_neg(t):
+    """The negation rebuilt from the constructors, without ``dual``."""
+    if t.kind in ("pos", "neg"):
+        return Term("neg" if t.kind == "pos" else "pos", t.gen)
+    return (join_t if t.kind == "meet" else meet_t)(structural_neg(c) for c in t.children)
+
+
+def test_terms_hash_and_compare_by_identity():
+    assert "__hash__" not in vars(Term) and "__eq__" not in vars(Term)
+    t = meet_t([var("a"), nvar("b")])
+    assert hash(t) == object.__hash__(t)
+    assert TOP.dual is BOT and BOT.dual is TOP
+
+
+@given(terms(4))
+def test_dual_is_the_cached_negation(t):
+    if t.dual is not None:
+        assert t.dual.dual is t
+        assert t.dual is structural_neg(t)
+    n = neg(t)
+    assert n is structural_neg(t)
+    assert t.dual is n and n.dual is t
+    assert neg(n) is t
+
+
+def test_literal_is_linked_to_its_opposite_when_both_exist():
+    p = var(("fresh", 1))
+    assert p.dual is None  # its opposite has never been built
+    q = nvar(("fresh", 1))
+    assert p.dual is q and q.dual is p
+
+
+def dnf_tautology(n: int):
+    gens = [f"g{i}" for i in range(n)]
+    return join_t(
+        meet_t((var if bit else nvar)(g) for g, bit in zip(gens, bits))
+        for bits in itertools.product((0, 1), repeat=n)
+    )
+
+
+def test_validate_checks_each_distinct_node_once(monkeypatch):
+    calls = []  # ids only: a failing assert must not print a whole derivation
+    check = Derivation._check
+
+    def counted(node):
+        calls.append(id(node))
+        check(node)
+
+    monkeypatch.setattr(Derivation, "_check", counted)
+    res = prove(frozenset([dnf_tautology(7)]), budgets=DEFAULT_BUDGETS.bumped(unsafe=True))
+    assert res.derivable
+    # prove validates its derivation: 704 distinct nodes, 96,029 as a tree
+    assert (len(calls), len(set(calls))) == (704, 704)
+
+
+def tree_walk_error(d):
+    """The first error of a walk over the whole tree, in pre-order."""
+    try:
+        d._check()
+    except StructureError as e:
+        return str(e)
+    for c in d.children:
+        err = tree_walk_error(c)
+        if err:
+            return err
+    return None
+
+
+def replaced(d, swap: dict):
+    """The derivation with the nodes keyed in ``swap`` (by id) replaced,
+    keeping every other node shared as it was."""
+    memo: dict = {}
+
+    def go(node):
+        if id(node) in swap:
+            return swap[id(node)]
+        if id(node) not in memo:
+            memo[id(node)] = Derivation(
+                node.sequent, node.rule, node.principal, tuple(go(c) for c in node.children)
+            )
+        return memo[id(node)]
+
+    return go(d)
+
+
+def test_corrupted_shared_node_raises_the_tree_walk_error():
+    d = prove(frozenset([dnf_tautology(3)])).derivation
+    parents: dict = {}
+    nodes: dict = {}
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if id(node) in nodes:
+            continue
+        nodes[id(node)] = node
+        for c in node.children:
+            parents.setdefault(id(c), set()).add(id(node))
+            stack.append(c)
+    shared = [nodes[k] for k, ps in parents.items() if len(ps) > 1]
+    assert shared
+    for node in shared:
+        first = min(node.sequent, key=term_key)
+        bad = Derivation(node.sequent, "bogus", first, ())
+        broken = replaced(d, {id(node): bad})
+        with pytest.raises(StructureError, match="unknown rule 'bogus'"):
+            broken.validate()
+    # two corruptions: the one first in pre-order is reported, as before
+    for x, y in itertools.combinations(shared[:6], 2):
+        swap = {
+            id(x): Derivation(x.sequent, "axiom", None, (x,)),
+            id(y): Derivation(y.sequent, "bogus", min(y.sequent, key=term_key), ()),
+        }
+        broken = replaced(d, swap)
+        with pytest.raises(StructureError) as err:
+            broken.validate()
+        assert str(err.value) == tree_walk_error(broken)
