@@ -15,7 +15,7 @@ is the test oracle (``tests/oracles.py``).
 from __future__ import annotations
 
 from functools import reduce
-from operator import and_, or_
+from operator import and_
 from typing import Iterable
 
 from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
@@ -44,12 +44,12 @@ def _compose(r: list[int]) -> list[int]:
     return out
 
 
-def _rule_rows(ix: _Index) -> tuple[list[int], list[list[int]]]:
-    """The lattice's constants for the two rules below: the up-row of
-    each irreducible and the positions in it, in ``ix.irr`` order.  Built
-    once per check or enumeration."""
-    ups = [ix.leq[ix.pos[j]] for j in ix.irr]
-    return ups, [list(_bits(u)) for u in ups]
+def _rule_rows(ix: _Index) -> tuple[list[int], list[int]]:
+    """The lattice's constants for the two rules below: the position and
+    the up-row of each irreducible, in ``ix.irr`` order.  Built once per
+    check or enumeration."""
+    at = [ix.pos[j] for j in ix.irr]
+    return at, [ix.leq[p] for p in at]
 
 
 def _row_rule(r: list[int], ups: list[int]) -> list[int]:
@@ -62,16 +62,14 @@ def _row_rule(r: list[int], ups: list[int]) -> list[int]:
     return [ri | reduce(and_, (u for u in ups if not ri & ~u), full) for ri in r]
 
 
-def _column_rule(ix: _Index, r: list[int], up_pos: list[list[int]]) -> list[int]:
+def _column_rule(ix: _Index, r: list[int], cols: list[int]) -> list[int]:
     """Join rule: each column gains the down-set of the join of the column.
 
-    The join of column c lies above irreducible k when c is in the union
-    ``cols[k]`` of the rows above k (at positions ``up_pos[k]``).  For a
-    transitive relation containing the order this is join-closure of
-    every column.
+    The join of column c lies above irreducible k when c is in ``cols[k]``,
+    the union of the rows above k: row k itself once the relation is
+    transitive and contains the order, where this is join-closure.
     """
     full = (1 << len(r)) - 1
-    cols = [reduce(or_, (r[a] for a in pos), 0) for pos in up_pos]
     return [
         ra | reduce(and_, (cols[k] for k in _bits(ma)), full)
         for ma, ra in zip(ix.mask, r)
@@ -117,14 +115,14 @@ def _pairs_to_rows(ix: _Index, pairs: Iterable[tuple]) -> list[int]:
 def _certify(ix: _Index, r: list[int], rules: tuple) -> None:
     """One step of each closure rule, in order; a valid relation is fixed
     by all four.  ``rules`` is ``_rule_rows(ix)``."""
-    ups, up_pos = rules
+    at, ups = rules
     if [ri | li for ri, li in zip(r, ix.leq)] != r:
         raise StructureError("congruence must contain the lattice order")
     if _compose(r) != r:
         raise StructureError("congruence must be transitive")
     if _row_rule(r, ups) != r:
         raise StructureError("congruence must be meet-stable")
-    if _column_rule(ix, r, up_pos) != r:
+    if _column_rule(ix, r, [r[p] for p in at]) != r:
         raise StructureError("lattice joins must remain joins")
 
 

@@ -27,6 +27,14 @@ everything on the masks; the public API stays frozenset-valued.  With
 * element order: ``canon_key``, which on masks over the ``canon_key``
   ordered points is (size, bit positions), O(n log n) comparisons.
 
+Hasse covers (for ``to_dot``, ``atoms`` and ``element_poset``) are read
+off the same masks in O(n·|J|).  Every b above m holds ``m | least[x]``
+for a point x of b outside m, and ``m | least[y]`` lies inside it iff y
+does, so the covers of m are the ``m | least[x]`` for the x outside m
+whose ``least[x]`` holds, outside m, only points x' glued to x
+(``least[x'] == least[x]``: no element separates them).  A cover may
+thus add several points at once.
+
 A :class:`LatticeHom` is checked on the same masks in O(n·(|J|+|M|)),
 not on all n² pairs: in a distributive lattice join-irreducibles are
 join-prime and meet-irreducibles (M, the largest elements missing a
@@ -43,7 +51,9 @@ from typing import Callable, Hashable, Iterable
 
 from .budgets import Budgets
 from .errors import DomainError, NoImageError, PreconditionError, StructureError
-from .order import FinPoset, _bits, _canon_mask_key, canon_key, lower_sets_of, poset_isomorphic
+from .order import (
+    FinPoset, _bits, _canon_mask_key, _dot, _pairs, canon_key, lower_sets_of, poset_isomorphic,
+)
 
 __all__ = [
     "FinLattice",
@@ -82,9 +92,7 @@ class FinLattice:
             raise StructureError("element family must contain the empty and full set")
         pos = spectrum._index
         bit = {x: 1 << i for x, i in pos.items()}
-        down = dict(bit)
-        for y, x in spectrum._leq:
-            down[x] |= bit[y]
+        down = dict(zip(pts, spectrum._down))
         full = (1 << len(pts)) - 1
         least = [full] * len(pts)
         mask_of = {}
@@ -113,7 +121,7 @@ class FinLattice:
         key = _canon_mask_key(len(pts))
         ordered = sorted(mask_of.items(), key=lambda em: key(em[1]))
         if kind == "boolean":
-            if any(down[x] != bit[x] for x in pts):
+            if not spectrum.is_antichain():
                 raise StructureError("boolean lattice requires an antichain spectrum")
             for e, m in ordered:
                 if full ^ m not in masks:
@@ -199,20 +207,20 @@ class FinLattice:
         return out
 
     def atoms(self) -> tuple:
-        bot = self.bot
-        out = []
-        for a in self.elements:
-            if a == bot:
-                continue
-            if not any(e != bot and e != a and e < a for e in self.elements):
-                out.append(a)
-        return tuple(out)
+        return tuple(self.elements[k] for k in _bits(self._cover_rows()[0]))
+
+    def _cover_rows(self) -> list[int]:
+        """Row i masks the positions of the elements covering ``elements[i]``
+        (module docstring)."""
+        at = {m: i for i, m in enumerate(self._mask.values())}
+        least = self._least  # each join-irreducible j, less the points glued to j
+        strict = [(j, j & ~sum(1 << x for x, k in enumerate(least) if k == j)) for j in set(least)]
+        return [
+            sum(1 << at[m | j] for j, below in strict if j & ~m and not below & ~m) for m in at
+        ]
 
     def element_poset(self) -> FinPoset:
-        return FinPoset(
-            self.elements,
-            [(a, b) for a in self.elements for b in self.elements if a <= b],
-        )
+        return FinPoset(self.elements, _pairs(self.elements, self._cover_rows()))
 
     # -- serialization ------------------------------------------------------
 
@@ -238,7 +246,8 @@ class FinLattice:
         return FinLattice(spectrum, elems, data["kind"])
 
     def to_dot(self, name: str = "lattice") -> str:
-        return self.element_poset().to_dot(name)
+        """Hasse diagram in DOT form, as ``FinPoset.to_dot`` draws ``element_poset()``."""
+        return _dot(name, self.elements, self._cover_rows())
 
 
 def _reject_element(spectrum: FinPoset, e: frozenset, mask_of: dict, down: dict):
@@ -416,16 +425,10 @@ def lattice_from_abstract(
     if not items:
         raise StructureError("empty carrier is not a lattice")
     up = [sum(1 << k for k, y in enumerate(items) if leq(x, y)) for x in items]
-    down = [0] * len(items)
-    for i, u in enumerate(up):
-        for k in _bits(u):
-            down[k] |= 1 << i
-    irr = 0
-    for k, d in enumerate(down):
-        d &= ~(1 << k)
-        # the lower covers of k are the maximal items strictly below it
-        if sum(1 for i in _bits(d) if not up[i] & d & ~(1 << i)) == 1:
-            irr |= 1 << k
+    down = [sum(1 << i for i, u in enumerate(up) if u >> k & 1) for k in range(len(items))]
+    # k has one lower cover when its strict down-set has a greatest item
+    downs = set(down)
+    irr = sum(1 << k for k, d in enumerate(down) if d ^ 1 << k in downs)
     masks = [d & irr for d in down]
     if len(set(masks)) != len(items):
         raise StructureError("not a distributive lattice: representation collapses items")

@@ -12,6 +12,8 @@ output byte-stable across runs.
 from __future__ import annotations
 
 import json
+from functools import reduce
+from operator import or_
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
 from .budgets import Budgets, check_budget
@@ -48,39 +50,41 @@ def _sorted(xs: Iterable[Hashable]) -> tuple:
 
 
 class FinPoset:
-    """An immutable finite poset.
+    """An immutable finite poset, stored as closed int rows.
 
-    ``leq`` is stored as the full reflexive-transitive relation; the
-    constructor closes the given pairs (Warshall, on one int row per
-    element) and rejects antisymmetry violations.
+    Bit j of ``_up[i]`` says ``elements[i] <= elements[j]``, and ``_down``
+    is its transpose.  The constructor closes the given pairs on the rows
+    (``_close``) and rejects antisymmetry violations; every query reads
+    the rows.  The Hasse covers of a point are its strict up-row minus the
+    strict up-rows of the points in it.
     """
 
-    __slots__ = ("elements", "_leq", "_index", "_hash")
+    __slots__ = ("elements", "_up", "_down", "_index", "_hash")
 
     def __init__(self, elements: Iterable[Hashable], leq_pairs: Iterable[tuple] = ()):
         elems = _sorted(set(elements))
         pos = {e: i for i, e in enumerate(elems)}
-        up = [1 << i for i in range(len(elems))]  # bit j of up[i]: elems[i] <= elems[j]
+        up = [1 << i for i in range(len(elems))]
+        down = list(up)
         for a, b in leq_pairs:
             if a not in pos or b not in pos:
                 raise DomainError(f"leq pair ({a!r}, {b!r}) mentions a non-element")
-            up[pos[a]] |= 1 << pos[b]
-        for k in range(len(up)):  # Warshall: close through elems[k]
-            bit, uk = 1 << k, up[k]
-            for i, ui in enumerate(up):
-                if ui & bit:
-                    up[i] = ui | uk
+            i, j = pos[a], pos[b]
+            up[i] |= 1 << j
+            down[j] |= 1 << i
+        _close(up, reversed(range(len(up))))  # canon order often extends the order
         first: dict[int, int] = {}
         for i, ui in enumerate(up):  # two points share a closed row iff they form a cycle
             j = first.setdefault(ui, i)
             if j != i:
                 a, b = elems[j], elems[i]
                 raise StructureError(f"antisymmetry fails: {a!r} <= {b!r} <= {a!r}")
-        rel = frozenset((a, elems[j]) for a, ui in zip(elems, up) for j in _bits(ui))
+        _close(down, sorted(range(len(up)), key=lambda i: -up[i].bit_count()))
         object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "_leq", rel)
+        object.__setattr__(self, "_up", tuple(up))
+        object.__setattr__(self, "_down", tuple(down))
         object.__setattr__(self, "_index", pos)
-        object.__setattr__(self, "_hash", hash((elems, rel)))
+        object.__setattr__(self, "_hash", hash((elems, tuple(up))))
 
     def __setattr__(self, *a):
         raise AttributeError("FinPoset is immutable")
@@ -95,7 +99,7 @@ class FinPoset:
         return (
             isinstance(other, FinPoset)
             and self.elements == other.elements
-            and self._leq == other._leq
+            and self._up == other._up
         )
 
     def __hash__(self) -> int:
@@ -104,94 +108,85 @@ class FinPoset:
     def __repr__(self) -> str:
         return f"FinPoset({len(self.elements)} elements, {len(self.cover_pairs())} covers)"
 
+    def _pos(self, x) -> int:
+        try:
+            return self._index[x]
+        except KeyError:
+            raise DomainError(f"{x!r} not in poset") from None
+
+    def _set(self, m: int) -> frozenset:
+        return frozenset(self.elements[j] for j in _bits(m))
+
     def leq(self, a, b) -> bool:
         if a not in self._index or b not in self._index:
             raise DomainError(f"{a!r} or {b!r} not in poset")
-        return (a, b) in self._leq
+        return bool(self._up[self._index[a]] >> self._index[b] & 1)
 
     def lt(self, a, b) -> bool:
         return a != b and self.leq(a, b)
 
     def leq_pairs(self) -> frozenset:
-        return self._leq
+        return frozenset(_pairs(self.elements, self._up))
 
     def down(self, a) -> frozenset:
         """Principal lower set of ``a``."""
-        return frozenset(x for x in self.elements if self.leq(x, a))
+        return self._set(self._down[self._pos(a)])
 
     def up(self, a) -> frozenset:
-        return frozenset(x for x in self.elements if self.leq(a, x))
+        return self._set(self._up[self._pos(a)])
+
+    def _strict(self) -> list[int]:
+        return [u ^ 1 << i for i, u in enumerate(self._up)]
+
+    def _cover_rows(self) -> list[int]:
+        """Row i masks the points covering ``elements[i]``."""
+        strict = self._strict()
+        return [s & ~reduce(or_, (strict[j] for j in _bits(s)), 0) for s in strict]
 
     def cover_pairs(self) -> tuple:
         """Hasse edges (a, b) with b covering a."""
-        out = []
-        for a in self.elements:
-            for b in self.elements:
-                if not self.lt(a, b):
-                    continue
-                if any(self.lt(a, c) and self.lt(c, b) for c in self.elements):
-                    continue
-                out.append((a, b))
-        return tuple(out)
+        return tuple(_pairs(self.elements, self._cover_rows()))
 
     def is_antichain(self) -> bool:
-        return all(a == b or not self.leq(a, b) for a in self.elements for b in self.elements)
+        return not any(self._strict())
 
     def maximal(self) -> tuple:
-        return tuple(a for a in self.elements if not any(self.lt(a, b) for b in self.elements))
+        return tuple(a for a, s in zip(self.elements, self._strict()) if not s)
 
     def minimal(self) -> tuple:
-        return tuple(a for a in self.elements if not any(self.lt(b, a) for b in self.elements))
+        return tuple(a for i, (a, d) in enumerate(zip(self.elements, self._down)) if d == 1 << i)
 
     def is_directed(self) -> bool:
-        """Every pair of elements has an upper bound."""
-        return all(
-            any(self.leq(a, c) and self.leq(b, c) for c in self.elements)
-            for a in self.elements
-            for b in self.elements
-        )
+        """Every pair of elements has an upper bound: there is a top, or no element."""
+        return not self.elements or (1 << len(self.elements)) - 1 in self._down
 
     def linear_extension(self) -> tuple:
-        """A canonical linear extension (stable within canon_key order)."""
-        remaining = list(self.elements)
-        out = []
-        placed: set = set()
-        while remaining:
-            for x in remaining:
-                if all(y in placed for y in self.down(x) if y != x):
-                    out.append(x)
-                    placed.add(x)
-                    remaining.remove(x)
-                    break
-            else:  # pragma: no cover - unreachable for a valid poset
-                raise StructureError("cycle detected in linear extension")
+        """A canonical linear extension: next comes the first point whose lower set is placed."""
+        out, placed = [], 0
+        for _ in self.elements:
+            i = next(i for i, d in enumerate(self._down) if d & ~placed == 1 << i)
+            out.append(self.elements[i])
+            placed |= 1 << i
         return tuple(out)
 
     def subposet(self, keep: Iterable[Hashable]) -> "FinPoset":
         keep = set(keep)
-        for x in keep:
-            if x not in self._index:
-                raise DomainError(f"{x!r} not in poset")
-        return FinPoset(keep, [(a, b) for (a, b) in self._leq if a in keep and b in keep])
+        mask = sum(1 << self._pos(x) for x in keep)
+        rows = [u & mask if mask >> i & 1 else 0 for i, u in enumerate(self._up)]
+        return FinPoset(keep, _pairs(self.elements, rows))
 
     def relabel(self, f: Callable[[Hashable], Hashable]) -> "FinPoset":
-        labels = {x: f(x) for x in self.elements}
-        if len(set(labels.values())) != len(labels):
+        labels = [f(x) for x in self.elements]
+        if len(set(labels)) != len(labels):
             raise StructureError("relabeling is not injective")
-        return FinPoset(labels.values(), [(labels[a], labels[b]) for a, b in self._leq])
+        return FinPoset(labels, _pairs(labels, self._cover_rows()))
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "elements": [_label(e) for e in self.elements],
-                "leq": sorted(
-                    [[_label(a), _label(b)] for a, b in self._leq if a != b]
-                ),
-            },
-            sort_keys=True,
-        )
+        labels = [_label(e) for e in self.elements]
+        leq = sorted(map(list, _pairs(labels, self._strict())))
+        return json.dumps({"elements": labels, "leq": leq}, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "FinPoset":
@@ -202,14 +197,41 @@ class FinPoset:
 
     def to_dot(self, name: str = "poset") -> str:
         """Hasse diagram in DOT form: covering edges only, bottom-up."""
-        lines = [f"digraph {name} {{", "  rankdir=BT;"]
-        ids = {e: f"n{i}" for i, e in enumerate(self.elements)}
-        for e in self.elements:
-            lines.append(f'  {ids[e]} [label="{_label(e)}"];')
-        for a, b in self.cover_pairs():
-            lines.append(f"  {ids[a]} -> {ids[b]};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return _dot(name, self.elements, self._cover_rows())
+
+
+def _pairs(labels, rows: Iterable[int]) -> Iterator[tuple]:
+    """``(labels[i], labels[j])`` for each bit j of each ``rows[i]``, in row order."""
+    return ((labels[i], labels[j]) for i, r in enumerate(rows) for j in _bits(r))
+
+
+def _close(rows: list[int], order: Iterable[int]) -> None:
+    """Close reflexive int rows (bit j of ``rows[i]``: an edge i -> j) in
+    place, row by row in ``order``.  A row walks the rows it reaches and
+    takes one closed earlier whole, so if every edge points to an earlier
+    row this is one step per edge, and at worst a walk per row."""
+    done = 0
+    for i in order:
+        row = rows[i]
+        seen = 1 << i
+        todo = row & ~seen
+        while todo:
+            low = todo & -todo
+            rj = rows[low.bit_length() - 1]
+            row |= rj
+            seen |= rj if done & low else low
+            todo = row & ~seen
+        rows[i] = row
+        done |= 1 << i
+
+
+def _dot(name: str, elements: Iterable[Hashable], covers: Iterable[int]) -> str:
+    """Hasse diagram in DOT form, bottom-up: node ``n{i}`` is the i-th
+    element, with an edge to each position in its cover row."""
+    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines += [f'  n{i} [label="{_label(e)}"];' for i, e in enumerate(elements)]
+    lines += [f"  n{i} -> n{j};" for i, c in enumerate(covers) for j in _bits(c)]
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 def _label(e) -> str:
@@ -266,10 +288,9 @@ class MonotoneMap:
         for v in graph.values():
             if v not in cod:
                 raise DomainError(f"image {v!r} not in codomain")
-        for a in dom.elements:
-            for b in dom.elements:
-                if dom.leq(a, b) and not cod.leq(graph[a], graph[b]):
-                    raise StructureError(f"not monotone at ({a!r}, {b!r})")
+        for a, b in _pairs(dom.elements, dom._up):
+            if not cod.leq(graph[a], graph[b]):
+                raise StructureError(f"not monotone at ({a!r}, {b!r})")
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "graph", dict(graph))
@@ -322,50 +343,39 @@ def lower_sets_of(p: FinPoset, budgets: Budgets | None = None) -> list[frozenset
     With ``budgets``, their number is checked against the ``elements``
     budget while they are enumerated.
     """
-    pos, elems = p._index, p.elements
-    below = [0] * len(elems)
-    for a, b in p._leq:
-        if a != b:
-            below[pos[b]] |= 1 << pos[a]
+    elems = p.elements
     # a point has fewer points below it than anything above it
-    order = sorted(range(len(elems)), key=lambda i: below[i].bit_count())
-    masks = _lower_masks(((1 << i, below[i]) for i in order), budgets)
+    order = sorted(range(len(elems)), key=lambda i: p._down[i].bit_count())
+    masks = _lower_masks(((1 << i, p._down[i] ^ 1 << i) for i in order), budgets)
     masks.sort(key=_canon_mask_key(len(elems)))
-    return [frozenset(elems[i] for i in _bits(m)) for m in masks]
+    return [p._set(m) for m in masks]
 
 
 def poset_isomorphic(p: FinPoset, q: FinPoset) -> bool:
     """Backtracking isomorphism test with degree-profile pruning."""
-    if len(p) != len(q):
+    pprof, qprof = (
+        [(d.bit_count(), u.bit_count()) for d, u in zip(x._down, x._up)] for x in (p, q)
+    )
+    if sorted(pprof) != sorted(qprof):
         return False
+    order = sorted(range(len(p)), key=lambda i: pprof[i])  # canon_key order within a profile
 
-    def profile(poset: FinPoset, x):
-        return (len(poset.down(x)), len(poset.up(x)))
-
-    pprof = {x: profile(p, x) for x in p.elements}
-    qprof = {y: profile(q, y) for y in q.elements}
-    if sorted(pprof.values()) != sorted(qprof.values()):
-        return False
-
-    order = sorted(p.elements, key=lambda x: (pprof[x], canon_key(x)))
-
-    def extend(i: int, assign: dict) -> bool:
-        if i == len(order):
+    def extend(k: int, assign: dict) -> bool:
+        if k == len(order):
             return True
-        x = order[i]
-        for y in q.elements:
-            if y in assign.values() or qprof[y] != pprof[x]:
+        i = order[k]
+        for j in range(len(q)):
+            if j in assign.values() or qprof[j] != pprof[i]:
                 continue
-            ok = True
-            for x2, y2 in assign.items():
-                if p.leq(x, x2) != q.leq(y, y2) or p.leq(x2, x) != q.leq(y2, y):
-                    ok = False
-                    break
-            if ok:
-                assign[x] = y
-                if extend(i + 1, assign):
+            if all(
+                (p._up[i] >> i2 & 1) == (q._up[j] >> j2 & 1)
+                and (p._up[i2] >> i & 1) == (q._up[j2] >> j & 1)
+                for i2, j2 in assign.items()
+            ):
+                assign[i] = j
+                if extend(k + 1, assign):
                     return True
-                del assign[x]
+                del assign[i]
         return False
 
     return extend(0, {})

@@ -24,7 +24,7 @@ from .lattice import (
     join_irreducibles,
     powerset_lattice,
 )
-from .order import FinPoset, _bits, _lower_masks, canon_key
+from .order import FinPoset, _bits, _lower_masks, _pairs, canon_key
 
 __all__ = [
     "TOP",
@@ -276,11 +276,7 @@ def presentation_of_lattice(
     jp = join_irreducibles(a)
     js = list(jp.elements)
     names = {j: f"{prefix}{i}" for i, j in enumerate(js)}
-    rels = []
-    for x in js:
-        for y in js:
-            if x != y and jp.leq(x, y):
-                rels.append((var(names[x]), var(names[y])))
+    rels = [(var(names[x]), var(names[y])) for x, y in _pairs(js, jp._strict())]
     for i, x in enumerate(js):
         for y in js[i + 1 :]:
             lows = [r for r in js if r <= x and r <= y]

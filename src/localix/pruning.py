@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import DomainError, StructureError, UnstabilizedError
-from .order import FinPoset, canon_key
+from .order import FinPoset, _bits, _close, canon_key
 
 __all__ = [
     "Relation",
@@ -90,17 +90,7 @@ class CoDiagram:
         for i, j in succ:
             if not index.lt(i, j):
                 raise StructureError(f"succ pair ({i!r}, {j!r}) must go strictly up")
-        # succ must generate the order
-        reach = {(i, i) for i in index.elements}
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(reach):
-                for b2, c in succ:
-                    if b2 == b and (a, c) not in reach:
-                        reach.add((a, c))
-                        changed = True
-        if reach != set(index.leq_pairs()):
+        if FinPoset(index.elements, succ) != index:
             raise StructureError("succ relation does not generate the index order")
         if not index.is_directed():
             raise StructureError("index must be directed")
@@ -367,30 +357,17 @@ def desc_diagram(r: Relation, depth: int, with_base: bool = False) -> CoDiagram:
 
 
 def cycle_core(r: Relation) -> frozenset:
-    """Points from which a predecessor path reaches an ``r``-cycle."""
-    on_cycle = set()
-    for x in r.carrier:
-        seen = {x}
-        frontier = set(r.predecessors(x))
-        while frontier:
-            if x in frontier:
-                on_cycle.add(x)
-                break
-            nxt = set()
-            for y in frontier:
-                if y not in seen:
-                    seen.add(y)
-                    nxt |= r.predecessors(y)
-            frontier = nxt
-    core = set(on_cycle)
-    changed = True
-    while changed:
-        changed = False
-        for x in r.carrier:
-            if x not in core and r.predecessors(x) & core:
-                core.add(x)
-                changed = True
-    return frozenset(core)
+    """Points from which a predecessor path reaches an ``r``-cycle: on the
+    closed predecessor rows, those reaching a point that its own
+    predecessors reach."""
+    pos = {x: i for i, x in enumerate(r.carrier)}
+    preds = [0] * len(pos)
+    for a, b in r.pairs:
+        preds[pos[b]] |= 1 << pos[a]
+    reach = [p | 1 << i for i, p in enumerate(preds)]
+    _close(reach, range(len(reach)))
+    on_cycle = sum(1 << i for i, p in enumerate(preds) if any(reach[j] >> i & 1 for j in _bits(p)))
+    return frozenset(x for x, i in pos.items() if reach[i] & on_cycle)
 
 
 def rank(r: Relation) -> tuple[object, frozenset]:

@@ -2,7 +2,8 @@
 
 Most oracles follow the definition directly, with frozenset pairs and no
 masks, so that they share no logic with the code under test: the poset
-closure, the glb/lub realization of abstract lattices, the hom search,
+closure and the queries read off it (Hasse covers and their DOT, linear
+extension, lower sets, isomorphism), the glb/lub realization of abstract lattices, the hom search,
 the generation closures of ``realize`` and ``extend_hom``, the recursive
 well-founded rank, truth-table polyorder entailment and the separator
 search in Boolean pushouts.  The rule fixpoints for dissolution,
@@ -15,6 +16,8 @@ rules that the library keeps as its runtime check.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import or_
 
 from localix.budgets import DEFAULT_BUDGETS, Budgets, check_budget
 from localix.congruence import (
@@ -29,7 +32,7 @@ from localix.congruence import (
 from localix.dissolution import Dissolution, neg
 from localix.errors import DomainError, PreconditionError, StructureError
 from localix.lattice import FinLattice, LatticeHom, _bits, _index, _Index
-from localix.order import FinPoset, canon_key, lower_sets_of
+from localix.order import FinPoset, _label, canon_key, lower_sets_of
 from localix.posite import Coverage, PolyOrder, _mask
 from localix.presented import check_assignment, spec
 from localix.pruning import Relation
@@ -65,6 +68,73 @@ def poset_leq(elements, leq_pairs) -> frozenset:
         if a != b and (b, a) in rel:
             raise StructureError(f"antisymmetry fails: {a!r} <= {b!r} <= {a!r}")
     return frozenset(rel)
+
+
+def cover_pairs(elements, rel) -> tuple:
+    """Hasse edges (a, b) of the order ``rel`` (a set of pairs) on
+    ``elements``: a < b with nothing strictly between, in ``canon_key``
+    order, by the cubic definition that ``FinPoset.cover_pairs`` replaced."""
+    elems = sorted(elements, key=canon_key)
+
+    def lt(a, b):
+        return a != b and (a, b) in rel
+
+    return tuple(
+        (a, b)
+        for a in elems
+        for b in elems
+        if lt(a, b) and not any(lt(a, c) and lt(c, b) for c in elems)
+    )
+
+
+def linear_extension(elements, rel) -> tuple:
+    """The linear extension ``FinPoset.linear_extension`` promises: next
+    comes the first point, in ``canon_key`` order, whose predecessors are
+    all placed."""
+    remaining = sorted(elements, key=canon_key)
+    out: list = []
+    while remaining:
+        x = next(x for x in remaining if all(y in out for y in remaining + out if (y, x) in rel and y != x))
+        out.append(x)
+        remaining.remove(x)
+    return tuple(out)
+
+
+def lower_sets(elements, rel) -> list:
+    """Every down-closed subset of ``elements`` under ``rel``, by testing
+    all subsets, in ``canon_key`` order."""
+    elems = list(elements)
+    subsets = (
+        frozenset(c) for k in range(len(elems) + 1) for c in itertools.combinations(elems, k)
+    )
+    return sorted(
+        (s for s in subsets if all(x in s for x, y in rel if y in s)), key=canon_key
+    )
+
+
+def posets_isomorphic(p: FinPoset, q: FinPoset) -> bool:
+    """Whether some bijection carries the pairs of ``p`` onto those of ``q``."""
+    rel_p, rel_q = p.leq_pairs(), q.leq_pairs()
+    return len(p) == len(q) and any(
+        {(f[a], f[b]) for a, b in rel_p} == rel_q
+        for f in (dict(zip(p.elements, perm)) for perm in itertools.permutations(q.elements))
+    )
+
+
+def element_order(a: FinLattice) -> frozenset:
+    """The inclusion order of ``a``'s elements, by n^2 subset tests."""
+    return frozenset((x, y) for x in a.elements for y in a.elements if x <= y)
+
+
+def hasse_dot(elements, rel, name: str) -> str:
+    """What ``FinPoset.to_dot`` and ``FinLattice.to_dot`` draw for the
+    order ``rel`` on ``elements``, from the cubic cover pairs."""
+    elems = sorted(elements, key=canon_key)
+    ids = {e: f"n{i}" for i, e in enumerate(elems)}
+    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines += [f'  {ids[e]} [label="{_label(e)}"];' for e in elems]
+    lines += [f"  {ids[x]} -> {ids[y]};" for x, y in cover_pairs(elems, rel)]
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 def lattice_elements(spectrum: FinPoset, elements, kind: str = "distributive") -> tuple:
@@ -385,7 +455,7 @@ def ideal_completion(a) -> tuple:
     """
     ideals = [
         d
-        for d in lower_sets_of(a.element_poset())
+        for d in lower_sets_of(FinPoset(a.elements, element_order(a)))
         if d and all((x | y) in d for x in d for y in d)
     ]
     lat, to_elem = lattice_from_abstract(ideals, lambda i, j: i <= j)
@@ -556,10 +626,12 @@ def congruence_close(ix: _Index, rel: list[int]) -> list[int]:
     Fixpoint of: contains leq; transitive; meet-stable; the set of
     elements below any fixed right-hand side is join-closed.
     """
-    ups, up_pos = _rule_rows(ix)
+    _, ups = _rule_rows(ix)
     r = [ri | li for ri, li in zip(rel, ix.leq)]
     while True:
-        nxt = _column_rule(ix, _row_rule(_compose(r), ups), up_pos)
+        r2 = _row_rule(_compose(r), ups)
+        # before the fixpoint a row need not hold the rows above it
+        nxt = _column_rule(ix, r2, [reduce(or_, (r2[a] for a in _bits(u)), 0) for u in ups])
         if nxt == r:
             return r
         r = nxt
@@ -584,7 +656,7 @@ def enumerate_order_congruences(a: FinLattice) -> list[OrderCongruence]:
     n = len(ix.elems)
     bottom = tuple(congruence_close(ix, [0] * n))
     steps = []
-    for low, high in a.element_poset().cover_pairs():
+    for low, high in cover_pairs(a.elements, element_order(a)):
         hi, lo = ix.pos[high], ix.pos[low]
         g = [0] * n
         g[hi] = 1 << lo

@@ -10,6 +10,8 @@ import jsonschema
 import pytest
 
 from localix.cli import main
+from localix.lattice import FinLattice
+from localix.order import FinPoset
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SCHEMA = json.loads(
@@ -146,6 +148,19 @@ def test_unsafe_budgets_still_dissolve_seven_atoms():
     code, out = invoke(["--unsafe-budgets", "dissolve", "--bool", "7"])
     assert code == 0
     assert "  result_size: 128\n" in out
+
+
+def test_realize_draws_covers_without_the_element_poset(monkeypatch):
+    # 887 elements; the record carries the DOT of the lattice in every format
+    def refuse(*args):
+        raise AssertionError("the DOT of a lattice needs no element poset")
+
+    monkeypatch.setattr(FinPoset, "cover_pairs", refuse)
+    monkeypatch.setattr(FinLattice, "element_poset", refuse)
+    for fmt in ("text", "json", "dot"):
+        code, out = invoke(["--format", fmt, "run", "-"], "gens a b c d e;\nrel a <= b;\nrealize;\n")
+        assert code == 0, out
+        assert "size: 887" in out if fmt == "text" else out.count(" -> ") > 887
 
 
 # The proof goldens, and the script goldens that prove and interpolate.

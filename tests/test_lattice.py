@@ -195,6 +195,15 @@ def test_dot_has_cover_edges_only():
     assert dot.count("->") == 4  # Hasse diagram of the square
 
 
+def test_dot_keeps_the_covers_of_glued_points():
+    # a and b are glued, so {a,b} covers {} although neither {a} nor {b}
+    # is an element: a cover is not always one point more
+    a = FinLattice(FinPoset("abc"), [frozenset(), frozenset("ab"), frozenset("abc")])
+    dot = a.to_dot()
+    assert "  n0 -> n1;\n  n1 -> n2;\n}" in dot
+    assert dot == oracles.hasse_dot(a.elements, oracles.element_order(a), "lattice")
+
+
 @pytest.mark.parametrize(
     "spectrum, family, kind, message",
     [
@@ -352,3 +361,13 @@ def test_lattice_from_abstract_matches_the_glb_lub_oracle(case):
         assert got[1] == want[1]
     else:
         assert got == want
+
+
+@settings(max_examples=200)
+@given(lattices(max_points=5))
+def test_dot_matches_the_cubic_cover_oracle(a):
+    order = oracles.element_order(a)
+    assert a.to_dot("l") == oracles.hasse_dot(a.elements, order, "l")
+    assert a.element_poset().leq_pairs() == order
+    covers = oracles.cover_pairs(a.elements, order)
+    assert a.atoms() == tuple(y for x, y in covers if x == a.bot)

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from localix.errors import DomainError, StructureError
-from localix.order import FinPoset, MonotoneMap, lower_sets_of, poset_isomorphic
+from localix.order import FinPoset, MonotoneMap, _label, lower_sets_of, poset_isomorphic
 
 import oracles
 from conftest import LABELS, posets_up_to, random_poset
@@ -47,6 +48,17 @@ def test_linear_extension_respects_order(rng):
                     assert pos[a] < pos[b]
 
 
+def test_chain_rows_stay_small():
+    # a 1000-chain has 500,500 pairs; as closed rows it needs two int rows a point
+    tracemalloc.start()
+    try:
+        chain(1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_lower_sets_counts():
     assert len(lower_sets_of(chain(4))) == 5
     assert len(lower_sets_of(FinPoset(range(4)))) == 16
@@ -86,6 +98,14 @@ def test_isomorphism_positive_negative():
     assert not poset_isomorphic(p, FinPoset("xy"))
 
 
+def test_isomorphism_looks_past_equal_profiles():
+    # the same (down, up) counts, point for point, but not isomorphic
+    p = FinPoset(range(6), [(0, 1), (0, 4), (2, 3), (2, 4), (2, 5), (3, 4)])
+    q = FinPoset(range(6), [(0, 3), (0, 5), (1, 2), (1, 4), (1, 5), (3, 5)])
+    assert not poset_isomorphic(p, q) and not oracles.posets_isomorphic(p, q)
+    assert poset_isomorphic(p, p.relabel(lambda x: 5 - x))
+
+
 def test_enumeration_class_counts():
     counts = {}
     for p in posets_up_to(5):
@@ -119,15 +139,44 @@ def relations(draw):
     return pts, pairs
 
 
-@given(relations())
-def test_closure_matches_the_fixpoint(case):
+@given(relations(), st.data())
+def test_closure_matches_the_fixpoint(case, data):
+    """The closed rows answer every query as the pair-set closure does."""
     pts, pairs = case
     try:
-        want = oracles.poset_leq(pts, pairs)
+        rel = oracles.poset_leq(pts, pairs)
     except (DomainError, StructureError) as e:
         with pytest.raises(type(e)) as got:
             FinPoset(pts, pairs)
         if isinstance(e, DomainError):
             assert str(got.value) == str(e)
         return
-    assert FinPoset(pts, pairs)._leq == want
+    p = FinPoset(pts, pairs)
+    elems = p.elements
+    assert p.leq_pairs() == rel
+    for a in elems:
+        assert p.down(a) == {x for x in elems if (x, a) in rel}
+        assert p.up(a) == {x for x in elems if (a, x) in rel}
+        for b in elems:
+            assert p.leq(a, b) == ((a, b) in rel)
+            assert p.lt(a, b) == (a != b and (a, b) in rel)
+    strict = {(a, b) for a, b in rel if a != b}
+    assert p.cover_pairs() == oracles.cover_pairs(elems, rel)
+    assert p.to_dot("p") == oracles.hasse_dot(elems, rel, "p")
+    assert p.is_antichain() == (not strict)
+    assert p.maximal() == tuple(a for a in elems if not any(x == a for x, _ in strict))
+    assert p.minimal() == tuple(b for b in elems if not any(y == b for _, y in strict))
+    assert p.is_directed() == all(
+        any((a, c) in rel and (b, c) in rel for c in elems) for a in elems for b in elems
+    )
+    assert p.linear_extension() == oracles.linear_extension(elems, rel)
+    keep = data.draw(st.sets(st.sampled_from(elems))) if elems else set()
+    assert p.subposet(keep).leq_pairs() == {(a, b) for a, b in rel if a in keep and b in keep}
+    tag = {x: ("r", i) for i, x in enumerate(reversed(elems))}
+    assert p.relabel(tag.__getitem__).leq_pairs() == {(tag[a], tag[b]) for a, b in rel}
+    assert json.loads(p.to_json())["leq"] == sorted([_label(a), _label(b)] for a, b in strict)
+    assert lower_sets_of(p) == oracles.lower_sets(elems, rel)
+    if len(elems) <= 6:
+        perm = data.draw(st.permutations(elems))
+        q = FinPoset(perm, [(perm[elems.index(a)], perm[elems.index(b)]) for a, b in pairs][1:])
+        assert poset_isomorphic(p, q) == oracles.posets_isomorphic(p, q)
