@@ -1,10 +1,11 @@
 """Finite topologies, closure/interior, Comgr, and Baire decompositions.
 
 A FrameTopology is built from a point set and a family of opens closed
-under union and intersection.  Points with identical neighborhoood
-filters are collapsed to a representative, so the ambient Boolean
-algebra is the powerset of the spectrum of the opens lattice and every
-open is join-irreducibly generated by a minimal neighborhood.  All
+under union and intersection, checked as a ``FinLattice`` over the
+discrete points.  Points with the same least neighbourhood (the
+lattice's ``_least``) are collapsed to a representative, so the ambient
+Boolean algebra is the powerset of the spectrum of the opens lattice and
+every open is join-irreducibly generated by a minimal neighborhood.  All
 category-style notions (dense, meager, comeager) live in that ambient.
 """
 
@@ -14,7 +15,7 @@ from typing import Iterable
 
 from .errors import DomainError, StructureError
 from .lattice import FinLattice, lattice_from_abstract, powerset_lattice
-from .order import canon_key
+from .order import FinPoset, canon_key
 
 __all__ = [
     "FrameTopology",
@@ -43,40 +44,27 @@ class FrameTopology:
     __slots__ = ("points", "reps", "rep_of", "ambient", "opens", "min_nbhd")
 
     def __init__(self, points: Iterable, opens: Iterable[frozenset]):
-        pts = tuple(sorted(set(points), key=canon_key))
-        fam = {frozenset(o) for o in opens}
+        spectrum = FinPoset(points)
+        pts = spectrum.elements
         full = frozenset(pts)
+        fam = {frozenset(o) for o in opens}
         for o in fam:
             if not o <= full:
                 raise DomainError(f"open {o!r} is not a subset of the points")
-        fam |= {frozenset(), full}
-        for o in fam:
-            for o2 in fam:
-                if o & o2 not in fam or o | o2 not in fam:
-                    raise StructureError("opens must be closed under union and intersection")
-        nbhd = {p: full for p in pts}
-        for o in fam:
-            for p in o:
-                nbhd[p] &= o
-        classes: dict[frozenset, list] = {}
-        for p in pts:
-            classes.setdefault(nbhd[p], []).append(p)
-        rep_of = {}
-        for cls in classes.values():
-            r = min(cls, key=canon_key)
-            for p in cls:
-                rep_of[p] = r
-        reps = tuple(sorted(set(rep_of.values()), key=canon_key))
-        red = {frozenset(r for r in reps if r in o) for o in fam}
+        # raises StructureError unless the opens are closed under & and |
+        lat = FinLattice(spectrum, fam | {frozenset(), full})
+        # glued points share their least neighbourhood; the first is the rep
+        first: dict[int, object] = {}
+        rep_of = {p: first.setdefault(nb, p) for p, nb in zip(pts, lat._least)}
+        reps = tuple(first.values())
+        red = {frozenset(r for r in reps if r in o) for o in lat.elements}
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "reps", reps)
         object.__setattr__(self, "rep_of", rep_of)
         object.__setattr__(self, "ambient", powerset_lattice(reps))
         object.__setattr__(self, "opens", tuple(sorted(red, key=canon_key)))
         object.__setattr__(
-            self,
-            "min_nbhd",
-            {r: frozenset(s for s in reps if s in nbhd[r]) for r in reps},
+            self, "min_nbhd", {r: spectrum._set(nb).intersection(reps) for nb, r in first.items()}
         )
 
     def __setattr__(self, *a):

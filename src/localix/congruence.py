@@ -1,15 +1,16 @@
 """Order-congruences on finite distributive lattices.
 
 An order-congruence is a preorder refining the lattice order that is
-meet-stable and for which lattice joins remain joins.  On the shared
-index, where an element is its mask of join-irreducibles J, they are
-exactly the relations "a minus b lies inside S", one for each subset S
-of J (Birkhoff duality; Davey & Priestley, *Introduction to Lattices
-and Order*, ch. 5).  Relations are built from that closed form as one
-int mask per row, over the element positions of the index, and every
-relation, enumerated or passed to the constructor, is re-checked on
-its rows with one step of each closure rule; the rule fixpoint itself
-is the test oracle (``tests/oracles.py``).
+meet-stable and for which lattice joins remain joins.  They are exactly
+the relations "a minus b lies inside S", one for each set S of
+join-irreducibles J (Birkhoff duality; Davey & Priestley, *Introduction
+to Lattices and Order*, ch. 5).  On the lattice's point masks S is the
+mask of the points x whose least element ``_least[x]`` lies in S, so a
+relates to b when the points of a outside b all lie in that mask.
+Relations are built from that closed form as one int mask per row, over
+the element positions, and every relation, enumerated or passed to the
+constructor, is re-checked on its rows with one step of each closure
+rule; the rule fixpoint itself is the test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable
 
 from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
 from .errors import DomainError, StructureError
-from .lattice import FinLattice, LatticeHom, _bits, _index, _Index, lattice_from_abstract
+from .lattice import FinLattice, LatticeHom, _bits, lattice_from_abstract
 
 __all__ = [
     "OrderCongruence",
@@ -44,12 +45,13 @@ def _compose(r: list[int]) -> list[int]:
     return out
 
 
-def _rule_rows(ix: _Index) -> tuple[list[int], list[int]]:
-    """The lattice's constants for the two rules below: the position and
-    the up-row of each irreducible, in ``ix.irr`` order.  Built once per
-    check or enumeration."""
-    at = [ix.pos[j] for j in ix.irr]
-    return at, [ix.leq[p] for p in at]
+def _rule_rows(a: FinLattice) -> tuple[list[int], list[int], list[int]]:
+    """The lattice's constants for the rules below: the order as rows (the
+    least congruence, S empty), and per spectrum point x the position and
+    the up-row of ``_least[x]``.  Built once per check or enumeration."""
+    order = _rows(list(a._mask.values()), 0, {})
+    at = [a._at[j] for j in a._least]
+    return order, at, [order[p] for p in at]
 
 
 def _row_rule(r: list[int], ups: list[int]) -> list[int]:
@@ -62,67 +64,77 @@ def _row_rule(r: list[int], ups: list[int]) -> list[int]:
     return [ri | reduce(and_, (u for u in ups if not ri & ~u), full) for ri in r]
 
 
-def _column_rule(ix: _Index, r: list[int], cols: list[int]) -> list[int]:
+def _column_rule(masks: Iterable[int], r: list[int], cols: list[int]) -> list[int]:
     """Join rule: each column gains the down-set of the join of the column.
 
-    The join of column c lies above irreducible k when c is in ``cols[k]``,
-    the union of the rows above k: row k itself once the relation is
-    transitive and contains the order, where this is join-closure.
+    Bit k of ``masks[a]`` says irreducible k lies below element a
+    (``_certify`` passes point masks: bit k is a point, standing for the
+    irreducible ``_least[k]``).  The join of column c lies above
+    irreducible k when c is in ``cols[k]``, the union of the rows above
+    k: row k itself once the relation is transitive and contains the
+    order, where this is join-closure.
     """
     full = (1 << len(r)) - 1
-    return [
-        ra | reduce(and_, (cols[k] for k in _bits(ma)), full)
-        for ma, ra in zip(ix.mask, r)
-    ]
+    return [ra | reduce(and_, (cols[k] for k in _bits(ma)), full) for ma, ra in zip(masks, r)]
 
 
-def _check_subsets(budgets: Budgets, ix: _Index) -> None:
+def _check_subsets(budgets: Budgets, a: FinLattice) -> None:
     """One structure per subset of J, each with a row per element: check
-    both counts against the ``elements`` budget."""
-    check_budget(budgets, "elements", 2 ** len(ix.irr))
-    check_budget(budgets, "elements", len(ix.elems) << len(ix.irr))
+    both counts against the ``elements`` budget, before J is listed."""
+    nj = len(set(a._least))
+    check_budget(budgets, "elements", 2 ** nj)
+    check_budget(budgets, "elements", len(a) << nj)
 
 
-def _rows(ix: _Index, s: int, above: dict) -> list[int]:
-    """The order-congruence of ``s`` as rows: i relates to j when
-    mask[i] minus mask[j] lies in ``s``.  ``above`` caches, per mask t,
-    the positions whose mask contains t."""
-    mask = ix.mask
+def _subsets(a: FinLattice, irr: list[int]) -> list[int]:
+    """Every subset S of the irreducibles ``irr`` as a point mask: entry s
+    holds the points x with ``_least[x] == irr[k]`` for some bit k of s."""
+    out = [0]
+    for j in irr:
+        glued = sum(1 << x for x, k in enumerate(a._least) if k == j)
+        out += [s | glued for s in out]
+    return out
+
+
+def _rows(masks: list[int], s: int, above: dict) -> list[int]:
+    """The order-congruence of the point mask ``s`` as rows: i relates to
+    j when the points of masks[i] outside masks[j] lie in ``s``.
+    ``above`` caches, per mask t, the positions whose mask contains t."""
     out = []
-    for mi in mask:
+    for mi in masks:
         t = mi & ~s
         r = above.get(t)
         if r is None:
-            r = above[t] = sum(1 << j for j, mj in enumerate(mask) if not t & ~mj)
+            r = above[t] = sum(1 << j for j, mj in enumerate(masks) if not t & ~mj)
         out.append(r)
     return out
 
 
-def _rows_to_pairs(ix: _Index, r: list[int]) -> frozenset:
-    elems = ix.elems
+def _rows_to_pairs(a: FinLattice, r: list[int]) -> frozenset:
+    elems = a.elements
     return frozenset((elems[i], elems[j]) for i, ri in enumerate(r) for j in _bits(ri))
 
 
-def _pairs_to_rows(ix: _Index, pairs: Iterable[tuple]) -> list[int]:
-    r = [0] * len(ix.elems)
-    for a, b in pairs:
-        if a not in ix.pos or b not in ix.pos:
-            raise DomainError(f"pair ({a!r}, {b!r}) mentions a non-element")
-        r[ix.pos[a]] |= 1 << ix.pos[b]
+def _pairs_to_rows(a: FinLattice, pairs: Iterable[tuple]) -> list[int]:
+    r = [0] * len(a)
+    for x, y in pairs:
+        if x not in a or y not in a:
+            raise DomainError(f"pair ({x!r}, {y!r}) mentions a non-element")
+        r[a._pos(x)] |= 1 << a._pos(y)
     return r
 
 
-def _certify(ix: _Index, r: list[int], rules: tuple) -> None:
+def _certify(a: FinLattice, r: list[int], rules: tuple) -> None:
     """One step of each closure rule, in order; a valid relation is fixed
-    by all four.  ``rules`` is ``_rule_rows(ix)``."""
-    at, ups = rules
-    if [ri | li for ri, li in zip(r, ix.leq)] != r:
+    by all four.  ``rules`` is ``_rule_rows(a)``."""
+    order, at, ups = rules
+    if [ri | li for ri, li in zip(r, order)] != r:
         raise StructureError("congruence must contain the lattice order")
     if _compose(r) != r:
         raise StructureError("congruence must be transitive")
     if _row_rule(r, ups) != r:
         raise StructureError("congruence must be meet-stable")
-    if _column_rule(ix, r, [r[p] for p in at]) != r:
+    if _column_rule(a._mask.values(), r, [r[p] for p in at]) != r:
         raise StructureError("lattice joins must remain joins")
 
 
@@ -132,21 +144,18 @@ class OrderCongruence:
     __slots__ = ("base", "rel")
 
     def __init__(self, base: FinLattice, rel: Iterable[tuple]):
-        ix = _index(base)
-        self._certified(base, ix, _pairs_to_rows(ix, rel), _rule_rows(ix))
+        self._certified(base, _pairs_to_rows(base, rel), _rule_rows(base))
 
     @classmethod
-    def _of_rows(
-        cls, base: FinLattice, ix: _Index, r: list[int], rules: tuple
-    ) -> "OrderCongruence":
+    def _of_rows(cls, base: FinLattice, r: list[int], rules: tuple) -> "OrderCongruence":
         c = object.__new__(cls)
-        c._certified(base, ix, r, rules)
+        c._certified(base, r, rules)
         return c
 
-    def _certified(self, base: FinLattice, ix: _Index, r: list[int], rules: tuple) -> None:
-        _certify(ix, r, rules)
+    def _certified(self, base: FinLattice, r: list[int], rules: tuple) -> None:
+        _certify(base, r, rules)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "rel", _rows_to_pairs(ix, r))
+        object.__setattr__(self, "rel", _rows_to_pairs(base, r))
 
     def __setattr__(self, *a):
         raise AttributeError("OrderCongruence is immutable")
@@ -185,13 +194,12 @@ class OrderCongruence:
 def gen_order_congruence(a: FinLattice, pairs: Iterable[tuple]) -> OrderCongruence:
     """Least order-congruence on ``a`` containing the given pairs: the one
     whose S joins the differences a minus b of the pairs."""
-    ix = _index(a)
-    mask = ix.mask
+    masks = list(a._mask.values())
     s = 0
-    for mi, ri in zip(mask, _pairs_to_rows(ix, pairs)):
+    for mi, ri in zip(masks, _pairs_to_rows(a, pairs)):
         for j in _bits(ri):
-            s |= mi & ~mask[j]
-    return OrderCongruence._of_rows(a, ix, _rows(ix, s, {}), _rule_rows(ix))
+            s |= mi & ~masks[j]
+    return OrderCongruence._of_rows(a, _rows(masks, s, {}), _rule_rows(a))
 
 
 def order_kernel(f: LatticeHom) -> OrderCongruence:
@@ -232,17 +240,17 @@ def enumerate_order_congruences(
     sorted by size, then by the sorted reprs of their pairs, compared
     through the dense rank of each pair's repr among all n^2 pairs.
     """
-    ix = _index(a)
-    _check_subsets(budgets, ix)
-    pairs = [(x, y) for x in ix.elems for y in ix.elems]
+    _check_subsets(budgets, a)
+    pairs = [(x, y) for x in a.elements for y in a.elements]
     reprs = list(map(repr, pairs))
     dense = {t: k for k, t in enumerate(sorted(set(reprs)))}
     rank = {p: dense[t] for p, t in zip(pairs, reprs)}.__getitem__
+    masks = list(a._mask.values())
     above: dict[int, int] = {}
-    rules = _rule_rows(ix)
+    rules = _rule_rows(a)
     out = [
-        OrderCongruence._of_rows(a, ix, _rows(ix, s, above), rules)
-        for s in range(1 << len(ix.irr))
+        OrderCongruence._of_rows(a, _rows(masks, s, above), rules)
+        for s in _subsets(a, a._irreducibles())
     ]
     out.sort(key=lambda c: (len(c.rel), sorted(map(rank, c.rel))))
     return out

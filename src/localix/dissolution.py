@@ -1,14 +1,16 @@
 """Free complementation of a finite distributive lattice.
 
 ``dissolve`` adjoins a complement for every element.  Its result is
-read on pairs (a, neg b), the differences "a minus b".  On the shared
-index an element is its mask of join-irreducibles J, and the result is
-the Boolean lattice 2^J (Birkhoff duality; Davey & Priestley,
-*Introduction to Lattices and Order*, ch. 5): the element for S, a
-subset of J, holds the pairs with a minus b inside S.  Its pair set is
-stored as the vector of column heads.  The head of neg b is the
-largest a with a <= b \\/ S: the irreducibles whose down-set lies in
-mask(b) | S.  The unit sends x to the S equal to mask(x).
+read on pairs (a, neg b), the differences "a minus b".  It is the
+Boolean lattice 2^J on the join-irreducibles J (Birkhoff duality; Davey
+& Priestley, *Introduction to Lattices and Order*, ch. 5): the element
+for S, a subset of J, holds the pairs with a minus b inside S.  Its pair
+set is stored as the vector of column heads, each the set of
+irreducibles (bit k for the k-th of ``FinLattice._irreducibles``) that
+lie inside a point mask.  The head of neg b is the largest a with a <=
+b \\/ S: the irreducibles inside the points of b and of S (as a point
+mask, ``congruence._subsets``).  The unit sends x to the S of the
+irreducibles inside x.
 
 The rule-based fixpoint that builds the same pair ideals by closure is
 the test oracle (``tests/oracles.py``).  Every call still re-checks the
@@ -21,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .congruence import OrderCongruence, _check_subsets
+from .congruence import OrderCongruence, _check_subsets, _subsets
 from .errors import DomainError, StructureError
-from .lattice import FinLattice, LatticeHom, _bits, _index, _Index
+from .lattice import FinLattice, LatticeHom, _bits
 from .order import FinPoset
 
 __all__ = ["Dissolution", "dissolve", "eta_principal", "nA_congruence_bijection"]
@@ -34,17 +36,18 @@ def neg(b):
     return ("neg", b)
 
 
-def _pair_sets(ix: _Index, vecs: list[list[int]]):
+def _pair_sets(a: FinLattice, codes: list[int], vecs: list[list[int]]):
     """The pair set of each head vector: the pairs (c, neg b) with c
-    below the head of neg b."""
-    negs = [neg(e) for e in ix.elems]
+    below the head of neg b; ``codes[i]`` is the irreducibles inside
+    ``a.elements[i]``."""
+    negs = [neg(e) for e in a.elements]
     under: dict[int, list] = {}  # head -> the elements below it
     for v in vecs:
         pairs = []
         for nb, h in zip(negs, v):
             u = under.get(h)
             if u is None:
-                u = under[h] = [e for e, m in zip(ix.elems, ix.mask) if not m & ~h]
+                u = under[h] = [e for e, code in zip(a.elements, codes) if not code & ~h]
             pairs += [(c, nb) for c in u]
         yield frozenset(pairs)
 
@@ -72,22 +75,21 @@ def dissolve(a: FinLattice, budgets: Budgets = DEFAULT_BUDGETS) -> Dissolution:
     element of ``a``; both counts are checked against the ``elements``
     budget before anything is built.
     """
-    ix = _index(a)
-    _check_subsets(budgets, ix)
-    mask = ix.mask
-    nj = len(ix.irr)
+    _check_subsets(budgets, a)
+    irr = a._irreducibles()
+    nj = len(irr)
     if nj > 62:  # the point numbering below packs each head in 8 bytes
         raise StructureError("lattice too large to dissolve")
-    down = [mask[ix.pos[j]] for j in ix.irr]
-    interior: dict[int, int] = {}  # t -> the irreducibles whose down-set lies in t
+    masks = list(a._mask.values())
+    inside: dict[int, int] = {}  # point mask t -> the irreducibles inside t
 
     def head(t: int) -> int:
-        h = interior.get(t)
+        h = inside.get(t)
         if h is None:
-            h = interior[t] = sum(1 << k for k, dk in enumerate(down) if not dk & ~t)
+            h = inside[t] = sum(1 << k for k, j in enumerate(irr) if not j & ~t)
         return h
 
-    heads = [[head(m | s) for m in mask] for s in range(1 << nj)]
+    heads = [[head(m | s) for m in masks] for s in _subsets(a, irr)]
     # this order numbers the points of the result, which reports show:
     # head sum, then the heads as 8-byte little-endian words
     order = sorted(
@@ -98,8 +100,9 @@ def dissolve(a: FinLattice, budgets: Budgets = DEFAULT_BUDGETS) -> Dissolution:
     atoms = [label[1 << k] for k in range(nj)]
     elem = [frozenset(sorted(atoms[k] for k in _bits(s))) for s in range(1 << nj)]
     result = FinLattice(FinPoset(atoms), elem, "boolean")
-    repr_map = dict(zip([elem[s] for s in order], _pair_sets(ix, [heads[s] for s in order])))
-    unit = LatticeHom(a, result, {x: elem[m] for x, m in zip(ix.elems, mask)})
+    codes = [head(m) for m in masks]
+    repr_map = dict(zip([elem[s] for s in order], _pair_sets(a, codes, [heads[s] for s in order])))
+    unit = LatticeHom(a, result, {x: elem[c] for x, c in zip(a.elements, codes)})
     return Dissolution(a, result, unit, repr_map)
 
 

@@ -30,7 +30,7 @@ from .errors import (
     ResourceBudgetError,
 )
 from .interp import interpolate_sequent
-from .lattice import FinLattice, borel_image, join_irreducibles, lower_sets, powerset_lattice
+from .lattice import FinLattice, borel_image, lower_sets, powerset_lattice
 from .order import FinPoset, canon_key
 from .posite import Coverage, cov_ideals, saturate_coverage
 from .presented import Presentation, preimage_hom, realize, spec
@@ -848,7 +848,7 @@ class _Runner:
             "dissolve",
             base=s.name,
             base_size=len(lat),
-            base_irreducibles=len(join_irreducibles(lat)),
+            base_irreducibles=len(lat._irreducibles()),
             result_size=len(d.result),
             result_kind=d.result.kind,
             unit={_elem_str(x): _elem_str(d.unit(x)) for x in sorted(lat.elements, key=canon_key)},

@@ -41,6 +41,20 @@ join-prime and meet-irreducibles (M, the largest elements missing a
 point) are meet-prime, so ``f`` preserves binary joins and meets iff
 ``f(a)`` is the union of ``f(j)`` over ``j <= a`` in J and the
 intersection of ``f(m)`` over ``m >= a`` in M.
+
+Encoding.  These masks are the only integer view of a lattice.
+``_mask`` sends each element to its point mask, ``_at`` sends a point
+mask back to the element's position in ``elements``, and ``_least[x]``
+is the mask of the least element containing point x.  The
+join-irreducibles J are the distinct ``_least``; ``_irreducibles`` lists
+them in ``join_irreducibles`` order.  Points with the same ``_least``
+are glued, and a subset S of J is the mask of the points x with
+``_least[x]`` in S.  Readers: ``LatticeHom``, ``enumerate_homs``,
+``join_irreducibles`` and ``presented.extend_hom`` read J off
+``_least``; ``congruence`` builds its rows and ``posite`` its position
+masks and meets from ``_mask`` and ``_at``; ``dissolution`` numbers J
+by ``_irreducibles`` to name the points of 2^J; ``baire`` reads least
+neighbourhoods and glued points off ``_least``.
 """
 
 from __future__ import annotations
@@ -76,7 +90,7 @@ __all__ = [
 class FinLattice:
     """Immutable finite distributive (or Boolean) lattice of sets."""
 
-    __slots__ = ("spectrum", "elements", "kind", "_mask", "_least", "_hash", "_index")
+    __slots__ = ("spectrum", "elements", "kind", "_mask", "_at", "_least", "_hash")
 
     def __init__(
         self,
@@ -130,9 +144,9 @@ class FinLattice:
         object.__setattr__(self, "elements", tuple(e for e, _ in ordered))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "_mask", dict(ordered))
+        object.__setattr__(self, "_at", {m: i for i, (_, m) in enumerate(ordered)})
         object.__setattr__(self, "_least", tuple(least))
         object.__setattr__(self, "_hash", hash((spectrum, frozenset(family), kind)))
-        object.__setattr__(self, "_index", None)  # built by _index() on first use
 
     def __setattr__(self, *a):
         raise AttributeError("FinLattice is immutable")
@@ -206,14 +220,27 @@ class FinLattice:
             out &= x
         return out
 
+    def _pos(self, e: frozenset) -> int:
+        """The position of element ``e`` in ``elements``."""
+        return self._at[self._mask[e]]
+
+    def _element(self, m: int) -> frozenset:
+        """The element with point mask ``m``."""
+        return self.elements[self._at[m]]
+
+    def _irreducibles(self) -> list[int]:
+        """The masks of the join-irreducibles, the distinct ``_least``, in
+        ``join_irreducibles(self).elements`` order."""
+        return sorted(set(self._least), key=_canon_mask_key(len(self._least)))
+
     def atoms(self) -> tuple:
         return tuple(self.elements[k] for k in _bits(self._cover_rows()[0]))
 
     def _cover_rows(self) -> list[int]:
         """Row i masks the positions of the elements covering ``elements[i]``
         (module docstring)."""
-        at = {m: i for i, m in enumerate(self._mask.values())}
-        least = self._least  # each join-irreducible j, less the points glued to j
+        at, least = self._at, self._least
+        # each join-irreducible j, less the points glued to j
         strict = [(j, j & ~sum(1 << x for x, k in enumerate(least) if k == j)) for j in set(least)]
         return [
             sum(1 << at[m | j] for j, below in strict if j & ~m and not below & ~m) for m in at
@@ -352,42 +379,8 @@ def join_irreducibles(a: FinLattice) -> FinPoset:
     everything strictly below it (so bottom is excluded).  These are the
     least elements containing each spectrum point.
     """
-    pts = a.spectrum.elements
-    irr = {j: frozenset(pts[i] for i in _bits(j)) for j in a._least}
-    return FinPoset(irr.values(), [(irr[j], irr[k]) for j in irr for k in irr if not j & ~k])
-
-
-class _Index:
-    """Integer index of one lattice, shared by the fixpoint engines.
-
-    ``mask[i]`` encodes ``a.elements[i]`` as the join-irreducibles below
-    it (bit k: the k-th of ``join_irreducibles(a)``); ``meet``/``join``
-    are position tables and ``leq[i]`` masks the positions above ``i``.
-    """
-
-    __slots__ = ("elems", "pos", "irr", "mask", "meet", "join", "leq")
-
-    def __init__(self, a: FinLattice):
-        self.elems = elems = a.elements
-        self.pos = {e: i for i, e in enumerate(elems)}
-        self.irr = irr = join_irreducibles(a).elements
-        irr_masks = [a._mask[j] for j in irr]
-        self.mask = mask = [
-            sum(1 << k for k, j in enumerate(irr_masks) if not j & ~m) for m in a._mask.values()
-        ]
-        of_mask = {m: i for i, m in enumerate(mask)}
-        self.meet = [[of_mask[m & m2] for m2 in mask] for m in mask]
-        self.join = [[of_mask[m | m2] for m2 in mask] for m in mask]
-        self.leq = [sum(1 << j for j, m2 in enumerate(mask) if not m & ~m2) for m in mask]
-
-
-def _index(a: FinLattice) -> _Index:
-    """The index of ``a``, built on first use and kept on the lattice."""
-    ix = a._index
-    if ix is None:
-        ix = _Index(a)
-        object.__setattr__(a, "_index", ix)
-    return ix
+    irr = [(j, a._element(j)) for j in a._irreducibles()]
+    return FinPoset([e for _, e in irr], [(e, f) for j, e in irr for k, f in irr if not j & ~k])
 
 
 def birkhoff_embedding(a: FinLattice) -> tuple[FinLattice, LatticeHom]:
@@ -466,14 +459,13 @@ def _hom_from_irreducibles(a: FinLattice, b: FinLattice, irr_img: dict) -> Latti
     result is validated by ``LatticeHom``.
     """
     imgs = [(a._mask[j], b._mask[v]) for j, v in irr_img.items()]
-    elem_b = {m: e for e, m in b._mask.items()}
     graph = {}
-    for e, m in a._mask.items():
+    for e, m in zip(a.elements, a._mask.values()):
         v = 0
         for j, fj in imgs:
             if not j & ~m:
                 v |= fj
-        graph[e] = elem_b[v]
+        graph[e] = b._element(v)
     return LatticeHom(a, b, graph)
 
 
@@ -489,7 +481,7 @@ def enumerate_homs(a: FinLattice, b: FinLattice) -> list[LatticeHom]:
     homs are ordered by the positions in ``b.elements`` of f(j), for j
     over J(a) in order.
     """
-    ja, jb = (sorted(set(x._least), key=_canon_mask_key(len(x.spectrum.elements))) for x in (a, b))
+    ja, jb = a._irreducibles(), b._irreducibles()
     up_a = [sum(1 << i for i, j2 in enumerate(ja) if not j & ~j2) for j in ja]
     phis = [[]]
     for k, q in enumerate(jb):
@@ -501,17 +493,14 @@ def enumerate_homs(a: FinLattice, b: FinLattice) -> list[LatticeHom]:
                 cand &= up_a[phi[l]]
             grown += [phi + [i] for i in _bits(cand)]
         phis = grown
-    elem_a = {m: e for e, m in a._mask.items()}
-    elem_b = {m: e for e, m in b._mask.items()}
+    irr = [a._element(j) for j in ja]
     homs = []
     for phi in phis:
         img = [0] * len(ja)
         for q, i in zip(jb, phi):
             img[i] |= q
-        homs.append(_hom_from_irreducibles(a, b, {elem_a[j]: elem_b[v] for j, v in zip(ja, img)}))
-    pos = {e: i for i, e in enumerate(b.elements)}
-    irr = [elem_a[j] for j in ja]
-    homs.sort(key=lambda h: [pos[h.graph[j]] for j in irr])
+        homs.append(_hom_from_irreducibles(a, b, {j: b._element(v) for j, v in zip(irr, img)}))
+    homs.sort(key=lambda h: [b._pos(h.graph[j]) for j in irr])
     return homs
 
 

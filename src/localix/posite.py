@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
 from .errors import DomainError, StructureError
-from .lattice import FinLattice, _bits, _index, _Index, lattice_from_abstract
+from .lattice import FinLattice, _bits, lattice_from_abstract
 from .order import canon_key, lower_sets_of
 
 __all__ = [
@@ -37,46 +37,45 @@ __all__ = [
 ]
 
 
-def _mask(ix: _Index, subset: Iterable[frozenset]) -> int:
+def _positions(base: FinLattice, subset: Iterable[frozenset]) -> int:
+    """The mask of the positions of ``subset`` in ``base.elements``."""
     m = 0
     for c in subset:
-        if c not in ix.pos:
+        if c not in base:
             raise DomainError(f"{c!r} not in the coverage base")
-        m |= 1 << ix.pos[c]
+        m |= 1 << base._pos(c)
     return m
 
 
-def _down(ix: _Index) -> list[int]:
+def _down(base: FinLattice) -> list[int]:
     """Per element position, the mask of the positions below it."""
-    n = len(ix.elems)
-    return [sum(1 << j for j in range(n) if ix.leq[j] >> i & 1) for i in range(n)]
+    masks = base._mask.values()
+    return [sum(1 << j for j, mj in enumerate(masks) if not mj & ~mi) for mi in masks]
 
 
 class Coverage:
     """A saturated cover relation, stored in full over all subsets."""
 
-    __slots__ = ("base", "generators", "_idx", "_rel")
+    __slots__ = ("base", "generators", "_rel")
 
-    def __init__(self, base: FinLattice, generators, idx: _Index, rel: list[set]):
+    def __init__(self, base: FinLattice, generators, rel: list[set]):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "_idx", idx)
         object.__setattr__(self, "_rel", rel)  # per element: set of cover masks
 
     def __setattr__(self, *a):
         raise AttributeError("Coverage is immutable")
 
     def covers(self, a: frozenset, c: Iterable[frozenset]) -> bool:
-        idx = self._idx
-        if a not in idx.pos:
+        if a not in self.base:
             raise DomainError(f"{a!r} not in the coverage base")
-        return _mask(idx, c) in self._rel[idx.pos[a]]
+        return _positions(self.base, c) in self._rel[self.base._pos(a)]
 
     def pairs(self) -> list[tuple[frozenset, frozenset]]:
-        idx = self._idx
+        elems = self.base.elements
         out = [
-            (e, frozenset(idx.elems[c] for c in _bits(m)))
-            for e, ms in zip(idx.elems, self._rel)
+            (e, frozenset(elems[c] for c in _bits(m)))
+            for e, ms in zip(elems, self._rel)
             for m in ms
         ]
         out.sort(key=canon_key)
@@ -86,24 +85,16 @@ class Coverage:
         return f"Coverage({sum(len(s) for s in self._rel)} pairs on {len(self.base)} elements)"
 
 
-def _meet_mask(idx: _Index, a: int, cm: int) -> int:
-    """The mask of the meets of ``a`` with the members of mask ``cm``."""
-    m = 0
-    for c in _bits(cm):
-        m |= 1 << idx.meet[a][c]
-    return m
-
-
-def _gen_masks(idx: _Index, gen: Iterable[tuple[frozenset, Iterable[frozenset]]]) -> set:
+def _gen_masks(base: FinLattice, gen: Iterable[tuple[frozenset, Iterable[frozenset]]]) -> set:
     pairs = set()
     for a, c in gen:
-        if a not in idx.pos:
+        if a not in base:
             raise DomainError(f"{a!r} not in the coverage base")
-        pairs.add((idx.pos[a], _mask(idx, c)))
+        pairs.add((base._pos(a), _positions(base, c)))
     return pairs
 
 
-def _ideal_closure(idx: _Index, down: list[int], gen_pairs: set[tuple[int, int]]):
+def _ideal_closure(base: FinLattice, down: list[int], gen_pairs: set[tuple[int, int]]):
     """The closure of down-set masks under the meet-stabilized generators.
 
     Stabilizing turns a generator "b covered by C" into "a covered by
@@ -112,9 +103,14 @@ def _ideal_closure(idx: _Index, down: list[int], gen_pairs: set[tuple[int, int]]
     holds the cover of such a generator; the down-sets it fixes are the
     cover-ideals.
     """
-    rules = {
-        (down[a], _meet_mask(idx, a, cm)) for b, cm in gen_pairs for a in _bits(down[b])
-    }
+    masks, at = list(base._mask.values()), base._at
+    rules = set()
+    for b, cm in gen_pairs:
+        for a in _bits(down[b]):
+            meets = 0  # the positions of a /\ c for c in C
+            for c in _bits(cm):
+                meets |= 1 << at[masks[a] & masks[c]]
+            rules.add((down[a], meets))
 
     def close(d: int) -> int:
         grown = True
@@ -140,10 +136,9 @@ def saturate_coverage(
     containing C: one closure of the down-set of C per subset C.
     """
     check_budget(budgets, "carrier", len(base))
-    idx = _index(base)
-    n = len(idx.elems)
-    down = _down(idx)
-    close = _ideal_closure(idx, down, _gen_masks(idx, gen))
+    n = len(base)
+    down = _down(base)
+    close = _ideal_closure(base, down, _gen_masks(base, gen))
     rel: list[set] = [set() for _ in range(n)]
     start = [0] * (1 << n)  # per subset mask, its down-set
     ideal: dict[int, int] = {}
@@ -156,21 +151,21 @@ def saturate_coverage(
             d = ideal[start[cm]] = close(start[cm])
         for a in _bits(d):
             rel[a].add(cm)
-    return Coverage(base, tuple(sorted(((a, frozenset(c)) for a, c in gen), key=canon_key)), idx, rel)
+    return Coverage(base, tuple(sorted(((a, frozenset(c)) for a, c in gen), key=canon_key)), rel)
 
 
 def canonical_coverage(base: FinLattice, budgets: Budgets = DEFAULT_BUDGETS) -> Coverage:
     """The coverage ``a covered by C  iff  a <= join(C)`` (separated)."""
     check_budget(budgets, "carrier", len(base))
-    idx = _index(base)
-    n = len(idx.elems)
+    elems = base.elements
+    n = len(elems)
     rel: list[set] = [set() for _ in range(n)]
     for cm in range(1 << n):
-        j = base.bot.union(*(idx.elems[c] for c in _bits(cm)))
+        j = base.bot.union(*(elems[c] for c in _bits(cm)))
         for a in range(n):
-            if idx.elems[a] <= j:
+            if elems[a] <= j:
                 rel[a].add(cm)
-    return Coverage(base, (), idx, rel)
+    return Coverage(base, (), rel)
 
 
 def _ideals_against(
@@ -197,11 +192,9 @@ def cov_ideals(
     of bottom added.
     Returns the lattice together with the ideal -> element map.
     """
-    idx = c._idx
-
     def closed(d: frozenset) -> bool:
-        dm = _mask(idx, d)
-        for a in range(len(idx.elems)):
+        dm = _positions(c.base, d)
+        for a in range(len(c.base)):
             if dm >> a & 1:
                 continue
             for cm in c._rel[a]:
@@ -224,14 +217,13 @@ def cov_ideals_from_generators(
     Closure under the generators suffices to characterize the ideals of
     the full saturation; the agreement is a test surface, not assumed.
     """
-    idx = _index(base)
-    pairs = _gen_masks(idx, gen)
+    pairs = _gen_masks(base, gen)
     if include_empty_join:
-        pairs.add((idx.pos[base.bot], 0))
-    close = _ideal_closure(idx, _down(idx), pairs)
+        pairs.add((base._pos(base.bot), 0))
+    close = _ideal_closure(base, _down(base), pairs)
 
     def closed(d: frozenset) -> bool:
-        dm = _mask(idx, d)
+        dm = _positions(base, d)
         return close(dm) == dm
 
     return _ideals_against(base, closed, False)
@@ -239,11 +231,10 @@ def cov_ideals_from_generators(
 
 def downtri(c: Coverage, a: frozenset) -> frozenset:
     """The least cover-ideal containing ``a``: everything covered by {a}."""
-    idx = c._idx
-    if a not in idx.pos:
+    if a not in c.base:
         raise DomainError(f"{a!r} not in the coverage base")
-    am = 1 << idx.pos[a]
-    return frozenset(e for e, ms in zip(idx.elems, c._rel) if am in ms)
+    am = 1 << c.base._pos(a)
+    return frozenset(e for e, ms in zip(c.base.elements, c._rel) if am in ms)
 
 
 # -- polyposets ---------------------------------------------------------------

@@ -326,17 +326,18 @@ def extend_hom(
     lat, gen_img = realized
     if not check_assignment(p, assign, target):
         raise PreconditionError("relations", "assignment does not satisfy the relations")
-    point_of = {tuple(x in gen_img[g] for g in p.gens): x for x in lat.spectrum.elements}
-    elem_of = {m: e for e, m in lat._mask.items()}
-    least = dict(zip(lat.spectrum.elements, lat._least))
+    # the least element containing each point, by the point's valuation
+    least_of = {
+        tuple(x in gen_img[g] for g in p.gens): j for x, j in zip(lat.spectrum.elements, lat._least)
+    }
     tmask = target._mask
     irr_img: dict = {}
-    for e in join_irreducibles(target).elements:
-        val = tuple(not tmask[e] & ~tmask[assign[g]] for g in p.gens)
-        if val not in point_of:
+    for q in target._irreducibles():
+        val = tuple(not q & ~tmask[assign[g]] for g in p.gens)
+        if val not in least_of:
             raise StructureError("assignment does not extend to a hom")
-        j = elem_of[least[point_of[val]]]  # the least element containing p(q)
-        irr_img[j] = irr_img.get(j, target.bot) | e
+        j = lat._element(least_of[val])
+        irr_img[j] = irr_img.get(j, target.bot) | target._element(q)
     h = _hom_from_irreducibles(lat, target, irr_img)
     if any(h(gen_img[g]) != assign[g] for g in p.gens):
         raise StructureError("assignment does not extend to a hom")

@@ -1,6 +1,6 @@
 """Shared enumeration helpers: all small posets up to isomorphism,
-seeded random structure generators, and the hypothesis poset strategy
-used across the suites."""
+seeded random structure generators, and the hypothesis poset and
+glued-lattice strategies used across the suites."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from localix.lattice import FinLattice
 from localix.order import FinPoset, lower_sets_of, poset_isomorphic
 
 # Property tests replay the same examples on every run and keep no example
@@ -70,6 +71,23 @@ def posets(draw, max_points=5):
     up = draw(st.lists(st.booleans(), min_size=len(pts) ** 2, max_size=len(pts) ** 2))
     n = len(pts)
     return FinPoset(pts, [(pts[i], pts[j]) for i in range(n) for j in range(i + 1, n) if up[i * n + j]])
+
+
+def glued(p: FinPoset) -> FinLattice:
+    """The lower sets of ``p`` on a spectrum that doubles each point x into
+    two incomparable copies (x, 0) and (x, 1) with the strict order of
+    ``p``: every element holds both copies or neither, so the copies are
+    glued (one join-irreducible, two points), and point masks and
+    join-irreducible masks no longer agree up to relabelling."""
+    pts = [(x, i) for x in p.elements for i in (0, 1)]
+    strict = [((x, i), (y, k)) for x, y in p.leq_pairs() if x != y for i in (0, 1) for k in (0, 1)]
+    family = [frozenset((x, i) for x in low for i in (0, 1)) for low in lower_sets_of(p)]
+    return FinLattice(FinPoset(pts, strict), family)
+
+
+@st.composite
+def glued_lattices(draw, max_points=4):
+    return glued(draw(posets(max_points)))
 
 
 def _poset_signature(p: FinPoset) -> tuple:

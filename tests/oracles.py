@@ -7,10 +7,11 @@ extension, lower sets, isomorphism), the glb/lub realization of abstract lattice
 the generation closures of ``realize`` and ``extend_hom``, the recursive
 well-founded rank, truth-table polyorder entailment and the separator
 search in Boolean pushouts.  The rule fixpoints for dissolution,
-order-congruences, coverages and polyorders work on the lattice's shared
-bitmask index, as the library did before it switched to their closed
-forms; they share with it only the index and the one-step congruence
-rules that the library keeps as its runtime check.
+order-congruences and coverages work on a ``Table`` of the lattice,
+built from frozenset operations on its elements, not from the masks the
+library keeps; they share with the library only the one-step congruence
+rules that it keeps as its runtime check.  The polyorder fixpoint works
+on masks over the carrier.
 """
 
 from __future__ import annotations
@@ -20,20 +21,12 @@ from functools import reduce
 from operator import or_
 
 from localix.budgets import DEFAULT_BUDGETS, Budgets, check_budget
-from localix.congruence import (
-    OrderCongruence,
-    _column_rule,
-    _compose,
-    _pairs_to_rows,
-    _row_rule,
-    _rows_to_pairs,
-    _rule_rows,
-)
+from localix.congruence import OrderCongruence, _column_rule, _compose, _row_rule
 from localix.dissolution import Dissolution, neg
 from localix.errors import DomainError, PreconditionError, StructureError
-from localix.lattice import FinLattice, LatticeHom, _bits, _index, _Index
+from localix.lattice import FinLattice, LatticeHom, _bits
 from localix.order import FinPoset, _label, canon_key, lower_sets_of
-from localix.posite import Coverage, PolyOrder, _mask
+from localix.posite import Coverage, PolyOrder
 from localix.presented import check_assignment, spec
 from localix.pruning import Relation
 from localix.sequent import (
@@ -467,7 +460,44 @@ def ideal_completion(a) -> tuple:
 # polyorder closed forms -----------------------------------------------------
 
 
-def _heads_to_pairs(ix: _Index, heads: list[int]) -> frozenset:
+class Table:
+    """A lattice read off its frozenset elements: positions, the
+    join-irreducibles (in ``join_irreducibles`` order), each element as
+    the mask of the irreducibles below it (bit k for ``irr[k]``), and
+    meet, join and order as position tables (``leq[i]`` masks the
+    positions above i)."""
+
+    def __init__(self, a: FinLattice):
+        self.elems = elems = a.elements
+        self.pos = pos = {e: i for i, e in enumerate(elems)}
+        self.irr = irr = join_irreducibles(a).elements
+        self.mask = [sum(1 << k for k, j in enumerate(irr) if j <= e) for e in elems]
+        self.meet = [[pos[x & y] for y in elems] for x in elems]
+        self.join = [[pos[x | y] for y in elems] for x in elems]
+        self.leq = [sum(1 << j for j, y in enumerate(elems) if x <= y) for x in elems]
+
+    def positions(self, subset) -> int:
+        m = 0
+        for c in subset:
+            if c not in self.pos:
+                raise DomainError(f"{c!r} not in the coverage base")
+            m |= 1 << self.pos[c]
+        return m
+
+    def rows(self, pairs) -> list[int]:
+        r = [0] * len(self.elems)
+        for x, y in pairs:
+            if x not in self.pos or y not in self.pos:
+                raise DomainError(f"pair ({x!r}, {y!r}) mentions a non-element")
+            r[self.pos[x]] |= 1 << self.pos[y]
+        return r
+
+    def pairs(self, r: list[int]) -> frozenset:
+        elems = self.elems
+        return frozenset((elems[i], elems[j]) for i, ri in enumerate(r) for j in _bits(ri))
+
+
+def _heads_to_pairs(ix: Table, heads: list[int]) -> frozenset:
     elems, mask = ix.elems, ix.mask
     return frozenset(
         (elems[c], neg(elems[b]))
@@ -477,7 +507,7 @@ def _heads_to_pairs(ix: _Index, heads: list[int]) -> frozenset:
     )
 
 
-def dissolution_close(ix: _Index, heads: list[int]) -> list[int]:
+def dissolution_close(ix: Table, heads: list[int]) -> list[int]:
     """Least pair ideal whose column heads dominate ``heads``.
 
     Heads are masks over the join-irreducibles, one per negated element
@@ -525,7 +555,7 @@ def dissolution_close(ix: _Index, heads: list[int]) -> list[int]:
 def dissolve(a: FinLattice) -> Dissolution:
     """The pair-ideal lattice of ``a``, as the join closure of the
     principal ideals of single pairs, starting from the least ideal."""
-    ix = _index(a)
+    ix = Table(a)
     if len(ix.irr) > 62:  # the point numbering below packs each head in 8 bytes
         raise StructureError("lattice too large to dissolve")
     mask = ix.mask
@@ -595,7 +625,7 @@ def dissolve(a: FinLattice) -> Dissolution:
 
 def eta_principal(a: FinLattice, x) -> frozenset:
     """The fixpoint closure of {(x, neg bottom)}."""
-    ix = _index(a)
+    ix = Table(a)
     g = list(ix.mask)
     g[ix.pos[a.bot]] |= ix.mask[ix.pos[x]]
     return _heads_to_pairs(ix, dissolution_close(ix, g))
@@ -605,7 +635,7 @@ def nA_congruence_bijection(a: FinLattice):
     """The element -> congruence map, and its inverse by closing the
     congruence's pairs into a pair ideal."""
     d = dissolve(a)
-    ix = _index(a)
+    ix = Table(a)
     by_pairs = {v: k for k, v in d.repr.items()}
 
     def to_congruence(element) -> OrderCongruence:
@@ -620,18 +650,19 @@ def nA_congruence_bijection(a: FinLattice):
     return to_congruence, to_element
 
 
-def congruence_close(ix: _Index, rel: list[int]) -> list[int]:
+def congruence_close(ix: Table, rel: list[int]) -> list[int]:
     """Least order-congruence (as rows of position masks) containing ``rel``.
 
     Fixpoint of: contains leq; transitive; meet-stable; the set of
     elements below any fixed right-hand side is join-closed.
     """
-    _, ups = _rule_rows(ix)
+    ups = [ix.leq[ix.pos[j]] for j in ix.irr]
     r = [ri | li for ri, li in zip(rel, ix.leq)]
     while True:
         r2 = _row_rule(_compose(r), ups)
         # before the fixpoint a row need not hold the rows above it
-        nxt = _column_rule(ix, r2, [reduce(or_, (r2[a] for a in _bits(u)), 0) for u in ups])
+        cols = [reduce(or_, (r2[a] for a in _bits(u)), 0) for u in ups]
+        nxt = _column_rule(ix.mask, r2, cols)
         if nxt == r:
             return r
         r = nxt
@@ -639,9 +670,8 @@ def congruence_close(ix: _Index, rel: list[int]) -> list[int]:
 
 def gen_order_congruence(a: FinLattice, pairs) -> OrderCongruence:
     """Least order-congruence on ``a`` containing the given pairs."""
-    ix = _index(a)
-    r = congruence_close(ix, _pairs_to_rows(ix, pairs))
-    return OrderCongruence(a, _rows_to_pairs(ix, r))
+    ix = Table(a)
+    return OrderCongruence(a, ix.pairs(congruence_close(ix, ix.rows(pairs))))
 
 
 def enumerate_order_congruences(a: FinLattice) -> list[OrderCongruence]:
@@ -652,7 +682,7 @@ def enumerate_order_congruences(a: FinLattice) -> list[OrderCongruence]:
     the two elements, so closures of cover collapses generate
     everything.  Breadth-first join closure over that generating set.
     """
-    ix = _index(a)
+    ix = Table(a)
     n = len(ix.elems)
     bottom = tuple(congruence_close(ix, [0] * n))
     steps = []
@@ -672,7 +702,7 @@ def enumerate_order_congruences(a: FinLattice) -> list[OrderCongruence]:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    out = [OrderCongruence(a, _rows_to_pairs(ix, r)) for r in seen]
+    out = [OrderCongruence(a, ix.pairs(r)) for r in seen]
     out.sort(key=lambda c: (len(c.rel), sorted(map(repr, c.rel))))
     return out
 
@@ -748,13 +778,13 @@ def polyposet_oracle(p: PolyOrder, left, right) -> bool:
     return True
 
 
-def _below(ix: _Index) -> list[list[int]]:
+def _below(ix: Table) -> list[list[int]]:
     """Per element position, the positions below it."""
     n = len(ix.elems)
     return [[j for j in range(n) if ix.leq[j] >> i & 1] for i in range(n)]
 
 
-def _meet_mask(idx: _Index, a: int, cm: int) -> int:
+def _meet_mask(idx: Table, a: int, cm: int) -> int:
     """The mask of the meets of ``a`` with the members of mask ``cm``."""
     m = 0
     for c in _bits(cm):
@@ -762,7 +792,7 @@ def _meet_mask(idx: _Index, a: int, cm: int) -> int:
     return m
 
 
-def _meet_stabilize(idx: _Index, gen_pairs: set[tuple[int, int]]) -> set:
+def _meet_stabilize(idx: Table, gen_pairs: set[tuple[int, int]]) -> set:
     """Close generators under: a <= b covered by C forces a covered by a /\\ C."""
     out = set(gen_pairs)
     below = _below(idx)
@@ -778,14 +808,14 @@ def saturate_coverage(
     """Least coverage containing ``gen``; fixpoint over the closure rules:
     reflexivity, left- and right-transitivity and meet-stability."""
     check_budget(budgets, "carrier", len(base))
-    idx = _index(base)
+    idx = Table(base)
     n = len(idx.elems)
     below = _below(idx)
     gen_pairs = set()
     for a, c in gen:
         if a not in idx.pos:
             raise DomainError(f"{a!r} not in the coverage base")
-        gen_pairs.add((idx.pos[a], _mask(idx, c)))
+        gen_pairs.add((idx.pos[a], idx.positions(c)))
     gen_pairs = _meet_stabilize(idx, gen_pairs)
     rel: list[set] = [set() for _ in range(n)]
     for i, cm in gen_pairs:
@@ -819,7 +849,7 @@ def saturate_coverage(
                     if cm & ~ok == 0 and dm not in rel[a]:
                         rel[a].add(dm)
                         changed = True
-    return Coverage(base, tuple(sorted(((a, frozenset(c)) for a, c in gen), key=canon_key)), idx, rel)
+    return Coverage(base, tuple(sorted(((a, frozenset(c)) for a, c in gen), key=canon_key)), rel)
 
 
 # -- searches behind the pruning rank and pushout separation ------------------

@@ -60,6 +60,18 @@ def test_validation():
         FrameTopology("pq", [frozenset("z")])
 
 
+def test_neighbourhoods_and_glued_points_match_the_opens():
+    for t in all_topologies("pqr"):
+        for r in t.reps:
+            want = frozenset(t.reps).intersection(*[o for o in t.opens if r in o])
+            assert t.min_nbhd[r] == want
+        for p in t.points:
+            q = t.rep_of[p]
+            assert q == min((x for x in t.points if t.rep_of[x] == q), key=str)
+    with pytest.raises(StructureError):
+        FrameTopology("pqr", [frozenset("pq"), frozenset("qr")])  # no intersection
+
+
 def test_indistinguishable_points_collapse():
     t = FrameTopology("pq", [])  # indiscrete: p and q share all neighborhoods
     assert len(t.reps) == 1

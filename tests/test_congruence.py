@@ -10,11 +10,11 @@ from localix.congruence import (
 )
 from localix.budgets import DEFAULT_BUDGETS
 from localix.errors import ResourceBudgetError, StructureError
-from localix.lattice import join_irreducibles, lower_sets, powerset_lattice
+from localix.lattice import FinLattice, join_irreducibles, lower_sets, powerset_lattice
 from localix.order import FinPoset
 
 import oracles
-from conftest import posets, posets_up_to, random_poset
+from conftest import glued, glued_lattices, posets, posets_up_to, random_poset
 
 
 def chain_lattice(n):
@@ -128,6 +128,15 @@ def test_enumeration_checks_the_budget_first(monkeypatch):
         enumerate_order_congruences(powerset_lattice("wxyz"), DEFAULT_BUDGETS.bumped(elements=64))
 
 
+def test_enumeration_checks_the_budget_before_listing_the_irreducibles(monkeypatch):
+    def no_irreducibles(self):
+        raise AssertionError("the join-irreducibles were listed")
+
+    monkeypatch.setattr(FinLattice, "_irreducibles", no_irreducibles)
+    with pytest.raises(ResourceBudgetError, match="elements budget exceeded"):
+        enumerate_order_congruences(chain_lattice(100))  # 2^99 congruences
+
+
 def _collapsed(p, c):
     """The points whose principal down-set collapses onto its strict part."""
     def down(j, strict):
@@ -154,18 +163,41 @@ def test_enumeration_order_follows_pair_reprs():
 # -- properties against the rule fixpoint ---------------------------------------
 
 
-@settings(max_examples=150)
-@given(posets(max_points=5))
-def test_enumeration_matches_the_fixpoint_search(p):
-    a = lower_sets(p)
+def _enumeration_matches(a):
     got, want = enumerate_order_congruences(a), oracles.enumerate_order_congruences(a)
     assert [c.rel for c in got] == [c.rel for c in want]
 
 
 @settings(max_examples=150)
-@given(posets(max_points=5), st.data())
-def test_generated_congruence_matches_the_fixpoint(p, data):
-    a = lower_sets(p)
+@given(posets(max_points=5))
+def test_enumeration_matches_the_fixpoint_search(p):
+    _enumeration_matches(lower_sets(p))
+
+
+def test_enumeration_matches_the_fixpoint_search_on_glued_points():
+    for p in posets_up_to(4):
+        _enumeration_matches(glued(p))
+
+
+@settings(max_examples=60)
+@given(glued_lattices())
+def test_enumeration_matches_the_fixpoint_search_on_glued_mixed_labels(a):
+    _enumeration_matches(a)
+
+
+def _generated_matches(a, data):
     elems = st.sampled_from(a.elements)
     pairs = data.draw(st.lists(st.tuples(elems, elems), max_size=4))
     assert gen_order_congruence(a, pairs) == oracles.gen_order_congruence(a, pairs)
+
+
+@settings(max_examples=150)
+@given(posets(max_points=5), st.data())
+def test_generated_congruence_matches_the_fixpoint(p, data):
+    _generated_matches(lower_sets(p), data)
+
+
+@settings(max_examples=60)
+@given(glued_lattices(), st.data())
+def test_generated_congruence_matches_the_fixpoint_on_glued_points(a, data):
+    _generated_matches(a, data)

@@ -7,6 +7,7 @@ from localix.congruence import enumerate_order_congruences
 from localix.dissolution import dissolve, eta_principal, nA_congruence_bijection, neg
 from localix.errors import DomainError, ResourceBudgetError
 from localix.lattice import (
+    FinLattice,
     join_irreducibles,
     lattice_isomorphic,
     lower_sets,
@@ -15,7 +16,7 @@ from localix.lattice import (
 from localix.order import FinPoset
 
 import oracles
-from conftest import posets, posets_up_to, random_poset
+from conftest import glued, glued_lattices, posets, posets_up_to, random_poset
 
 
 def chain_lattice(n):
@@ -126,6 +127,16 @@ def test_budget_is_checked_before_any_pair_set_is_built(monkeypatch):
         dissolve(powerset_lattice(range(7)), small)
 
 
+def _no_irreducibles(self):
+    raise AssertionError("the join-irreducibles were listed")
+
+
+def test_budget_is_checked_before_the_irreducibles_are_listed(monkeypatch):
+    monkeypatch.setattr(FinLattice, "_irreducibles", _no_irreducibles)
+    with pytest.raises(ResourceBudgetError, match="elements budget exceeded"):
+        dissolve(chain_lattice(100))  # 2^99 result elements
+
+
 def test_default_budget_admits_six_atoms():
     d = dissolve(powerset_lattice(range(6)))  # 64 rows of 64: exactly the limit
     assert len(d.result) == 64
@@ -134,16 +145,33 @@ def test_default_budget_admits_six_atoms():
 # -- properties against the pair-ideal fixpoint ---------------------------------
 
 
-@settings(max_examples=150)
-@given(posets(max_points=5))
-def test_dissolve_matches_the_fixpoint(p):
-    a = lower_sets(p)
+def _matches_the_fixpoint(a):
     d, want = dissolve(a), oracles.dissolve(a)
     assert d.result == want.result
     assert d.result.to_json() == want.result.to_json()
     assert d.unit.graph == want.unit.graph
     assert list(d.unit.graph) == list(want.unit.graph)
     assert list(d.repr.items()) == list(want.repr.items())
+
+
+@settings(max_examples=150)
+@given(posets(max_points=5))
+def test_dissolve_matches_the_fixpoint(p):
+    _matches_the_fixpoint(lower_sets(p))
+
+
+def test_dissolve_matches_the_fixpoint_on_glued_points():
+    for p in posets_up_to(4):
+        a = glued(p)
+        _matches_the_fixpoint(a)
+        for x in a.elements:
+            assert eta_principal(a, x) == oracles.eta_principal(a, x)
+
+
+@settings(max_examples=60)
+@given(glued_lattices())
+def test_dissolve_matches_the_fixpoint_on_glued_mixed_labels(a):
+    _matches_the_fixpoint(a)
 
 
 @settings(max_examples=100)
@@ -154,13 +182,22 @@ def test_eta_principal_matches_the_fixpoint(p):
         assert eta_principal(a, x) == oracles.eta_principal(a, x)
 
 
-@settings(max_examples=60)
-@given(posets(max_points=5))
-def test_congruence_bijection_matches_the_fixpoint(p):
-    a = lower_sets(p)
+def _bijection_matches(a):
     to_c, to_e = nA_congruence_bijection(a)
     want_c, want_e = oracles.nA_congruence_bijection(a)
     for e in dissolve(a).result.elements:
         assert to_c(e) == want_c(e)
     for c in enumerate_order_congruences(a):
         assert to_e(c) == want_e(c)
+
+
+@settings(max_examples=60)
+@given(posets(max_points=5))
+def test_congruence_bijection_matches_the_fixpoint(p):
+    _bijection_matches(lower_sets(p))
+
+
+@settings(max_examples=30)
+@given(glued_lattices(max_points=3))
+def test_congruence_bijection_matches_the_fixpoint_on_glued_points(a):
+    _bijection_matches(a)

@@ -25,7 +25,7 @@ from localix.lattice import (
 from localix.order import FinPoset, canon_key, lower_sets_of, poset_isomorphic
 
 import oracles
-from conftest import posets, posets_up_to, random_poset
+from conftest import glued, glued_lattices, posets, posets_up_to, random_poset
 
 
 def chain_poset(n):
@@ -327,6 +327,33 @@ def lattices(draw, max_points=3):
 def test_enumerate_homs_matches_the_search(a, b):
     want = [h.graph for h in oracles.enumerate_homs(a, b)]
     assert [h.graph for h in enumerate_homs(a, b)] == want
+
+
+@settings(max_examples=100)
+@given(glued_lattices(max_points=3), lattices(), st.booleans())
+def test_enumerate_homs_matches_the_search_on_glued_points(a, b, swap):
+    if swap:
+        a, b = b, a
+    want = [h.graph for h in oracles.enumerate_homs(a, b)]
+    assert [h.graph for h in enumerate_homs(a, b)] == want
+
+
+def _irreducibles_in_order(a):
+    """The elements of ``_irreducibles``, which dissolve numbers its points by."""
+    return [a._element(j) for j in a._irreducibles()]
+
+
+def test_irreducible_masks_list_the_join_irreducibles_in_order():
+    for p in posets_up_to(5):
+        for a in (lower_sets(p), glued(p)):
+            want = list(oracles.join_irreducibles(a).elements)
+            assert _irreducibles_in_order(a) == list(join_irreducibles(a).elements) == want
+
+
+@settings(max_examples=200)
+@given(st.one_of(posets(max_points=5).map(lower_sets), glued_lattices(max_points=5), lattices(5)))
+def test_irreducible_masks_follow_canon_key_on_mixed_labels(a):
+    assert _irreducibles_in_order(a) == list(oracles.join_irreducibles(a).elements)
 
 
 @st.composite

@@ -22,7 +22,7 @@ from localix.posite import (
 )
 
 import oracles
-from conftest import posets, random_poset
+from conftest import glued_lattices, posets, random_poset
 from oracles import polyposet_oracle
 
 
@@ -91,17 +91,27 @@ def test_generated_vs_saturated_ideals_agree(rng):
             assert sorted(to_elem, key=sorted) == sorted(plain, key=sorted)
 
 
-@settings(max_examples=100)
-@given(posets(max_points=5), st.data())
-def test_coverage_saturation_matches_the_rule_fixpoint(p, data):
-    base = lower_sets(p)
-    assume(len(base) <= 8)
+def _saturation_matches(base, data):
     elems = st.sampled_from(base.elements)
     gens = data.draw(st.lists(st.tuples(elems, st.lists(elems, max_size=2)), max_size=3))
     budgets = DEFAULT_BUDGETS.bumped(carrier=8)
     got, want = saturate_coverage(base, gens, budgets), oracles.saturate_coverage(base, gens, budgets)
     assert got.pairs() == want.pairs()
     assert got._rel == want._rel
+
+
+@settings(max_examples=100)
+@given(posets(max_points=5), st.data())
+def test_coverage_saturation_matches_the_rule_fixpoint(p, data):
+    base = lower_sets(p)
+    assume(len(base) <= 8)
+    _saturation_matches(base, data)
+
+
+@settings(max_examples=30)
+@given(glued_lattices(max_points=3), st.data())
+def test_coverage_saturation_matches_the_rule_fixpoint_on_glued_points(base, data):
+    _saturation_matches(base, data)
 
 
 def test_coverage_saturation_on_empty_covers():
