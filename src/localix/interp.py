@@ -3,9 +3,12 @@
 Maehara-style extraction over the one-sided calculus, Boolean pushout
 separators via spectra, cocomma and bilax-pushout interpolation by
 extremal witnesses, and spatial Novikov separation.  Every witness is
-re-checked before it is returned.  ``interpolate_sequent`` extracts from
-the derivation ``prove`` has just validated and does not validate it
-again; ``maehara_interpolant``, which takes any derivation, does.
+re-checked before it is returned.  Sequent interpolants are read off a
+derivation of split sequents, once per distinct node, and their two
+obligations are certified on truth tables.  ``interpolate_sequent``
+extracts from the derivation ``prove`` has just validated and does not
+validate it again; ``maehara_interpolant``, which takes any derivation,
+does.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .budgets import DEFAULT_BUDGETS, Budgets
+from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
 from .errors import (
     DomainError,
     NotSeparableError,
@@ -29,8 +32,8 @@ from .sequent import (
     TOP,
     Derivation,
     Term,
-    join_t,
-    meet_t,
+    _collect,
+    _tables,
     neg,
     prove,
     term_key,
@@ -66,29 +69,35 @@ class InterpolationProblem:
             raise DomainError("algebraic homs must share a source")
 
 
-def _assign_blocks(terms, left, right, blocks, prefer="L"):
-    """Put each new term in the first block, in ``prefer`` order, that
-    covers its generators.  A term that fits no block is reported, the
-    first in ``term_key`` order, after the others are assigned, so the
-    message does not depend on set order."""
-    order = ("L", "R") if prefer == "L" else ("R", "L")
+def _split(groups, left: frozenset, right: frozenset) -> tuple[frozenset, frozenset]:
+    """The left and right parts of a split sequent.
+
+    ``groups`` pairs terms with the blocks they may go to, in order of
+    preference ("LR", "RL", or one pinned block).  Each term goes to the
+    first of its blocks that covers its generators; a term listed twice
+    can end up in both parts.  A term that fits none of its blocks is
+    reported, the first in ``term_key`` order, so the message does not
+    depend on set order.
+    """
     sides = {"L": left, "R": right}
+    parts: dict[str, set] = {"L": set(), "R": set()}
     bad = []
-    for t in terms:
-        if t in blocks:
-            if not term_vars(t) <= sides[blocks[t]]:
-                bad.append((t, "does not fit its assigned block"))
-            continue
-        vs = term_vars(t)
-        for side in order:
-            if vs <= sides[side]:
-                blocks[t] = side
-                break
-        else:
-            bad.append((t, "uses generators from both blocks"))
+    for terms, order in groups:
+        for t in terms:
+            vs = term_vars(t)
+            for side in order:
+                if vs <= sides[side]:
+                    parts[side].add(t)
+                    break
+            else:
+                why = "uses generators from both blocks"
+                if len(order) == 1:
+                    why = "does not fit its assigned block"
+                bad.append((t, why))
     if bad:
         t, why = min(bad, key=lambda tw: term_key(tw[0]))
         raise PreconditionError("split", f"term {t!r} {why}")
+    return frozenset(parts["L"]), frozenset(parts["R"])
 
 
 def maehara_interpolant(
@@ -100,58 +109,108 @@ def maehara_interpolant(
 ) -> Term:
     """Interpolant extraction by induction over a cut-free derivation.
 
-    Each term of the root sequent is assigned to the block covering its
-    generators (left preferred); rule premises inherit the principal's
-    block.  The derivation is validated first; the two obligations are
-    re-proved under ``budgets`` and the shared-generator condition is
+    ``blocks`` may pin terms of the root sequent to "L" or "R"; every
+    other term goes to the block covering its generators (left
+    preferred).  The generator count is checked against ``budgets``
+    first, then the derivation is validated; the two obligations are
+    certified on truth tables and the shared-generator condition is
     asserted before returning.
     """
+    left, right = frozenset(left), frozenset(right)
+    gens = frozenset().union(*map(term_vars, d.sequent))
+    check_budget(budgets, "sequent_gens", len(gens))
     d.validate()
-    return _extract(d, frozenset(left), frozenset(right), blocks, budgets)
+    pinned = blocks or {}
+    groups = [((t,), pinned[t]) for t in d.sequent if t in pinned]
+    groups.append(([t for t in d.sequent if t not in pinned], "LR"))
+    return _extract(d, left, right, *_split(groups, left, right))
+
+
+def _flat(kind: str, parts: Iterable[Term]) -> Term:
+    """The meet or join of ``parts``, flattened: children of the same
+    kind are merged (so units vanish) and a single child stands alone."""
+    kids: set = set()
+    for p in parts:
+        if p.kind == kind:
+            kids |= p.children
+        else:
+            kids.add(p)
+    if len(kids) == 1:
+        return kids.pop()
+    return Term(kind, None, frozenset(kids))
 
 
 def _extract(
-    d: Derivation, left: frozenset, right: frozenset, blocks: Optional[dict], budgets: Budgets
+    d: Derivation, left: frozenset, right: frozenset, lpart: frozenset, rpart: frozenset
 ) -> Term:
-    """``maehara_interpolant`` on a derivation already validated."""
+    """The interpolant of the validated ``d`` for the split ``lpart ; rpart``.
 
-    def go(node: Derivation, blocks: dict) -> Term:
-        a = node.sequent
+    Nodes carry split sequents: a term sits in the left part, the right
+    part or both, and a premise's new terms join the principal's part
+    (Maehara; Troelstra & Schwichtenberg, *Basic Proof Theory*, 4.4).  A
+    principal in both parts is read as a left one.  Parts are int masks
+    over the root's subterms, and each distinct (node, left part, right
+    part) is extracted once.  The result is certified: its generators
+    are shared, and |- lpart, I and |- rpart, not I hold on truth tables
+    over the root's generators.
+    """
+    subterms: dict[Term, None] = {}
+    for t in d.sequent:
+        _collect(t, subterms)
+    bit = {t: 1 << r for r, t in enumerate(subterms)}
+    # complementary pairs, in term_key order of their positive literal
+    pos = sorted((t for t in subterms if t.kind == "pos" and t.dual in bit), key=term_key)
+    pairs = [(bit[t] | bit[t.dual], bit[t], t) for t in pos]
+    masks: dict[int, int] = {}
+    memo: dict[tuple, Term] = {}
+
+    def go(node: Derivation, lm: int, rm: int) -> Term:
+        key = (id(node), lm, rm)
+        i = memo.get(key)
+        if i is not None:
+            return i
+        m = lm | rm
         if node.rule == "axiom":
-            for t in sorted(a, key=term_key):
-                if t.kind != "pos":
-                    continue
-                nt = t.dual
-                if nt not in a:
-                    continue
-                bl, bn = blocks[t], blocks[nt]
-                if bl == "L" and bn == "L":
-                    return BOT
-                if bl == "R" and bn == "R":
-                    return TOP
-                return nt if bl == "L" else t
-            raise StructureError("axiom node lacks a literal pair")
-        side = blocks[node.principal]
-        child_blocks = dict(blocks)
-        for c in node.children:
-            for t in c.sequent - a:
-                child_blocks.setdefault(t, side)
-        parts = [go(c, child_blocks) for c in node.children]
-        if node.rule == "meetR":
-            return join_t(parts) if side == "L" else meet_t(parts)
-        return parts[0]  # joinR variants pass the premise interpolant up
+            for pm, pb, t in pairs:
+                if m & pm == pm:
+                    if lm & pm == pm:
+                        i = BOT
+                    elif rm & pm == pm:
+                        i = TOP
+                    else:  # one literal in each part: the left one's dual
+                        i = t.dual if lm & pb else t
+                    break
+            else:
+                raise StructureError("axiom node lacks a literal pair")
+        else:
+            on_left = bool(lm & bit[node.principal])
+            parts = []
+            for c in node.children:
+                cm = masks.get(id(c))
+                if cm is None:
+                    cm = masks[id(c)] = sum(map(bit.__getitem__, c.sequent))
+                new = cm & ~m
+                parts.append(go(c, lm | new, rm) if on_left else go(c, lm, rm | new))
+            if node.rule == "meetR":
+                i = _flat("join" if on_left else "meet", parts)
+            else:  # joinR variants pass the premise interpolant up
+                i = parts[0]
+        memo[key] = i
+        return i
 
-    blocks = dict(blocks) if blocks else {}
-    _assign_blocks(d.sequent, left, right, blocks)
-    i = go(d, blocks)
+    i = go(d, sum(map(bit.__getitem__, lpart)), sum(map(bit.__getitem__, rpart)))
     if not term_vars(i) <= left & right:
         raise StructureError("interpolant escapes the shared generators")
-    a_l = frozenset(t for t in d.sequent if blocks[t] == "L")
-    a_r = d.sequent - a_l
-    if not prove(a_l | {i}, budgets=budgets).derivable:
-        raise StructureError("left interpolation obligation failed to re-prove")
-    if not prove(a_r | {neg(i)}, budgets=budgets).derivable:
-        raise StructureError("right interpolation obligation failed to re-prove")
+    table, _, full = _tables(d.sequent | {i})
+    lt = rt = 0
+    for t in lpart:
+        lt |= table[t]
+    for t in rpart:
+        rt |= table[t]
+    if lt | table[i] != full:
+        raise StructureError("left interpolation obligation fails on its truth table")
+    if rt | (full ^ table[i]) != full:
+        raise StructureError("right interpolation obligation fails on its truth table")
     return i
 
 
@@ -160,21 +219,19 @@ def interpolate_sequent(
 ) -> tuple[Term, Derivation]:
     """Prove a two-sided sequent and interpolate it.
 
-    Antecedent terms default into the left block and succedent terms
-    into the right block, so shared-vocabulary terms interpolate the
-    way the turnstile reads.  ``prove`` has just validated the
-    derivation, so extraction does not validate it again; both
-    obligations are still re-proved.
+    Antecedent terms (negated) prefer the left block and succedent terms
+    the right block, so shared-vocabulary terms interpolate the way the
+    turnstile reads; a term on both sides of the one-sided sequent sits
+    in both parts when it fits both.  ``prove`` has just checked the
+    budgets and validated the derivation, so extraction does neither
+    again; both obligations are certified on truth tables.
     """
     left, right = frozenset(left), frozenset(right)
     result = prove(s, budgets=budgets)
     if not result.derivable:
         raise PreconditionError("derivable", f"{s} is not derivable")
-    blocks: dict = {}
-    _assign_blocks((neg(t) for t in s.left), left, right, blocks, prefer="L")
-    _assign_blocks(s.right, left, right, blocks, prefer="R")
-    i = _extract(result.derivation, left, right, blocks, budgets)
-    return i, result.derivation
+    lpart, rpart = _split([([neg(t) for t in s.left], "LR"), (s.right, "RL")], left, right)
+    return _extract(result.derivation, left, right, lpart, rpart), result.derivation
 
 
 # -- Boolean pushout separation ----------------------------------------------

@@ -298,17 +298,43 @@ def prove(
         raise DomainError(f"unknown calculus {calculus!r}")
     a0 = _as_one_sided(s)
     check_budget(budgets, "sequent_depth", max((t.depth for t in a0), default=0))
-    subterms: dict[Term, None] = {}
+    table, gens, full = _tables(a0, budgets)
+    n = len(gens)
+    union = 0
     for t in a0:
+        union |= table[t]
+    if union != full:
+        i = ((union + 1) & ~union).bit_length() - 1  # the lowest zero bit
+        v = {g: bool(i >> (n - 1 - j) & 1) for j, g in enumerate(gens)}
+        if any(eval_term(t, v) for t in a0):
+            raise StructureError("countermodel does not falsify the sequent")
+        return ProofResult(False, None, v)
+    d = _replay(a0, table, calculus)
+    d.validate()
+    return ProofResult(True, d, None)
+
+
+def _tables(terms: Iterable[Term], budgets: Optional[Budgets] = None) -> tuple[dict, list, int]:
+    """The truth table of every subterm of ``terms``: the one evaluator
+    behind ``prove`` and the interpolation certificate.
+
+    Returns the tables keyed by subterm, children before their parents,
+    the generators in ``canon_key`` order and the all-ones table.  With
+    ``budgets`` the generator count is checked before any table is
+    built.
+    """
+    subterms: dict[Term, None] = {}
+    for t in terms:
         _collect(t, subterms)
     keys = {t.gen: t.sort_key[2] for t in subterms if t.kind in ("pos", "neg")}
     gens = sorted(keys, key=keys.__getitem__)  # in canon_key order
-    check_budget(budgets, "sequent_gens", len(gens))
+    if budgets is not None:
+        check_budget(budgets, "sequent_gens", len(gens))
     n = len(gens)
     full = (1 << (1 << n)) - 1
     masks = dict(zip(gens, _gen_masks(n)))
     table: dict[Term, int] = {}
-    for t in subterms:  # children come before their parents
+    for t in subterms:
         if t.kind == "pos":
             m = masks[t.gen]
         elif t.kind == "neg":
@@ -322,18 +348,7 @@ def prove(
             for c in t.children:
                 m |= table[c]
         table[t] = m
-    union = 0
-    for t in a0:
-        union |= table[t]
-    if union != full:
-        i = ((union + 1) & ~union).bit_length() - 1  # the lowest zero bit
-        v = {g: bool(i >> (n - 1 - j) & 1) for j, g in enumerate(gens)}
-        if any(eval_term(t, v) for t in a0):
-            raise StructureError("countermodel does not falsify the sequent")
-        return ProofResult(False, None, v)
-    d = _replay(a0, subterms, calculus)
-    d.validate()
-    return ProofResult(True, d, None)
+    return table, gens, full
 
 
 def _collect(t: Term, out: dict) -> None:

@@ -5,8 +5,9 @@ masks, so that they share no logic with the code under test: the poset
 closure and the queries read off it (Hasse covers and their DOT, linear
 extension, lower sets, isomorphism), the glb/lub realization of abstract lattices, the hom search,
 the generation closures of ``realize`` and ``extend_hom``, the recursive
-well-founded rank, truth-table polyorder entailment and the separator
-search in Boolean pushouts.  The rule fixpoints for dissolution,
+well-founded rank, truth-table polyorder entailment, Maehara extraction
+by a walk of the derivation tree and the separator search in Boolean
+pushouts.  The rule fixpoints for dissolution,
 order-congruences and coverages work on a ``Table`` of the lattice,
 built from frozenset operations on its elements, not from the masks the
 library keeps; they share with the library only the one-step congruence
@@ -30,6 +31,8 @@ from localix.posite import Coverage, PolyOrder
 from localix.presented import check_assignment, spec
 from localix.pruning import Relation
 from localix.sequent import (
+    BOT,
+    TOP,
     Derivation,
     ProofResult,
     Sequent,
@@ -438,6 +441,47 @@ def prove(s, calculus: str = "finitary", budgets: Budgets = DEFAULT_BUDGETS) -> 
         if not any(eval_term(t, v) for t in a0):
             return ProofResult(False, None, v)
     raise StructureError("refuted sequent admits no countermodel")
+
+
+def flatten(t: Term) -> Term:
+    """``t`` with same-kind children merged and one-child nodes replaced
+    by their child, rebuilt bottom-up."""
+    if t.kind in ("pos", "neg"):
+        return t
+    kids = set()
+    for c in map(flatten, t.children):
+        kids |= c.children if c.kind == t.kind else {c}
+    return next(iter(kids)) if len(kids) == 1 else Term(t.kind, None, frozenset(kids))
+
+
+def maehara_tree(d: Derivation, blocks: dict) -> Term:
+    """Maehara extraction walking ``d`` as a tree, one block per term.
+
+    ``blocks`` maps each term of the root sequent to "L" or "R"; a
+    premise's new terms take the principal's block, each premise with
+    its own copy of the blocks.  An axiom on literals of one block gives
+    that block's unit, otherwise the left literal's negation; a meet
+    rule joins (left) or meets (right) its premises' interpolants.  The
+    result is flattened afterwards.
+    """
+
+    def go(node: Derivation, blocks: dict) -> Term:
+        a = node.sequent
+        if node.rule == "axiom":
+            for t in sorted(a, key=term_key):
+                if t.kind == "pos" and Term("neg", t.gen) in a:
+                    nt = Term("neg", t.gen)
+                    if blocks[t] == blocks[nt]:
+                        return BOT if blocks[t] == "L" else TOP
+                    return nt if blocks[t] == "L" else t
+            raise StructureError("axiom node lacks a literal pair")
+        side = blocks[node.principal]
+        parts = [go(c, {**blocks, **{t: side for t in c.sequent - a}}) for c in node.children]
+        if node.rule == "meetR":
+            return Term("join" if side == "L" else "meet", None, frozenset(parts))
+        return parts[0]
+
+    return flatten(go(d, blocks))
 
 
 def ideal_completion(a) -> tuple:

@@ -3,6 +3,7 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from localix import interp, sequent
 from localix.budgets import DEFAULT_BUDGETS
 from localix.errors import (
     DomainError,
@@ -23,6 +24,7 @@ from localix.lattice import LatticeHom, enumerate_homs, lower_sets, powerset_lat
 from localix.order import FinPoset
 from localix.sequent import (
     BOT,
+    Derivation,
     Sequent,
     eval_term,
     join_t,
@@ -37,6 +39,7 @@ from localix.sequent import (
 
 import oracles
 from conftest import posets
+from test_cli import invoke
 
 
 def two():
@@ -120,6 +123,155 @@ def test_maehara_obligations_reprove(rng):
         assert term_vars(i) <= left & right
         assert prove(Sequent(s.left, frozenset([i]))).derivable
         assert prove(Sequent(frozenset([i]), s.right)).derivable
+
+
+# -- extraction on split sequents ----------------------------------------------
+
+GENS = "abcdef"
+# the oracle search re-proves the obligations; an interpolant may be
+# deeper than the sequent it came from
+DEEP = DEFAULT_BUDGETS.bumped(sequent_depth=64)
+
+
+def _term(data, gens, depth, polar, pool=()):
+    """A term of depth at most ``depth`` over ``gens``; literals on a
+    generator in ``polar`` are positive, and a term of ``pool`` may
+    stand for a subterm."""
+    roll = data.draw(st.integers(0, 9))
+    if pool and roll == 0:
+        return data.draw(st.sampled_from(pool))
+    if depth == 1 or roll < 4:
+        g = data.draw(st.sampled_from(gens))
+        return var(g) if g in polar or data.draw(st.booleans()) else nvar(g)
+    mk = data.draw(st.sampled_from([meet_t, join_t]))
+    return mk(_term(data, gens, depth - 1, polar, pool) for _ in range(data.draw(st.integers(2, 3))))
+
+
+def _split_sequent(data, polarized: bool):
+    """A depth-3 sequent over six generators with a random block split:
+    the antecedent over the left block, the succedent over the right.
+    Unless ``polarized``, a term over the shared generators may occur
+    negated in the antecedent and as is in the succedent, so the
+    one-sided sequent holds it on both sides.  With ``polarized``,
+    shared generators occur only positively, so the negated antecedent
+    and the succedent share no subterm."""
+    left = data.draw(st.sets(st.sampled_from(GENS), min_size=1).map(sorted))
+    right = data.draw(st.sets(st.sampled_from(GENS), min_size=1).map(sorted))
+    shared = sorted(set(left) & set(right))
+    polar = frozenset(shared) if polarized else frozenset()
+    pool = ()
+    if shared and not polarized:
+        pool = (_term(data, shared, 2, polar),)
+    lhs = [_term(data, left, 3, polar, tuple(map(neg, pool))) for _ in range(data.draw(st.integers(1, 2)))]
+    rhs = [_term(data, right, 3, polar, pool) for _ in range(data.draw(st.integers(1, 2)))]
+    return Sequent(frozenset(lhs), frozenset(rhs)), frozenset(left), frozenset(right)
+
+
+def _subterms(t, out):
+    out.add(t)
+    for c in t.children:
+        _subterms(c, out)
+    return out
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_every_derivable_split_sequent_interpolates(data):
+    s, left, right = _split_sequent(data, polarized=False)
+    if not prove(s).derivable:
+        with pytest.raises(PreconditionError):
+            interpolate_sequent(s, left, right)
+        return
+    i, _ = interpolate_sequent(s, left, right)
+    assert term_vars(i) <= left & right
+    assert oracles.prove(Sequent(s.left, frozenset([i])), budgets=DEEP).derivable
+    assert oracles.prove(Sequent(frozenset([i]), s.right), budgets=DEEP).derivable
+    # any validated derivation will do: the oracle search's, with every
+    # root term in the left part when it fits there
+    d = oracles.prove(s).derivation
+    j = maehara_interpolant(d, left, right)
+    lpart = frozenset(t for t in d.sequent if term_vars(t) <= left)
+    assert term_vars(j) <= left & right
+    assert oracles.prove(lpart | {j}, budgets=DEEP).derivable
+    assert oracles.prove((d.sequent - lpart) | {neg(j)}, budgets=DEEP).derivable
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_memoized_extraction_is_the_tree_walk(data):
+    s, left, right = _split_sequent(data, polarized=True)
+    lhs = set().union(*(_subterms(neg(t), set()) for t in s.left))
+    rhs = set().union(*(_subterms(t, set()) for t in s.right))
+    assert not lhs & rhs
+    if not prove(s).derivable:
+        return
+    i, d = interpolate_sequent(s, left, right)
+    blocks = {**{neg(t): "L" for t in s.left}, **{t: "R" for t in s.right}}
+    assert i is oracles.maehara_tree(d, blocks)
+
+
+def test_term_reached_from_both_blocks_interpolates():
+    # a conjunct added on one branch used to keep its block on the
+    # sibling branch, where the succedent adds the same literal; the
+    # interpolant \/{\/{},/\{d,e,/\{}}} is also flattened as it is built
+    code, out = invoke([
+        "interp", "--left", "a,c,d,e,f", "--right", "b,c,d,e",
+        "{d & (!e | f) & (!c & a & e)} |- {!d & c & (!c | b), (!d | e) & (b | d) & (!b | b | d)}",
+    ])
+    assert code == 0, out
+    assert "interpolant: /\\{d,e}\n" in out
+    d, e, f, a, c, b = map(var, "defacb")
+    s = Sequent(
+        frozenset([meet_t([d, join_t([nvar("e"), f]), meet_t([nvar("c"), a, e])])]),
+        frozenset([
+            meet_t([nvar("d"), c, join_t([nvar("c"), b])]),
+            meet_t([join_t([nvar("d"), e]), join_t([b, d]), join_t([nvar("b"), b, d])]),
+        ]),
+    )
+    i, _ = interpolate_sequent(s, set("acdef"), set("bcde"))
+    assert i is meet_t([d, e])
+    assert oracles.prove(Sequent(s.left, frozenset([i]))).derivable
+    assert oracles.prove(Sequent(frozenset([i]), s.right)).derivable
+
+
+def test_interpolant_deeper_than_the_depth_budget_is_certified():
+    # the interpolant's obligations were once re-proved under the
+    # caller's sequent_depth budget, which this input's exceeded
+    b, c, e, f, a, d = map(var, "bcefad")
+    s = Sequent(
+        frozenset([e, meet_t([b, join_t([c, f])])]),
+        frozenset([join_t([a, meet_t([c, e]), meet_t([d, f])]), meet_t([f, meet_t([b])])]),
+    )
+    i, _ = interpolate_sequent(s, "bcef", "abcdef", DEFAULT_BUDGETS)
+    assert term_vars(i) <= set("bcef")
+    assert oracles.prove(Sequent(s.left, frozenset([i])), budgets=DEEP).derivable
+    assert oracles.prove(Sequent(frozenset([i]), s.right), budgets=DEEP).derivable
+
+
+def test_maehara_keeps_pinned_blocks():
+    p, q = var("p"), var("q")
+    d = prove(Sequent(frozenset([p]), frozenset([join_t([p, q])]))).derivation
+    # |- !p, \/{p,q}: with the join pinned right the interpolant is p,
+    # with both terms left it is the left unit
+    assert maehara_interpolant(d, {"p", "q"}, {"p", "q"}, {join_t([p, q]): "R"}) is p
+    assert maehara_interpolant(d, {"p", "q"}, {"p", "q"}) is BOT
+    with pytest.raises(PreconditionError, match="does not fit its assigned block"):
+        maehara_interpolant(d, {"p", "q"}, {"p"}, {join_t([p, q]): "R"})
+
+
+def test_maehara_checks_the_generator_budget_before_any_table(monkeypatch):
+    gens = "abcdefgh"
+    s = Sequent(frozenset([meet_t(var(g) for g in gens)]), frozenset([var("a")]))
+    d = prove(s, budgets=DEFAULT_BUDGETS.bumped(sequent_gens=8)).derivation
+
+    def fail(*a, **k):
+        raise AssertionError("work began before the budget check")
+
+    monkeypatch.setattr(interp, "_tables", fail)
+    monkeypatch.setattr(sequent, "_tables", fail)
+    monkeypatch.setattr(Derivation, "validate", fail)
+    with pytest.raises(ResourceBudgetError):
+        maehara_interpolant(d, set(gens), {"a"})
 
 
 def test_problem_validation():
