@@ -29,7 +29,7 @@ from .errors import (
     PreconditionError,
     ResourceBudgetError,
 )
-from .interp import interpolate_sequent
+from .interp import _interpolate
 from .lattice import FinLattice, borel_image, lower_sets, powerset_lattice
 from .order import FinPoset, canon_key
 from .posite import Coverage, cov_ideals, saturate_coverage
@@ -663,18 +663,18 @@ class Report:
         return rec
 
 
-def _to_sequent_term(t: tuple) -> sq.Term:
-    op = t[0]
-    if op == "var":
-        return sq.var(t[1])
-    if op == "top":
-        return sq.TOP
-    if op == "bot":
-        return sq.BOT
-    if op == "not":
-        return sq.neg(_to_sequent_term(t[1]))
-    mk = sq.meet_t if op == "meet" else sq.join_t
-    return mk(_to_sequent_term(s) for s in t[1:])
+def _to_sequent(seq: tuple) -> sq.Sequent:
+    return sq.Sequent(*(frozenset(map(pr._to_sequent_term, side)) for side in seq))
+
+
+def _obligations(seq: sq.Sequent, i: sq.Term, lpart: frozenset, rpart: frozenset) -> list:
+    """|- lpart, I and |- rpart, not I in two-sided form: an antecedent
+    goes left of the turnstile in the part that holds its negation."""
+    def two_sided(part: frozenset) -> tuple:
+        return frozenset(t for t in seq.left if sq.neg(t) in part), seq.right & part
+
+    (ll, lr), (rl, rr) = two_sided(lpart), two_sided(rpart)
+    return [sq.Sequent(ll, lr | {i}), sq.Sequent(rl | {i}, rr)]
 
 
 def _elem_str(x: frozenset) -> str:
@@ -716,12 +716,13 @@ class _Runner:
         self.gens = s
 
     def run_RelDecl(self, s: RelDecl):
-        if s.op == "<=":
-            self.rels.append((s.lhs, s.rhs))
-        else:
-            self.rels.append((s.lhs, s.rhs))
+        if not self.rels:  # validate eagerly: the generators once, then each relation
+            self.presentation()
+        for t in (s.lhs, s.rhs):
+            pr._check_term(t, frozenset(self.gens.names), self.gens.boolean)
+        self.rels.append((s.lhs, s.rhs))
+        if s.op == "=":
             self.rels.append((s.rhs, s.lhs))
-        self.presentation()  # validate eagerly (gens declared, terms well-formed)
 
     def run_PosetDecl(self, s: PosetDecl):
         self.bind(s.name, "poset", FinPoset(s.elems, s.pairs))
@@ -794,10 +795,7 @@ class _Runner:
         )
 
     def run_ProveQuery(self, s: ProveQuery):
-        seq = sq.Sequent(
-            frozenset(_to_sequent_term(t) for t in s.sequent[0]),
-            frozenset(_to_sequent_term(t) for t in s.sequent[1]),
-        )
+        seq = _to_sequent(s.sequent)
         res = sq.prove(seq, budgets=self.budgets)
         left_origin = frozenset(sq.neg(t) for t in seq.left)
         self.report.add(
@@ -814,12 +812,9 @@ class _Runner:
         )
 
     def run_InterpQuery(self, s: InterpQuery):
-        seq = sq.Sequent(
-            frozenset(_to_sequent_term(t) for t in s.sequent[0]),
-            frozenset(_to_sequent_term(t) for t in s.sequent[1]),
-        )
+        seq = _to_sequent(s.sequent)
         try:
-            i, deriv = interpolate_sequent(seq, s.left, s.right, self.budgets)
+            i, _, lpart, rpart = _interpolate(seq, s.left, s.right, self.budgets)
         except PreconditionError as e:
             self.report.add(
                 "interp", ok=False, sequent=str(seq), error="precondition",
@@ -827,18 +822,12 @@ class _Runner:
             )
             return
         shared = sorted(frozenset(s.left) & frozenset(s.right), key=canon_key)
-        a_l = "{" + ",".join(sq.term_to_str(t) for t in sorted(seq.left, key=sq.term_key)) + "}"
         self.report.add(
             "interp",
             sequent=str(seq),
             interpolant=sq.term_to_str(i),
             shared_generators=[str(g) for g in shared],
-            obligations=[
-                f"{a_l} |- {{{sq.term_to_str(i)}}}",
-                f"{{{sq.term_to_str(i)}}} |- " + "{" + ",".join(
-                    sq.term_to_str(t) for t in sorted(seq.right, key=sq.term_key)
-                ) + "}",
-            ],
+            obligations=[str(o) for o in _obligations(seq, i, lpart, rpart)],
         )
 
     def run_DissolveQuery(self, s: DissolveQuery):
@@ -925,12 +914,13 @@ class _Runner:
         )
 
     def run_RealizeQuery(self, s: RealizeQuery):
-        lat, gen_img = realize(self.presentation(), self.budgets)
+        p = self.presentation()
+        lat, gen_img = realize(p, self.budgets)
         self.report.add(
             "realize",
             size=len(lat),
             lattice_kind=lat.kind,
-            gens={g: _elem_str(gen_img[g]) for g in self.presentation().gens},
+            gens={g: _elem_str(gen_img[g]) for g in p.gens},
             dot=lat.to_dot("realized"),
         )
 

@@ -226,12 +226,18 @@ def interpolate_sequent(
     budgets and validated the derivation, so extraction does neither
     again; both obligations are certified on truth tables.
     """
+    return _interpolate(s, left, right, budgets)[:2]
+
+
+def _interpolate(s, left: Iterable, right: Iterable, budgets: Budgets) -> tuple:
+    """``interpolate_sequent`` plus the split it certified, the parts
+    with |- lpart, I and |- rpart, not I."""
     left, right = frozenset(left), frozenset(right)
     result = prove(s, budgets=budgets)
     if not result.derivable:
         raise PreconditionError("derivable", f"{s} is not derivable")
     lpart, rpart = _split([([neg(t) for t in s.left], "LR"), (s.right, "RL")], left, right)
-    return _extract(result.derivation, left, right, lpart, rpart), result.derivation
+    return _extract(result.derivation, left, right, lpart, rpart), result.derivation, lpart, rpart
 
 
 # -- Boolean pushout separation ----------------------------------------------

@@ -1,11 +1,13 @@
 """Presented lattices: 2-valuation spectra, realization, colimits.
 
-A presentation lists generators and inequations between lattice terms.
-Its spectrum is the set of 2-valuations of the generators satisfying
-every relation; realizing a presentation embeds it into the powerset
-of its spectrum.  At finite scale this embedding is faithful, which is
-what makes the spectrum enumeration a usable decision procedure and a
-system-wide oracle for the colimit constructions below.
+A presentation lists generators and inequations between lattice terms,
+nested tuples kept as syntax; they mean the truth tables of ``sequent``.
+Its spectrum, the 2-valuations satisfying every relation l <= r, is one
+2^n-bit int: the AND of not T(l) or T(r).  Realizing a presentation
+embeds it into the powerset of its spectrum.  At finite scale this
+embedding is faithful, which is what makes the spectrum a usable
+decision procedure and a system-wide oracle for the colimit
+constructions below.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from . import sequent as sq
 from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
 from .errors import DomainError, PreconditionError, StructureError
 from .lattice import (
@@ -33,10 +36,7 @@ __all__ = [
     "neg",
     "meet",
     "join",
-    "eval_term",
     "eval_term_in",
-    "term_vars",
-    "term_to_str",
     "Presentation",
     "SpecModel",
     "spec",
@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 # Lattice terms are nested tuples: ("top",), ("bot",), ("var", g),
-# ("not", t), ("meet", t1, ..., tk), ("join", t1, ..., tk).
+# ("not", t), ("meet", t1, ..., tk), ("join", t1, ..., tk): syntax only.
 
 TOP = ("top",)
 BOT = ("bot",)
@@ -77,31 +77,19 @@ def join(*ts: tuple) -> tuple:
     return ("join", *ts)
 
 
-def term_vars(t: tuple) -> frozenset:
+def _to_sequent_term(t: tuple) -> sq.Term:
+    """The meaning of a tuple term: a prenex term, ``not`` by ``sequent.neg``."""
     op = t[0]
     if op == "var":
-        return frozenset([t[1]])
-    if op in ("top", "bot"):
-        return frozenset()
-    return frozenset().union(*[term_vars(s) for s in t[1:]])
-
-
-def eval_term(t: tuple, val: dict) -> bool:
-    """Evaluate under a 2-valuation; empty meet is true, empty join false."""
-    op = t[0]
-    if op == "var":
-        return val[t[1]]
+        return sq.var(t[1])
     if op == "top":
-        return True
+        return sq.TOP
     if op == "bot":
-        return False
+        return sq.BOT
     if op == "not":
-        return not eval_term(t[1], val)
-    if op == "meet":
-        return all(eval_term(s, val) for s in t[1:])
-    if op == "join":
-        return any(eval_term(s, val) for s in t[1:])
-    raise DomainError(f"unknown term operator {op!r}")
+        return sq.neg(_to_sequent_term(t[1]))
+    mk = sq.meet_t if op == "meet" else sq.join_t
+    return mk(_to_sequent_term(s) for s in t[1:])
 
 
 def eval_term_in(t: tuple, assign: dict, target: FinLattice) -> frozenset:
@@ -120,22 +108,6 @@ def eval_term_in(t: tuple, assign: dict, target: FinLattice) -> frozenset:
         v = eval_term_in(s, assign, target)
         out = out & v if op == "meet" else out | v
     return out
-
-
-def term_to_str(t: tuple) -> str:
-    op = t[0]
-    if op == "var":
-        return t[1]
-    if op == "top":
-        return "1"
-    if op == "bot":
-        return "0"
-    if op == "not":
-        return "!" + term_to_str(t[1])
-    sym = " & " if op == "meet" else " | "
-    if len(t) == 1:
-        return "1" if op == "meet" else "0"
-    return "(" + sym.join(term_to_str(s) for s in t[1:]) + ")"
 
 
 def _check_term(t: tuple, gens: frozenset, boolean: bool) -> None:
@@ -210,17 +182,31 @@ class SpecModel:
     points: tuple  # each point is a tuple of bools aligned with gens
 
 
+def _models(p: Presentation, budgets: Budgets) -> int:
+    """The spectrum of ``p`` as one 2^n-bit int: bit i is the i-th
+    valuation in ``itertools.product`` order over ``p.gens``, as in
+    ``sequent._gen_masks``.  A few tables are alive at a time."""
+    n = len(p.gens)
+    check_budget(budgets, "gens", n)
+    full = (1 << (1 << n)) - 1
+    masks = dict(zip(p.gens, sq._gen_masks(n)))
+    models = full
+    for l, r in p.rels:
+        lt = sq._table(_to_sequent_term(l), masks, full)
+        models &= ~lt | sq._table(_to_sequent_term(r), masks, full)
+    return models
+
+
+def _bits_set(models: int) -> Iterable[bool]:
+    """Whether bit i of ``models`` is set, for i = 0, 1, ..., without a shift per bit."""
+    return map("1".__eq__, reversed(f"{models:b}"))
+
+
 def spec(p: Presentation, budgets: Budgets = DEFAULT_BUDGETS) -> SpecModel:
-    """Enumerate every 2-valuation of the generators satisfying the relations."""
-    check_budget(budgets, "gens", len(p.gens))
-    points = []
-    for bits in itertools.product((False, True), repeat=len(p.gens)):
-        val = dict(zip(p.gens, bits))
-        if all(
-            (not eval_term(l, val)) or eval_term(r, val) for l, r in p.rels
-        ):
-            points.append(bits)
-    return SpecModel(p, tuple(points))
+    """Every 2-valuation of the generators satisfying the relations."""
+    models = _models(p, budgets)
+    points = itertools.product((False, True), repeat=len(p.gens))
+    return SpecModel(p, tuple(itertools.compress(points, _bits_set(models))))
 
 
 def realize(
@@ -234,18 +220,27 @@ def realize(
     set, and the generated lattice is all of its lower sets: a lower
     set is the union over its points of the meet of the generators true
     there.  Boolean spectra are discrete, so there it is all subsets.
-    The lower sets are enumerated on masks, fewest true generators
-    last, and their number is checked against the ``elements`` budget
-    after each point, before the spectrum poset is built.
+    The ``elements`` budget is checked before any point is listed, on
+    2^|points| (Boolean) or |points| + 1 (the empty and the principal
+    lower sets), then after each point as the lower sets are enumerated
+    on masks, fewest true generators last, before the spectrum poset is
+    built.
     """
-    model = spec(p, budgets)
-    pts = model.points
+    models = _models(p, budgets)
+    boolean = p.kind == "boolean"
+    npts = models.bit_count()
+    if boolean:  # past the limit's bit length the power exceeds it anyway
+        shown = 1 << min(npts, budgets.elements.bit_length())
+        check_budget(budgets, "elements", shown, f"2^{npts}")
+    else:
+        check_budget(budgets, "elements", npts + 1)
+    # each point's valuation as its index, generator k at bit n-1-k
+    n = len(p.gens)
+    vals = list(itertools.compress(range(1 << n), _bits_set(models)))
     gen_img = {
-        g: frozenset(i for i, bits in enumerate(pts) if bits[k])
+        g: frozenset(i for i, v in enumerate(vals) if v >> (n - 1 - k) & 1)
         for k, g in enumerate(p.gens)
     }
-    vals = [sum(1 << k for k, bit in enumerate(bits) if bit) for bits in pts]
-    boolean = p.kind == "boolean"
 
     def below(i: int) -> int:
         # reverse valuation order: smaller points satisfy more generators
@@ -253,12 +248,12 @@ def realize(
             return 0
         return sum(1 << k for k, v in enumerate(vals) if k != i and not vals[i] & ~v)
 
-    order = sorted(range(len(pts)), key=lambda i: -vals[i].bit_count())
+    order = sorted(range(npts), key=lambda i: -vals[i].bit_count())
     masks = _lower_masks(((1 << i, below(i)) for i in order), budgets)
     pairs = [] if boolean else [
         (i, j) for i, v in enumerate(vals) for j, w in enumerate(vals) if not w & ~v
     ]
-    lat = FinLattice(FinPoset(range(len(pts)), pairs), [frozenset(_bits(m)) for m in masks], p.kind)
+    lat = FinLattice(FinPoset(range(npts), pairs), [frozenset(_bits(m)) for m in masks], p.kind)
     return lat, gen_img
 
 

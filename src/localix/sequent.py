@@ -315,8 +315,8 @@ def prove(
 
 
 def _tables(terms: Iterable[Term], budgets: Optional[Budgets] = None) -> tuple[dict, list, int]:
-    """The truth table of every subterm of ``terms``: the one evaluator
-    behind ``prove`` and the interpolation certificate.
+    """The truth table of every subterm of ``terms``, by ``_table``, the
+    one evaluator behind ``prove``, interpolation and presentations.
 
     Returns the tables keyed by subterm, children before their parents,
     the generators in ``canon_key`` order and the all-ones table.  With
@@ -335,20 +335,25 @@ def _tables(terms: Iterable[Term], budgets: Optional[Budgets] = None) -> tuple[d
     masks = dict(zip(gens, _gen_masks(n)))
     table: dict[Term, int] = {}
     for t in subterms:
-        if t.kind == "pos":
-            m = masks[t.gen]
-        elif t.kind == "neg":
-            m = full ^ masks[t.gen]
-        elif t.kind == "meet":
-            m = full
-            for c in t.children:
-                m &= table[c]
-        else:
-            m = 0
-            for c in t.children:
-                m |= table[c]
-        table[t] = m
+        table[t] = _table(t, masks, full, table)
     return table, gens, full
+
+
+def _table(t: Term, masks: Mapping, full: int, known: Mapping = {}) -> int:
+    """The truth table of ``t`` from the generators' tables ``masks``; a
+    child's table is read from ``known`` or else folded recursively, so
+    with nothing known one table per level of ``t`` is alive at a time."""
+    if t.kind == "pos":
+        return masks[t.gen]
+    if t.kind == "neg":
+        return full ^ masks[t.gen]
+    meet = t.kind == "meet"
+    m = full if meet else 0
+    for c in t.children:
+        ct = known.get(c)
+        ct = _table(c, masks, full, known) if ct is None else ct
+        m = m & ct if meet else m | ct
+    return m
 
 
 def _collect(t: Term, out: dict) -> None:
@@ -365,14 +370,17 @@ def _gen_masks(n: int) -> tuple:
 
     Valuation i gives generator j the bit n-1-j of i, so the first
     generator varies slowest, as in ``itertools.product``.  The table of
-    bit k repeats, with period 2^(k+1), 2^k zeros followed by 2^k ones.
+    bit k repeats, with period 2^(k+1), 2^k zeros followed by 2^k ones;
+    it is copied by doubling, in time linear in its length.
     """
-    full = (1 << (1 << n)) - 1
     out = []
     for j in range(n):
         half = 1 << (n - 1 - j)
-        period = (1 << (2 * half)) - 1
-        out.append(full // period * (((1 << half) - 1) << half))
+        m, width = ((1 << half) - 1) << half, 2 * half
+        while width < 1 << n:
+            m |= m << width
+            width *= 2
+        out.append(m)
     return tuple(out)
 
 

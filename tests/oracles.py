@@ -4,7 +4,8 @@ Most oracles follow the definition directly, with frozenset pairs and no
 masks, so that they share no logic with the code under test: the poset
 closure and the queries read off it (Hasse covers and their DOT, linear
 extension, lower sets, isomorphism), the glb/lub realization of abstract lattices, the hom search,
-the generation closures of ``realize`` and ``extend_hom``, the recursive
+the spectrum of a presentation one valuation at a time on its tuple
+terms, the generation closures of ``realize`` and ``extend_hom``, the recursive
 well-founded rank, truth-table polyorder entailment, Maehara extraction
 by a walk of the derivation tree and the separator search in Boolean
 pushouts.  The rule fixpoints for dissolution,
@@ -28,7 +29,7 @@ from localix.errors import DomainError, PreconditionError, StructureError
 from localix.lattice import FinLattice, LatticeHom, _bits
 from localix.order import FinPoset, _label, canon_key, lower_sets_of
 from localix.posite import Coverage, PolyOrder
-from localix.presented import check_assignment, spec
+from localix.presented import check_assignment
 from localix.pruning import Relation
 from localix.sequent import (
     BOT,
@@ -283,11 +284,42 @@ def enumerate_homs(a, b) -> list:
     return out
 
 
+def eval_tuple_term(t: tuple, val: dict) -> bool:
+    """A presentation's tuple term under a 2-valuation; the empty meet is
+    true, the empty join false."""
+    op = t[0]
+    if op == "var":
+        return val[t[1]]
+    if op == "top":
+        return True
+    if op == "bot":
+        return False
+    if op == "not":
+        return not eval_tuple_term(t[1], val)
+    if op == "meet":
+        return all(eval_tuple_term(s, val) for s in t[1:])
+    if op == "join":
+        return any(eval_tuple_term(s, val) for s in t[1:])
+    raise DomainError(f"unknown term operator {op!r}")
+
+
+def spec(p, budgets: Budgets = DEFAULT_BUDGETS) -> tuple:
+    """The points of the spectrum, each valuation of the generators in
+    ``itertools.product`` order tested against every relation."""
+    check_budget(budgets, "gens", len(p.gens))
+    points = []
+    for bits in itertools.product((False, True), repeat=len(p.gens)):
+        val = dict(zip(p.gens, bits))
+        if all(not eval_tuple_term(l, val) or eval_tuple_term(r, val) for l, r in p.rels):
+            points.append(bits)
+    return tuple(points)
+
+
 def realize(p, budgets: Budgets = DEFAULT_BUDGETS) -> tuple:
     """The presented lattice as the closure of the generators' point sets
     under pairwise intersection and union (and complement, when Boolean),
     with the ``elements`` budget checked on every new element."""
-    pts = spec(p, budgets).points
+    pts = spec(p, budgets)
     full = frozenset(range(len(pts)))
     gen_img = {
         g: frozenset(i for i, bits in enumerate(pts) if bits[k])

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from localix import dsl, lattice
+from localix import dsl, lattice, presented
 from localix.budgets import DEFAULT_BUDGETS
 from localix.dsl import Report, Script, parse, render, run
 from localix.errors import DomainError, ParseError
@@ -157,6 +157,31 @@ def test_downsets_check_their_count_while_enumerating(monkeypatch):
     assert report.exit_code == 2
     assert report.records[-1]["error"] == "budget"
     assert "elements budget exceeded: 8192 > 4096" in report.records[-1]["detail"]
+
+
+@pytest.mark.parametrize("source, detail", [
+    ("rel a <= b;", "no generators declared (use 'gens' or 'boolgens')"),
+    ("gens a a;\nrel a <= a;", "duplicate generator names"),
+    ("gens a b;\nrel a <= b;\nrel a = c;", "unknown generator 'c'"),
+    ("gens a b;\nrel a <= b;\nrel c & a <= !d;", "unknown generator 'c'"),
+    ("gens a b;\nrel a <= b;\nrel a <= !b;", "complement only allowed in boolean presentations"),
+], ids=["no-gens", "duplicate-gens", "unknown-in-equation", "unknown-first", "complement"])
+def test_relations_are_validated_as_they_are_declared(source, detail):
+    report = run(parse(source + "\nspec;"))
+    assert report.exit_code == 2
+    assert [r["kind"] for r in report.records] == ["error"]
+    assert report.records[0]["detail"] == detail
+
+
+def test_each_relation_is_checked_once_and_realize_builds_one_presentation(monkeypatch):
+    # every term here is a generator, so one check per term: the 2 * 40
+    # terms as declared, and once more when realize builds the presentation
+    calls = []
+    check = presented._check_term
+    monkeypatch.setattr(presented, "_check_term", lambda t, *a: calls.append(t) or check(t, *a))
+    report = run(parse("gens a b;\n" + "rel a <= b;\n" * 40 + "realize;"))
+    assert report.exit_code == 0
+    assert len(calls) == 2 * 40 * 2
 
 
 def test_diagram_validation():

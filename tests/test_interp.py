@@ -3,7 +3,7 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from localix import interp, sequent
+from localix import dsl, interp, sequent
 from localix.budgets import DEFAULT_BUDGETS
 from localix.errors import (
     DomainError,
@@ -232,6 +232,34 @@ def test_term_reached_from_both_blocks_interpolates():
     assert i is meet_t([d, e])
     assert oracles.prove(Sequent(s.left, frozenset([i]))).derivable
     assert oracles.prove(Sequent(frozenset([i]), s.right)).derivable
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_printed_obligations_are_the_certified_split(data):
+    s, left, right = _split_sequent(data, polarized=False)
+    if not prove(s).derivable:
+        return
+    i, _, lpart, rpart = interp._interpolate(s, left, right, DEFAULT_BUDGETS)
+    lob, rob = dsl._obligations(s, i, lpart, rpart)
+    assert lob.one_sided() == lpart | {i} and rob.one_sided() == rpart | {neg(i)}
+    assert oracles.prove(lob, budgets=DEEP).derivable
+    assert oracles.prove(rob, budgets=DEEP).derivable
+
+
+def test_interp_prints_the_split_it_certified():
+    # p | !p fits only the left block, so the interpolant is the left unit
+    # and both obligations are read off the left part; the record once
+    # printed the false {} |- {\/{}}
+    code, out = invoke(["interp", "--left", "p", "--right", "q", "{} |- {p | !p}"])
+    assert code == 0, out
+    assert "  interpolant: \\/{}\n" in out
+    assert "  obligations: {} |- {\\/{},\\/{!p,p}}, {\\/{}} |- {}\n" in out
+    # an antecedent that fits only the right block goes left of the
+    # turnstile in the right part's obligation (once the false {/\{}} |- {p})
+    code, out = invoke(["interp", "--left", "p", "--right", "p,q", "{q & p} |- {p}"])
+    assert code == 0, out
+    assert "  obligations: {} |- {/\\{}}, {/\\{},/\\{p,q}} |- {p}\n" in out
 
 
 def test_interpolant_deeper_than_the_depth_budget_is_certified():

@@ -243,10 +243,12 @@ def test_realize_stops_at_the_elements_budget(monkeypatch, kind):
 @st.composite
 def presentations(draw, max_gens=4):
     """Random relations over nested terms with top, bottom and, in Boolean
-    presentations, complements."""
-    gens = tuple(f"g{i}" for i in range(draw(st.integers(1, max_gens))))
+    presentations, complements.  There may be no generators, the last
+    generators may occur in no relation, and relations may repeat."""
+    gens = tuple(f"g{i}" for i in range(draw(st.integers(0, max_gens))))
     kind = draw(st.sampled_from(["distributive", "boolean"]))
-    leaves = st.sampled_from([var(g) for g in gens] + [TOP, BOT])
+    used = gens[: draw(st.integers(0, len(gens)))]
+    leaves = st.sampled_from([var(g) for g in used] + [TOP, BOT])
 
     def extend(terms):
         ops = [st.lists(terms, max_size=3).map(lambda ts: meet(*ts)),
@@ -257,6 +259,8 @@ def presentations(draw, max_gens=4):
 
     terms = st.recursive(leaves, extend, max_leaves=5)
     rels = draw(st.lists(st.tuples(terms, terms), max_size=3))
+    if rels:
+        rels += draw(st.lists(st.sampled_from(rels), max_size=2))
     return Presentation(gens, tuple(rels), kind)
 
 
@@ -265,6 +269,12 @@ def _outcome(f, *args):
         return f(*args)
     except (DomainError, PreconditionError, ResourceBudgetError, StructureError) as e:
         return type(e)
+
+
+@settings(max_examples=300)
+@given(presentations(max_gens=6))
+def test_spec_matches_the_valuation_walk(p):
+    assert spec(p).points == oracles.spec(p)
 
 
 @settings(max_examples=150)
