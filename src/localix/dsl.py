@@ -34,7 +34,7 @@ from .lattice import FinLattice, borel_image, lower_sets, powerset_lattice
 from .order import FinPoset, canon_key
 from .posite import Coverage, cov_ideals, saturate_coverage
 from .presented import Presentation, preimage_hom, realize, spec
-from .pruning import CoDiagram, Relation, desc_diagram, limit_image, prune_sequence, rank
+from .pruning import CoDiagram, Relation, _prune_chains, limit_image, prune_sequence, rank
 
 __all__ = ["Script", "Report", "parse", "run", "render"]
 
@@ -759,6 +759,7 @@ class _Runner:
         self.bind(s.name, "coverage", saturate_coverage(base, gens, self.budgets))
 
     def run_DiagramDecl(self, s: DiagramDecl):
+        check_budget(self.budgets, "diagram", sum(map(len, s.levels)))
         seen: dict = {}
         for k, lv in enumerate(s.levels):
             for x in lv:
@@ -864,29 +865,20 @@ class _Runner:
         kind, val = self.named.get(s.name, (None, None))
         if kind == "relation":
             verdict, core = rank(val)
-            d = desc_diagram(val, len(val.carrier) + 1, with_base=True) if val.carrier else None
-            stages, stab = prune_sequence(d) if d else ([], 0)
+            sizes, images, pruned = _prune_chains(val, self.budgets)
+            core = [str(x) for x in sorted(core, key=canon_key)]
             self.report.add(
                 "prune",
                 source=s.name,
                 verdict=verdict,
-                core=[str(x) for x in sorted(core, key=canon_key)],
-                stage_sizes=[
-                    [len(st.levels[i]) for i in st.index.elements] for st in stages
-                ],
-                base_images=[
-                    sorted(
-                        (str(y) for y in {st.base[1][1][x] for x in st.levels[1]}),
-                        key=canon_key,
-                    )
-                    for st in stages
-                ],
-                limit_image=(
-                    [str(x) for x in sorted(limit_image(d), key=canon_key)] if d else []
-                ),
-                dot=stages[-1].to_dot("pruned") if stages else None,
+                core=core,
+                stage_sizes=sizes,
+                base_images=[sorted(map(str, im), key=canon_key) for im in images],
+                limit_image=core,
+                dot=pruned.to_dot("pruned") if pruned is not None else None,
             )
         elif kind == "diagram":
+            check_budget(self.budgets, "diagram", val.total_size())
             stages, stab = prune_sequence(val)
             img = limit_image(val) if val.base is not None else None
             self.report.add(

@@ -3,16 +3,18 @@
 A CoDiagram assigns finite levels to a directed index poset with
 backward maps from higher to lower indices.  Canonical pruning
 replaces each level by the intersection of the images from its
-immediate successors; iterating detects well-foundedness (descending
-chain diagrams of a relation) and computes inverse-limit images.
+immediate successors; it is iterated only for declared diagrams.  A
+relation's rank and pruning are read off its descent lengths instead.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Optional
 
+from .budgets import Budgets, check_budget
 from .errors import DomainError, StructureError, UnstabilizedError
 from .order import FinPoset, _bits, _close, canon_key
 
@@ -124,7 +126,7 @@ class CoDiagram:
             for i in index.elements:
                 if index.lt(i, j) and (j, i) not in full_maps:
                     raise StructureError(f"missing map {j!r} -> {i!r}")
-        for k in index.elements:
+        for k in [k for k in index.elements if levels[k]]:  # an empty top composes nothing
             for j in index.elements:
                 for i in index.elements:
                     if index.lt(i, j) and index.lt(j, k):
@@ -260,10 +262,9 @@ class CoDiagram:
         succ = [(k, k + 1) for k in range(1, n)]
         full = {}
         for hi in range(2, n + 1):
-            for lo in range(1, hi):
-                f = {x: x for x in levels[hi - 1]}
-                for step in range(hi - 1, lo - 1, -1):
-                    f = {x: maps[step - 1][v] for x, v in f.items()}
+            f = {x: x for x in levels[hi - 1]}
+            for lo in range(hi - 1, 0, -1):
+                f = {x: maps[lo - 1][v] for x, v in f.items()}
                 full[(hi, lo)] = f
         b = None
         if base is not None:
@@ -306,27 +307,15 @@ def canonical_prune(d: CoDiagram) -> CoDiagram:
     )
 
 
-def prune_sequence(
-    d: CoDiagram, max_stages: Optional[int] = None
-) -> tuple[list[CoDiagram], object]:
-    """Iterate canonical pruning to its fixpoint.
-
-    Returns all stages (the original first) and the stabilization
-    index, or the string "unstabilized" when the stage cap is hit
-    first; the default cap always suffices (total size decreases).
-    """
-    if max_stages is None:
-        max_stages = d.total_size() + 1
+def prune_sequence(d: CoDiagram) -> tuple[list[CoDiagram], int]:
+    """Prune until the levels repeat (they only shrink): all stages, the
+    original first, and the stabilization index."""
     stages = [d]
-    for _ in range(max_stages):
+    while True:
         nxt = canonical_prune(stages[-1])
         if nxt.levels == stages[-1].levels:
             return stages, len(stages) - 1
         stages.append(nxt)
-    nxt = canonical_prune(stages[-1])
-    if nxt.levels == stages[-1].levels:
-        return stages, len(stages) - 1
-    return stages, "unstabilized"
 
 
 def desc_diagram(r: Relation, depth: int, with_base: bool = False) -> CoDiagram:
@@ -370,24 +359,62 @@ def cycle_core(r: Relation) -> frozenset:
     return frozenset(x for x, i in pos.items() if reach[i] & on_cycle)
 
 
-def rank(r: Relation) -> tuple[object, frozenset]:
-    """Pruning-based rank of a relation.
+def _descents(r: Relation) -> tuple[list[list[int]], list[int]]:
+    """Predecessor lists and descent lengths by carrier position: ext[x] is
+    the last k with x in E_k, where E_0 is the carrier and E_{k+1} the points
+    with a predecessor in E_k.  ext[x] == |r| means that x reaches a cycle."""
+    pos = {x: i for i, x in enumerate(r.carrier)}
+    preds = [[] for _ in r.carrier]
+    for a, b in r.pairs:
+        preds[pos[b]].append(pos[a])
+    ext, live = [0] * len(preds), set(range(len(preds)))
+    for k in range(1, len(preds) + 1):
+        live = {x for x in live if not live.isdisjoint(preds[x])}
+        for x in live:
+            ext[x] = k
+    return preds, ext
 
-    Runs the pruning sequence on the descending-chain diagram; the
-    stage at which the first level empties is the rank, and a nonempty
-    fixpoint means ill-foundedness, returning the stabilized first
-    level (the cycle-fed core).
-    """
-    if not r.carrier:
-        return 0, frozenset()
-    depth = len(r.carrier) + 1
-    d = desc_diagram(r, depth)
-    stages, _ = prune_sequence(d)
-    for alpha, stage in enumerate(stages):
-        if not stage.levels[2]:  # index 2 holds the length-1 chains
-            return alpha, frozenset()
-    core = frozenset(c[0] for c in stages[-1].levels[2])
-    return "ill-founded", core
+
+def rank(r: Relation) -> tuple[object, frozenset]:
+    """The stage at which pruning the descending-chain diagram empties its
+    length-1 chains, max ext + 1; or "ill-founded" with the points that
+    reach a cycle and so are never pruned (the cycle-fed core)."""
+    ext = _descents(r)[1]
+    core = frozenset(x for x, e in zip(r.carrier, ext) if e == len(ext))
+    return ("ill-founded", core) if core else (max(ext, default=-1) + 1, core)
+
+
+def _prune_chains(r: Relation, budgets: Budgets) -> tuple:
+    """Level sizes and base image of each stage of pruning ``desc_diagram(r,
+    |r| + 1, with_base=True)`` until it repeats, and its last stage, listed
+    once ``diagram`` admits its size.  Stage a keeps, at level k, the chains
+    ending at an x with ext[x] >= min(a, |r| + 1 - k)."""
+    preds, ext = _descents(r)
+    n = len(ext)
+    if not n:
+        return [], [], None
+    suffix, count = [], [1] * n  # suffix[k][t]: length-(k+1) chains ending at ext >= t
+    for _ in range(n + 1):
+        by_ext = [0] * (n + 1)
+        for x, c in enumerate(count):
+            by_ext[ext[x]] += c
+        suffix.append(list(accumulate(reversed(by_ext)))[::-1])
+        nxt = [0] * n
+        for x, ps in enumerate(preds):
+            for y in ps:
+                nxt[y] += count[x]
+        count = nxt
+    sizes = [[suffix[k][min(a, n - k)] for k in range(n + 1)] for a in range(n + 2)]
+    sizes = sizes[: next(a for a in range(n + 1) if sizes[a + 1] == sizes[a]) + 1]
+    images = [frozenset(x for x, e in zip(r.carrier, ext) if e >= a) for a in range(len(sizes))]
+    check_budget(budgets, "diagram", sum(sizes[-1]))
+    levels = [[(x,) for x in range(n) if ext[x] == n]]
+    for k in range(1, n + 1):
+        levels.append([c + (y,) for c in levels[-1] for y in preds[c[-1]] if ext[y] >= n - k])
+    levels = [[tuple(r.carrier[i] for i in c) for c in lv] for lv in levels]
+    maps = [{c: c[:-1] for c in lv} for lv in levels[1:]]
+    base = (frozenset(r.carrier), [{c: c[0] for c in lv} for lv in levels])
+    return sizes, images, CoDiagram.chain(levels, maps, base, complete=True)
 
 
 def inverse_limit(d: CoDiagram) -> list[dict]:
@@ -411,10 +438,12 @@ def inverse_limit(d: CoDiagram) -> list[dict]:
 
 
 def limit_image(d: CoDiagram) -> frozenset:
-    """Image in the base of the inverse limit, via pruning.
+    """Image in the base of the inverse limit.
 
-    For finite indices the direct limit is computed as a cross-check;
-    truncated chains must carry the completeness flag.
+    A thread is fixed by its value at the top t of the directed index,
+    so the image is the base image of level t; the certificate is that
+    every level of the pruned fixpoint projects onto it.  Truncated
+    chains must carry the completeness flag.
     """
     if d.base is None:
         raise DomainError("limit_image needs a diagram with a base")
@@ -422,16 +451,9 @@ def limit_image(d: CoDiagram) -> frozenset:
         raise UnstabilizedError(
             "truncation too shallow for a stable limit; rebuild with greater depth"
         )
-    stages, _ = prune_sequence(d)
-    stab = stages[-1]
-    y, ps = stab.base
-    i0 = stab.index.minimal()[0]
-    out = frozenset(ps[i0][x] for x in stab.levels[i0])
+    stab = prune_sequence(d)[0][-1]
+    out = frozenset(d.base[1][t][x] for t in d.index.maximal() for x in d.levels[t])
     for i in stab.index.elements:
-        if frozenset(ps[i][x] for x in stab.levels[i]) != out:
-            raise StructureError("stabilized projections disagree across levels")
-    if d.kind == "finite":
-        direct = frozenset(d.base[1][i0][t[i0]] for t in inverse_limit(d))
-        if direct != out:
-            raise StructureError("pruned image disagrees with the direct limit")
+        if frozenset(stab.base[1][i][x] for x in stab.levels[i]) != out:
+            raise StructureError(f"pruned level {i!r} disagrees with the image of the top level")
     return out

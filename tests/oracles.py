@@ -6,7 +6,8 @@ closure and the queries read off it (Hasse covers and their DOT, linear
 extension, lower sets, isomorphism), the glb/lub realization of abstract lattices, the hom search,
 the spectrum of a presentation one valuation at a time on its tuple
 terms, the generation closures of ``realize`` and ``extend_hom``, the recursive
-well-founded rank, truth-table polyorder entailment, Maehara extraction
+well-founded rank, the ``prune`` record of a relation by canonical pruning
+of its whole descending-chain diagram, truth-table polyorder entailment, Maehara extraction
 by a walk of the derivation tree and the separator search in Boolean
 pushouts.  The rule fixpoints for dissolution,
 order-congruences and coverages work on a ``Table`` of the lattice,
@@ -30,7 +31,7 @@ from localix.lattice import FinLattice, LatticeHom, _bits
 from localix.order import FinPoset, _label, canon_key, lower_sets_of
 from localix.posite import Coverage, PolyOrder
 from localix.presented import check_assignment
-from localix.pruning import Relation
+from localix.pruning import Relation, desc_diagram, prune_sequence
 from localix.sequent import (
     BOT,
     TOP,
@@ -960,6 +961,29 @@ def rank_oracle(r: Relation) -> object:
             return "ill-founded"
         best = max(best, s)
     return best + 1
+
+
+def prune_record(r: Relation) -> dict:
+    """The fields of the DSL's ``prune`` record on a relation, by pruning
+    the descending-chain diagram to depth |r| + 1 stage by stage: the
+    rank is the stage at which the length-1 chains run out, and the
+    stabilized length-1 chains are the core and the limit image."""
+    if not r.carrier:
+        return dict(verdict=0, core=[], stage_sizes=[], base_images=[], limit_image=[], dot=None)
+    stages, _ = prune_sequence(desc_diagram(r, len(r.carrier) + 1, with_base=True))
+    last = frozenset(c[0] for c in stages[-1].levels[1])
+    verdict = next((a for a, st in enumerate(stages) if not st.levels[1]), "ill-founded")
+    core = [str(x) for x in sorted(last, key=canon_key)]
+    return dict(
+        verdict=verdict,
+        core=core,
+        stage_sizes=[[len(st.levels[i]) for i in st.index.elements] for st in stages],
+        base_images=[
+            sorted((str(c[0]) for c in st.levels[1]), key=canon_key) for st in stages
+        ],
+        limit_image=core,
+        dot=stages[-1].to_dot("pruned"),
+    )
 
 
 def pushout_separators(a: FinLattice, homs, bs, target):

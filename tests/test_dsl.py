@@ -1,8 +1,9 @@
 import json
+import pathlib
 
 import pytest
 
-from localix import dsl, lattice, presented
+from localix import dsl, lattice, presented, pruning
 from localix.budgets import DEFAULT_BUDGETS
 from localix.dsl import Report, Script, parse, render, run
 from localix.errors import DomainError, ParseError
@@ -197,6 +198,39 @@ def test_preloaded_named_objects():
     report = run(parse("prune D;"), named={"D": ("diagram", d)})
     assert report.records[0]["kind"] == "prune"
     assert report.records[0]["verdict"] == "stabilized"
+
+
+def test_relation_prune_reads_the_golden_record_off_counts(monkeypatch):
+    # the golden relation R and its record from full.lx, with the chain
+    # diagram's builder, pruning iteration and limit all patched to raise
+    golden = pathlib.Path(__file__).parent / "golden"
+    decl = next(
+        line for line in (golden / "full.lx").read_text().splitlines()
+        if line.startswith("relation R ")
+    )
+    records = json.loads((golden / "run_full_json.out").read_text())["records"]
+    want = next(r for r in records if r["kind"] == "prune" and r["source"] == "R")
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the descending-chain diagram was pruned in full")
+
+    for name in ("desc_diagram", "prune_sequence", "limit_image"):
+        monkeypatch.setattr(pruning, name, boom)
+        monkeypatch.setattr(dsl, name, boom, raising=False)
+    report = run(parse(decl + "\nprune R;"))
+    assert json.loads(render(report, "json"))["records"] == [want]
+
+
+def test_diagram_budget_is_checked_on_declared_and_preloaded_diagrams(monkeypatch):
+    small = DEFAULT_BUDGETS.bumped(diagram=2)
+    report = run(parse("diagram D { [u, v], [w] : w -> u };"), small)
+    assert report.exit_code == 2
+    assert report.records[-1]["detail"].startswith("diagram budget exceeded: 3 > 2")
+    d = desc_diagram(Relation.make(range(2), [(1, 0)]), 3, with_base=True)
+    monkeypatch.setattr(dsl, "prune_sequence", lambda *a: pytest.fail("pruned first"))
+    report = run(parse("prune D;"), small, named={"D": ("diagram", d)})
+    assert report.exit_code == 2
+    assert report.records[-1]["error"] == "budget"
 
 
 def test_render_formats():

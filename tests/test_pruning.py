@@ -1,9 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from localix import pruning
+from localix.budgets import DEFAULT_BUDGETS
+from localix.dsl import parse, run
 from localix.errors import DomainError, StructureError, UnstabilizedError
-from localix.order import FinPoset
+from localix.order import FinPoset, canon_key
 from localix.pruning import (
     CoDiagram,
     Relation,
@@ -16,8 +20,8 @@ from localix.pruning import (
     rank,
 )
 
-from conftest import random_relation_pairs
-from oracles import rank_oracle
+from conftest import LABELS, random_relation_pairs
+from oracles import prune_record, rank_oracle
 
 
 def rel(carrier, pairs):
@@ -76,6 +80,39 @@ def test_rank_matches_oracle_random(rng):
         assert v == rank_oracle(r)
         if v == "ill-founded":
             assert core == cycle_core(r)
+
+
+@st.composite
+def relations(draw, max_points=5):
+    pts = draw(st.lists(LABELS, unique=True, max_size=max_points))
+    edges = draw(st.lists(st.booleans(), min_size=len(pts) ** 2, max_size=len(pts) ** 2))
+    return rel(pts, [p for p, e in zip(itertools.product(pts, pts), edges) if e])
+
+
+@settings(max_examples=150)
+@given(relations())
+def test_prune_record_matches_the_pruning_of_the_chain_diagram(r):
+    # every field of the counted record, dot included, against the
+    # stage-by-stage pruning of the whole descending-chain diagram
+    want = prune_record(r)
+    unsafe = DEFAULT_BUDGETS.bumped(unsafe=True)
+    got = run(parse("prune R;"), unsafe, named={"R": ("relation", r)}).records[0]
+    assert {k: got[k] for k in want} == want
+    v, core = rank(r)
+    assert v == want["verdict"]
+    assert [str(x) for x in sorted(core, key=canon_key)] == want["core"]
+    # the diagram budget refuses exactly the stabilized stages above it
+    stabilized = sum(want["stage_sizes"][-1]) if r.carrier else 0
+    rec = run(parse("prune R;"), named={"R": ("relation", r)}).records[0]
+    assert (rec.get("error") == "budget") == (stabilized > DEFAULT_BUDGETS.diagram)
+
+
+def test_descents_worked_examples():
+    # 2 -> 1 -> 0 descends two steps from 0; 3 sits on a loop
+    preds, ext = pruning._descents(rel(range(4), [(1, 0), (2, 1), (3, 3)]))
+    assert preds == [[1], [2], [], [3]]
+    assert ext == [2, 1, 0, 4]
+    assert pruning._descents(rel([], [])) == ([], [])
 
 
 # -- diagrams -----------------------------------------------------------------
@@ -217,6 +254,55 @@ def test_limit_image_matches_direct_threads():
         base=({0, 1}, {"a": {0: 0, 1: 1}, "b": {1: 1}}),
     )
     assert limit_image(d) == frozenset([1])
+
+
+@st.composite
+def square_diagrams(draw):
+    """A finite diagram over the square a < b, c < t with a base at a:
+    each point above a is labelled by the points it maps to."""
+    sizes = st.integers(0, 3)
+    bottom = range(draw(sizes))
+    side = {
+        i: [(i, k, draw(st.sampled_from(bottom))) for k in range(draw(sizes))] if bottom else []
+        for i in "bc"
+    }
+    top = []
+    for k in range(draw(sizes)):
+        if side["b"] and side["c"]:
+            u = draw(st.sampled_from(side["b"]))
+            vs = [v for v in side["c"] if v[2] == u[2]]
+            if vs:
+                top.append(("t", k, u, draw(st.sampled_from(vs))))
+    idx = FinPoset("abct", [("a", "b"), ("a", "c"), ("b", "t"), ("c", "t")])
+    down = {"a": {x: x for x in bottom}, "b": {u: u[2] for u in side["b"]},
+            "c": {v: v[2] for v in side["c"]}, "t": {w: w[2][2] for w in top}}
+    maps = {
+        ("b", "a"): down["b"],
+        ("c", "a"): down["c"],
+        ("t", "b"): {w: w[2] for w in top},
+        ("t", "c"): {w: w[3] for w in top},
+        ("t", "a"): down["t"],
+    }
+    levels = {"a": set(bottom), "b": set(side["b"]), "c": set(side["c"]), "t": set(top)}
+    return CoDiagram(idx, list(idx.cover_pairs()), levels, maps, base=(set(bottom), down))
+
+
+@settings(max_examples=100)
+@given(square_diagrams())
+def test_limit_image_is_the_projection_of_the_threads_off_chains(d):
+    assert limit_image(d) == frozenset(t["a"] for t in inverse_limit(d))
+
+
+def test_limit_image_certificate_catches_a_pruning_that_keeps_too_much(monkeypatch):
+    idx = FinPoset("ab", [("a", "b")])
+    d = CoDiagram(
+        idx, [("a", "b")], {"a": {0, 1}, "b": {0}}, {("b", "a"): {0: 0}},
+        base=({0, 1}, {"a": {0: 0, 1: 1}, "b": {0: 0}}),
+    )
+    assert limit_image(d) == frozenset([0])
+    monkeypatch.setattr(pruning, "canonical_prune", lambda d: d)
+    with pytest.raises(StructureError, match="top level"):
+        limit_image(d)
 
 
 def test_limit_image_on_descending_chains():

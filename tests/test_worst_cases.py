@@ -19,9 +19,11 @@ import tracemalloc
 
 import pytest
 
-from localix import presented
+from localix import dsl, presented, pruning
 from localix.errors import ResourceBudgetError
 from localix.interp import interpolate_sequent
+from localix.order import FinPoset
+from localix.pruning import CoDiagram, limit_image
 from localix.sequent import TOP, Sequent, join_t, meet_t, nvar, var
 
 
@@ -92,3 +94,68 @@ def test_spec_on_the_generator_budget_with_a_relation_per_pair():
     assert all(not (x and y) for pt in model.points for x, y in zip(pt, pt[1:]))
     assert seconds < 3.0
     assert peak < 64 * 2**20
+
+
+def _boom(*args, **kwargs):
+    raise AssertionError("a diagram was built, pruned or walked in full")
+
+
+def _refuse(monkeypatch, *names):
+    """Patch each named pruning function, wherever the DSL reads it, to raise."""
+    for name in names:
+        monkeypatch.setattr(pruning, name, _boom)
+        monkeypatch.setattr(dsl, name, _boom, raising=False)
+
+
+def _relation_script(n, edges):
+    body = ", ".join(f"{a} -> {b}" for a, b in edges)
+    return f"relation R {{ {', '.join(map(str, range(n)))} : {body} }};\nprune R;"
+
+
+def test_prune_on_the_complete_six_point_relation_is_refused_before_any_chain(monkeypatch):
+    # 6 + 6^2 + ... + 6^7 = 335,922 chains in the stabilized stage, counted
+    # and refused before one is listed.  Measured under 0.01 s and a 25 KB
+    # peak (traced) on a 2-vCPU VM; listing and pruning every chain took
+    # 70 s at 460 MB max RSS.
+    _refuse(monkeypatch, "desc_diagram", "prune_sequence")
+    monkeypatch.setattr(CoDiagram, "chain", staticmethod(_boom))
+    script = dsl.parse(_relation_script(6, itertools.product(range(6), repeat=2)))
+    report, seconds, peak = _measured(lambda: dsl.run(script))
+    assert report.exit_code == 2
+    assert report.records[-1]["detail"].startswith("diagram budget exceeded: 335922 > 64")
+    assert seconds < 2.0
+    assert peak < 16 * 2**20
+
+
+def test_prune_on_a_forty_point_total_order():
+    # rank 40 and 41 stages of 41 levels, all counted; the stabilized
+    # stage is 41 empty levels.  Measured at 0.07 s and a 0.4 MB peak
+    # (traced) on a 2-vCPU VM.
+    script = dsl.parse(_relation_script(40, [(i + 1, i) for i in range(39)]))
+    report, seconds, peak = _measured(lambda: dsl.run(script))
+    (rec,) = report.records
+    assert rec["verdict"] == 40
+    assert rec["stage_sizes"][0] == [40 - k for k in range(40)] + [0]
+    assert seconds < 5.0
+    assert peak < 32 * 2**20
+
+
+def test_limit_image_on_an_eight_by_eight_finite_chain(monkeypatch):
+    # 64 points, inside the diagram budget; the direct limit would try
+    # 8^8 = 16.8 M combinations.  Each step drops x to max(x - 1, 0), so
+    # pruning runs seven stages.  Measured at 0.05 s and a 0.2 MB peak
+    # (traced) on a 2-vCPU VM.
+    _refuse(monkeypatch, "inverse_limit")
+    n = 8
+    idx = FinPoset(range(n), [(i, i + 1) for i in range(n - 1)])
+    levels = {i: set(range(n)) for i in range(n)}
+    maps = {(j, i): {x: max(x - (j - i), 0) for x in range(n)} for j in range(n) for i in range(j)}
+    base = (set(range(n)), {i: {x: max(x - i, 0) for x in range(n)} for i in range(n)})
+
+    def attempt():
+        return limit_image(CoDiagram(idx, [(i, i + 1) for i in range(n - 1)], levels, maps, base))
+
+    image, seconds, peak = _measured(attempt)
+    assert image == frozenset([0])
+    assert seconds < 2.0
+    assert peak < 16 * 2**20
