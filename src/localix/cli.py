@@ -11,12 +11,13 @@ refutation or failed precondition; 2 on parse, input, or budget errors.
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 
 from . import dsl
-from .budgets import DEFAULT_BUDGETS, budgets_from_env
-from .errors import DomainError, LocalixError, ParseError
+from .budgets import DEFAULT_BUDGETS, budgets_from_env, check_budget
+from .errors import DomainError, LocalixError, ParseError, ResourceBudgetError
 from .pruning import CoDiagram
 
 __all__ = ["main"]
@@ -126,9 +127,15 @@ def _script_source(args) -> str:
 def _prune_invocation(args, budgets):
     if args.diagram is not None:
         with open(args.diagram, encoding="utf-8") as fh:
-            cd = CoDiagram.from_json(fh.read())
+            text = fh.read()
+        try:  # the level sizes, before the diagram is validated (cubic in its index)
+            check_budget(budgets, "diagram", sum(len(lv) for _, lv in json.loads(text)["levels"]))
+        except ResourceBudgetError as e:  # the record ``dsl.run`` makes for it
+            report = dsl.Report(exit_code=2)
+            report.add("error", ok=False, error="budget", detail=str(e))
+            return report
         script = dsl.Script((dsl.PruneQuery("D"),))
-        return dsl.run(script, budgets, named={"D": ("diagram", cd)})
+        return dsl.run(script, budgets, named={"D": ("diagram", CoDiagram.from_json(text))})
     if args.carrier is None:
         raise DomainError("prune needs --carrier/--edges or --diagram")
     carrier = ", ".join(_split(args.carrier))

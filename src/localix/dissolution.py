@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .congruence import OrderCongruence, _check_subsets, _subsets
 from .errors import DomainError, StructureError
-from .lattice import FinLattice, LatticeHom, _bits
-from .order import FinPoset
+from .lattice import FinLattice, LatticeHom, _bits, powerset_lattice
 
 __all__ = ["Dissolution", "dissolve", "eta_principal", "nA_congruence_bijection"]
 
@@ -99,7 +98,7 @@ def dissolve(a: FinLattice, budgets: Budgets = DEFAULT_BUDGETS) -> Dissolution:
     label = {s: i for i, s in enumerate(order)}
     atoms = [label[1 << k] for k in range(nj)]
     elem = [frozenset(sorted(atoms[k] for k in _bits(s))) for s in range(1 << nj)]
-    result = FinLattice(FinPoset(atoms), elem, "boolean")
+    result = powerset_lattice(atoms)
     codes = [head(m) for m in masks]
     repr_map = dict(zip([elem[s] for s in order], _pair_sets(a, codes, [heads[s] for s in order])))
     unit = LatticeHom(a, result, {x: elem[c] for x, c in zip(a.elements, codes)})

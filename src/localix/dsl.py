@@ -34,7 +34,7 @@ from .lattice import FinLattice, borel_image, lower_sets, powerset_lattice
 from .order import FinPoset, canon_key
 from .posite import Coverage, cov_ideals, saturate_coverage
 from .presented import Presentation, preimage_hom, realize, spec
-from .pruning import CoDiagram, Relation, _prune_chains, limit_image, prune_sequence, rank
+from .pruning import CoDiagram, Relation, _limit_image, _prune_chains, prune_sequence, rank
 
 __all__ = ["Script", "Report", "parse", "run", "render"]
 
@@ -106,7 +106,8 @@ def _render_term(t: tuple, prec: int = 0) -> str:
     here = 2 if op == "meet" else 1
     sym = " & " if op == "meet" else " | "
     body = sym.join(_render_term(s, here) for s in t[1:])
-    return f"({body})" if prec >= here + 1 or (prec == 3) else body
+    # a child with its parent's operator is bracketed: it would re-parse flat
+    return f"({body})" if prec >= here else body
 
 
 def _render_set(s: frozenset) -> str:
@@ -147,7 +148,7 @@ class PosetDecl:
     pairs: tuple
 
     def render(self) -> str:
-        body = ", ".join(self.elems)
+        body = ", ".join(map(str, self.elems))
         if self.pairs:
             body += " : " + ", ".join(f"{a} <= {b}" for a, b in self.pairs)
         return f"poset {self.name} {{ {body} }};"
@@ -880,7 +881,7 @@ class _Runner:
         elif kind == "diagram":
             check_budget(self.budgets, "diagram", val.total_size())
             stages, stab = prune_sequence(val)
-            img = limit_image(val) if val.base is not None else None
+            img = _limit_image(val, stages[-1]) if val.base is not None else None
             self.report.add(
                 "prune",
                 source=s.name,

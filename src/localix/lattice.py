@@ -7,33 +7,31 @@ empty and the full set.  Order is inclusion, meet is intersection,
 join is union.  Boolean lattices additionally have an antichain
 spectrum and a complement-closed element family.
 
-Validation.  The constructor encodes each element once as an int mask
-over the spectrum points (bit i is ``spectrum.elements[i]``) and checks
-everything on the masks; the public API stays frozenset-valued.  With
-``n`` elements and ``p`` spectrum points:
+Validation.  The constructor's core, ``_fill``, takes the elements as
+int masks over the spectrum points (bit i is ``spectrum.elements[i]``);
+the public constructor only encodes its frozensets, and producers that
+hold masks call the core through ``order._new``.  With ``n`` elements
+and ``p`` spectrum points:
 
-* lower sets: no point of an element has a point below it outside the
-  element, O(n·p);
-* closure under intersection and union: ``least[x]``, the intersection
-  of the elements containing ``x``, contains ``x`` and lies inside every
-  element that does, so each element is the union of its ``least[x]``.
-  The family is closed exactly when ``m | least[x]`` is an element for
-  every element ``m`` and point ``x`` (given the empty and full set); it
-  is then the lattice of down-sets of the preorder "y in least[x]"
-  (Birkhoff; Davey & Priestley, *Introduction to Lattices and Order*,
-  ch. 5).  O(n·|J|), with J the distinct ``least[x]``, which are the
-  join-irreducibles;
+* ``least[x]``, the intersection of the elements containing ``x``, and
+  the ``elements`` frozensets, in one pass over the bits, O(n·p);
+* lower sets: each ``least[x]`` holds the points below x, O(p);
+* closure under intersection and union, certified by the Hasse covers,
+  O(n·|J|) with J the distinct ``least[x]``: ``m | least[x]`` is an
+  element for every element m and every x minimal outside m in the
+  preorder "y in least[x]", that is, whose ``least[x]`` holds, outside
+  m, only points x' glued to x (``least[x'] == least[x]``: no element
+  separates them).  A closed family passes.  Conversely, for any
+  down-set D of the preorder, from m = {} a point x minimal in D outside
+  m is minimal outside m, so ``m | least[x]`` is a larger element inside
+  D, until m = D: the family is all the down-sets, closed under both
+  operations, with J its join-irreducibles (Birkhoff; Davey & Priestley,
+  *Introduction to Lattices and Order*, ch. 5).  These ``m | least[x]``
+  are the covers of m, kept in ``_covers`` for ``to_dot``, ``atoms`` and
+  ``element_poset``; one may add several glued points;
 * Boolean kind: an antichain spectrum and ``full ^ m`` in the family;
 * element order: ``canon_key``, which on masks over the ``canon_key``
   ordered points is (size, bit positions), O(n log n) comparisons.
-
-Hasse covers (for ``to_dot``, ``atoms`` and ``element_poset``) are read
-off the same masks in O(n·|J|).  Every b above m holds ``m | least[x]``
-for a point x of b outside m, and ``m | least[y]`` lies inside it iff y
-does, so the covers of m are the ``m | least[x]`` for the x outside m
-whose ``least[x]`` holds, outside m, only points x' glued to x
-(``least[x'] == least[x]``: no element separates them).  A cover may
-thus add several points at once.
 
 A :class:`LatticeHom` is checked on the same masks in O(n·(|J|+|M|)),
 not on all n² pairs: in a distributive lattice join-irreducibles are
@@ -49,24 +47,28 @@ is the mask of the least element containing point x.  The
 join-irreducibles J are the distinct ``_least``; ``_irreducibles`` lists
 them in ``join_irreducibles`` order.  Points with the same ``_least``
 are glued, and a subset S of J is the mask of the points x with
-``_least[x]`` in S.  Readers: ``LatticeHom``, ``enumerate_homs``,
-``join_irreducibles`` and ``presented.extend_hom`` read J off
-``_least``; ``congruence`` builds its rows and ``posite`` its position
-masks and meets from ``_mask`` and ``_at``; ``dissolution`` numbers J
-by ``_irreducibles`` to name the points of 2^J; ``baire`` reads least
-neighbourhoods and glued points off ``_least``.
+``_least[x]`` in S.  Readers: ``LatticeHom``, ``enumerate_homs`` and
+``presented.extend_hom`` read J off ``_least``; ``join_irreducibles``
+passes J's inclusion rows to the ``FinPoset`` core; ``congruence``
+builds its rows and ``posite`` its meets from ``_mask`` and ``_at``,
+and ``posite`` enumerates the lower sets of the element order as
+position masks; ``dissolution`` numbers J by ``_irreducibles`` to name
+the points of 2^J; ``baire`` reads least neighbourhoods and glued
+points off ``_least``.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from itertools import compress
 from typing import Callable, Hashable, Iterable
 
 from .budgets import Budgets
 from .errors import DomainError, NoImageError, PreconditionError, StructureError
 from .order import (
-    FinPoset, _bits, _canon_mask_key, _dot, _pairs, canon_key, lower_sets_of, poset_isomorphic,
+    FinPoset, _bits, _bits_set, _canon_mask_key, _dot, _lower_set_masks, _new, _pairs, canon_key,
+    poset_isomorphic,
 )
 
 __all__ = [
@@ -90,63 +92,67 @@ __all__ = [
 class FinLattice:
     """Immutable finite distributive (or Boolean) lattice of sets."""
 
-    __slots__ = ("spectrum", "elements", "kind", "_mask", "_at", "_least", "_hash")
+    __slots__ = ("spectrum", "elements", "kind", "_mask", "_at", "_least", "_covers", "_hash")
 
-    def __init__(
-        self,
-        spectrum: FinPoset,
-        elements: Iterable[frozenset],
-        kind: str = "distributive",
-    ):
+    def __init__(self, spectrum: FinPoset, elements: Iterable[frozenset], kind: str = "distributive"):
         if kind not in ("distributive", "boolean"):
             raise DomainError(f"unknown lattice kind {kind!r}")
         family = {frozenset(e) for e in elements}
-        pts = spectrum.elements
-        if frozenset() not in family or frozenset(pts) not in family:
+        bit = {x: 1 << i for i, x in enumerate(spectrum.elements)}
+        try:
+            masks = [sum(map(bit.__getitem__, e)) for e in family]
+        except KeyError:
+            e = min((e for e in family if not all(map(bit.__contains__, e))), key=canon_key)
+            raise StructureError(f"element {e!r} is not a subset of the spectrum") from None
+        self._fill(spectrum, masks, kind)
+
+    def _fill(self, spectrum: FinPoset, masks: Iterable[int], kind: str) -> None:
+        """The constructor's core, on the elements' point masks (module docstring)."""
+        n = len(spectrum.elements)
+        full = (1 << n) - 1
+        ordered = sorted(set(masks), key=_canon_mask_key(n))
+        at = {m: i for i, m in enumerate(ordered)}
+        if 0 not in at or full not in at:
             raise StructureError("element family must contain the empty and full set")
-        pos = spectrum._index
-        bit = {x: 1 << i for x, i in pos.items()}
-        down = dict(zip(pts, spectrum._down))
-        full = (1 << len(pts)) - 1
-        least = [full] * len(pts)
-        mask_of = {}
-        bad = []
-        for e in family:
-            try:
-                m = sum(map(bit.__getitem__, e))
-            except KeyError:
-                bad.append(e)
-                continue
-            for x in e:
-                if down[x] & ~m:
-                    bad.append(e)
-                    break
-                least[pos[x]] &= m
-            mask_of[e] = m
-        if bad:
-            _reject_element(spectrum, min(bad, key=canon_key), mask_of, down)
-        # closed under & and | iff closed under m | least[x] (module docstring)
-        masks = set(mask_of.values())
-        joins = set(least)
-        for m in masks:
-            for j in joins:
-                if m | j not in masks:
-                    raise StructureError("family not closed under intersection/union")
-        key = _canon_mask_key(len(pts))
-        ordered = sorted(mask_of.items(), key=lambda em: key(em[1]))
+        pts, least, elements = spectrum.elements, [full] * n, []
+        for m in ordered:
+            xs = [*compress(range(n), _bits_set(m))]
+            for x in xs:
+                least[x] &= m
+            elements.append(frozenset(map(pts.__getitem__, xs)))
+        down = spectrum._down
+        if any(d & ~j for d, j in zip(down, least)):  # the first element that is no lower set
+            m, x = next((m, x) for m in ordered for x in _bits(m) if down[x] & ~m)
+            y = pts[next(_bits(down[x] & ~m))]
+            e = spectrum._set(m)
+            raise StructureError(f"element {e!r} is not a lower set: misses {y!r} <= {pts[x]!r}")
+        glued = dict.fromkeys(least, 0)
+        for x, j in enumerate(least):
+            glued[j] |= 1 << x
+        strict = [(j, j & ~g) for j, g in glued.items()]
+        covers = []
+        for m in ordered:
+            row, out = 0, full ^ m
+            for j, below in strict:
+                if j & out and not below & out:  # j's points are minimal outside m
+                    if m | j not in at:
+                        raise StructureError("family not closed under intersection/union")
+                    row |= 1 << at[m | j]
+            covers.append(row)
         if kind == "boolean":
             if not spectrum.is_antichain():
                 raise StructureError("boolean lattice requires an antichain spectrum")
-            for e, m in ordered:
-                if full ^ m not in masks:
-                    raise StructureError(f"no complement for {e!r}")
+            for m in ordered:
+                if full ^ m not in at:
+                    raise StructureError(f"no complement for {spectrum._set(m)!r}")
         object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "elements", tuple(e for e, _ in ordered))
+        object.__setattr__(self, "elements", tuple(elements))
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "_mask", dict(ordered))
-        object.__setattr__(self, "_at", {m: i for i, (_, m) in enumerate(ordered)})
+        object.__setattr__(self, "_mask", dict(zip(elements, ordered)))
+        object.__setattr__(self, "_at", at)
         object.__setattr__(self, "_least", tuple(least))
-        object.__setattr__(self, "_hash", hash((spectrum, frozenset(family), kind)))
+        object.__setattr__(self, "_covers", tuple(covers))
+        object.__setattr__(self, "_hash", hash((spectrum, tuple(ordered), kind)))
 
     def __setattr__(self, *a):
         raise AttributeError("FinLattice is immutable")
@@ -162,7 +168,7 @@ class FinLattice:
             isinstance(other, FinLattice)
             and self.kind == other.kind
             and self.spectrum == other.spectrum
-            and self._mask.keys() == other._mask.keys()
+            and self._at.keys() == other._at.keys()
         )
 
     def __hash__(self) -> int:
@@ -234,20 +240,10 @@ class FinLattice:
         return sorted(set(self._least), key=_canon_mask_key(len(self._least)))
 
     def atoms(self) -> tuple:
-        return tuple(self.elements[k] for k in _bits(self._cover_rows()[0]))
-
-    def _cover_rows(self) -> list[int]:
-        """Row i masks the positions of the elements covering ``elements[i]``
-        (module docstring)."""
-        at, least = self._at, self._least
-        # each join-irreducible j, less the points glued to j
-        strict = [(j, j & ~sum(1 << x for x, k in enumerate(least) if k == j)) for j in set(least)]
-        return [
-            sum(1 << at[m | j] for j, below in strict if j & ~m and not below & ~m) for m in at
-        ]
+        return tuple(self.elements[k] for k in _bits(self._covers[0]))
 
     def element_poset(self) -> FinPoset:
-        return FinPoset(self.elements, _pairs(self.elements, self._cover_rows()))
+        return FinPoset(self.elements, _pairs(self.elements, self._covers))
 
     # -- serialization ------------------------------------------------------
 
@@ -274,18 +270,7 @@ class FinLattice:
 
     def to_dot(self, name: str = "lattice") -> str:
         """Hasse diagram in DOT form, as ``FinPoset.to_dot`` draws ``element_poset()``."""
-        return _dot(name, self.elements, self._cover_rows())
-
-
-def _reject_element(spectrum: FinPoset, e: frozenset, mask_of: dict, down: dict):
-    """Raise the error for ``e``, a member that is not a lower set of the spectrum."""
-    if e not in mask_of:
-        raise StructureError(f"element {e!r} is not a subset of the spectrum")
-    for x in e:
-        missing = down[x] & ~mask_of[e]
-        if missing:
-            y = spectrum.elements[(missing & -missing).bit_length() - 1]
-            raise StructureError(f"element {e!r} is not a lower set: misses {y!r} <= {x!r}")
+        return _dot(name, self.elements, self._covers)
 
 
 class LatticeHom:
@@ -303,17 +288,11 @@ class LatticeHom:
             raise StructureError("homomorphism must preserve bottom and top")
         # f(a) must be the union of f(j) over join-irreducibles j <= a and
         # the intersection of f(m) over meet-irreducibles m >= a (module
-        # docstring); m = full ^ up[x] is the largest element missing x.
+        # docstring), the elements with one upper cover.
         dmask, cmask = dom._mask, cod._mask
         image = {m: cmask[graph[e]] for e, m in dmask.items()}
-        n = len(dom.spectrum.elements)
-        up = [0] * n
-        for x, j in enumerate(dom._least):
-            for y in _bits(j):
-                up[y] |= 1 << x
-        full = (1 << n) - 1
         joins = {j: image[j] for j in dom._least}.items()
-        meets = {full ^ u: image[full ^ u] for u in up}.items()
+        meets = [(m, image[m]) for m, c in zip(dom._at, dom._covers) if c.bit_count() == 1]
         ctop = cmask[cod.top]
         for e, a in dmask.items():
             fa = image[a]
@@ -369,7 +348,7 @@ def lower_sets(p: FinPoset, budgets: Budgets | None = None) -> FinLattice:
     ``elements`` budget while they are enumerated.
     """
     kind = "boolean" if p.is_antichain() else "distributive"
-    return FinLattice(p, lower_sets_of(p, budgets), kind)
+    return _new(FinLattice, p, _lower_set_masks(p, budgets), kind)
 
 
 def join_irreducibles(a: FinLattice) -> FinPoset:
@@ -379,8 +358,10 @@ def join_irreducibles(a: FinLattice) -> FinPoset:
     everything strictly below it (so bottom is excluded).  These are the
     least elements containing each spectrum point.
     """
-    irr = [(j, a._element(j)) for j in a._irreducibles()]
-    return FinPoset([e for _, e in irr], [(e, f) for j, e in irr for k, f in irr if not j & ~k])
+    irr = a._irreducibles()
+    up = [sum(1 << i for i, k in enumerate(irr) if j & k == j) for j in irr]
+    down = [sum(1 << i for i, k in enumerate(irr) if j & k == k) for j in irr]
+    return _new(FinPoset, tuple(map(a._element, irr)), up, down)
 
 
 def birkhoff_embedding(a: FinLattice) -> tuple[FinLattice, LatticeHom]:
@@ -431,18 +412,14 @@ def lattice_from_abstract(
     js = [items[j] for j in _bits(irr)]
     spectrum = FinPoset(js, [(items[j], items[k]) for j in _bits(irr) for k in _bits(up[j] & irr)])
     to_elem = {x: frozenset(items[j] for j in _bits(m)) for x, m in zip(items, masks)}
-    family = set(to_elem.values())
-    full = frozenset(js)
-    kind = "boolean" if spectrum.is_antichain() and all(full - e in family for e in family) else "distributive"
-    return FinLattice(spectrum, family, kind), to_elem
+    # the spectrum is J, so the lattice is Boolean iff J is an antichain
+    kind = "boolean" if spectrum.is_antichain() else "distributive"
+    return FinLattice(spectrum, to_elem.values(), kind), to_elem
 
 
 def powerset_lattice(points: Iterable[Hashable]) -> FinLattice:
-    pts = list(dict.fromkeys(points))
-    subsets = [frozenset()]
-    for p in pts:
-        subsets += [s | {p} for s in subsets]
-    return FinLattice(FinPoset(pts), subsets, "boolean")
+    spectrum = FinPoset(points)
+    return _new(FinLattice, spectrum, range(1 << len(spectrum)), "boolean")
 
 
 def lattice_isomorphic(a: FinLattice, b: FinLattice) -> bool:

@@ -80,11 +80,15 @@ class FinPoset:
                 a, b = elems[j], elems[i]
                 raise StructureError(f"antisymmetry fails: {a!r} <= {b!r} <= {a!r}")
         _close(down, sorted(range(len(up)), key=lambda i: -up[i].bit_count()))
+        self._fill(elems, up, down)
+
+    def _fill(self, elems: tuple, up: Iterable[int], down: Iterable[int]) -> None:
+        """The constructor's core: ``elems`` in ``canon_key`` order, their closed rows."""
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "_up", tuple(up))
         object.__setattr__(self, "_down", tuple(down))
-        object.__setattr__(self, "_index", pos)
-        object.__setattr__(self, "_hash", hash((elems, tuple(up))))
+        object.__setattr__(self, "_index", {e: i for i, e in enumerate(elems)})
+        object.__setattr__(self, "_hash", hash((elems, self._up)))
 
     def __setattr__(self, *a):
         raise AttributeError("FinPoset is immutable")
@@ -313,6 +317,18 @@ def _bits(m: int):
         m ^= low
 
 
+def _bits_set(m: int) -> Iterable[bool]:
+    """Whether bit i of ``m`` is set, for i = 0, 1, ..., without a shift per bit."""
+    return map("1".__eq__, reversed(f"{m:b}"))
+
+
+def _new(cls: type, *core):
+    """An instance of ``cls`` made by its constructor's core ``_fill(*core)``."""
+    obj = object.__new__(cls)
+    obj._fill(*core)
+    return obj
+
+
 def _canon_mask_key(n: int) -> Callable[[int], tuple]:
     """Sort key on masks over ``n`` points in ``canon_key`` order that lists
     their point sets in ``canon_key`` order: by size, then by bit positions
@@ -331,10 +347,17 @@ def _lower_masks(steps: Iterable[tuple[int, int]], budgets: Budgets | None) -> l
     """
     downs = [0]
     for bit, below in steps:
-        downs += [d | bit for d in downs if not below & ~d]
+        downs += [d | bit for d in downs if below & d == below]
         if budgets is not None:
             check_budget(budgets, "elements", len(downs))
     return downs
+
+
+def _lower_set_masks(p: FinPoset, budgets: Budgets | None) -> list[int]:
+    """The point masks of the lower sets of ``p``, unordered (``_lower_masks``)."""
+    # a point has fewer points below it than anything above it
+    order = sorted(range(len(p)), key=lambda i: p._down[i].bit_count())
+    return _lower_masks(((1 << i, p._down[i] ^ 1 << i) for i in order), budgets)
 
 
 def lower_sets_of(p: FinPoset, budgets: Budgets | None = None) -> list[frozenset]:
@@ -343,12 +366,7 @@ def lower_sets_of(p: FinPoset, budgets: Budgets | None = None) -> list[frozenset
     With ``budgets``, their number is checked against the ``elements``
     budget while they are enumerated.
     """
-    elems = p.elements
-    # a point has fewer points below it than anything above it
-    order = sorted(range(len(elems)), key=lambda i: p._down[i].bit_count())
-    masks = _lower_masks(((1 << i, p._down[i] ^ 1 << i) for i in order), budgets)
-    masks.sort(key=_canon_mask_key(len(elems)))
-    return [p._set(m) for m in masks]
+    return [p._set(m) for m in sorted(_lower_set_masks(p, budgets), key=_canon_mask_key(len(p)))]
 
 
 def poset_isomorphic(p: FinPoset, q: FinPoset) -> bool:

@@ -20,7 +20,7 @@ from typing import Iterable
 from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
 from .errors import DomainError, StructureError
 from .lattice import FinLattice, _bits, lattice_from_abstract
-from .order import canon_key, lower_sets_of
+from .order import _canon_mask_key, _lower_masks, canon_key
 
 __all__ = [
     "Coverage",
@@ -171,14 +171,14 @@ def canonical_coverage(base: FinLattice, budgets: Budgets = DEFAULT_BUDGETS) -> 
 def _ideals_against(
     base: FinLattice, pair_test, include_empty_join: bool
 ) -> list[frozenset]:
-    """Lower sets closed under a cover-pair predicate."""
-    out = []
-    for d in lower_sets_of(base.element_poset()):
-        if include_empty_join and base.bot not in d:
-            continue
-        if pair_test(d):
-            out.append(d)
-    return out
+    """The lower sets of the element order, as position masks, that pass ``pair_test``."""
+    # positions list the elements by size, a linear extension of inclusion
+    steps = ((1 << i, d ^ 1 << i) for i, d in enumerate(_down(base)))
+    return [
+        frozenset(base.elements[i] for i in _bits(d))
+        for d in sorted(_lower_masks(steps, None), key=_canon_mask_key(len(base)))
+        if (d & 1 or not include_empty_join) and pair_test(d)
+    ]
 
 
 def cov_ideals(
@@ -192,8 +192,7 @@ def cov_ideals(
     of bottom added.
     Returns the lattice together with the ideal -> element map.
     """
-    def closed(d: frozenset) -> bool:
-        dm = _positions(c.base, d)
+    def closed(dm: int) -> bool:
         for a in range(len(c.base)):
             if dm >> a & 1:
                 continue
@@ -222,8 +221,7 @@ def cov_ideals_from_generators(
         pairs.add((base._pos(base.bot), 0))
     close = _ideal_closure(base, _down(base), pairs)
 
-    def closed(d: frozenset) -> bool:
-        dm = _positions(base, d)
+    def closed(dm: int) -> bool:
         return close(dm) == dm
 
     return _ideals_against(base, closed, False)

@@ -27,7 +27,7 @@ from .lattice import (
     join_irreducibles,
     powerset_lattice,
 )
-from .order import FinPoset, _bits, _lower_masks, _pairs, canon_key
+from .order import FinPoset, _bits_set, _lower_masks, _new, _pairs, canon_key
 
 __all__ = [
     "TOP",
@@ -197,11 +197,6 @@ def _models(p: Presentation, budgets: Budgets) -> int:
     return models
 
 
-def _bits_set(models: int) -> Iterable[bool]:
-    """Whether bit i of ``models`` is set, for i = 0, 1, ..., without a shift per bit."""
-    return map("1".__eq__, reversed(f"{models:b}"))
-
-
 def spec(p: Presentation, budgets: Budgets = DEFAULT_BUDGETS) -> SpecModel:
     """Every 2-valuation of the generators satisfying the relations."""
     models = _models(p, budgets)
@@ -253,7 +248,7 @@ def realize(
     pairs = [] if boolean else [
         (i, j) for i, v in enumerate(vals) for j, w in enumerate(vals) if not w & ~v
     ]
-    lat = FinLattice(FinPoset(range(npts), pairs), [frozenset(_bits(m)) for m in masks], p.kind)
+    lat = _new(FinLattice, FinPoset(range(npts), pairs), masks, p.kind)
     return lat, gen_img
 
 

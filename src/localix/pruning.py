@@ -445,13 +445,18 @@ def limit_image(d: CoDiagram) -> frozenset:
     every level of the pruned fixpoint projects onto it.  Truncated
     chains must carry the completeness flag.
     """
+    return _limit_image(d)
+
+
+def _limit_image(d: CoDiagram, stab: Optional[CoDiagram] = None) -> frozenset:
+    """``limit_image(d)``, certified on ``stab``, the stabilized stage of ``d``, if given."""
     if d.base is None:
         raise DomainError("limit_image needs a diagram with a base")
     if d.kind == "truncated_chain" and not d.complete:
         raise UnstabilizedError(
             "truncation too shallow for a stable limit; rebuild with greater depth"
         )
-    stab = prune_sequence(d)[0][-1]
+    stab = prune_sequence(d)[0][-1] if stab is None else stab
     out = frozenset(d.base[1][t][x] for t in d.index.maximal() for x in d.levels[t])
     for i in stab.index.elements:
         if frozenset(stab.base[1][i][x] for x in stab.levels[i]) != out:

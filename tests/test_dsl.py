@@ -2,6 +2,7 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localix import dsl, lattice, presented, pruning
 from localix.budgets import DEFAULT_BUDGETS
@@ -43,6 +44,80 @@ def test_round_trip_is_stable():
     s2 = parse(text)
     assert s2 == s1
     assert s2.render() == text  # rendering is idempotent
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["gens a b c;\nrel (a | b) | c <= a;\n", "gens a b c;\nrel a & (b & c) = !(a | (b | c));\n"],
+)
+def test_round_trip_keeps_nested_operators_of_one_kind(source):
+    s = parse(source)
+    assert parse(s.render()) == s
+
+
+# -- generated scripts: every statement kind, nested bracketed formulas -------
+
+_NAMES = st.sampled_from(["a", "b", "x1", "_q", "in", "on", "of", "P"])
+_LABELS = st.one_of(_NAMES, st.integers(0, 120).map(str), st.just("007"))
+
+
+def _listed(items, min_size=0, sep=", "):
+    return st.lists(items, min_size=min_size, max_size=3).map(sep.join)
+
+
+def _formula_step(inner):
+    return st.one_of(
+        inner.map(lambda f: f"!{f}"),
+        inner.map(lambda f: f"({f})"),
+        st.tuples(inner, st.sampled_from([" & ", " | ", "&", "|"]), inner).map("".join),
+    )
+
+
+_FORMULAS = st.recursive(st.one_of(_NAMES, st.sampled_from(["0", "1"])), _formula_step, max_leaves=8)
+_SETS = _listed(_LABELS).map(lambda b: "{" + b + "}")
+_ARROWS = _listed(st.tuples(_LABELS, _LABELS).map(" -> ".join))
+_SEQUENT = st.tuples(_listed(_FORMULAS), _listed(_FORMULAS)).map(lambda lr: "{%s} |- {%s}" % lr)
+
+
+def _after_colon(pairs):
+    return pairs.map(lambda p: f" : {p}" if p else "")
+
+
+_STATEMENTS = st.one_of(
+    st.tuples(st.sampled_from(["gens", "boolgens"]), _listed(_NAMES, 1, " ")).map(" ".join),
+    st.tuples(_FORMULAS, st.sampled_from(["<=", "="]), _FORMULAS).map(lambda t: "rel %s %s %s" % t),
+    st.tuples(_NAMES, _listed(_LABELS, 1), _after_colon(_listed(st.tuples(_LABELS, _LABELS).map(" <= ".join)))).map(
+        lambda t: "poset %s { %s%s }" % t
+    ),
+    st.tuples(_NAMES, st.one_of(
+        st.tuples(st.sampled_from(["chain", "bool"]), st.integers(0, 9).map(str)),
+        st.tuples(st.sampled_from(["downsets", "opens"]), _NAMES),
+    ).map(" ".join)).map(lambda t: "lattice %s = %s" % t),
+    st.tuples(_NAMES, _listed(_LABELS), _after_colon(_ARROWS)).map(lambda t: "relation %s { %s%s }" % t),
+    st.tuples(_NAMES, _listed(_LABELS, 1), _listed(_SETS, 1)).map(lambda t: "topology %s { %s : %s }" % t),
+    st.tuples(_NAMES, _NAMES, _listed(st.tuples(_SETS, _listed(_SETS)).map(lambda p: "%s <| [%s]" % p))).map(
+        lambda t: "coverage %s on %s { %s }" % t
+    ),
+    st.tuples(_NAMES, _listed(_listed(_LABELS).map(lambda b: f"[{b}]"), 1), _after_colon(_ARROWS)).map(
+        lambda t: "diagram %s { %s%s }" % t
+    ),
+    _SEQUENT.map(lambda q: f"prove {q}"),
+    st.tuples(_listed(_NAMES), _listed(_NAMES), _SEQUENT).map(lambda t: "interp {%s} {%s} %s" % t),
+    st.tuples(st.sampled_from(["dissolve", "prune", "ideals"]), _NAMES).map(" ".join),
+    st.tuples(_NAMES, st.one_of(st.just(""), _SETS.map(lambda e: " " + e))).map(lambda t: "baire %s%s" % t),
+    st.sampled_from(["spec", "realize"]),
+    st.tuples(_ARROWS, _listed(_LABELS, 1), _SETS).map(lambda t: "image {%s} in {%s} of %s" % t),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(_STATEMENTS, max_size=6))
+def test_generated_scripts_round_trip(statements):
+    source = "".join(f"{s};\n" for s in statements)
+    script = parse(source)
+    text = script.render()
+    assert parse(text) == script
+    assert parse(text).render() == text
 
 
 def test_formula_precedence():

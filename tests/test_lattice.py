@@ -22,7 +22,7 @@ from localix.lattice import (
     powerset_lattice,
     product_decompose,
 )
-from localix.order import FinPoset, canon_key, lower_sets_of, poset_isomorphic
+from localix.order import FinPoset, _new, canon_key, lower_sets_of, poset_isomorphic
 
 import oracles
 from conftest import glued, glued_lattices, posets, posets_up_to, random_poset
@@ -175,10 +175,10 @@ def test_ideal_completion_is_identity_at_finite_scale(rng):
 
 def test_ideal_completion_builds_only_principal_ideals(monkeypatch):
     # all down-sets of its 64-element poset would number 7,828,354
-    def no_enumeration(p):
+    def no_enumeration(p, budgets):
         raise AssertionError("ideal_completion enumerated down-sets")
 
-    monkeypatch.setattr(lattice, "lower_sets_of", no_enumeration)
+    monkeypatch.setattr(lattice, "_lower_set_masks", no_enumeration)
     a = powerset_lattice(range(6))
     lat, unit = ideal_completion(a)
     assert len(lat) == 64 and unit.is_surjective()
@@ -293,6 +293,34 @@ def test_lattice_accepts_what_the_pairwise_oracle_accepts(case):
         assert join_irreducibles(got) == oracles.join_irreducibles(got)
     else:
         assert got == want
+
+
+def _built(a: FinLattice) -> tuple:
+    """Everything the constructor's core leaves behind, orders included."""
+    return (
+        a.spectrum, a.elements, a.kind, list(a._mask.items()), list(a._at.items()), a._least,
+        a._covers, hash(a),
+    )
+
+
+@settings(max_examples=150)
+@given(posets(), st.sampled_from(["lower sets", "glued", "powerset"]))
+def test_mask_core_equals_the_public_constructor(p, shape):
+    # lower_sets and powerset_lattice take the core; glued() the public path
+    a = {"lower sets": lower_sets, "glued": glued, "powerset": powerset_lattice}[shape](
+        p if shape != "powerset" else p.elements
+    )
+    public = FinLattice(a.spectrum, reversed(a.elements), a.kind)
+    core = _new(FinLattice, a.spectrum, reversed(list(a._at)), a.kind)
+    assert _built(core) == _built(public) == _built(a)
+    assert core == public
+    # the poset core, from join_irreducibles, against the public one
+    jp = join_irreducibles(a)
+    again = FinPoset(reversed(jp.elements), jp.leq_pairs())
+    assert (jp.elements, jp._up, jp._down, jp._index, hash(jp)) == (
+        again.elements, again._up, again._down, again._index, hash(again)
+    )
+    assert list(jp._index) == list(again._index)
 
 
 @given(posets(max_points=3), posets(max_points=3), st.data())

@@ -107,6 +107,28 @@ def test_prune_record_matches_the_pruning_of_the_chain_diagram(r):
     assert (rec.get("error") == "budget") == (stabilized > DEFAULT_BUDGETS.diagram)
 
 
+
+def test_diagram_prune_record_prunes_the_sequence_once(monkeypatch):
+    # the sequence stabilizes at stage 2: two prunes and the one that
+    # repeats the levels; the limit image is certified on those stages
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return canonical_prune(d)
+
+    monkeypatch.setattr(pruning, "canonical_prune", counted)
+    script = parse("diagram D { [u, v], [w, x], [y] : w -> u, x -> v, y -> w };\nprune D;")
+    (rec,) = run(script).records
+    assert len(calls) == 3
+    rec.pop("timing_ms")
+    assert rec == {
+        "schema": 1, "kind": "prune", "ok": True, "source": "D", "verdict": "stabilized",
+        "stabilized_at": 2, "stage_sizes": [[2, 2, 1], [2, 1, 1], [1, 1, 1]], "limit_image": ["u"],
+        "dot": 'digraph pruned {\n  rankdir=TB;\n  "1" [label="1: {u}"];\n  "2" [label="2: {w}"];\n'
+        '  "3" [label="3: {y}"];\n  "3" -> "2";\n  "2" -> "1";\n}\n',
+    }
+
 def test_descents_worked_examples():
     # 2 -> 1 -> 0 descends two steps from 0; 3 sits on a loop
     preds, ext = pruning._descents(rel(range(4), [(1, 0), (2, 1), (3, 3)]))

@@ -14,12 +14,14 @@ tuples of bools; the 2^20-bit spectrum itself is 128 KB.
 """
 
 import itertools
+import json
 import time
 import tracemalloc
 
 import pytest
 
 from localix import dsl, presented, pruning
+from localix.cli import main
 from localix.errors import ResourceBudgetError
 from localix.interp import interpolate_sequent
 from localix.order import FinPoset
@@ -159,3 +161,30 @@ def test_limit_image_on_an_eight_by_eight_finite_chain(monkeypatch):
     assert image == frozenset([0])
     assert seconds < 2.0
     assert peak < 16 * 2**20
+
+
+def test_prune_diagram_file_past_the_budget_is_refused_before_validation(tmp_path, monkeypatch, capsys):
+    # a finite chain of 150 one-point levels: 150 > 64 points, read off the
+    # JSON levels.  Validating the diagram first (functoriality over every
+    # index triple) took 2.2 s before the refusal, on a 2-vCPU VM.
+    n = 150
+    data = {
+        "kind": "finite",
+        "complete": True,
+        "index": {"elements": list(range(n)), "pairs": [[i, i + 1] for i in range(n - 1)]},
+        "succ": [[i, i + 1] for i in range(n - 1)],
+        "levels": [[i, [0]] for i in range(n)],
+        "maps": [[j, i, [[0, 0]]] for j in range(n) for i in range(j)],
+        "base": None,
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(CoDiagram, "__init__", _boom)
+    (code, out), seconds, peak = _measured(
+        lambda: (main(["prune", "--diagram", str(path)]), capsys.readouterr().out)
+    )
+    assert code == 2
+    assert "diagram budget exceeded: 150 > 64" in out
+    assert seconds < 2.0
+    assert peak < 64 * 2**20
+
