@@ -57,7 +57,8 @@ class FrameTopology:
         first: dict[int, object] = {}
         rep_of = {p: first.setdefault(nb, p) for p, nb in zip(pts, lat._least)}
         reps = tuple(first.values())
-        red = {frozenset(r for r in reps if r in o) for o in lat.elements}
+        keep = sum(1 << spectrum._index[r] for r in reps)
+        red = {spectrum._set(m & keep) for m in lat._at}
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "reps", reps)
         object.__setattr__(self, "rep_of", rep_of)

@@ -129,13 +129,17 @@ def _prune_invocation(args, budgets):
         with open(args.diagram, encoding="utf-8") as fh:
             text = fh.read()
         try:  # the level sizes, before the diagram is validated (cubic in its index)
-            check_budget(budgets, "diagram", sum(len(lv) for _, lv in json.loads(text)["levels"]))
+            size = sum(len(lv) for _, lv in json.loads(text)["levels"])
+            check_budget(budgets, "diagram", size)
+            diagram = CoDiagram.from_json(text)
         except ResourceBudgetError as e:  # the record ``dsl.run`` makes for it
             report = dsl.Report(exit_code=2)
             report.add("error", ok=False, error="budget", detail=str(e))
             return report
+        except (KeyError, TypeError, ValueError) as e:  # not JSON, or not of a diagram's shape
+            raise DomainError(f"malformed diagram JSON: {type(e).__name__}: {e}") from None
         script = dsl.Script((dsl.PruneQuery("D"),))
-        return dsl.run(script, budgets, named={"D": ("diagram", CoDiagram.from_json(text))})
+        return dsl.run(script, budgets, named={"D": ("diagram", diagram)})
     if args.carrier is None:
         raise DomainError("prune needs --carrier/--edges or --diagram")
     carrier = ", ".join(_split(args.carrier))

@@ -49,7 +49,7 @@ def _rule_rows(a: FinLattice) -> tuple[list[int], list[int], list[int]]:
     """The lattice's constants for the rules below: the order as rows (the
     least congruence, S empty), and per spectrum point x the position and
     the up-row of ``_least[x]``.  Built once per check or enumeration."""
-    order = _rows(list(a._mask.values()), 0, {})
+    order = _rows(list(a._at), 0, {})
     at = [a._at[j] for j in a._least]
     return order, at, [order[p] for p in at]
 
@@ -118,9 +118,10 @@ def _rows_to_pairs(a: FinLattice, r: list[int]) -> frozenset:
 def _pairs_to_rows(a: FinLattice, pairs: Iterable[tuple]) -> list[int]:
     r = [0] * len(a)
     for x, y in pairs:
-        if x not in a or y not in a:
+        mx, my = a._mask_of(x), a._mask_of(y)
+        if mx is None or my is None:
             raise DomainError(f"pair ({x!r}, {y!r}) mentions a non-element")
-        r[a._pos(x)] |= 1 << a._pos(y)
+        r[a._at[mx]] |= 1 << a._at[my]
     return r
 
 
@@ -134,7 +135,7 @@ def _certify(a: FinLattice, r: list[int], rules: tuple) -> None:
         raise StructureError("congruence must be transitive")
     if _row_rule(r, ups) != r:
         raise StructureError("congruence must be meet-stable")
-    if _column_rule(a._mask.values(), r, [r[p] for p in at]) != r:
+    if _column_rule(a._at, r, [r[p] for p in at]) != r:
         raise StructureError("lattice joins must remain joins")
 
 
@@ -194,7 +195,7 @@ class OrderCongruence:
 def gen_order_congruence(a: FinLattice, pairs: Iterable[tuple]) -> OrderCongruence:
     """Least order-congruence on ``a`` containing the given pairs: the one
     whose S joins the differences a minus b of the pairs."""
-    masks = list(a._mask.values())
+    masks = list(a._at)
     s = 0
     for mi, ri in zip(masks, _pairs_to_rows(a, pairs)):
         for j in _bits(ri):
@@ -245,7 +246,7 @@ def enumerate_order_congruences(
     reprs = list(map(repr, pairs))
     dense = {t: k for k, t in enumerate(sorted(set(reprs)))}
     rank = {p: dense[t] for p, t in zip(pairs, reprs)}.__getitem__
-    masks = list(a._mask.values())
+    masks = list(a._at)
     above: dict[int, int] = {}
     rules = _rule_rows(a)
     out = [

@@ -79,7 +79,7 @@ def dissolve(a: FinLattice, budgets: Budgets = DEFAULT_BUDGETS) -> Dissolution:
     nj = len(irr)
     if nj > 62:  # the point numbering below packs each head in 8 bytes
         raise StructureError("lattice too large to dissolve")
-    masks = list(a._mask.values())
+    masks = list(a._at)
     inside: dict[int, int] = {}  # point mask t -> the irreducibles inside t
 
     def head(t: int) -> int:

@@ -13,8 +13,8 @@ the public constructor only encodes its frozensets, and producers that
 hold masks call the core through ``order._new``.  With ``n`` elements
 and ``p`` spectrum points:
 
-* ``least[x]``, the intersection of the elements containing ``x``, and
-  the ``elements`` frozensets, in one pass over the bits, O(n·p);
+* ``least[x]``, the intersection of the elements containing ``x``, in
+  one pass over the bits, O(n·p);
 * lower sets: each ``least[x]`` holds the points below x, O(p);
 * closure under intersection and union, certified by the Hasse covers,
   O(n·|J|) with J the distinct ``least[x]``: ``m | least[x]`` is an
@@ -33,42 +33,62 @@ and ``p`` spectrum points:
 * element order: ``canon_key``, which on masks over the ``canon_key``
   ordered points is (size, bit positions), O(n log n) comparisons.
 
-A :class:`LatticeHom` is checked on the same masks in O(n·(|J|+|M|)),
-not on all n² pairs: in a distributive lattice join-irreducibles are
-join-prime and meet-irreducibles (M, the largest elements missing a
-point) are meet-prime, so ``f`` preserves binary joins and meets iff
-``f(a)`` is the union of ``f(j)`` over ``j <= a`` in J and the
-intersection of ``f(m)`` over ``m >= a`` in M.
+A :class:`LatticeHom` has the same split: its core ``_fill`` takes the
+image of each domain element as a codomain mask, in ``elements`` order,
+and the public constructor encodes a graph of frozensets.  It is checked
+on the masks in O(n·(|J|+|M|)), not on all n² pairs: in a distributive
+lattice join-irreducibles are join-prime and meet-irreducibles (M, the
+largest elements missing a point) are meet-prime, so ``f`` preserves
+binary joins and meets iff ``f(a)`` is the union of ``f(j)`` over
+``j <= a`` in J and the intersection of ``f(m)`` over ``m >= a`` in M.
 
-Encoding.  These masks are the only integer view of a lattice.
-``_mask`` sends each element to its point mask, ``_at`` sends a point
-mask back to the element's position in ``elements``, and ``_least[x]``
-is the mask of the least element containing point x.  The
+Encoding.  A lattice is its point masks: ``_at`` sends each element's
+mask to its position (its keys are the masks in ``elements`` order), and
+``_least[x]`` is the mask of the least element containing point x.  The
 join-irreducibles J are the distinct ``_least``; ``_irreducibles`` lists
 them in ``join_irreducibles`` order.  Points with the same ``_least``
 are glued, and a subset S of J is the mask of the points x with
-``_least[x]`` in S.  Readers: ``LatticeHom``, ``enumerate_homs`` and
-``presented.extend_hom`` read J off ``_least``; ``join_irreducibles``
-passes J's inclusion rows to the ``FinPoset`` core; ``congruence``
-builds its rows and ``posite`` its meets from ``_mask`` and ``_at``,
-and ``posite`` enumerates the lower sets of the element order as
-position masks; ``dissolution`` numbers J by ``_irreducibles`` to name
-the points of 2^J; ``baire`` reads least neighbourhoods and glued
-points off ``_least``.
+``_least[x]`` in S.  The frozensets are built only when read: the
+``elements`` tuple on first read, a hom's ``graph`` likewise, and
+``_element(m)`` makes one frozenset without building the rest;
+``__contains__`` encodes its argument instead and memoizes the masks of
+the members it has seen, so the lattice operations on elements a caller
+holds cost one dict probe each.  So ``lower_sets``,
+``join_irreducibles`` (whose poset holds the |J| irreducible
+frozensets), ``birkhoff_embedding``,
+``lattice_isomorphic``, ``enumerate_homs``, ``LatticeHom.compose``,
+``is_injective``/``is_surjective`` and the JSON codec build none of
+the n element frozensets.  Readers of the masks: ``presented.extend_hom``
+reads J off ``_least``; ``congruence`` builds its rows and ``posite``
+its meets from ``_at``, and ``posite`` enumerates the lower sets of the
+element order as position masks; ``dissolution`` numbers J by
+``_irreducibles`` to name the points of 2^J; ``baire`` reads least
+neighbourhoods and glued points off ``_least``, and its opens off
+``_at``; ``lattice_from_abstract`` (so ``cov_ideals``, ``quotient`` and
+``ideal_completion``) re-indexes its item masks onto the spectrum's
+positions and calls the core.  Still on frozensets:
+``to_dot``, ``atoms``, ``element_poset``, the lattice operations
+(``meet``, ``join``, ``leq``, ``complement``), a hom's ``__call__``,
+``filterquotient``, ``product_decompose``, ``ideal_completion``'s
+down-sets, the items and map ``lattice_from_abstract`` returns, and the
+engines that list elements (congruence pairs, coverages, dissolution's
+pair sets, DSL records).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from functools import reduce
 from itertools import compress
+from operator import or_
 from typing import Callable, Hashable, Iterable
 
 from .budgets import Budgets
 from .errors import DomainError, NoImageError, PreconditionError, StructureError
 from .order import (
-    FinPoset, _bits, _bits_set, _canon_mask_key, _dot, _lower_set_masks, _new, _pairs, canon_key,
-    poset_isomorphic,
+    FinPoset, _bits, _bits_set, _canon_mask_key, _dot, _lower_set_masks, _new, _pairs, _unlabeler,
+    canon_key, poset_isomorphic,
 )
 
 __all__ = [
@@ -89,13 +109,27 @@ __all__ = [
 ]
 
 
+_KINDS = ("distributive", "boolean")
+
+
+def _frozensets(points: tuple, masks: Iterable[int]) -> tuple:
+    """The point sets of ``masks``, one frozenset each."""
+    return tuple(frozenset(compress(points, _bits_set(m))) for m in masks)
+
+
+def _moved(masks: Iterable[int], weight: list[int]) -> list[int]:
+    """Each mask with its bit i replaced by ``weight[i]``: distinct single
+    bits move the points to new positions, and 0 drops a point."""
+    return [sum(compress(weight, _bits_set(m))) for m in masks]
+
+
 class FinLattice:
     """Immutable finite distributive (or Boolean) lattice of sets."""
 
-    __slots__ = ("spectrum", "elements", "kind", "_mask", "_at", "_least", "_covers", "_hash")
+    __slots__ = ("spectrum", "kind", "_at", "_least", "_covers", "_hash", "_elements", "_seen")
 
     def __init__(self, spectrum: FinPoset, elements: Iterable[frozenset], kind: str = "distributive"):
-        if kind not in ("distributive", "boolean"):
+        if kind not in _KINDS:
             raise DomainError(f"unknown lattice kind {kind!r}")
         family = {frozenset(e) for e in elements}
         bit = {x: 1 << i for i, x in enumerate(spectrum.elements)}
@@ -114,12 +148,10 @@ class FinLattice:
         at = {m: i for i, m in enumerate(ordered)}
         if 0 not in at or full not in at:
             raise StructureError("element family must contain the empty and full set")
-        pts, least, elements = spectrum.elements, [full] * n, []
+        pts, least = spectrum.elements, [full] * n
         for m in ordered:
-            xs = [*compress(range(n), _bits_set(m))]
-            for x in xs:
+            for x in compress(range(n), _bits_set(m)):
                 least[x] &= m
-            elements.append(frozenset(map(pts.__getitem__, xs)))
         down = spectrum._down
         if any(d & ~j for d, j in zip(down, least)):  # the first element that is no lower set
             m, x = next((m, x) for m in ordered for x in _bits(m) if down[x] & ~m)
@@ -146,22 +178,53 @@ class FinLattice:
                 if full ^ m not in at:
                     raise StructureError(f"no complement for {spectrum._set(m)!r}")
         object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "elements", tuple(elements))
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "_mask", dict(zip(elements, ordered)))
         object.__setattr__(self, "_at", at)
         object.__setattr__(self, "_least", tuple(least))
         object.__setattr__(self, "_covers", tuple(covers))
         object.__setattr__(self, "_hash", hash((spectrum, tuple(ordered), kind)))
+        object.__setattr__(self, "_elements", None)
+        object.__setattr__(self, "_seen", {})
 
     def __setattr__(self, *a):
         raise AttributeError("FinLattice is immutable")
 
+    @property
+    def elements(self) -> tuple:
+        """The elements as frozensets of points, in ``canon_key`` order; built on first read."""
+        if self._elements is None:
+            object.__setattr__(self, "_elements", _frozensets(self.spectrum.elements, self._at))
+        return self._elements
+
+    @property
+    def _mask(self) -> dict:
+        """Each element's point mask, in ``elements`` order (a fresh dict)."""
+        return dict(zip(self.elements, self._at))
+
+    def _mask_of(self, e):
+        """The point mask of ``e``, or None when ``e`` is not an element.
+
+        Members are memoized, so asking again for the same element (as
+        the lattice operations do) costs one dict probe, not O(|e|)."""
+        m = self._seen.get(e)  # an unhashable e raises here
+        if m is not None or not isinstance(e, frozenset):
+            return m
+        index, m = self.spectrum._index, 0
+        for x in e:
+            i = index.get(x)
+            if i is None:
+                return None
+            m |= 1 << i
+        if m not in self._at:
+            return None
+        self._seen[e] = m
+        return m
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._at)
 
     def __contains__(self, e) -> bool:
-        return e in self._mask
+        return self._mask_of(e) is not None
 
     def __eq__(self, other) -> bool:
         return (
@@ -175,7 +238,7 @@ class FinLattice:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"FinLattice({len(self.elements)} elements, kind={self.kind})"
+        return f"FinLattice({len(self._at)} elements, kind={self.kind})"
 
     # -- lattice operations ------------------------------------------------
 
@@ -189,7 +252,7 @@ class FinLattice:
 
     def _check(self, *xs):
         for x in xs:
-            if x not in self._mask:
+            if x not in self:
                 raise DomainError(f"{x!r} is not an element of this lattice")
 
     def leq(self, a: frozenset, b: frozenset) -> bool:
@@ -208,7 +271,7 @@ class FinLattice:
         """The unique complement, when one exists in the family."""
         self._check(a)
         c = self.top - a
-        if c not in self._mask:
+        if c not in self:
             raise StructureError(f"{a!r} has no complement in this lattice")
         return c
 
@@ -228,11 +291,12 @@ class FinLattice:
 
     def _pos(self, e: frozenset) -> int:
         """The position of element ``e`` in ``elements``."""
-        return self._at[self._mask[e]]
+        return self._at[self._mask_of(e)]
 
     def _element(self, m: int) -> frozenset:
-        """The element with point mask ``m``."""
-        return self.elements[self._at[m]]
+        """The element with point mask ``m``, without building ``elements``."""
+        self._at[m]  # a KeyError when m is no element
+        return self.spectrum._set(m)
 
     def _irreducibles(self) -> list[int]:
         """The masks of the join-irreducibles, the distinct ``_least``, in
@@ -248,25 +312,34 @@ class FinLattice:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
-        from .order import _label
-
+        spectrum = self.spectrum._json_data()
+        labels = spectrum["elements"]
         return json.dumps(
             {
                 "kind": self.kind,
-                "spectrum": json.loads(self.spectrum.to_json()),
-                "elements": [sorted(_label(x) for x in e) for e in self.elements],
+                "spectrum": spectrum,
+                "elements": [sorted(compress(labels, _bits_set(m))) for m in self._at],
             },
             sort_keys=True,
         )
 
     @staticmethod
     def from_json(text: str) -> "FinLattice":
-        from .order import _unlabel
-
         data = json.loads(text)
-        spectrum = FinPoset.from_json(json.dumps(data["spectrum"]))
-        elems = [frozenset(_unlabel(x) for x in e) for e in data["elements"]]
-        return FinLattice(spectrum, elems, data["kind"])
+        unlabel = _unlabeler()
+        spectrum = FinPoset._from_data(data["spectrum"], unlabel)
+        elems, kind = data["elements"], data["kind"]
+        if kind not in _KINDS:
+            raise DomainError(f"unknown lattice kind {kind!r}")
+        bit, index = {}, spectrum._index
+        try:
+            for e in elems:
+                for s in e:
+                    if s not in bit:
+                        bit[s] = 1 << index[unlabel(s)]
+        except KeyError:  # a label outside the spectrum: the public constructor's error
+            return FinLattice(spectrum, [frozenset(map(unlabel, e)) for e in elems], kind)
+        return _new(FinLattice, spectrum, [reduce(or_, map(bit.__getitem__, e), 0) for e in elems], kind)
 
     def to_dot(self, name: str = "lattice") -> str:
         """Hasse diagram in DOT form, as ``FinPoset.to_dot`` draws ``element_poset()``."""
@@ -276,44 +349,65 @@ class FinLattice:
 class LatticeHom:
     """A bounded lattice homomorphism, validated on construction."""
 
-    __slots__ = ("dom", "cod", "graph")
+    __slots__ = ("dom", "cod", "_image", "_graph")
 
     def __init__(self, dom: FinLattice, cod: FinLattice, graph: dict):
         if set(graph) != set(dom.elements):
             raise DomainError("graph must be defined on exactly the domain elements")
-        for v in graph.values():
-            if v not in cod:
+        code = {v: cod._mask_of(v) for v in graph.values()}
+        for v, m in code.items():
+            if m is None:
                 raise DomainError(f"image {v!r} not in codomain")
-        if graph[dom.bot] != cod.bot or graph[dom.top] != cod.top:
+        self._fill(dom, cod, [code[graph[e]] for e in dom.elements])
+        object.__setattr__(self, "_graph", dict(graph))
+
+    def _fill(self, dom: FinLattice, cod: FinLattice, image: Iterable[int]) -> None:
+        """The constructor's core: ``image`` lists the codomain masks of the
+        domain elements, in ``dom.elements`` order (module docstring)."""
+        image = tuple(image)
+        if len(image) != len(dom):
+            raise DomainError("graph must be defined on exactly the domain elements")
+        for v in image:
+            if v not in cod._at:
+                raise DomainError(f"image {cod.spectrum._set(v)!r} not in codomain")
+        ctop = (1 << len(cod.spectrum)) - 1
+        if image[0] or image[-1] != ctop:  # the bottom and top of dom come first and last
             raise StructureError("homomorphism must preserve bottom and top")
         # f(a) must be the union of f(j) over join-irreducibles j <= a and
         # the intersection of f(m) over meet-irreducibles m >= a (module
         # docstring), the elements with one upper cover.
-        dmask, cmask = dom._mask, cod._mask
-        image = {m: cmask[graph[e]] for e, m in dmask.items()}
-        joins = {j: image[j] for j in dom._least}.items()
-        meets = [(m, image[m]) for m, c in zip(dom._at, dom._covers) if c.bit_count() == 1]
-        ctop = cmask[cod.top]
-        for e, a in dmask.items():
-            fa = image[a]
+        img = dict(zip(dom._at, image))
+        joins = {j: img[j] for j in dom._least}.items()
+        meets = [(m, img[m]) for m, c in zip(dom._at, dom._covers) if c.bit_count() == 1]
+        for a, fa in img.items():
             v = ctop
             for m, fm in meets:
                 if not a & ~m:
                     v &= fm
             if v != fa:
-                raise StructureError(f"meet not preserved at {e!r}")
+                raise StructureError(f"meet not preserved at {dom._element(a)!r}")
             v = 0
             for j, fj in joins:
                 if not j & ~a:
                     v |= fj
             if v != fa:
-                raise StructureError(f"join not preserved at {e!r}")
+                raise StructureError(f"join not preserved at {dom._element(a)!r}")
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "graph", dict(graph))
+        object.__setattr__(self, "_image", image)
+        object.__setattr__(self, "_graph", None)
 
     def __setattr__(self, *a):
         raise AttributeError("LatticeHom is immutable")
+
+    @property
+    def graph(self) -> dict:
+        """Each domain element's image, as frozensets; built on first read."""
+        if self._graph is None:
+            els, at = self.cod.elements, self.cod._at
+            graph = {e: els[at[v]] for e, v in zip(self.dom.elements, self._image)}
+            object.__setattr__(self, "_graph", graph)
+        return self._graph
 
     def __call__(self, x: frozenset) -> frozenset:
         try:
@@ -325,17 +419,18 @@ class LatticeHom:
         """self after other."""
         if other.cod != self.dom:
             raise DomainError("composition mismatch")
-        return LatticeHom(other.dom, self.cod, {a: self(other(a)) for a in other.dom.elements})
+        at = self.dom._at
+        return _new(LatticeHom, other.dom, self.cod, [self._image[at[v]] for v in other._image])
 
     def is_injective(self) -> bool:
-        return len(set(self.graph.values())) == len(self.graph)
+        return len(set(self._image)) == len(self._image)
 
     def is_surjective(self) -> bool:
-        return set(self.graph.values()) == set(self.cod.elements)
+        return set(self._image) == self.cod._at.keys()
 
     @staticmethod
     def identity(a: FinLattice) -> "LatticeHom":
-        return LatticeHom(a, a, {x: x for x in a.elements})
+        return _new(LatticeHom, a, a, a._at)
 
 
 # -- constructions ----------------------------------------------------------
@@ -373,10 +468,17 @@ def birkhoff_embedding(a: FinLattice) -> tuple[FinLattice, LatticeHom]:
     """
     jp = join_irreducibles(a)
     rep = lower_sets(jp)
-    graph = {b: frozenset(j for j in jp.elements if j <= b) for b in a.elements}
-    if len(set(graph.values())) != len(a.elements) or set(graph.values()) != set(rep.elements):
+    # j <= b iff b holds a point whose least element is j: one point per j
+    first: dict[int, int] = {}
+    for x, j in enumerate(a._least):
+        first.setdefault(j, x)
+    weight = [0] * len(a._least)
+    for i, j in enumerate(a._irreducibles()):
+        weight[first[j]] = 1 << i
+    image = _moved(a._at, weight)
+    if len(set(image)) != len(a) or set(image) != rep._at.keys():
         raise StructureError("lattice is not distributive: set representation fails")
-    return rep, LatticeHom(a, rep, graph)
+    return rep, _new(LatticeHom, a, rep, image)
 
 
 def lattice_from_abstract(
@@ -411,10 +513,16 @@ def lattice_from_abstract(
             raise StructureError("not a distributive lattice: order is not inclusion")
     js = [items[j] for j in _bits(irr)]
     spectrum = FinPoset(js, [(items[j], items[k]) for j in _bits(irr) for k in _bits(up[j] & irr)])
-    to_elem = {x: frozenset(items[j] for j in _bits(m)) for x, m in zip(items, masks)}
+    # the masks over item positions, re-indexed onto the spectrum's positions
+    weight = [0] * len(items)
+    for j in _bits(irr):
+        weight[j] = 1 << spectrum._index[items[j]]
+    masks = _moved(masks, weight)
     # the spectrum is J, so the lattice is Boolean iff J is an antichain
     kind = "boolean" if spectrum.is_antichain() else "distributive"
-    return FinLattice(spectrum, to_elem.values(), kind), to_elem
+    lat = _new(FinLattice, spectrum, masks, kind)
+    els, at = lat.elements, lat._at
+    return lat, {x: els[at[m]] for x, m in zip(items, masks)}
 
 
 def powerset_lattice(points: Iterable[Hashable]) -> FinLattice:
@@ -433,17 +541,22 @@ def _hom_from_irreducibles(a: FinLattice, b: FinLattice, irr_img: dict) -> Latti
     """The hom ``a -> b`` sending x to the join of ``irr_img[j]`` over the keys j <= x.
 
     Keys are join-irreducibles of ``a``, values elements of ``b``; the
-    result is validated by ``LatticeHom``.
+    result is validated by the ``LatticeHom`` core.
     """
-    imgs = [(a._mask[j], b._mask[v]) for j, v in irr_img.items()]
-    graph = {}
-    for e, m in zip(a.elements, a._mask.values()):
+    return _hom_on_masks(a, b, [(a._mask_of(j), b._mask_of(v)) for j, v in irr_img.items()])
+
+
+def _hom_on_masks(a: FinLattice, b: FinLattice, imgs: list[tuple[int, int]]) -> LatticeHom:
+    """``_hom_from_irreducibles`` on masks: ``imgs`` pairs the mask of a
+    join-irreducible of ``a`` with the mask of its image in ``b``."""
+    image = []
+    for m in a._at:
         v = 0
         for j, fj in imgs:
             if not j & ~m:
                 v |= fj
-        graph[e] = b._element(v)
-    return LatticeHom(a, b, graph)
+        image.append(v)
+    return _new(LatticeHom, a, b, image)
 
 
 def enumerate_homs(a: FinLattice, b: FinLattice) -> list[LatticeHom]:
@@ -470,14 +583,14 @@ def enumerate_homs(a: FinLattice, b: FinLattice) -> list[LatticeHom]:
                 cand &= up_a[phi[l]]
             grown += [phi + [i] for i in _bits(cand)]
         phis = grown
-    irr = [a._element(j) for j in ja]
     homs = []
     for phi in phis:
         img = [0] * len(ja)
         for q, i in zip(jb, phi):
             img[i] |= q
-        homs.append(_hom_from_irreducibles(a, b, {j: b._element(v) for j, v in zip(irr, img)}))
-    homs.sort(key=lambda h: [b._pos(h.graph[j]) for j in irr])
+        homs.append(_hom_on_masks(a, b, list(zip(ja, img))))
+    pos = [a._at[j] for j in ja]
+    homs.sort(key=lambda h: [b._at[h._image[p]] for p in pos])
     return homs
 
 

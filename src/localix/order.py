@@ -12,7 +12,8 @@ output byte-stable across runs.
 from __future__ import annotations
 
 import json
-from functools import reduce
+import re
+from functools import lru_cache, reduce
 from operator import or_
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
@@ -188,16 +189,20 @@ class FinPoset:
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
+        return json.dumps(self._json_data(), sort_keys=True)
+
+    def _json_data(self) -> dict:
         labels = [_label(e) for e in self.elements]
-        leq = sorted(map(list, _pairs(labels, self._strict())))
-        return json.dumps({"elements": labels, "leq": leq}, sort_keys=True)
+        return {"elements": labels, "leq": sorted(map(list, _pairs(labels, self._strict())))}
 
     @staticmethod
     def from_json(text: str) -> "FinPoset":
-        data = json.loads(text)
-        elems = [_unlabel(e) for e in data["elements"]]
-        pairs = [(_unlabel(a), _unlabel(b)) for a, b in data["leq"]]
-        return FinPoset(elems, pairs)
+        return FinPoset._from_data(json.loads(text), _unlabeler())
+
+    @staticmethod
+    def _from_data(data: dict, unlabel: Callable) -> "FinPoset":
+        elems = [unlabel(e) for e in data["elements"]]
+        return FinPoset(elems, [(unlabel(a), unlabel(b)) for a, b in data["leq"]])
 
     def to_dot(self, name: str = "poset") -> str:
         """Hasse diagram in DOT form: covering edges only, bottom-up."""
@@ -238,6 +243,9 @@ def _dot(name: str, elements: Iterable[Hashable], covers: Iterable[int]) -> str:
     return "\n".join(lines + ["}"]) + "\n"
 
 
+_INT_LABEL = re.compile(r"-?[0-9]+")  # the labels ``_unlabel`` reads as ints
+
+
 def _label(e) -> str:
     if isinstance(e, str):
         return e
@@ -259,9 +267,14 @@ def _unlabel(s: str):
     if s.startswith("(") and s.endswith(")"):
         inner = s[1:-1]
         return tuple(_unlabel(p) for p in _split_top(inner))
-    if s.lstrip("-").isdigit():
+    if _INT_LABEL.fullmatch(s):
         return int(s)
     return s
+
+
+def _unlabeler() -> Callable:
+    """``_unlabel`` that decodes each distinct label once."""
+    return lru_cache(maxsize=None, typed=True)(_unlabel)
 
 
 def _split_top(s: str) -> list[str]:

@@ -37,19 +37,25 @@ __all__ = [
 ]
 
 
+def _position(base: FinLattice, c: frozenset) -> int:
+    """The position of ``c`` in ``base.elements``, encoding ``c`` once."""
+    m = base._mask_of(c)
+    if m is None:
+        raise DomainError(f"{c!r} not in the coverage base")
+    return base._at[m]
+
+
 def _positions(base: FinLattice, subset: Iterable[frozenset]) -> int:
     """The mask of the positions of ``subset`` in ``base.elements``."""
     m = 0
     for c in subset:
-        if c not in base:
-            raise DomainError(f"{c!r} not in the coverage base")
-        m |= 1 << base._pos(c)
+        m |= 1 << _position(base, c)
     return m
 
 
 def _down(base: FinLattice) -> list[int]:
     """Per element position, the mask of the positions below it."""
-    masks = base._mask.values()
+    masks = base._at
     return [sum(1 << j for j, mj in enumerate(masks) if not mj & ~mi) for mi in masks]
 
 
@@ -67,9 +73,7 @@ class Coverage:
         raise AttributeError("Coverage is immutable")
 
     def covers(self, a: frozenset, c: Iterable[frozenset]) -> bool:
-        if a not in self.base:
-            raise DomainError(f"{a!r} not in the coverage base")
-        return _positions(self.base, c) in self._rel[self.base._pos(a)]
+        return _positions(self.base, c) in self._rel[_position(self.base, a)]
 
     def pairs(self) -> list[tuple[frozenset, frozenset]]:
         elems = self.base.elements
@@ -88,9 +92,7 @@ class Coverage:
 def _gen_masks(base: FinLattice, gen: Iterable[tuple[frozenset, Iterable[frozenset]]]) -> set:
     pairs = set()
     for a, c in gen:
-        if a not in base:
-            raise DomainError(f"{a!r} not in the coverage base")
-        pairs.add((base._pos(a), _positions(base, c)))
+        pairs.add((_position(base, a), _positions(base, c)))
     return pairs
 
 
@@ -103,7 +105,7 @@ def _ideal_closure(base: FinLattice, down: list[int], gen_pairs: set[tuple[int, 
     holds the cover of such a generator; the down-sets it fixes are the
     cover-ideals.
     """
-    masks, at = list(base._mask.values()), base._at
+    masks, at = list(base._at), base._at
     rules = set()
     for b, cm in gen_pairs:
         for a in _bits(down[b]):
@@ -229,9 +231,7 @@ def cov_ideals_from_generators(
 
 def downtri(c: Coverage, a: frozenset) -> frozenset:
     """The least cover-ideal containing ``a``: everything covered by {a}."""
-    if a not in c.base:
-        raise DomainError(f"{a!r} not in the coverage base")
-    am = 1 << c.base._pos(a)
+    am = 1 << _position(c.base, a)
     return frozenset(e for e, ms in zip(c.base.elements, c._rel) if am in ms)
 
 

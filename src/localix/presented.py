@@ -24,6 +24,7 @@ from .lattice import (
     FinLattice,
     LatticeHom,
     _hom_from_irreducibles,
+    _hom_on_masks,
     join_irreducibles,
     powerset_lattice,
 )
@@ -320,15 +321,15 @@ def extend_hom(
     least_of = {
         tuple(x in gen_img[g] for g in p.gens): j for x, j in zip(lat.spectrum.elements, lat._least)
     }
-    tmask = target._mask
-    irr_img: dict = {}
+    assigned = [target._mask_of(assign[g]) for g in p.gens]
+    irr_img: dict[int, int] = {}
     for q in target._irreducibles():
-        val = tuple(not q & ~tmask[assign[g]] for g in p.gens)
+        val = tuple(not q & ~m for m in assigned)
         if val not in least_of:
             raise StructureError("assignment does not extend to a hom")
-        j = lat._element(least_of[val])
-        irr_img[j] = irr_img.get(j, target.bot) | target._element(q)
-    h = _hom_from_irreducibles(lat, target, irr_img)
+        j = least_of[val]
+        irr_img[j] = irr_img.get(j, 0) | q
+    h = _hom_on_masks(lat, target, list(irr_img.items()))
     if any(h(gen_img[g]) != assign[g] for g in p.gens):
         raise StructureError("assignment does not extend to a hom")
     return h

@@ -14,12 +14,15 @@ order-congruences and coverages work on a ``Table`` of the lattice,
 built from frozenset operations on its elements, not from the masks the
 library keeps; they share with the library only the one-step congruence
 rules that it keeps as its runtime check.  The polyorder fixpoint works
-on masks over the carrier.
+on masks over the carrier.  A lattice's element frozensets, its JSON
+encoding and decoding, and the hom check are rebuilt from frozensets:
+the library keeps masks and builds frozensets only when they are read.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from functools import reduce
 from operator import or_
 
@@ -28,7 +31,7 @@ from localix.congruence import OrderCongruence, _column_rule, _compose, _row_rul
 from localix.dissolution import Dissolution, neg
 from localix.errors import DomainError, PreconditionError, StructureError
 from localix.lattice import FinLattice, LatticeHom, _bits
-from localix.order import FinPoset, _label, canon_key, lower_sets_of
+from localix.order import FinPoset, _label, _unlabel, canon_key, lower_sets_of
 from localix.posite import Coverage, PolyOrder
 from localix.presented import check_assignment
 from localix.pruning import Relation, desc_diagram, prune_sequence
@@ -184,6 +187,55 @@ def check_hom(dom, cod, graph: dict) -> None:
                 raise StructureError(f"meet not preserved at ({a!r}, {b!r})")
             if graph[a | b] != graph[a] | graph[b]:
                 raise StructureError(f"join not preserved at ({a!r}, {b!r})")
+
+
+def eager_elements(a: FinLattice) -> tuple:
+    """The frozensets ``FinLattice.elements`` lists, built from every point
+    mask at once (as the constructor did before it built them on demand)
+    and ordered by ``canon_key`` on the sets themselves."""
+    pts, n = a.spectrum.elements, len(a.spectrum)
+    sets = [frozenset(pts[i] for i in range(n) if m >> i & 1) for m in a._at]
+    return tuple(sorted(sets, key=canon_key))
+
+
+def lattice_to_json(a: FinLattice) -> str:
+    """``FinLattice.to_json`` from the frozensets and the spectrum's pairs."""
+    p = a.spectrum
+    spectrum = {
+        "elements": [_label(x) for x in p.elements],
+        "leq": sorted([_label(x), _label(y)] for x, y in p.leq_pairs() if x != y),
+    }
+    elements = [sorted(_label(x) for x in e) for e in eager_elements(a)]
+    return json.dumps({"kind": a.kind, "spectrum": spectrum, "elements": elements}, sort_keys=True)
+
+
+def lattice_from_json(text: str) -> FinLattice:
+    """``FinLattice.from_json`` through frozensets and the public constructor."""
+    data = json.loads(text)
+    spectrum = FinPoset.from_json(json.dumps(data["spectrum"]))
+    elems = [frozenset(_unlabel(x) for x in e) for e in data["elements"]]
+    return FinLattice(spectrum, elems, data["kind"])
+
+
+def hom_on_graph(dom: FinLattice, cod: FinLattice, graph: dict) -> None:
+    """The checks ``LatticeHom`` makes, read off the graph's frozensets: the
+    join- and meet-irreducible certificate of the module docstring of
+    ``localix.lattice``, element by element."""
+    if set(graph) != set(dom.elements):
+        raise DomainError("graph must be defined on exactly the domain elements")
+    for v in graph.values():
+        if v not in cod:
+            raise DomainError(f"image {v!r} not in codomain")
+    if graph[dom.bot] != cod.bot or graph[dom.top] != cod.top:
+        raise StructureError("homomorphism must preserve bottom and top")
+    elems = dom.elements
+    joins = [j for j in elems if j and j != frozenset().union(*[x for x in elems if x < j])]
+    meets = [m for m in elems if sum(1 for x in elems if m < x and not any(m < y < x for y in elems)) == 1]
+    for e in elems:
+        if graph[e] != cod.top.intersection(*[graph[m] for m in meets if e <= m]):
+            raise StructureError(f"meet not preserved at {e!r}")
+        if graph[e] != frozenset().union(*[graph[j] for j in joins if j <= e]):
+            raise StructureError(f"join not preserved at {e!r}")
 
 
 def join_irreducibles(a) -> FinPoset:

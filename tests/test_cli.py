@@ -198,3 +198,14 @@ def test_proof_output_does_not_depend_on_set_order():
         for case, (code, text) in zip(cases, json.loads(out.stdout)):
             assert code == case["exit"]
             assert text == (GOLDEN / (case["name"] + ".out")).read_text(), case["name"]
+
+
+@pytest.mark.parametrize(
+    "text", ['{"levels": [[1]]}', "[1, 2]", "levels: 1"], ids=["unpaired level", "list", "not json"]
+)
+def test_prune_reports_malformed_diagram_json_as_input_error(text, tmp_path):
+    path = tmp_path / "diagram.json"
+    path.write_text(text)
+    code, out = invoke(["prune", "--diagram", str(path)])
+    assert code == 2
+    assert out.startswith("input error: malformed diagram JSON: ")

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -426,3 +427,133 @@ def test_dot_matches_the_cubic_cover_oracle(a):
     assert a.element_poset().leq_pairs() == order
     covers = oracles.cover_pairs(a.elements, order)
     assert a.atoms() == tuple(y for x, y in covers if x == a.bot)
+
+
+# -- frozensets on demand ------------------------------------------------------
+
+@st.composite
+def any_lattices(draw):
+    """Lower sets, glued points, powersets, and families over mixed labels."""
+    shape = draw(st.sampled_from(["lower sets", "glued", "powerset", "family"]))
+    if shape == "family":
+        return draw(lattices(4))
+    p = draw(posets(4))
+    return {"lower sets": lower_sets, "glued": glued, "powerset": powerset_lattice}[shape](
+        p if shape != "powerset" else p.elements
+    )
+
+
+def _fresh(a: FinLattice) -> FinLattice:
+    """A copy of ``a`` made by the mask core, with nothing built on demand yet."""
+    b = _new(FinLattice, a.spectrum, a._at, a.kind)
+    assert b._elements is None
+    return b
+
+
+@settings(max_examples=200)
+@given(any_lattices())
+def test_lazy_elements_and_json_match_the_eager_oracles(a):
+    want = oracles.eager_elements(a)
+    first = _fresh(a)
+    assert first.elements == want
+    assert list(first._mask.items()) == list(zip(want, a._at))
+    assert all(_fresh(a)._element(m) == e for e, m in zip(want, a._at))
+    text = _fresh(a).to_json()
+    assert text == oracles.lattice_to_json(a)
+    back, want_back = FinLattice.from_json(text), oracles.lattice_from_json(text)
+    assert back == want_back and back.spectrum == want_back.spectrum
+    assert back.elements == want_back.elements
+
+
+@settings(max_examples=150)
+@given(any_lattices())
+def test_membership_encodes_and_memoizes_only_elements(a):
+    b, want = _fresh(a), oracles.eager_elements(a)
+    others = {e | {x} for e in want for x in a.spectrum.elements} - set(want)
+    others |= {frozenset({"not a point"}), frozenset(a.spectrum.elements) | {"not a point"}}
+    for _ in range(2):  # the second round answers members from the memo
+        assert [b._mask_of(frozenset(e)) for e in want] == list(a._at)
+        assert all(e in b for e in want) and not any(e in b for e in others)
+    assert b._seen == dict(zip(want, a._at)) and b._elements is None
+    assert (0,) not in b and frozenset() in b
+    with pytest.raises(TypeError):
+        set() in b
+
+
+@settings(max_examples=150)
+@given(any_lattices(), any_lattices(), st.data())
+def test_hom_core_matches_the_public_constructor(a, b, data):
+    homs = enumerate_homs(a, b)[:8] + [birkhoff_embedding(a)[1], LatticeHom.identity(b)]
+    for h in homs:
+        public = LatticeHom(h.dom, h.cod, h.graph)
+        assert public._image == h._image and public.graph == h.graph
+        assert oracles.hom_on_graph(h.dom, h.cod, h.graph) is None
+        assert h.compose(LatticeHom.identity(h.dom)).graph == h.graph
+        assert public.is_injective() == (len(set(h.graph.values())) == len(h.graph))
+        assert public.is_surjective() == (set(h.graph.values()) == set(h.cod.elements))
+    h = data.draw(st.sampled_from(homs))
+    dom, cod = h.dom, h.cod
+    image = list(h._image)
+    k = data.draw(st.integers(0, len(image) - 1))
+    full = (1 << len(cod.spectrum)) - 1
+    image[k] = data.draw(st.one_of(st.sampled_from(list(cod._at)), st.integers(0, full)))
+    graph = {e: cod.spectrum._set(v) for e, v in zip(dom.elements, image)}
+    core, public, want = (
+        _error(_new, LatticeHom, dom, cod, image),
+        _error(LatticeHom, dom, cod, graph),
+        _error(oracles.hom_on_graph, dom, cod, graph),
+    )
+    assert core == public == want
+    if core is None:
+        assert _new(LatticeHom, dom, cod, image).graph == graph
+
+
+def _error(f, *args):
+    """The type and text of the error ``f(*args)`` raises, or None."""
+    try:
+        f(*args)
+    except (DomainError, StructureError) as e:
+        return type(e), str(e)
+
+
+
+def test_kernel_calls_build_no_element_frozensets(monkeypatch):
+    def eager(points, masks):
+        raise AssertionError("element frozensets built")
+
+    monkeypatch.setattr(lattice, "_frozensets", eager)
+    p = FinPoset(range(6), [(0, 2), (1, 2), (2, 3), (2, 4)])
+    a, b = lower_sets(p), powerset_lattice("xyz")
+    copy = lower_sets(p.relabel(lambda x: f"r{x}"))
+    assert len(a) == 16 and repr(a) == "FinLattice(16 elements, kind=distributive)"
+    assert len(join_irreducibles(a)) == 6
+    rep, unit = birkhoff_embedding(a)
+    assert unit.is_injective() and unit.is_surjective() and len(rep) == len(a)
+    assert lattice_isomorphic(a, copy) and not lattice_isomorphic(a, b)
+    homs = enumerate_homs(lower_sets(chain_poset(2)), b)
+    assert len(homs) == 8 and sum(h.is_injective() for h in homs) == 6
+    assert FinLattice.from_json(a.to_json()) == a and FinLattice.from_json(b.to_json()) == b
+    assert FinPoset.from_json(p.to_json()) == p
+    assert frozenset({0, 1, 2}) in a and frozenset({2}) not in a and "x" not in a
+    assert a._element(0b111) == frozenset({0, 1, 2})
+    assert unit.compose(LatticeHom.identity(a)).is_surjective()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update(kind="modular"),
+        lambda d: d["elements"][2].append("zz"),
+        lambda d: d["elements"][-1].append("{q}"),
+        lambda d: d["elements"].pop(1),
+        lambda d: d["elements"].remove([]),
+        lambda d: d.update(kind="boolean"),
+        lambda d: d["elements"].append(["b"]),
+    ],
+)
+def test_from_json_raises_what_the_frozenset_decoder_raises(edit):
+    data = json.loads(lower_sets(FinPoset("abc", [("a", "b")])).to_json())
+    edit(data)
+    text = json.dumps(data)
+    want = _error(oracles.lattice_from_json, text)
+    assert want is not None and _error(FinLattice.from_json, text) == want

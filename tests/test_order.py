@@ -180,3 +180,19 @@ def test_closure_matches_the_fixpoint(case, data):
         perm = data.draw(st.permutations(elems))
         q = FinPoset(perm, [(perm[elems.index(a)], perm[elems.index(b)]) for a, b in pairs][1:])
         assert poset_isomorphic(p, q) == oracles.posets_isomorphic(p, q)
+
+
+@pytest.mark.parametrize(
+    "labels, back",
+    [
+        (["--5", "a"], ["--5", "a"]),  # not an int: used to raise from int()
+        (["٣", "b"], ["٣", "b"]),  # an Arabic-Indic digit is not an ASCII int
+        (["-3", "0", "12", "1a"], [-3, 0, 12, "1a"]),  # "1" keeps decoding to 1 (typed JSON is open)
+        ([-3, 0, 12], [-3, 0, 12]),
+    ],
+)
+def test_json_reads_ints_only_from_ascii_digit_labels(labels, back):
+    p = FinPoset(labels, [(labels[0], labels[1])])
+    q = FinPoset.from_json(p.to_json())
+    assert q == FinPoset(back, [(back[0], back[1])])
+    assert FinPoset.from_json(q.to_json()) == q
