@@ -6,7 +6,8 @@ discrete points.  Points with the same least neighbourhood (the
 lattice's ``_least``) are collapsed to a representative, so the ambient
 Boolean algebra is the powerset of the spectrum of the opens lattice and
 every open is join-irreducibly generated by a minimal neighborhood.  All
-category-style notions (dense, meager, comeager) live in that ambient.
+category-style notions (dense, meager, comeager) live in that ambient,
+whose elements are frozensets of representatives; it is never built.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import DomainError, StructureError
-from .lattice import FinLattice, lattice_from_abstract, powerset_lattice
-from .order import FinPoset, canon_key
+from .lattice import FinLattice, lattice_from_abstract
+from .order import FinPoset, _bits, canon_key
 
 __all__ = [
     "FrameTopology",
@@ -41,7 +42,7 @@ class FrameTopology:
     representatives with exactly one join-irreducible per point.
     """
 
-    __slots__ = ("points", "reps", "rep_of", "ambient", "opens", "min_nbhd")
+    __slots__ = ("points", "reps", "rep_of", "opens", "min_nbhd")
 
     def __init__(self, points: Iterable, opens: Iterable[frozenset]):
         spectrum = FinPoset(points)
@@ -62,7 +63,6 @@ class FrameTopology:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "reps", reps)
         object.__setattr__(self, "rep_of", rep_of)
-        object.__setattr__(self, "ambient", powerset_lattice(reps))
         object.__setattr__(self, "opens", tuple(sorted(red, key=canon_key)))
         object.__setattr__(
             self, "min_nbhd", {r: spectrum._set(nb).intersection(reps) for nb, r in first.items()}
@@ -160,15 +160,22 @@ def baire_decompose(t: FrameTopology, b: frozenset) -> tuple[frozenset, frozense
 
 
 def sigma2_family(t: FrameTopology) -> frozenset:
-    """Sublattice of the ambient generated by opens and their complements."""
-    fam = set(t.opens) | {t.top() - o for o in t.opens}
-    changed = True
-    while changed:
-        changed = False
-        for a in list(fam):
-            for b in list(fam):
-                for c in (a & b, a | b):
-                    if c not in fam:
-                        fam.add(c)
-                        changed = True
-    return frozenset(fam)
+    """Sublattice of the ambient generated by opens and their complements.
+
+    It is every subset of the points: each point x is the atom
+    U_x minus the union of U_y over the other y in U_x, with U_x its
+    least open (after the T0 collapse no such U_y holds x), and the atoms
+    join to every subset.  The atoms are checked on masks over the points.
+    """
+    idx = {x: i for i, x in enumerate(t.reps)}
+    nbhd = [sum(1 << idx[y] for y in t.min_nbhd[x]) for x in t.reps]
+    for i, u in enumerate(nbhd):
+        others = 0
+        for j in _bits(u & ~(1 << i)):
+            others |= nbhd[j]
+        if u & ~others != 1 << i:
+            raise StructureError(f"point {t.reps[i]!r} is not an atom of the opens and closeds")
+    subsets = [frozenset()]
+    for x in t.reps:
+        subsets += [s | {x} for s in subsets]
+    return frozenset(subsets)

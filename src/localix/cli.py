@@ -171,17 +171,8 @@ def _selftest(seed: int) -> dsl.Report:
         a, b = rng.choice(gens), rng.choice(gens)
         source.append(f"prove {{{a} & {b}}} |- {{{b}}};")
     report = dsl.run(dsl.parse("\n".join(source)))
-    report.records.insert(
-        0,
-        {
-            "schema": dsl.SCHEMA_VERSION,
-            "kind": "selftest",
-            "ok": True,
-            "timing_ms": None,
-            "seed": seed,
-            "checks": len(report.records),
-        },
-    )
+    report.add("selftest", seed=seed, checks=len(report.records))
+    report.records.insert(0, report.records.pop())  # the summary leads
     return report
 
 

@@ -6,14 +6,24 @@ and the queries dispatching to the engine modules.  Parsing is
 recursive descent over a hand-rolled token stream; every statement
 renders back to canonical text that re-parses to an equal script.
 
+Each statement kind is one class holding its keywords, its fields (in
+``__slots__``), ``parse``, ``render`` and ``run``.  Defining the class
+enters its keywords in ``_TABLE``, which maps each keyword to its
+class in declaration order: the parser dispatches on it and lists its
+keys when a statement starts with an unknown name.  The first keyword
+names the statement: ``render`` writes it, ``run`` uses it as the kind
+of the record it adds, and a declaration binds its name as that kind.
+
 Formula syntax: ``!`` binds tightest, then ``&``, then ``|``; ``0`` and
-``1`` are the empty join and meet; sequents are ``{A, ...} |- {B, ...}``.
+``1`` are the empty join and meet; ``/\\{A, ...}`` and ``\\/{A, ...}``
+are the meet and join of a list, as sequents print them; sequents are
+``{A, ...} |- {B, ...}``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Optional
 
 from . import presented as pr
@@ -30,25 +40,24 @@ from .errors import (
     ResourceBudgetError,
 )
 from .interp import _interpolate
-from .lattice import FinLattice, borel_image, lower_sets, powerset_lattice
+from .lattice import lower_sets, powerset_lattice
 from .order import FinPoset, canon_key
-from .posite import Coverage, cov_ideals, saturate_coverage
-from .presented import Presentation, preimage_hom, realize, spec
+from .posite import cov_ideals, saturate_coverage
+from .presented import Presentation, image_along, realize, spec
 from .pruning import CoDiagram, Relation, _limit_image, _prune_chains, prune_sequence, rank
 
 __all__ = ["Script", "Report", "parse", "run", "render"]
 
 SCHEMA_VERSION = 1
 
-_SYMBOLS = ("<=", "<|", "|-", "->", "{", "}", "(", ")", "[", "]", ";", ",", ":", "=", "!", "&", "|")
+_MEET, _JOIN = "/\\{", "\\/{"  # list forms of meet and join, as sequents print them
+_SYMBOLS = (
+    _MEET, _JOIN, "<=", "<|", "|-", "->", "{", "}", "(", ")", "[", "]", ";", ",", ":", "=", "!", "&",
+    "|",
+)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "name", "num", "sym", "eof"
-    value: str
-    line: int
-    col: int
+_Token = namedtuple("_Token", "kind value line col")  # kind: "name", "num", "sym" or "eof"
 
 
 def _tokenize(source: str) -> list[_Token]:
@@ -72,237 +81,25 @@ def _tokenize(source: str) -> list[_Token]:
                 i, col = i + len(s), col + len(s)
                 break
         else:
-            if c.isdigit():
-                j = i
-                while j < n and source[j].isdigit():
-                    j += 1
-                out.append(_Token("num", source[i:j], line, col))
-                col, i = col + (j - i), j
+            if c.isdecimal():  # what int() reads; "²" is a digit but not decimal
+                kind, more = "num", str.isdecimal
             elif c.isalpha() or c == "_":
-                j = i
-                while j < n and (source[j].isalnum() or source[j] == "_"):
-                    j += 1
-                out.append(_Token("name", source[i:j], line, col))
-                col, i = col + (j - i), j
+                kind, more = "name", lambda ch: ch.isalnum() or ch == "_"
             else:
                 raise ParseError(line, col, c, ("a token",))
+            j = i + 1
+            while j < n and more(source[j]):
+                j += 1
+            out.append(_Token(kind, source[i:j], line, col))
+            col, i = col + (j - i), j
     out.append(_Token("eof", "", line, col))
     return out
 
 
-# -- statements ----------------------------------------------------------------
-
-
-def _render_term(t: tuple, prec: int = 0) -> str:
-    op = t[0]
-    if op == "var":
-        return t[1]
-    if op == "top":
-        return "1"
-    if op == "bot":
-        return "0"
-    if op == "not":
-        return "!" + _render_term(t[1], 3)
-    here = 2 if op == "meet" else 1
-    sym = " & " if op == "meet" else " | "
-    body = sym.join(_render_term(s, here) for s in t[1:])
-    # a child with its parent's operator is bracketed: it would re-parse flat
-    return f"({body})" if prec >= here else body
-
-
-def _render_set(s: frozenset) -> str:
-    return "{" + ", ".join(str(x) for x in sorted(s, key=canon_key)) + "}"
-
-
-def _render_sequent(seq: tuple) -> str:
-    left, right = seq
-    def side(ts):
-        return "{" + ", ".join(_render_term(t) for t in ts) + "}"
-    return f"{side(left)} |- {side(right)}"
-
-
-@dataclass(frozen=True)
-class GensDecl:
-    names: tuple
-    boolean: bool = False
-
-    def render(self) -> str:
-        kw = "boolgens" if self.boolean else "gens"
-        return f"{kw} {' '.join(self.names)};"
-
-
-@dataclass(frozen=True)
-class RelDecl:
-    lhs: tuple
-    op: str  # "<=" or "="
-    rhs: tuple
-
-    def render(self) -> str:
-        return f"rel {_render_term(self.lhs)} {self.op} {_render_term(self.rhs)};"
-
-
-@dataclass(frozen=True)
-class PosetDecl:
-    name: str
-    elems: tuple
-    pairs: tuple
-
-    def render(self) -> str:
-        body = ", ".join(map(str, self.elems))
-        if self.pairs:
-            body += " : " + ", ".join(f"{a} <= {b}" for a, b in self.pairs)
-        return f"poset {self.name} {{ {body} }};"
-
-
-@dataclass(frozen=True)
-class LatticeDecl:
-    name: str
-    expr: tuple  # ("chain", n) | ("bool", n) | ("downsets", name) | ("opens", name)
-
-    def render(self) -> str:
-        return f"lattice {self.name} = {self.expr[0]} {self.expr[1]};"
-
-
-@dataclass(frozen=True)
-class RelationDecl:
-    name: str
-    elems: tuple
-    edges: tuple
-
-    def render(self) -> str:
-        body = ", ".join(str(e) for e in self.elems)
-        if self.edges:
-            body += " : " + ", ".join(f"{a} -> {b}" for a, b in self.edges)
-        return f"relation {self.name} {{ {body} }};"
-
-
-@dataclass(frozen=True)
-class TopologyDecl:
-    name: str
-    points: tuple
-    opens: tuple  # of frozensets
-
-    def render(self) -> str:
-        body = ", ".join(str(p) for p in self.points)
-        body += " : " + ", ".join(_render_set(o) for o in self.opens)
-        return f"topology {self.name} {{ {body} }};"
-
-
-@dataclass(frozen=True)
-class CoverageDecl:
-    name: str
-    base: str
-    pairs: tuple  # of (frozenset, tuple-of-frozensets)
-
-    def render(self) -> str:
-        parts = [
-            f"{_render_set(a)} <| [" + ", ".join(_render_set(c) for c in cs) + "]"
-            for a, cs in self.pairs
-        ]
-        return f"coverage {self.name} on {self.base} {{ {', '.join(parts)} }};"
-
-
-@dataclass(frozen=True)
-class DiagramDecl:
-    name: str
-    levels: tuple  # of tuples of labels
-    edges: tuple  # of (src, dst) with src one level above dst
-
-    def render(self) -> str:
-        body = ", ".join("[" + ", ".join(str(x) for x in lv) + "]" for lv in self.levels)
-        if self.edges:
-            body += " : " + ", ".join(f"{a} -> {b}" for a, b in self.edges)
-        return f"diagram {self.name} {{ {body} }};"
-
-
-@dataclass(frozen=True)
-class ProveQuery:
-    sequent: tuple  # (left terms, right terms), presented-style tuples
-
-    def render(self) -> str:
-        return f"prove {_render_sequent(self.sequent)};"
-
-
-@dataclass(frozen=True)
-class InterpQuery:
-    left: tuple
-    right: tuple
-    sequent: tuple
-
-    def render(self) -> str:
-        l = "{" + ", ".join(self.left) + "}"
-        r = "{" + ", ".join(self.right) + "}"
-        return f"interp {l} {r} {_render_sequent(self.sequent)};"
-
-
-@dataclass(frozen=True)
-class DissolveQuery:
-    name: str
-
-    def render(self) -> str:
-        return f"dissolve {self.name};"
-
-
-@dataclass(frozen=True)
-class BaireQuery:
-    name: str
-    element: Optional[frozenset]
-
-    def render(self) -> str:
-        if self.element is None:
-            return f"baire {self.name};"
-        return f"baire {self.name} {_render_set(self.element)};"
-
-
-@dataclass(frozen=True)
-class PruneQuery:
-    name: str
-
-    def render(self) -> str:
-        return f"prune {self.name};"
-
-
-@dataclass(frozen=True)
-class SpecQuery:
-    def render(self) -> str:
-        return "spec;"
-
-
-@dataclass(frozen=True)
-class RealizeQuery:
-    def render(self) -> str:
-        return "realize;"
-
-
-@dataclass(frozen=True)
-class IdealsQuery:
-    name: str
-
-    def render(self) -> str:
-        return f"ideals {self.name};"
-
-
-@dataclass(frozen=True)
-class ImageQuery:
-    fun: tuple  # of (dom point, cod point)
-    cod: tuple
-    subset: frozenset
-
-    def render(self) -> str:
-        f = "{" + ", ".join(f"{a} -> {b}" for a, b in self.fun) + "}"
-        c = "{" + ", ".join(str(x) for x in self.cod) + "}"
-        return f"image {f} in {c} of {_render_set(self.subset)};"
-
-
-@dataclass(frozen=True)
-class Script:
-    statements: tuple
-
-    def render(self) -> str:
-        return "\n".join(s.render() for s in self.statements) + ("\n" if self.statements else "")
-
-
 # -- parser --------------------------------------------------------------------
+
+
+_WANTED = {"name": "a name", "num": "a number"}
 
 
 class _Parser:
@@ -324,39 +121,74 @@ class _Parser:
         found = t.value if t.kind != "eof" else "end of input"
         raise ParseError(t.line, t.col, found, expected)
 
-    def expect(self, value: str) -> _Token:
+    def at(self, *values: str) -> bool:
         t = self.peek()
-        if t.kind == "sym" and t.value == value:
-            return self.next()
-        self.fail((f"'{value}'",))
+        return t.kind == "sym" and t.value in values
 
     def accept(self, value: str) -> bool:
-        t = self.peek()
-        if t.kind == "sym" and t.value == value:
+        if self.at(value):
             self.next()
             return True
         return False
 
-    def name(self) -> str:
+    def expect(self, value: str) -> None:
+        if not self.accept(value):
+            self.fail((f"'{value}'",))
+
+    def read(self, *kinds: str):
+        """The next token's value if its kind is one of ``kinds``; numbers become ints."""
         t = self.peek()
-        if t.kind != "name":
-            self.fail(("a name",))
-        return self.next().value
+        if t.kind not in kinds:
+            self.fail(tuple(_WANTED[k] for k in kinds))
+        self.next()
+        return int(t.value) if t.kind == "num" else t.value
+
+    def name(self) -> str:
+        return self.read("name")
+
+    def word(self, w: str) -> None:
+        """The name ``w``; another name is reported at the token after it."""
+        if self.name() != w:
+            self.fail((f"'{w}'",))
 
     def label(self):
-        """A name or a number (numbers become ints)."""
-        t = self.peek()
-        if t.kind == "name":
-            return self.next().value
-        if t.kind == "num":
-            return int(self.next().value)
-        self.fail(("a name", "a number"))
+        return self.read("name", "num")
 
     def num(self) -> int:
-        t = self.peek()
-        if t.kind != "num":
-            self.fail(("a number",))
-        return int(self.next().value)
+        return self.read("num")
+
+    # lists -----------------------------------------------------------------
+
+    def listed(self, item) -> tuple:
+        """One or more ``item()``, comma-separated."""
+        out = [item()]
+        while self.accept(","):
+            out.append(item())
+        return tuple(out)
+
+    def braced(self, item, open: str = "{", close: str = "}") -> tuple:
+        """``open``, a possibly empty ``listed`` run of ``item()``, ``close``."""
+        self.expect(open)
+        if self.accept(close):
+            return ()
+        out = self.listed(item)
+        self.expect(close)
+        return out
+
+    def pair(self, sym: str) -> tuple:
+        a = self.label()
+        self.expect(sym)
+        return a, self.label()
+
+    def block(self, items, sym: str) -> tuple:
+        """``{ items : a sym b, ... }`` as ``(items(), pairs)``; no ``:``, no pairs."""
+        self.expect("{")
+        out = (items(), self.listed(lambda: self.pair(sym)) if self.accept(":") else ())
+        self.expect("}")
+        return out
+
+    def label_set(self) -> frozenset:
+        return frozenset(self.braced(self.label))
 
     # formulas ------------------------------------------------------------
 
@@ -374,14 +206,18 @@ class _Parser:
 
     def term_unary(self) -> tuple:
         t = self.peek()
-        if t.kind == "sym" and t.value == "!":
-            self.next()
+        if self.accept("!"):
             return ("not", self.term_unary())
-        if t.kind == "sym" and t.value == "(":
-            self.next()
+        if self.accept("("):
             inner = self.term()
             self.expect(")")
             return inner
+        if self.at(_MEET, _JOIN):
+            # a one-element list stays a node: sequents print a one-child meet that way
+            parts = self.braced(self.term, t.value)
+            if parts:
+                return ("meet" if t.value == _MEET else "join", *parts)
+            return ("top",) if t.value == _MEET else ("bot",)
         if t.kind == "num" and t.value in ("0", "1"):
             self.next()
             return ("bot",) if t.value == "0" else ("top",)
@@ -389,273 +225,576 @@ class _Parser:
             return ("var", self.next().value)
         self.fail(("a formula",))
 
-    def term_list(self) -> tuple:
-        """Brace-delimited, comma-separated, possibly empty list of formulas."""
-        self.expect("{")
-        out = []
-        if not self.accept("}"):
-            out.append(self.term())
-            while self.accept(","):
-                out.append(self.term())
-            self.expect("}")
-        return tuple(out)
-
     def sequent(self) -> tuple:
-        left = self.term_list()
+        left = self.braced(self.term)
         self.expect("|-")
-        right = self.term_list()
-        return (left, right)
-
-    # shared small pieces ---------------------------------------------------
-
-    def label_set(self) -> frozenset:
-        self.expect("{")
-        out = []
-        if not self.accept("}"):
-            out.append(self.label())
-            while self.accept(","):
-                out.append(self.label())
-            self.expect("}")
-        return frozenset(out)
-
-    def name_list_braced(self) -> tuple:
-        self.expect("{")
-        out = []
-        if not self.accept("}"):
-            out.append(self.name())
-            while self.accept(","):
-                out.append(self.name())
-            self.expect("}")
-        return tuple(out)
+        return (left, self.braced(self.term))
 
     # statements ------------------------------------------------------------
-
-    def script(self) -> Script:
-        stmts = []
-        while self.peek().kind != "eof":
-            stmts.append(self.statement())
-        return Script(tuple(stmts))
 
     def statement(self):
         t = self.peek()
         if t.kind != "name":
             self.fail(("a statement keyword",))
-        kw = t.value
-        handler = getattr(self, f"stmt_{kw}", None)
-        if handler is None:
-            self.fail(
-                (
-                    "gens", "boolgens", "rel", "poset", "lattice", "relation",
-                    "topology", "coverage", "diagram", "prove", "interp",
-                    "dissolve", "baire", "prune", "spec", "realize", "ideals",
-                    "image",
-                )
-            )
+        cls = _TABLE.get(t.value)
+        if cls is None:
+            self.fail(tuple(_TABLE))
         self.next()
-        stmt = handler()
+        stmt = cls.parse(self, t.value)
         self.expect(";")
         return stmt
 
-    def stmt_gens(self, boolean: bool = False):
-        names = [self.name()]
-        while self.peek().kind == "name":
-            names.append(self.name())
-        return GensDecl(tuple(names), boolean)
-
-    def stmt_boolgens(self):
-        return self.stmt_gens(boolean=True)
-
-    def stmt_rel(self):
-        lhs = self.term()
-        t = self.peek()
-        if t.kind == "sym" and t.value in ("<=", "="):
-            op = self.next().value
-        else:
-            self.fail(("'<='", "'='"))
-        rhs = self.term()
-        return RelDecl(lhs, op, rhs)
-
-    def stmt_poset(self):
-        name = self.name()
-        self.expect("{")
-        elems = [self.label()]
-        while self.accept(","):
-            elems.append(self.label())
-        pairs = []
-        if self.accept(":"):
-            while True:
-                a = self.label()
-                self.expect("<=")
-                b = self.label()
-                pairs.append((a, b))
-                if not self.accept(","):
-                    break
-        self.expect("}")
-        return PosetDecl(name, tuple(elems), tuple(pairs))
-
-    def stmt_lattice(self):
-        name = self.name()
-        self.expect("=")
-        kind = self.name()
-        if kind in ("chain", "bool"):
-            return LatticeDecl(name, (kind, self.num()))
-        if kind in ("downsets", "opens"):
-            return LatticeDecl(name, (kind, self.name()))
-        self.fail(("chain", "bool", "downsets", "opens"))
-
-    def stmt_relation(self):
-        name = self.name()
-        self.expect("{")
-        elems = []
-        if not (self.peek().kind == "sym" and self.peek().value in (":", "}")):
-            elems.append(self.label())
-            while self.accept(","):
-                elems.append(self.label())
-        edges = []
-        if self.accept(":"):
-            while True:
-                a = self.label()
-                self.expect("->")
-                b = self.label()
-                edges.append((a, b))
-                if not self.accept(","):
-                    break
-        self.expect("}")
-        return RelationDecl(name, tuple(elems), tuple(edges))
-
-    def stmt_topology(self):
-        name = self.name()
-        self.expect("{")
-        points = [self.label()]
-        while self.accept(","):
-            points.append(self.label())
-        self.expect(":")
-        opens = [self.label_set()]
-        while self.accept(","):
-            opens.append(self.label_set())
-        self.expect("}")
-        return TopologyDecl(name, tuple(points), tuple(opens))
-
-    def stmt_coverage(self):
-        name = self.name()
-        kw = self.name()
-        if kw != "on":
-            self.fail(("'on'",))
-        base = self.name()
-        self.expect("{")
-        pairs = []
-        if not self.accept("}"):
-            while True:
-                a = self.label_set()
-                self.expect("<|")
-                self.expect("[")
-                covers = []
-                if not self.accept("]"):
-                    covers.append(self.label_set())
-                    while self.accept(","):
-                        covers.append(self.label_set())
-                    self.expect("]")
-                pairs.append((a, tuple(covers)))
-                if not self.accept(","):
-                    break
-            self.expect("}")
-        return CoverageDecl(name, base, tuple(pairs))
-
-    def stmt_diagram(self):
-        name = self.name()
-        self.expect("{")
-        levels = []
-        while True:
-            self.expect("[")
-            lv = []
-            if not self.accept("]"):
-                lv.append(self.label())
-                while self.accept(","):
-                    lv.append(self.label())
-                self.expect("]")
-            levels.append(tuple(lv))
-            if not self.accept(","):
-                break
-        edges = []
-        if self.accept(":"):
-            while True:
-                a = self.label()
-                self.expect("->")
-                b = self.label()
-                edges.append((a, b))
-                if not self.accept(","):
-                    break
-        self.expect("}")
-        return DiagramDecl(name, tuple(levels), tuple(edges))
-
-    def stmt_prove(self):
-        return ProveQuery(self.sequent())
-
-    def stmt_interp(self):
-        left = self.name_list_braced()
-        right = self.name_list_braced()
-        return InterpQuery(left, right, self.sequent())
-
-    def stmt_dissolve(self):
-        return DissolveQuery(self.name())
-
-    def stmt_baire(self):
-        name = self.name()
-        elem = None
-        if self.peek().kind == "sym" and self.peek().value == "{":
-            elem = self.label_set()
-        return BaireQuery(name, elem)
-
-    def stmt_prune(self):
-        return PruneQuery(self.name())
-
-    def stmt_spec(self):
-        return SpecQuery()
-
-    def stmt_realize(self):
-        return RealizeQuery()
-
-    def stmt_ideals(self):
-        return IdealsQuery(self.name())
-
-    def stmt_image(self):
-        self.expect("{")
-        fun = []
-        if not self.accept("}"):
-            while True:
-                a = self.label()
-                self.expect("->")
-                b = self.label()
-                fun.append((a, b))
-                if not self.accept(","):
-                    break
-            self.expect("}")
-        kw = self.name()
-        if kw != "in":
-            self.fail(("'in'",))
-        self.expect("{")
-        cod = [self.label()]
-        while self.accept(","):
-            cod.append(self.label())
-        self.expect("}")
-        kw = self.name()
-        if kw != "of":
-            self.fail(("'of'",))
-        subset = self.label_set()
-        return ImageQuery(tuple(fun), tuple(cod), subset)
-
 
 def parse(source: str) -> Script:
-    return _Parser(source).script()
+    p = _Parser(source)
+    stmts = []
+    while p.peek().kind != "eof":
+        stmts.append(p.statement())
+    return Script(tuple(stmts))
+
+
+# -- rendering of syntax --------------------------------------------------------
+
+
+def _commas(items) -> str:
+    return ", ".join(map(str, items))
+
+
+def _tail(pairs: tuple, sym: str) -> str:
+    return " : " + _commas(f"{a} {sym} {b}" for a, b in pairs) if pairs else ""
+
+
+def _render_term(t: tuple, prec: int = 0) -> str:
+    op = t[0]
+    if op == "var":
+        return t[1]
+    if op == "top":
+        return "1"
+    if op == "bot":
+        return "0"
+    if op == "not":
+        return "!" + _render_term(t[1], 3)
+    if len(t) == 2:  # a one-child node has no infix form
+        return (_MEET if op == "meet" else _JOIN) + _render_term(t[1]) + "}"
+    here = 2 if op == "meet" else 1
+    sym = " & " if op == "meet" else " | "
+    body = sym.join(_render_term(s, here) for s in t[1:])
+    # a child with its parent's operator is bracketed: it would re-parse flat
+    return f"({body})" if prec >= here else body
+
+
+def _render_set(s: frozenset) -> str:
+    return "{" + _commas(sorted(s, key=canon_key)) + "}"
+
+
+def _render_sequent(seq: tuple) -> str:
+    return "{%s} |- {%s}" % tuple(_commas(map(_render_term, side)) for side in seq)
+
+
+# -- statements ----------------------------------------------------------------
+
+_TABLE: dict = {}  # keyword -> statement class, in declaration order
+
+
+class _Node:
+    """An immutable syntax node holding the fields named in ``__slots__``.
+
+    Nodes of one type are equal when their fields are; the constructor
+    takes the fields in order.  A statement class also names its
+    ``keywords`` and provides ``parse(p, keyword)``, ``render()`` and
+    ``run(runner)``.
+    """
+
+    __slots__ = ()
+    keywords: tuple = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for c in reversed(cls.__mro__) for f in c.__dict__.get("__slots__", ()))
+        cls.keyword = cls.keywords[0] if cls.keywords else None
+        _TABLE.update(dict.fromkeys(cls.keywords, cls))
+
+    def __init__(self, *values):
+        for f, v in zip(self._fields, values, strict=True):
+            object.__setattr__(self, f, v)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self) -> tuple:
+        return (type(self), *(getattr(self, f) for f in self._fields))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Node) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({body})"
+
+
+class GensDecl(_Node):
+    keywords = ("gens", "boolgens")
+    __slots__ = ("names", "boolean")
+
+    @classmethod
+    def parse(cls, p: _Parser, kw: str):
+        names = [p.name()]
+        while p.peek().kind == "name":
+            names.append(p.name())
+        return cls(tuple(names), kw == cls.keywords[1])
+
+    def render(self) -> str:
+        return f"{self.keywords[self.boolean]} {' '.join(self.names)};"
+
+    def run(self, r: _Runner) -> None:
+        if r.gens is not None:
+            raise DomainError("generators already declared")
+        r.gens = self
+
+
+class RelDecl(_Node):
+    keywords = ("rel",)
+    __slots__ = ("lhs", "op", "rhs")  # op is "<=" or "="
+
+    @classmethod
+    def parse(cls, p: _Parser, kw: str):
+        lhs = p.term()
+        if not p.at("<=", "="):
+            p.fail(("'<='", "'='"))
+        return cls(lhs, p.next().value, p.term())
+
+    def render(self) -> str:
+        return f"{self.keyword} {_render_term(self.lhs)} {self.op} {_render_term(self.rhs)};"
+
+    def run(self, r: _Runner) -> None:
+        if not r.rels:  # validate eagerly: the generators once, then each relation
+            r.presentation()
+        for t in (self.lhs, self.rhs):
+            pr._check_term(t, frozenset(r.gens.names), r.gens.boolean)
+        r.rels.append((self.lhs, self.rhs))
+        if self.op == "=":
+            r.rels.append((self.rhs, self.lhs))
+
+
+class PosetDecl(_Node):
+    keywords = ("poset",)
+    __slots__ = ("name", "elems", "pairs")
+
+    @classmethod
+    def parse(cls, p: _Parser, kw: str):
+        return cls(p.name(), *p.block(lambda: p.listed(p.label), "<="))
+
+    def render(self) -> str:
+        return f"{self.keyword} {self.name} {{ {_commas(self.elems)}{_tail(self.pairs, '<=')} }};"
+
+    def run(self, r: _Runner) -> None:
+        r.bind(self, FinPoset(self.elems, self.pairs))
+
+
+class LatticeDecl(_Node):
+    keywords = ("lattice",)
+    __slots__ = ("name", "expr")  # ("chain", n) | ("bool", n) | ("downsets", name) | ("opens", name)
+
+    @classmethod
+    def parse(cls, p: _Parser, kw: str):
+        name = p.name()
+        p.expect("=")
+        kind = p.name()
+        if kind in ("chain", "bool"):
+            return cls(name, (kind, p.num()))
+        if kind in ("downsets", "opens"):
+            return cls(name, (kind, p.name()))
+        p.fail(("chain", "bool", "downsets", "opens"))
+
+    def render(self) -> str:
+        return f"{self.keyword} {self.name} = {self.expr[0]} {self.expr[1]};"
+
+    def run(self, r: _Runner) -> None:
+        op, arg = self.expr
+        if op == "chain":
+            if arg < 1:
+                raise DomainError("chain length must be at least 1")
+            check_budget(r.budgets, "elements", arg)
+            lat = lower_sets(FinPoset(range(arg - 1), [(i, i + 1) for i in range(arg - 2)]))
+        elif op == "bool":
+            # 2**arg elements; past the limit's bit length the power exceeds
+            # the limit anyway, so a huge arg is never raised to it
+            limit = r.budgets.elements
+            check_budget(r.budgets, "elements", 1 << min(arg, limit.bit_length()), f"2^{arg}")
+            lat = powerset_lattice(range(arg))
+        elif op == "downsets":
+            lat = lower_sets(r.lookup(arg, PosetDecl), r.budgets)
+        else:  # opens
+            lat = r.lookup(arg, TopologyDecl).opens_lattice()[0]
+        r.bind(self, lat)
+
+
+class RelationDecl(_Node):
+    keywords = ("relation",)
+    __slots__ = ("name", "elems", "edges")
+
+    @classmethod
+    def parse(cls, p: _Parser, kw: str):
+        return cls(p.name(), *p.block(lambda: () if p.at(":", "}") else p.listed(p.label), "->"))
+
+    def render(self) -> str:
+        return f"{self.keyword} {self.name} {{ {_commas(self.elems)}{_tail(self.edges, '->')} }};"
+
+    def run(self, r: _Runner) -> None:
+        r.bind(self, Relation.make(self.elems, self.edges))
+
+
+class TopologyDecl(_Node):
+    keywords = ("topology",)
+    __slots__ = ("name", "points", "opens")  # opens: a tuple of frozensets
+
+    @classmethod
+    def parse(cls, p: _Parser, kw: str):
+        name = p.name()
+        p.expect("{")
+        points = p.listed(p.label)
+        p.expect(":")
+        opens = p.listed(p.label_set)
+        p.expect("}")
+        return cls(name, points, opens)
+
+    def render(self) -> str:
+        opens = _commas(map(_render_set, self.opens))
+        return f"{self.keyword} {self.name} {{ {_commas(self.points)} : {opens} }};"
+
+    def run(self, r: _Runner) -> None:
+        r.bind(self, FrameTopology(self.points, self.opens))
+
+
+class CoverageDecl(_Node):
+    keywords = ("coverage",)
+    __slots__ = ("name", "base", "pairs")  # pairs: (frozenset, tuple of frozensets)
+
+    @classmethod
+    def parse(cls, p: _Parser, kw: str):
+        name = p.name()
+        p.word("on")
+        base = p.name()
+
+        def pair():
+            a = p.label_set()
+            p.expect("<|")
+            return a, p.braced(p.label_set, "[", "]")
+
+        return cls(name, base, p.braced(pair))
+
+    def render(self) -> str:
+        parts = _commas(f"{_render_set(a)} <| [{_commas(map(_render_set, cs))}]" for a, cs in self.pairs)
+        return f"{self.keyword} {self.name} on {self.base} {{ {parts} }};"
+
+    def run(self, r: _Runner) -> None:
+        base = r.lookup(self.base, LatticeDecl)
+        gens = [(a, list(cs)) for a, cs in self.pairs]
+        r.bind(self, saturate_coverage(base, gens, r.budgets))
+
+
+class DiagramDecl(_Node):
+    keywords = ("diagram",)
+    __slots__ = ("name", "levels", "edges")  # edges go from a level to the one before it
+
+    @classmethod
+    def parse(cls, p: _Parser, kw: str):
+        return cls(p.name(), *p.block(lambda: p.listed(lambda: p.braced(p.label, "[", "]")), "->"))
+
+    def render(self) -> str:
+        levels = _commas(f"[{_commas(lv)}]" for lv in self.levels)
+        return f"{self.keyword} {self.name} {{ {levels}{_tail(self.edges, '->')} }};"
+
+    def run(self, r: _Runner) -> None:
+        check_budget(r.budgets, "diagram", sum(map(len, self.levels)))
+        seen: dict = {}
+        for k, lv in enumerate(self.levels):
+            for x in lv:
+                if x in seen:
+                    raise DomainError(f"diagram label {x!r} appears in two levels")
+                seen[x] = k
+        maps = [dict() for _ in range(len(self.levels) - 1)]
+        for a, b in self.edges:
+            if a not in seen or b not in seen:
+                raise DomainError(f"diagram edge ({a!r}, {b!r}) uses undeclared labels")
+            if seen[a] != seen[b] + 1:
+                raise DomainError(
+                    f"edge {a!r} -> {b!r} must go one level down"
+                )
+            maps[seen[b]][a] = b
+        for k in range(len(self.levels) - 1):
+            for x in self.levels[k + 1]:
+                if x not in maps[k]:
+                    raise DomainError(f"diagram label {x!r} has no outgoing edge")
+        base = None
+        if len(self.levels) > 1:  # each level's composite map down to level 0
+            ps = [{x: x for x in self.levels[0]}]
+            for k, lv in enumerate(self.levels[1:]):
+                ps.append({x: ps[k][maps[k][x]] for x in lv})
+            base = (frozenset(self.levels[0]), ps)
+        r.bind(self, CoDiagram.chain([list(lv) for lv in self.levels], maps, base, complete=True))
+
+
+class ProveQuery(_Node):
+    keywords = ("prove",)
+    __slots__ = ("sequent",)  # (left terms, right terms), presented-style tuples
+
+    @classmethod
+    def parse(cls, p: _Parser, kw: str):
+        return cls(p.sequent())
+
+    def render(self) -> str:
+        return f"{self.keyword} {_render_sequent(self.sequent)};"
+
+    def run(self, r: _Runner) -> None:
+        seq = _to_sequent(self.sequent)
+        res = sq.prove(seq, budgets=r.budgets)
+        left_origin = frozenset(sq.neg(t) for t in seq.left)
+        r.report.add(
+            self.keyword,
+            ok=res.derivable,
+            sequent=str(seq),
+            derivable=res.derivable,
+            derivation=res.derivation.pretty(left_origin) if res.derivable else None,
+            countermodel=(
+                {str(k): v for k, v in sorted(res.countermodel.items(), key=lambda kv: canon_key(kv[0]))}
+                if res.countermodel is not None
+                else None
+            ),
+        )
+
+
+class InterpQuery(_Node):
+    keywords = ("interp",)
+    __slots__ = ("left", "right", "sequent")
+
+    @classmethod
+    def parse(cls, p: _Parser, kw: str):
+        return cls(p.braced(p.name), p.braced(p.name), p.sequent())
+
+    def render(self) -> str:
+        blocks = f"{{{_commas(self.left)}}} {{{_commas(self.right)}}}"
+        return f"{self.keyword} {blocks} {_render_sequent(self.sequent)};"
+
+    def run(self, r: _Runner) -> None:
+        seq = _to_sequent(self.sequent)
+        try:
+            i, _, lpart, rpart = _interpolate(seq, self.left, self.right, r.budgets)
+        except PreconditionError as e:
+            r.report.add(
+                self.keyword, ok=False, sequent=str(seq), error="precondition",
+                clause=e.clause, detail=str(e),
+            )
+            return
+        shared = sorted(frozenset(self.left) & frozenset(self.right), key=canon_key)
+        r.report.add(
+            self.keyword,
+            sequent=str(seq),
+            interpolant=sq.term_to_str(i),
+            shared_generators=[str(g) for g in shared],
+            obligations=[str(o) for o in _obligations(seq, i, lpart, rpart)],
+        )
+
+
+class _OnName(_Node):
+    """A query on one declared name."""
+
+    __slots__ = ("name",)
+
+    @classmethod
+    def parse(cls, p: _Parser, kw: str):
+        return cls(p.name())
+
+    def render(self) -> str:
+        return f"{self.keyword} {self.name};"
+
+
+class DissolveQuery(_OnName):
+    keywords = ("dissolve",)
+    __slots__ = ()
+
+    def run(self, r: _Runner) -> None:
+        lat = r.lookup(self.name, LatticeDecl)
+        d = dissolve(lat, r.budgets)
+        r.report.add(
+            self.keyword,
+            base=self.name,
+            base_size=len(lat),
+            base_irreducibles=len(lat._irreducibles()),
+            result_size=len(d.result),
+            result_kind=d.result.kind,
+            unit={_elem_str(x): _elem_str(d.unit(x)) for x in sorted(lat.elements, key=canon_key)},
+            dot=d.result.to_dot("dissolved"),
+        )
+
+
+class BaireQuery(_Node):
+    keywords = ("baire",)
+    __slots__ = ("name", "element")  # element: a frozenset or None
+
+    @classmethod
+    def parse(cls, p: _Parser, kw: str):
+        return cls(p.name(), p.label_set() if p.at("{") else None)
+
+    def render(self) -> str:
+        elem = "" if self.element is None else " " + _render_set(self.element)
+        return f"{self.keyword} {self.name}{elem};"
+
+    def run(self, r: _Runner) -> None:
+        t = r.lookup(self.name, TopologyDecl)
+        core, reg = comgr(t)
+        rec = dict(
+            topology=self.name,
+            points=[str(p) for p in t.reps],
+            opens=[_elem_str(o) for o in t.opens],
+            comgr=_elem_str(core),
+            regular_opens=[_elem_str(u) for u in regular_opens(t)],
+            regular_kind=reg.kind,
+        )
+        if self.element is not None:
+            u, m = baire_decompose(t, self.element)
+            rec.update(element=_elem_str(self.element), open_part=_elem_str(u), meager_part=_elem_str(m))
+        r.report.add(self.keyword, **rec)
+
+
+class PruneQuery(_OnName):
+    keywords = ("prune",)
+    __slots__ = ()
+
+    def run(self, r: _Runner) -> None:
+        kind, val = r.named.get(self.name, (None, None))
+        if kind == RelationDecl.keyword:
+            verdict, core = rank(val)
+            sizes, images, pruned = _prune_chains(val, r.budgets)
+            core = [str(x) for x in sorted(core, key=canon_key)]
+            rec = dict(
+                verdict=verdict,
+                core=core,
+                stage_sizes=sizes,
+                base_images=[sorted(map(str, im), key=canon_key) for im in images],
+                limit_image=core,
+                dot=pruned.to_dot("pruned") if pruned is not None else None,
+            )
+        elif kind == DiagramDecl.keyword:
+            check_budget(r.budgets, "diagram", val.total_size())
+            stages, stab = prune_sequence(val)
+            img = _limit_image(val, stages[-1]) if val.base is not None else None
+            rec = dict(
+                verdict="stabilized",
+                stabilized_at=stab,
+                stage_sizes=[
+                    [len(st.levels[i]) for i in st.index.elements] for st in stages
+                ],
+                limit_image=(
+                    [str(x) for x in sorted(img, key=canon_key)] if img is not None else None
+                ),
+                dot=stages[-1].to_dot("pruned"),
+            )
+        else:
+            raise DomainError(f"{self.name!r} is not a relation or diagram")
+        r.report.add(self.keyword, source=self.name, **rec)
+
+
+class _Bare(_Node):
+    """A query on the declared presentation: its keyword alone."""
+
+    __slots__ = ()
+
+    @classmethod
+    def parse(cls, p: _Parser, kw: str):
+        return cls()
+
+    def render(self) -> str:
+        return f"{self.keyword};"
+
+
+class SpecQuery(_Bare):
+    keywords = ("spec",)
+    __slots__ = ()
+
+    def run(self, r: _Runner) -> None:
+        model = spec(r.presentation(), r.budgets)
+        r.report.add(
+            self.keyword,
+            gens=list(model.presentation.gens),
+            points=["".join("1" if b else "0" for b in pt) for pt in model.points],
+        )
+
+
+class RealizeQuery(_Bare):
+    keywords = ("realize",)
+    __slots__ = ()
+
+    def run(self, r: _Runner) -> None:
+        p = r.presentation()
+        lat, gen_img = realize(p, r.budgets)
+        r.report.add(
+            self.keyword,
+            size=len(lat),
+            lattice_kind=lat.kind,
+            gens={g: _elem_str(gen_img[g]) for g in p.gens},
+            dot=lat.to_dot("realized"),
+        )
+
+
+class IdealsQuery(_OnName):
+    keywords = ("ideals",)
+    __slots__ = ()
+
+    def run(self, r: _Runner) -> None:
+        lat, _ = cov_ideals(r.lookup(self.name, CoverageDecl))
+        r.report.add(
+            self.keyword,
+            coverage=self.name,
+            count=len(lat),
+            lattice_kind=lat.kind,
+            dot=lat.to_dot("ideals"),
+        )
+
+
+class ImageQuery(_Node):
+    keywords = ("image",)
+    __slots__ = ("fun", "cod", "subset")  # fun: (dom point, cod point) pairs
+
+    @classmethod
+    def parse(cls, p: _Parser, kw: str):
+        fun = p.braced(lambda: p.pair("->"))
+        p.word("in")
+        p.expect("{")
+        cod = p.listed(p.label)
+        p.expect("}")
+        p.word("of")
+        return cls(fun, cod, p.label_set())
+
+    def render(self) -> str:
+        fun = _commas(f"{a} -> {b}" for a, b in self.fun)
+        return f"{self.keyword} {{{fun}}} in {{{_commas(self.cod)}}} of {_render_set(self.subset)};"
+
+    def run(self, r: _Runner) -> None:
+        img = image_along(dict(self.fun), self.cod, self.subset)
+        r.report.add(self.keyword, subset=_elem_str(self.subset), image=_elem_str(img))
+
+
+class Script(_Node):
+    __slots__ = ("statements",)
+
+    def render(self) -> str:
+        return "\n".join(s.render() for s in self.statements) + ("\n" if self.statements else "")
 
 
 # -- execution -------------------------------------------------------------
 
 
-@dataclass
 class Report:
-    records: list = field(default_factory=list)
-    exit_code: int = 0
+    """The records of a run, in order, and its exit code."""
+
+    __slots__ = ("records", "exit_code")
+
+    def __init__(self, records: Optional[list] = None, exit_code: int = 0):
+        self.records = [] if records is None else records
+        self.exit_code = exit_code
 
     def add(self, kind: str, ok: bool = True, **fields) -> dict:
         rec = {"schema": SCHEMA_VERSION, "kind": kind, "ok": ok, "timing_ms": None}
@@ -683,6 +822,8 @@ def _elem_str(x: frozenset) -> str:
 
 
 class _Runner:
+    """The state statements run against: budgets, report, names, presentation."""
+
     def __init__(self, budgets: Budgets, report: Report):
         self.budgets = budgets
         self.report = report
@@ -690,253 +831,25 @@ class _Runner:
         self.gens: Optional[GensDecl] = None
         self.rels: list = []
 
-    def lookup(self, name: str, want: str):
+    def lookup(self, name: str, decl: type):
+        """The object ``name`` was declared as by a ``decl`` statement."""
         if name not in self.named:
             raise DomainError(f"name {name!r} is not declared")
         kind, val = self.named[name]
-        if kind != want:
-            raise DomainError(f"{name!r} is a {kind}, not a {want}")
+        if kind != decl.keyword:
+            raise DomainError(f"{name!r} is a {kind}, not a {decl.keyword}")
         return val
 
-    def bind(self, name: str, kind: str, val) -> None:
-        if name in self.named:
-            raise DomainError(f"name {name!r} is already declared")
-        self.named[name] = (kind, val)
+    def bind(self, decl: _Node, val) -> None:
+        if decl.name in self.named:
+            raise DomainError(f"name {decl.name!r} is already declared")
+        self.named[decl.name] = (decl.keyword, val)
 
     def presentation(self) -> Presentation:
         if self.gens is None:
             raise DomainError("no generators declared (use 'gens' or 'boolgens')")
         kind = "boolean" if self.gens.boolean else "distributive"
         return Presentation(self.gens.names, tuple(self.rels), kind)
-
-    # one method per statement class name -----------------------------------
-
-    def run_GensDecl(self, s: GensDecl):
-        if self.gens is not None:
-            raise DomainError("generators already declared")
-        self.gens = s
-
-    def run_RelDecl(self, s: RelDecl):
-        if not self.rels:  # validate eagerly: the generators once, then each relation
-            self.presentation()
-        for t in (s.lhs, s.rhs):
-            pr._check_term(t, frozenset(self.gens.names), self.gens.boolean)
-        self.rels.append((s.lhs, s.rhs))
-        if s.op == "=":
-            self.rels.append((s.rhs, s.lhs))
-
-    def run_PosetDecl(self, s: PosetDecl):
-        self.bind(s.name, "poset", FinPoset(s.elems, s.pairs))
-
-    def run_LatticeDecl(self, s: LatticeDecl):
-        op, arg = s.expr
-        if op == "chain":
-            if arg < 1:
-                raise DomainError("chain length must be at least 1")
-            check_budget(self.budgets, "elements", arg)
-            lat = lower_sets(FinPoset(range(arg - 1), [(i, i + 1) for i in range(arg - 2)]))
-        elif op == "bool":
-            # 2**arg elements; past the limit's bit length the power exceeds
-            # the limit anyway, so a huge arg is never raised to it
-            limit = self.budgets.elements
-            check_budget(self.budgets, "elements", 1 << min(arg, limit.bit_length()), f"2^{arg}")
-            lat = powerset_lattice(range(arg))
-        elif op == "downsets":
-            lat = lower_sets(self.lookup(arg, "poset"), self.budgets)
-        else:  # opens
-            top = self.lookup(arg, "topology")
-            lat = top.opens_lattice()[0]
-        self.bind(s.name, "lattice", lat)
-
-    def run_RelationDecl(self, s: RelationDecl):
-        self.bind(s.name, "relation", Relation.make(s.elems, s.edges))
-
-    def run_TopologyDecl(self, s: TopologyDecl):
-        self.bind(s.name, "topology", FrameTopology(s.points, s.opens))
-
-    def run_CoverageDecl(self, s: CoverageDecl):
-        base = self.lookup(s.base, "lattice")
-        gens = [(a, list(cs)) for a, cs in s.pairs]
-        self.bind(s.name, "coverage", saturate_coverage(base, gens, self.budgets))
-
-    def run_DiagramDecl(self, s: DiagramDecl):
-        check_budget(self.budgets, "diagram", sum(map(len, s.levels)))
-        seen: dict = {}
-        for k, lv in enumerate(s.levels):
-            for x in lv:
-                if x in seen:
-                    raise DomainError(f"diagram label {x!r} appears in two levels")
-                seen[x] = k
-        maps = [dict() for _ in range(len(s.levels) - 1)]
-        for a, b in s.edges:
-            if a not in seen or b not in seen:
-                raise DomainError(f"diagram edge ({a!r}, {b!r}) uses undeclared labels")
-            if seen[a] != seen[b] + 1:
-                raise DomainError(
-                    f"edge {a!r} -> {b!r} must go one level down"
-                )
-            maps[seen[b]][a] = b
-        for k in range(len(s.levels) - 1):
-            for x in s.levels[k + 1]:
-                if x not in maps[k]:
-                    raise DomainError(f"diagram label {x!r} has no outgoing edge")
-        base = None
-        if len(s.levels) > 1:
-            y = frozenset(s.levels[0])
-            ps = []
-            for k in range(len(s.levels)):
-                f = {x: x for x in s.levels[k]}
-                for step in range(k, 0, -1):
-                    f = {x: maps[step - 1][v] for x, v in f.items()}
-                ps.append(f)
-            base = (y, ps)
-        self.bind(
-            s.name,
-            "diagram",
-            CoDiagram.chain([list(lv) for lv in s.levels], maps, base, complete=True),
-        )
-
-    def run_ProveQuery(self, s: ProveQuery):
-        seq = _to_sequent(s.sequent)
-        res = sq.prove(seq, budgets=self.budgets)
-        left_origin = frozenset(sq.neg(t) for t in seq.left)
-        self.report.add(
-            "prove",
-            ok=res.derivable,
-            sequent=str(seq),
-            derivable=res.derivable,
-            derivation=res.derivation.pretty(left_origin) if res.derivable else None,
-            countermodel=(
-                {str(k): v for k, v in sorted(res.countermodel.items(), key=lambda kv: canon_key(kv[0]))}
-                if res.countermodel is not None
-                else None
-            ),
-        )
-
-    def run_InterpQuery(self, s: InterpQuery):
-        seq = _to_sequent(s.sequent)
-        try:
-            i, _, lpart, rpart = _interpolate(seq, s.left, s.right, self.budgets)
-        except PreconditionError as e:
-            self.report.add(
-                "interp", ok=False, sequent=str(seq), error="precondition",
-                clause=e.clause, detail=str(e),
-            )
-            return
-        shared = sorted(frozenset(s.left) & frozenset(s.right), key=canon_key)
-        self.report.add(
-            "interp",
-            sequent=str(seq),
-            interpolant=sq.term_to_str(i),
-            shared_generators=[str(g) for g in shared],
-            obligations=[str(o) for o in _obligations(seq, i, lpart, rpart)],
-        )
-
-    def run_DissolveQuery(self, s: DissolveQuery):
-        lat = self.lookup(s.name, "lattice")
-        d = dissolve(lat, self.budgets)
-        self.report.add(
-            "dissolve",
-            base=s.name,
-            base_size=len(lat),
-            base_irreducibles=len(lat._irreducibles()),
-            result_size=len(d.result),
-            result_kind=d.result.kind,
-            unit={_elem_str(x): _elem_str(d.unit(x)) for x in sorted(lat.elements, key=canon_key)},
-            dot=d.result.to_dot("dissolved"),
-        )
-
-    def run_BaireQuery(self, s: BaireQuery):
-        t = self.lookup(s.name, "topology")
-        core, reg = comgr(t)
-        rec = dict(
-            topology=s.name,
-            points=[str(p) for p in t.reps],
-            opens=[_elem_str(o) for o in t.opens],
-            comgr=_elem_str(core),
-            regular_opens=[_elem_str(u) for u in regular_opens(t)],
-            regular_kind=reg.kind,
-        )
-        if s.element is not None:
-            u, m = baire_decompose(t, s.element)
-            rec.update(element=_elem_str(s.element), open_part=_elem_str(u), meager_part=_elem_str(m))
-        self.report.add("baire", **rec)
-
-    def run_PruneQuery(self, s: PruneQuery):
-        kind, val = self.named.get(s.name, (None, None))
-        if kind == "relation":
-            verdict, core = rank(val)
-            sizes, images, pruned = _prune_chains(val, self.budgets)
-            core = [str(x) for x in sorted(core, key=canon_key)]
-            self.report.add(
-                "prune",
-                source=s.name,
-                verdict=verdict,
-                core=core,
-                stage_sizes=sizes,
-                base_images=[sorted(map(str, im), key=canon_key) for im in images],
-                limit_image=core,
-                dot=pruned.to_dot("pruned") if pruned is not None else None,
-            )
-        elif kind == "diagram":
-            check_budget(self.budgets, "diagram", val.total_size())
-            stages, stab = prune_sequence(val)
-            img = _limit_image(val, stages[-1]) if val.base is not None else None
-            self.report.add(
-                "prune",
-                source=s.name,
-                verdict="stabilized",
-                stabilized_at=stab,
-                stage_sizes=[
-                    [len(st.levels[i]) for i in st.index.elements] for st in stages
-                ],
-                limit_image=(
-                    [str(x) for x in sorted(img, key=canon_key)] if img is not None else None
-                ),
-                dot=stages[-1].to_dot("pruned"),
-            )
-        else:
-            raise DomainError(f"{s.name!r} is not a relation or diagram")
-
-    def run_SpecQuery(self, s: SpecQuery):
-        model = spec(self.presentation(), self.budgets)
-        self.report.add(
-            "spec",
-            gens=list(model.presentation.gens),
-            points=["".join("1" if b else "0" for b in pt) for pt in model.points],
-        )
-
-    def run_RealizeQuery(self, s: RealizeQuery):
-        p = self.presentation()
-        lat, gen_img = realize(p, self.budgets)
-        self.report.add(
-            "realize",
-            size=len(lat),
-            lattice_kind=lat.kind,
-            gens={g: _elem_str(gen_img[g]) for g in p.gens},
-            dot=lat.to_dot("realized"),
-        )
-
-    def run_IdealsQuery(self, s: IdealsQuery):
-        cov = self.lookup(s.name, "coverage")
-        lat, of_ideal = cov_ideals(cov)
-        self.report.add(
-            "ideals",
-            coverage=s.name,
-            count=len(lat),
-            lattice_kind=lat.kind,
-            dot=lat.to_dot("ideals"),
-        )
-
-    def run_ImageQuery(self, s: ImageQuery):
-        fun = dict(s.fun)
-        h = preimage_hom(fun, list(fun), s.cod)
-        img = borel_image(h, s.subset)
-        self.report.add(
-            "image",
-            subset=_elem_str(s.subset),
-            image=_elem_str(img),
-        )
 
 
 def run(
@@ -954,9 +867,8 @@ def run(
     if named:
         runner.named.update(named)
     for stmt in script.statements:
-        handler = getattr(runner, f"run_{type(stmt).__name__}")
         try:
-            handler(stmt)
+            stmt.run(runner)
         except ResourceBudgetError as e:
             report.add("error", ok=False, error="budget", detail=str(e))
             report.exit_code = 2
@@ -1011,10 +923,7 @@ def _render_dot(report: Report) -> str:
 
 
 def render(report: Report, fmt: str = "text") -> str:
-    if fmt == "text":
-        return _render_text(report)
-    if fmt == "json":
-        return _render_json(report)
-    if fmt == "dot":
-        return _render_dot(report)
-    raise DomainError(f"unknown format {fmt!r}")
+    renderer = {"text": _render_text, "json": _render_json, "dot": _render_dot}.get(fmt)
+    if renderer is None:
+        raise DomainError(f"unknown format {fmt!r}")
+    return renderer(report)

@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 from . import sequent as sq
 from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
-from .errors import DomainError, PreconditionError, StructureError
+from .errors import DomainError, NoImageError, PreconditionError, StructureError
 from .lattice import (
     FinLattice,
     LatticeHom,
@@ -53,6 +53,7 @@ __all__ = [
     "bilax_pushout",
     "preimage_hom",
     "direct_image",
+    "image_along",
 ]
 
 # Lattice terms are nested tuples: ("top",), ("bot",), ("var", g),
@@ -513,3 +514,25 @@ def preimage_hom(fun: dict, dom_pts: Iterable, cod_pts: Iterable) -> LatticeHom:
 
 def direct_image(fun: dict, s: frozenset) -> frozenset:
     return frozenset(fun[x] for x in s)
+
+
+def image_along(fun: dict, cod_pts: Iterable, b: frozenset) -> frozenset:
+    """``borel_image(preimage_hom(fun, list(fun), cod_pts), b)`` in O(|fun|).
+
+    Direct image is left adjoint to preimage (b <= f^-1(c) iff f[b] <= c),
+    so the least cover is ``direct_image(fun, b)`` and no powerset is
+    built.  Raises what the powerset path raises, in the same order; the
+    result is certified: b <= f^-1(f[b]), and each point of f[b] is hit
+    from b, so no smaller c covers b.
+    """
+    cod = frozenset(cod_pts)
+    for x in sorted(fun, key=canon_key):
+        if fun[x] not in cod:
+            raise DomainError(f"function undefined or out of range at {x!r}")
+    if not b.issubset(fun):
+        raise DomainError(f"{b!r} not in the codomain of f")
+    img = direct_image(fun, b)
+    pre = {x for x, y in fun.items() if y in img}
+    if not b <= pre or {y for x, y in fun.items() if x in b} != img:
+        raise NoImageError(f"no least cover for {b!r} along f")
+    return img

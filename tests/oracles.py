@@ -6,7 +6,8 @@ closure and the queries read off it (Hasse covers and their DOT, linear
 extension, lower sets, isomorphism), the glb/lub realization of abstract lattices, the hom search,
 the spectrum of a presentation one valuation at a time on its tuple
 terms, the generation closures of ``realize`` and ``extend_hom``, the recursive
-well-founded rank, the ``prune`` record of a relation by canonical pruning
+well-founded rank, the sublattice generated by a topology's opens and
+closeds, the ``prune`` record of a relation by canonical pruning
 of its whole descending-chain diagram, truth-table polyorder entailment, Maehara extraction
 by a walk of the derivation tree and the separator search in Boolean
 pushouts.  The rule fixpoints for dissolution,
@@ -979,6 +980,26 @@ def saturate_coverage(
                         rel[a].add(dm)
                         changed = True
     return Coverage(base, tuple(sorted(((a, frozenset(c)) for a, c in gen), key=canon_key)), rel)
+
+
+def closed(fam: set) -> set:
+    """``fam`` closed under & and |, by the naive fixpoint (in place)."""
+    changed = True
+    while changed:
+        changed = False
+        for a in list(fam):
+            for b in list(fam):
+                for c in (a & b, a | b):
+                    if c not in fam:
+                        fam.add(c)
+                        changed = True
+    return fam
+
+
+def sigma2_family(t) -> frozenset:
+    """The sublattice of the ambient that a ``FrameTopology``'s opens and
+    their complements generate."""
+    return frozenset(closed(set(t.opens) | {t.top() - o for o in t.opens}))
 
 
 # -- searches behind the pruning rank and pushout separation ------------------

@@ -1,6 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from localix.baire import (
     FrameTopology,
@@ -28,16 +31,18 @@ def random_topology(rng, n):
     fam = {frozenset(), frozenset(pts)}
     for _ in range(rng.randint(0, n + 1)):
         fam.add(frozenset(p for p in pts if rng.random() < 0.5))
-    changed = True
-    while changed:
-        changed = False
-        for a in list(fam):
-            for b in list(fam):
-                for c in (a & b, a | b):
-                    if c not in fam:
-                        fam.add(c)
-                        changed = True
-    return FrameTopology(pts, fam)
+    return FrameTopology(pts, oracles.closed(fam))
+
+
+@st.composite
+def topologies(draw, max_points=5):
+    """Random opens on up to ``max_points`` points, closed under & and |;
+    points that no open separates are glued."""
+    n = draw(st.integers(1, max_points))
+    pts = [f"x{i}" for i in range(n)]
+    masks = draw(st.lists(st.integers(0, 2**n - 1), max_size=n + 1))
+    fam = {frozenset(p for i, p in enumerate(pts) if m >> i & 1) for m in masks}
+    return FrameTopology(pts, oracles.closed(fam | {frozenset(), frozenset(pts)}))
 
 
 def all_topologies(points):
@@ -160,6 +165,12 @@ def test_baire_decompose_witness(rng):
                 assert t.is_open(u)
                 assert m == (b ^ u)
                 assert is_meager(t, m)
+
+
+@settings(max_examples=150)
+@given(topologies())
+def test_sigma2_family_matches_the_fixpoint(t):
+    assert sigma2_family(t) == oracles.sigma2_family(t)
 
 
 def test_sigma2_family_is_full_powerset_small(rng):

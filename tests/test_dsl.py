@@ -70,6 +70,7 @@ def _formula_step(inner):
         inner.map(lambda f: f"!{f}"),
         inner.map(lambda f: f"({f})"),
         st.tuples(inner, st.sampled_from([" & ", " | ", "&", "|"]), inner).map("".join),
+        st.tuples(st.sampled_from(["/\\{", "\\/{"]), _listed(inner)).map(lambda t: t[0] + t[1] + "}"),
     )
 
 
@@ -83,31 +84,48 @@ def _after_colon(pairs):
     return pairs.map(lambda p: f" : {p}" if p else "")
 
 
-_STATEMENTS = st.one_of(
-    st.tuples(st.sampled_from(["gens", "boolgens"]), _listed(_NAMES, 1, " ")).map(" ".join),
-    st.tuples(_FORMULAS, st.sampled_from(["<=", "="]), _FORMULAS).map(lambda t: "rel %s %s %s" % t),
-    st.tuples(_NAMES, _listed(_LABELS, 1), _after_colon(_listed(st.tuples(_LABELS, _LABELS).map(" <= ".join)))).map(
-        lambda t: "poset %s { %s%s }" % t
-    ),
-    st.tuples(_NAMES, st.one_of(
+# the text after the keyword, for each keyword of the statement table
+_BODIES = {
+    "gens": _listed(_NAMES, 1, " "),
+    "boolgens": _listed(_NAMES, 1, " "),
+    "rel": st.tuples(_FORMULAS, st.sampled_from(["<=", "="]), _FORMULAS).map(" ".join),
+    "poset": st.tuples(
+        _NAMES, _listed(_LABELS, 1), _after_colon(_listed(st.tuples(_LABELS, _LABELS).map(" <= ".join)))
+    ).map(lambda t: "%s { %s%s }" % t),
+    "lattice": st.tuples(_NAMES, st.one_of(
         st.tuples(st.sampled_from(["chain", "bool"]), st.integers(0, 9).map(str)),
         st.tuples(st.sampled_from(["downsets", "opens"]), _NAMES),
-    ).map(" ".join)).map(lambda t: "lattice %s = %s" % t),
-    st.tuples(_NAMES, _listed(_LABELS), _after_colon(_ARROWS)).map(lambda t: "relation %s { %s%s }" % t),
-    st.tuples(_NAMES, _listed(_LABELS, 1), _listed(_SETS, 1)).map(lambda t: "topology %s { %s : %s }" % t),
-    st.tuples(_NAMES, _NAMES, _listed(st.tuples(_SETS, _listed(_SETS)).map(lambda p: "%s <| [%s]" % p))).map(
-        lambda t: "coverage %s on %s { %s }" % t
+    ).map(" ".join)).map(lambda t: "%s = %s" % t),
+    "relation": st.tuples(_NAMES, _listed(_LABELS), _after_colon(_ARROWS)).map(
+        lambda t: "%s { %s%s }" % t
     ),
-    st.tuples(_NAMES, _listed(_listed(_LABELS).map(lambda b: f"[{b}]"), 1), _after_colon(_ARROWS)).map(
-        lambda t: "diagram %s { %s%s }" % t
+    "topology": st.tuples(_NAMES, _listed(_LABELS, 1), _listed(_SETS, 1)).map(
+        lambda t: "%s { %s : %s }" % t
     ),
-    _SEQUENT.map(lambda q: f"prove {q}"),
-    st.tuples(_listed(_NAMES), _listed(_NAMES), _SEQUENT).map(lambda t: "interp {%s} {%s} %s" % t),
-    st.tuples(st.sampled_from(["dissolve", "prune", "ideals"]), _NAMES).map(" ".join),
-    st.tuples(_NAMES, st.one_of(st.just(""), _SETS.map(lambda e: " " + e))).map(lambda t: "baire %s%s" % t),
-    st.sampled_from(["spec", "realize"]),
-    st.tuples(_ARROWS, _listed(_LABELS, 1), _SETS).map(lambda t: "image {%s} in {%s} of %s" % t),
+    "coverage": st.tuples(
+        _NAMES, _NAMES, _listed(st.tuples(_SETS, _listed(_SETS)).map(lambda p: "%s <| [%s]" % p))
+    ).map(lambda t: "%s on %s { %s }" % t),
+    "diagram": st.tuples(
+        _NAMES, _listed(_listed(_LABELS).map(lambda b: f"[{b}]"), 1), _after_colon(_ARROWS)
+    ).map(lambda t: "%s { %s%s }" % t),
+    "prove": _SEQUENT,
+    "interp": st.tuples(_listed(_NAMES), _listed(_NAMES), _SEQUENT).map(lambda t: "{%s} {%s} %s" % t),
+    "dissolve": _NAMES,
+    "baire": st.tuples(_NAMES, st.one_of(st.just(""), _SETS.map(lambda e: " " + e))).map("".join),
+    "prune": _NAMES,
+    "spec": st.just(""),
+    "realize": st.just(""),
+    "ideals": _NAMES,
+    "image": st.tuples(_ARROWS, _listed(_LABELS, 1), _SETS).map(lambda t: "{%s} in {%s} of %s" % t),
+}
+_STATEMENTS = st.one_of(
+    *(body.map(lambda b, kw=kw: f"{kw} {b}".rstrip()) for kw, body in _BODIES.items())
 )
+
+
+def test_generated_statements_cover_the_statement_table():
+    # a new statement kind cannot skip the round-trip property below
+    assert list(_BODIES) == list(dsl._TABLE)
 
 
 @settings(max_examples=300)
@@ -118,6 +136,34 @@ def test_generated_scripts_round_trip(statements):
     text = script.render()
     assert parse(text) == script
     assert parse(text).render() == text
+    # a sequent as records print it parses back to the same sequent
+    for stmt in script.statements:
+        if isinstance(stmt, (dsl.ProveQuery, dsl.InterpQuery)):
+            seq = dsl._to_sequent(stmt.sequent)
+            (again,) = parse(f"prove {seq};").statements
+            assert dsl._to_sequent(again.sequent) == seq
+
+
+def test_list_formulas_as_sequents_print_them():
+    # the sequent line of `localix prove '{x & y} |- {x}'` is a prove statement again
+    (stmt,) = parse("prove {/\\{x,y}} |- {x};").statements
+    assert stmt == parse("prove {x & y} |- {x};").statements[0]
+    (rel,) = parse("rel /\\{} <= \\/{a, /\\{b}, !c};").statements
+    assert rel.lhs == ("top",)
+    assert rel.rhs == ("join", ("var", "a"), ("meet", ("var", "b")), ("not", ("var", "c")))
+    assert rel.render() == "rel 1 <= a | /\\{b} | !c;"
+    assert parse("rel \\/{} <= a;").statements[0].lhs == ("bot",)
+    assert str(dsl._to_sequent(parse("prove {a & a} |- {};").statements[0].sequent)) == "{/\\{a}} |- {}"
+
+
+def test_unknown_keyword_lists_the_statement_table_in_order():
+    with pytest.raises(ParseError) as ei:
+        parse("frobnicate;")
+    assert ei.value.expected == (
+        "gens", "boolgens", "rel", "poset", "lattice", "relation", "topology", "coverage",
+        "diagram", "prove", "interp", "dissolve", "baire", "prune", "spec", "realize",
+        "ideals", "image",
+    )
 
 
 def test_formula_precedence():
@@ -148,6 +194,7 @@ def test_comments_and_numeric_labels():
         ("gens 1;", 1, 6, "1"),
         ("frobnicate;", 1, 1, "frobnicate"),
         ("prove {x} |- {x}", 1, 17, "end of input"),
+        ("lattice L = chain \u00b2;", 1, 19, "\u00b2"),
     ],
 )
 def test_parse_error_positions(source, line, col, found):
@@ -179,6 +226,33 @@ def test_report_records_and_exit_codes():
     assert diag_rec["verdict"] == "stabilized"
     assert by_kind["realize"][0]["size"] == 6  # two free generators
     assert by_kind["image"][0]["image"] == "{p}"
+
+
+_POINTS = st.sampled_from(["s", "t", "p", "q", 0, 1, 2])
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.tuples(_POINTS, _POINTS), max_size=5),
+    st.lists(_POINTS, min_size=1, max_size=3),
+    st.lists(_POINTS, max_size=3),
+)
+def test_image_record_matches_the_powerset_path(fun, cod, subset):
+    # the record, or the input error and its text, of the least cover
+    # read off the preimage hom between the two powersets
+    arrows, cod, subset = (", ".join(map(str, xs)) for xs in ([f"{a} -> {b}" for a, b in fun], cod, subset))
+    source = f"image {{{arrows}}} in {{{cod}}} of {{{subset}}};"
+    script = parse(source)
+    (stmt,) = script.statements
+    (rec,) = run(script).records
+    f = dict(stmt.fun)
+    try:
+        image = lattice.borel_image(presented.preimage_hom(f, list(f), stmt.cod), stmt.subset)
+        want = {"kind": "image", "ok": True, "subset": dsl._elem_str(stmt.subset)}
+        want["image"] = dsl._elem_str(image)
+    except DomainError as e:
+        want = {"kind": "error", "ok": False, "error": "input", "detail": str(e)}
+    assert {k: rec.get(k) for k in want} == want
 
 
 def test_name_errors_become_input_records():
