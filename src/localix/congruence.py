@@ -11,17 +11,22 @@ Relations are built from that closed form as one int mask per row, over
 the element positions, and every relation, enumerated or passed to the
 constructor, is re-checked on its rows with one step of each closure
 rule; the rule fixpoint itself is the test oracle (``tests/oracles.py``).
+A congruence keeps those rows: equality, hashing, ``holds``,
+``equivalent``, ``classes`` and the enumeration order read them, and
+the pair set ``rel`` is built on first read, as ``FinLattice.elements``
+is.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import compress
 from operator import and_
 from typing import Iterable
 
 from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
 from .errors import DomainError, StructureError
-from .lattice import FinLattice, LatticeHom, _bits, lattice_from_abstract
+from .lattice import FinLattice, LatticeHom, _bits, _bits_set, lattice_from_abstract
 
 __all__ = [
     "OrderCongruence",
@@ -33,49 +38,64 @@ __all__ = [
 
 
 def _compose(r: list[int]) -> list[int]:
-    """One transitivity step: row i gains the rows of its entries."""
-    out = []
+    """One transitivity step: row i gains the rows of its entries.  Equal
+    rows gain the same, so each distinct row is composed once."""
+    out, done = [], {}
     for ri in r:
-        m = ri
-        while m:  # _bits, inlined: this check runs on every congruence built
-            low = m & -m
-            ri |= r[low.bit_length() - 1]
-            m ^= low
-        out.append(ri)
+        v = done.get(ri)
+        if v is None:
+            m = v = ri
+            while m:  # _bits, inlined: this check runs on every congruence built
+                low = m & -m
+                v |= r[low.bit_length() - 1]
+                m ^= low
+            done[ri] = v
+        out.append(v)
     return out
 
 
-def _rule_rows(a: FinLattice) -> tuple[list[int], list[int], list[int]]:
+def _rule_rows(a: FinLattice) -> tuple:
     """The lattice's constants for the rules below: the order as rows (the
-    least congruence, S empty), and per spectrum point x the position and
-    the up-row of ``_least[x]``.  Built once per check or enumeration."""
-    order = _rows(list(a._at), 0, {})
-    at = [a._at[j] for j in a._least]
-    return order, at, [order[p] for p in at]
+    least congruence, S empty); per join-irreducible k, its position and
+    its up-row; per element the irreducibles k below it, as a tuple; and
+    the meet rule's memo.  Built once per check or enumeration."""
+    masks = list(a._at)
+    order = _rows(masks, 0, {})
+    irr = a._irreducibles()
+    at = [a._at[j] for j in irr]
+    below = [tuple(k for k, j in enumerate(irr) if not j & ~m) for m in masks]
+    return order, at, [order[p] for p in at], below, {}
 
 
-def _row_rule(r: list[int], ups: list[int]) -> list[int]:
+def _row_rule(r: list[int], ups: list[int], memo: dict | None = None) -> list[int]:
     """Meet rule: each row gains the up-set of the meet of the row, the
     intersection of the up-sets ``ups`` of the irreducibles that contain
     the row.  For a transitive relation containing the order this is
-    meet-stability.
+    meet-stability.  What a row gains depends on the row alone, so
+    ``memo`` may carry it from one call to the next on the same ``ups``.
     """
     full = (1 << len(r)) - 1
-    return [ri | reduce(and_, (u for u in ups if not ri & ~u), full) for ri in r]
+    memo = {} if memo is None else memo
+    out = []
+    for ri in r:
+        v = memo.get(ri)
+        if v is None:
+            v = memo[ri] = ri | reduce(and_, (u for u in ups if not ri & ~u), full)
+        out.append(v)
+    return out
 
 
-def _column_rule(masks: Iterable[int], r: list[int], cols: list[int]) -> list[int]:
+def _column_rule(below: Iterable[Iterable[int]], r: list[int], cols: list[int]) -> list[int]:
     """Join rule: each column gains the down-set of the join of the column.
 
-    Bit k of ``masks[a]`` says irreducible k lies below element a
-    (``_certify`` passes point masks: bit k is a point, standing for the
-    irreducible ``_least[k]``).  The join of column c lies above
-    irreducible k when c is in ``cols[k]``, the union of the rows above
-    k: row k itself once the relation is transitive and contains the
-    order, where this is join-closure.
+    ``below[a]`` lists the irreducibles k below element a.  The join of
+    column c lies above irreducible k when c is in ``cols[k]``, the
+    union of the rows above k: row k itself once the relation is
+    transitive and contains the order, where this is join-closure.
     """
     full = (1 << len(r)) - 1
-    return [ra | reduce(and_, (cols[k] for k in _bits(ma)), full) for ma, ra in zip(masks, r)]
+    col = cols.__getitem__
+    return [ra | reduce(and_, map(col, ks), full) for ks, ra in zip(below, r)]
 
 
 def _check_subsets(budgets: Budgets, a: FinLattice) -> None:
@@ -128,21 +148,22 @@ def _pairs_to_rows(a: FinLattice, pairs: Iterable[tuple]) -> list[int]:
 def _certify(a: FinLattice, r: list[int], rules: tuple) -> None:
     """One step of each closure rule, in order; a valid relation is fixed
     by all four.  ``rules`` is ``_rule_rows(a)``."""
-    order, at, ups = rules
+    order, at, ups, below, meets = rules
     if [ri | li for ri, li in zip(r, order)] != r:
         raise StructureError("congruence must contain the lattice order")
     if _compose(r) != r:
         raise StructureError("congruence must be transitive")
-    if _row_rule(r, ups) != r:
+    if _row_rule(r, ups, meets) != r:
         raise StructureError("congruence must be meet-stable")
-    if _column_rule(a._at, r, [r[p] for p in at]) != r:
+    if _column_rule(below, r, [r[p] for p in at]) != r:
         raise StructureError("lattice joins must remain joins")
 
 
 class OrderCongruence:
-    """A validated order-congruence, stored as its full pair set."""
+    """A validated order-congruence, stored as its rows: bit j of row i
+    says element i relates to element j, in ``base.elements`` order."""
 
-    __slots__ = ("base", "rel")
+    __slots__ = ("base", "_rows", "_rel")
 
     def __init__(self, base: FinLattice, rel: Iterable[tuple]):
         self._certified(base, _pairs_to_rows(base, rel), _rule_rows(base))
@@ -156,40 +177,56 @@ class OrderCongruence:
     def _certified(self, base: FinLattice, r: list[int], rules: tuple) -> None:
         _certify(base, r, rules)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "rel", _rows_to_pairs(base, r))
+        object.__setattr__(self, "_rows", tuple(r))
+        object.__setattr__(self, "_rel", None)
 
     def __setattr__(self, *a):
         raise AttributeError("OrderCongruence is immutable")
+
+    @property
+    def rel(self) -> frozenset:
+        """The related pairs of elements; built on first read."""
+        if self._rel is None:
+            object.__setattr__(self, "_rel", _rows_to_pairs(self.base, self._rows))
+        return self._rel
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, OrderCongruence)
             and self.base == other.base
-            and self.rel == other.rel
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.base, self.rel))
+        return hash((self.base, self._rows))
 
     def __repr__(self) -> str:
-        return f"OrderCongruence({len(self.rel)} pairs on {len(self.base)} elements)"
+        pairs = sum(r.bit_count() for r in self._rows)
+        return f"OrderCongruence({pairs} pairs on {len(self.base)} elements)"
+
+    def _position(self, x):
+        m = self.base._mask_of(x)
+        return None if m is None else self.base._at[m]
 
     def holds(self, a, b) -> bool:
-        return (a, b) in self.rel
+        i, j = self._position(a), self._position(b)
+        return i is not None and j is not None and self._rows[i] >> j & 1 == 1
 
     def equivalent(self, a, b) -> bool:
-        return (a, b) in self.rel and (b, a) in self.rel
+        i, j = self._position(a), self._position(b)
+        if i is None or j is None:
+            return False
+        return self._rows[i] >> j & 1 == 1 and self._rows[j] >> i & 1 == 1
 
     def classes(self) -> list[frozenset]:
-        seen: set = set()
-        out = []
-        for x in self.base.elements:
-            if x in seen:
-                continue
-            cls = frozenset(y for y in self.base.elements if self.equivalent(x, y))
-            seen |= cls
-            out.append(cls)
-        return out
+        """The equivalence classes, in ``base.elements`` order of their
+        first members: in a preorder, i and j are equivalent exactly when
+        their rows are equal."""
+        members: dict[int, int] = {}
+        for i, ri in enumerate(self._rows):
+            members[ri] = members.get(ri, 0) | 1 << i
+        elems = self.base.elements
+        return [frozenset(compress(elems, _bits_set(m))) for m in members.values()]
 
 
 def gen_order_congruence(a: FinLattice, pairs: Iterable[tuple]) -> OrderCongruence:
@@ -204,11 +241,9 @@ def gen_order_congruence(a: FinLattice, pairs: Iterable[tuple]) -> OrderCongruen
 
 
 def order_kernel(f: LatticeHom) -> OrderCongruence:
-    """The pairs ``(a, b)`` with ``f(a) <= f(b)``."""
-    return OrderCongruence(
-        f.dom,
-        [(a, b) for a in f.dom.elements for b in f.dom.elements if f(a) <= f(b)],
-    )
+    """The pairs ``(a, b)`` with ``f(a) <= f(b)``: row i holds the
+    positions j whose image contains the image of i."""
+    return OrderCongruence._of_rows(f.dom, _rows(list(f._image), 0, {}), _rule_rows(f.dom))
 
 
 def quotient(a: FinLattice, c: OrderCongruence) -> tuple[FinLattice, LatticeHom]:
@@ -226,7 +261,7 @@ def quotient(a: FinLattice, c: OrderCongruence) -> tuple[FinLattice, LatticeHom]
 
     lat, to_elem = lattice_from_abstract(classes, cleq)
     q = LatticeHom(a, lat, {x: to_elem[cls_of[x]] for x in a.elements})
-    if order_kernel(q).rel != c.rel:
+    if order_kernel(q)._rows != c._rows:
         raise StructureError("projection kernel mismatch")
     return lat, q
 
@@ -238,14 +273,24 @@ def enumerate_order_congruences(
 
     There are 2^|J| of them with one row per element of ``a``; both
     counts are checked against the ``elements`` budget first.  They are
-    sorted by size, then by the sorted reprs of their pairs, compared
-    through the dense rank of each pair's repr among all n^2 pairs.
+    sorted by size, then by the sorted reprs of their pairs.  No pair set
+    is built: the pair of elements i and j is the digit of weight
+    ``base ** (n^2 - 1 - rank)``, where ``rank`` is the dense rank of its
+    repr among all n^2 pairs and ``base`` exceeds how often one repr
+    occurs (2 when the reprs are distinct).  Among relations of one
+    size, the sorted rank lists compare as the digit sums do in reverse:
+    the smallest rank whose count differs decides, and the relation with
+    more of it comes first.  Row i's share of a sum is memoized per row
+    value.
     """
     _check_subsets(budgets, a)
-    pairs = [(x, y) for x in a.elements for y in a.elements]
-    reprs = list(map(repr, pairs))
-    dense = {t: k for k, t in enumerate(sorted(set(reprs)))}
-    rank = {p: dense[t] for p, t in zip(pairs, reprs)}.__getitem__
+    elem_reprs = list(map(repr, a.elements))
+    reprs = [f"({x}, {y})" for x in elem_reprs for y in elem_reprs]  # repr((x, y))
+    ranked = sorted(set(reprs))
+    base = 2 if len(ranked) == len(reprs) else len(reprs) + 1
+    weight = {t: base ** k for k, t in enumerate(reversed(ranked))}
+    n = len(a)
+    weights = [[weight[t] for t in reprs[i : i + n]] for i in range(0, n * n, n)]
     masks = list(a._at)
     above: dict[int, int] = {}
     rules = _rule_rows(a)
@@ -253,5 +298,16 @@ def enumerate_order_congruences(
         OrderCongruence._of_rows(a, _rows(masks, s, above), rules)
         for s in _subsets(a, a._irreducibles())
     ]
-    out.sort(key=lambda c: (len(c.rel), sorted(map(rank, c.rel))))
+    shares: dict[tuple[int, int], int] = {}
+
+    def key(c: OrderCongruence) -> tuple[int, int]:
+        total = 0
+        for i, ri in enumerate(c._rows):
+            v = shares.get((i, ri))
+            if v is None:
+                v = shares[i, ri] = sum(compress(weights[i], _bits_set(ri)))
+            total += v
+        return sum(map(int.bit_count, c._rows)), -total
+
+    out.sort(key=key)
     return out

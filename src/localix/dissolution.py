@@ -10,22 +10,23 @@ irreducibles (bit k for the k-th of ``FinLattice._irreducibles``) that
 lie inside a point mask.  The head of neg b is the largest a with a <=
 b \\/ S: the irreducibles inside the points of b and of S (as a point
 mask, ``congruence._subsets``).  The unit sends x to the S of the
-irreducibles inside x.
+irreducibles inside x.  ``dissolve`` keeps the head vectors and builds
+the pair sets, the ``repr`` dict, only when it is read; the unit is
+built on masks, as are the result lattice's elements.
 
 The rule-based fixpoint that builds the same pair ideals by closure is
 the test oracle (``tests/oracles.py``).  Every call still re-checks the
-result lattice, the unit as a lattice hom, and the complements of the
-unit images.
+result lattice, the unit as a lattice hom (the ``LatticeHom`` core),
+and, on the masks, that the unit is injective and that the complement
+of each unit image is an element.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .congruence import OrderCongruence, _check_subsets, _subsets
 from .errors import DomainError, StructureError
-from .lattice import FinLattice, LatticeHom, _bits, powerset_lattice
+from .lattice import FinLattice, LatticeHom, _moved, _new, powerset_lattice
 
 __all__ = ["Dissolution", "dissolve", "eta_principal", "nA_congruence_bijection"]
 
@@ -51,20 +52,59 @@ def _pair_sets(a: FinLattice, codes: list[int], vecs: list[list[int]]):
         yield frozenset(pairs)
 
 
-@dataclass(frozen=True)
 class Dissolution:
-    """A lattice, its free complementation, the unit, and the pair sets."""
+    """A lattice, its free complementation, the unit, and the pair sets.
 
-    base: FinLattice
-    result: FinLattice
-    unit: LatticeHom
-    repr: dict = field(compare=False)
+    ``repr`` maps each result element to its pair set.  ``dissolve``
+    keeps the head vectors instead and builds that dict on first read.
+    """
 
-    def __post_init__(self):
-        if len({self.unit(x) for x in self.base.elements}) != len(self.base):
+    __slots__ = ("base", "result", "unit", "_repr", "_heads")
+
+    def __init__(self, base: FinLattice, result: FinLattice, unit: LatticeHom, repr: dict):
+        self._fill(base, result, unit, repr, None)
+
+    def _fill(self, base: FinLattice, result: FinLattice, unit: LatticeHom, repr, heads) -> None:
+        """The constructor's core: ``heads`` is None when ``repr`` is given,
+        else ``(keys, codes, vecs)`` as ``_pair_sets`` reads them, with the
+        result element masks ``keys`` in ``repr`` order."""
+        if unit.dom != base or unit.cod != result:
+            raise DomainError("unit must go from the base to the result")
+        if not unit.is_injective():
             raise StructureError("unit must be injective")
-        for x in self.base.elements:
-            self.result.complement(self.unit(x))  # raises if missing
+        full = (1 << len(result.spectrum)) - 1
+        for m in unit._image:
+            if full ^ m not in result._at:
+                raise StructureError(f"{result._element(m)!r} has no complement in this lattice")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "_repr", repr)
+        object.__setattr__(self, "_heads", heads)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Dissolution is immutable")
+
+    @property
+    def repr(self) -> dict:
+        """Each result element's pair set, in head order; built on first read."""
+        if self._repr is None:
+            keys, codes, vecs = self._heads
+            els, at = self.result.elements, self.result._at
+            pairs = _pair_sets(self.base, codes, vecs)
+            object.__setattr__(self, "_repr", {els[at[m]]: p for m, p in zip(keys, pairs)})
+        return self._repr
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Dissolution) and (self.base, self.result, self.unit) == (
+            other.base, other.result, other.unit
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.result, self.unit))
+
+    def __repr__(self) -> str:
+        return f"Dissolution(base={self.base!r}, result={self.result!r})"
 
 
 def dissolve(a: FinLattice, budgets: Budgets = DEFAULT_BUDGETS) -> Dissolution:
@@ -72,7 +112,9 @@ def dissolve(a: FinLattice, budgets: Budgets = DEFAULT_BUDGETS) -> Dissolution:
 
     The result has 2^|J| elements, and each pair set has one column per
     element of ``a``; both counts are checked against the ``elements``
-    budget before anything is built.
+    budget before anything is built.  The unit is built on masks and
+    checked by the ``LatticeHom`` core; the pair sets wait for a read of
+    ``repr``.
     """
     _check_subsets(budgets, a)
     irr = a._irreducibles()
@@ -96,13 +138,13 @@ def dissolve(a: FinLattice, budgets: Budgets = DEFAULT_BUDGETS) -> Dissolution:
         key=lambda s: (sum(heads[s]), b"".join(h.to_bytes(8, "little") for h in heads[s])),
     )
     label = {s: i for i, s in enumerate(order)}
-    atoms = [label[1 << k] for k in range(nj)]
-    elem = [frozenset(sorted(atoms[k] for k in _bits(s))) for s in range(1 << nj)]
-    result = powerset_lattice(atoms)
+    result = powerset_lattice([label[1 << k] for k in range(nj)], budgets)
+    # irreducible k is the point label[1 << k] of the result
+    weight = [1 << result.spectrum._index[label[1 << k]] for k in range(nj)]
     codes = [head(m) for m in masks]
-    repr_map = dict(zip([elem[s] for s in order], _pair_sets(a, codes, [heads[s] for s in order])))
-    unit = LatticeHom(a, result, {x: elem[c] for x, c in zip(a.elements, codes)})
-    return Dissolution(a, result, unit, repr_map)
+    unit = _new(LatticeHom, a, result, _moved(codes, weight))
+    vecs = [heads[s] for s in order]
+    return _new(Dissolution, a, result, unit, None, (_moved(order, weight), codes, vecs))
 
 
 def eta_principal(a: FinLattice, x) -> frozenset:

@@ -419,11 +419,7 @@ class LatticeDecl(_Node):
             check_budget(r.budgets, "elements", arg)
             lat = lower_sets(FinPoset(range(arg - 1), [(i, i + 1) for i in range(arg - 2)]))
         elif op == "bool":
-            # 2**arg elements; past the limit's bit length the power exceeds
-            # the limit anyway, so a huge arg is never raised to it
-            limit = r.budgets.elements
-            check_budget(r.budgets, "elements", 1 << min(arg, limit.bit_length()), f"2^{arg}")
-            lat = powerset_lattice(range(arg))
+            lat = powerset_lattice(range(arg), r.budgets)
         elif op == "downsets":
             lat = lower_sets(r.lookup(arg, PosetDecl), r.budgets)
         else:  # opens

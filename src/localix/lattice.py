@@ -66,13 +66,16 @@ element order as position masks; ``dissolution`` numbers J by
 neighbourhoods and glued points off ``_least``, and its opens off
 ``_at``; ``lattice_from_abstract`` (so ``cov_ideals``, ``quotient`` and
 ``ideal_completion``) re-indexes its item masks onto the spectrum's
-positions and calls the core.  Still on frozensets:
-``to_dot``, ``atoms``, ``element_poset``, the lattice operations
-(``meet``, ``join``, ``leq``, ``complement``), a hom's ``__call__``,
-``filterquotient``, ``product_decompose``, ``ideal_completion``'s
-down-sets, the items and map ``lattice_from_abstract`` returns, and the
-engines that list elements (congruence pairs, coverages, dissolution's
-pair sets, DSL records).
+positions and calls the core.  The engines keep masks too: an
+``OrderCongruence`` keeps one row mask per element and builds its pair
+set ``rel`` on first read, and ``dissolve`` builds its unit through the
+``LatticeHom`` core and its pair sets only when ``repr`` is read.  Still
+on frozensets: ``to_dot``, ``atoms``, ``element_poset``, the lattice
+operations (``meet``, ``join``, ``leq``, ``complement``), a hom's
+``__call__``, ``filterquotient``, ``product_decompose``,
+``ideal_completion``'s down-sets, the items and map
+``lattice_from_abstract`` returns, and the engines that list elements
+(coverages, DSL records).
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ from itertools import compress
 from operator import or_
 from typing import Callable, Hashable, Iterable
 
-from .budgets import Budgets
+from .budgets import Budgets, check_budget
 from .errors import DomainError, NoImageError, PreconditionError, StructureError
 from .order import (
     FinPoset, _bits, _bits_set, _canon_mask_key, _dot, _lower_set_masks, _new, _pairs, _unlabeler,
@@ -525,7 +528,16 @@ def lattice_from_abstract(
     return lat, {x: els[at[m]] for x, m in zip(items, masks)}
 
 
-def powerset_lattice(points: Iterable[Hashable]) -> FinLattice:
+def powerset_lattice(points: Iterable[Hashable], budgets: Budgets | None = None) -> FinLattice:
+    """The Boolean lattice of all subsets of ``points``.
+
+    With ``budgets``, ``points`` is a collection without repeats (a
+    ``range`` of any length will do), and its 2^n elements are checked
+    against the ``elements`` budget before the points are read.
+    """
+    if budgets is not None:  # past the limit's bit length the power exceeds it anyway
+        n = len(points)
+        check_budget(budgets, "elements", 1 << min(n, budgets.elements.bit_length()), f"2^{n}")
     spectrum = FinPoset(points)
     return _new(FinLattice, spectrum, range(1 << len(spectrum)), "boolean")
 

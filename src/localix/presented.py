@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 from . import sequent as sq
 from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
-from .errors import DomainError, NoImageError, PreconditionError, StructureError
+from .errors import DomainError, NoImageError, PreconditionError, ResourceBudgetError, StructureError
 from .lattice import (
     FinLattice,
     LatticeHom,
@@ -199,9 +199,24 @@ def _models(p: Presentation, budgets: Budgets) -> int:
     return models
 
 
+# spec lists at most this many points unless budgets are unsafe: 2^16,
+# above the 17,711 of 20 generators with a relation per adjacent pair
+_SPEC_POINTS = 1 << 16
+
+
 def spec(p: Presentation, budgets: Budgets = DEFAULT_BUDGETS) -> SpecModel:
-    """Every 2-valuation of the generators satisfying the relations."""
+    """Every 2-valuation of the generators satisfying the relations.
+
+    Their number, the spectrum's bit count, is checked against
+    ``_SPEC_POINTS`` before any point is listed.
+    """
     models = _models(p, budgets)
+    count = models.bit_count()
+    if count > _SPEC_POINTS and not budgets.unsafe:
+        raise ResourceBudgetError(
+            f"spec points exceeded: {count} > {_SPEC_POINTS} "
+            f"(pass unsafe=True to proceed)"
+        )
     points = itertools.product((False, True), repeat=len(p.gens))
     return SpecModel(p, tuple(itertools.compress(points, _bits_set(models))))
 
@@ -401,8 +416,7 @@ def pushout_ba(
 ) -> tuple[FinLattice, LatticeHom, LatticeHom]:
     """Pushout of Boolean lattices: powerset of the spectra pullback."""
     points, i1, i2 = pushout_points(f, g)
-    check_budget(budgets, "elements", 2 ** len(points))
-    d = powerset_lattice(points)
+    d = powerset_lattice(points, budgets)
     inl = LatticeHom(f.cod, d, {x: i1(x) for x in f.cod.elements})
     inr = LatticeHom(g.cod, d, {y: i2(y) for y in g.cod.elements})
     if any(inl(f(x)) != inr(g(x)) for x in f.dom.elements):

@@ -58,9 +58,10 @@ class Term:
     ``dual`` is the negation once it has been interned, else None: a
     literal is linked to its opposite when the second of the two is
     built, a compound term by ``neg``, always in both directions.
+    ``_str``, the printed form, is set by the first ``term_to_str``.
     """
 
-    __slots__ = ("kind", "gen", "children", "depth", "sort_key", "dual")
+    __slots__ = ("kind", "gen", "children", "depth", "sort_key", "dual", "_str")
     _interned: dict = {}
 
     def __new__(cls, kind: str, gen=None, children: frozenset = frozenset()):
@@ -158,12 +159,20 @@ def term_depth(t: Term) -> int:
 
 
 def term_to_str(t: Term) -> str:
+    """The printed form of ``t``, rendered once and kept on the term."""
+    try:
+        return t._str
+    except AttributeError:
+        pass
     if t.kind == "pos":
-        return str(t.gen)
-    if t.kind == "neg":
-        return f"!{t.gen}"
-    body = ",".join(term_to_str(c) for c in sorted(t.children, key=term_key))
-    return ("/\\{" if t.kind == "meet" else "\\/{") + body + "}"
+        out = str(t.gen)
+    elif t.kind == "neg":
+        out = f"!{t.gen}"
+    else:
+        body = ",".join(term_to_str(c) for c in sorted(t.children, key=term_key))
+        out = ("/\\{" if t.kind == "meet" else "\\/{") + body + "}"
+    object.__setattr__(t, "_str", out)
+    return out
 
 
 def eval_term(t: Term, v: Mapping) -> bool:
@@ -256,16 +265,25 @@ class Derivation:
             raise StructureError(f"unknown rule {self.rule!r}")
 
     def pretty(self, left_origin: frozenset = frozenset(), indent: int = 0) -> str:
+        """The derivation as an indented tree, one line per tree node in
+        pre-order.  A node shared by several parents prints once per
+        occurrence, but its line is rendered once per distinct node."""
         names = {"meetR": "/\\R", "joinR": "\\/R", "joinR-inf": "\\/R", "axiom": "ax"}
-        rule = names[self.rule]
-        if self.principal is not None and self.principal in left_origin:
-            rule = {"/\\R": "\\/L", "\\/R": "/\\L"}[rule]
-        body = "{" + ",".join(
-            term_to_str(t) for t in sorted(self.sequent, key=term_key)
-        ) + "}"
-        lines = ["  " * indent + f"|- {body}   [{rule}]"]
-        for c in self.children:
-            lines.append(c.pretty(left_origin, indent + 1))
+        swapped = {"/\\R": "\\/L", "\\/R": "/\\L"}
+        rendered: dict[int, str] = {}
+        lines = []
+        stack = [(self, indent)]
+        while stack:
+            node, depth = stack.pop()
+            line = rendered.get(id(node))
+            if line is None:
+                rule = names[node.rule]
+                if node.principal is not None and node.principal in left_origin:
+                    rule = swapped[rule]
+                body = ",".join(term_to_str(t) for t in sorted(node.sequent, key=term_key))
+                line = rendered[id(node)] = f"|- {{{body}}}   [{rule}]"
+            lines.append("  " * depth + line)
+            stack.extend((c, depth + 1) for c in reversed(node.children))
         return "\n".join(lines)
 
 

@@ -14,7 +14,8 @@ pushouts.  The rule fixpoints for dissolution,
 order-congruences and coverages work on a ``Table`` of the lattice,
 built from frozenset operations on its elements, not from the masks the
 library keeps; they share with the library only the one-step congruence
-rules that it keeps as its runtime check.  The polyorder fixpoint works
+rules that it keeps as its runtime check.  A congruence's classes and a
+hom's order kernel are read off pair sets, where the library reads rows.  The polyorder fixpoint works
 on masks over the carrier.  A lattice's element frozensets, its JSON
 encoding and decoding, and the hom check are rebuilt from frozensets:
 the library keeps masks and builds frozensets only when they are read.
@@ -787,12 +788,13 @@ def congruence_close(ix: Table, rel: list[int]) -> list[int]:
     elements below any fixed right-hand side is join-closed.
     """
     ups = [ix.leq[ix.pos[j]] for j in ix.irr]
+    below = [list(_bits(m)) for m in ix.mask]
     r = [ri | li for ri, li in zip(rel, ix.leq)]
     while True:
         r2 = _row_rule(_compose(r), ups)
         # before the fixpoint a row need not hold the rows above it
         cols = [reduce(or_, (r2[a] for a in _bits(u)), 0) for u in ups]
-        nxt = _column_rule(ix.mask, r2, cols)
+        nxt = _column_rule(below, r2, cols)
         if nxt == r:
             return r
         r = nxt
@@ -835,6 +837,25 @@ def enumerate_order_congruences(a: FinLattice) -> list[OrderCongruence]:
     out = [OrderCongruence(a, ix.pairs(r)) for r in seen]
     out.sort(key=lambda c: (len(c.rel), sorted(map(repr, c.rel))))
     return out
+
+
+def congruence_classes(a: FinLattice, rel: frozenset) -> list[frozenset]:
+    """The equivalence classes of a congruence read off its pair set, in
+    ``a.elements`` order of their first members."""
+    seen: set = set()
+    out = []
+    for x in a.elements:
+        if x in seen:
+            continue
+        cls = frozenset(y for y in a.elements if (x, y) in rel and (y, x) in rel)
+        seen |= cls
+        out.append(cls)
+    return out
+
+
+def order_kernel(f: LatticeHom) -> frozenset:
+    """The pairs ``(a, b)`` of domain elements with ``f(a) <= f(b)``."""
+    return frozenset((a, b) for a in f.dom.elements for b in f.dom.elements if f(a) <= f(b))
 
 
 def saturate_masks(n: int, gen: set[tuple[int, int]]) -> set[tuple[int, int]]:

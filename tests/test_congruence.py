@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from localix import congruence
 from localix.congruence import (
     OrderCongruence,
     enumerate_order_congruences,
@@ -10,7 +11,7 @@ from localix.congruence import (
 )
 from localix.budgets import DEFAULT_BUDGETS
 from localix.errors import ResourceBudgetError, StructureError
-from localix.lattice import FinLattice, join_irreducibles, lower_sets, powerset_lattice
+from localix.lattice import FinLattice, enumerate_homs, join_irreducibles, lower_sets, powerset_lattice
 from localix.order import FinPoset
 
 import oracles
@@ -118,8 +119,6 @@ def test_classes_partition(rng):
 
 
 def test_enumeration_checks_the_budget_first(monkeypatch):
-    import localix.congruence as congruence
-
     def no_rows(*args):
         raise AssertionError("enumeration built a congruence")
 
@@ -160,12 +159,55 @@ def test_enumeration_order_follows_pair_reprs():
         assert [c.rel for c in got] == [c.rel for c in want]
 
 
+class _Anonymous:
+    """A label whose repr does not tell it apart from the others."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __eq__(self, other):
+        return isinstance(other, _Anonymous) and other.k == self.k
+
+    def __hash__(self):
+        return hash(self.k)
+
+    def __repr__(self):
+        return "anon"
+
+
+def test_enumeration_order_with_repeated_pair_reprs():
+    # many pairs print alike, so several ranks repeat: the order is still
+    # by size, then by the sorted pair reprs, whose ties may fall either way
+    pts = [_Anonymous(k) for k in range(4)]
+    for p in (FinPoset(pts), FinPoset(pts, [(pts[0], pts[1]), (pts[2], pts[1])])):
+        a = lower_sets(p)
+        got = enumerate_order_congruences(a)
+        keys = [(len(c.rel), sorted(map(repr, c.rel))) for c in got]
+        assert keys == sorted(keys)
+        assert set(got) == set(oracles.enumerate_order_congruences(a))
+
+
 # -- properties against the rule fixpoint ---------------------------------------
 
 
+# neither is an element of any lattice drawn here
+FOREIGN = (frozenset(["no such point"]), "no such element")
+
+
 def _enumeration_matches(a):
+    """The list, its order and each congruence's pairs, ``holds``,
+    ``equivalent`` and ``classes``, against the fixpoint search read off
+    its pair sets."""
     got, want = enumerate_order_congruences(a), oracles.enumerate_order_congruences(a)
     assert [c.rel for c in got] == [c.rel for c in want]
+    probes = list(a.elements) + list(FOREIGN)
+    for c, w in zip(got, want):
+        rel = w.rel
+        for x in probes:
+            for y in probes:
+                assert c.holds(x, y) == ((x, y) in rel)
+                assert c.equivalent(x, y) == ((x, y) in rel and (y, x) in rel)
+        assert c.classes() == oracles.congruence_classes(a, rel)
 
 
 @settings(max_examples=150)
@@ -201,3 +243,75 @@ def test_generated_congruence_matches_the_fixpoint(p, data):
 @given(glued_lattices(), st.data())
 def test_generated_congruence_matches_the_fixpoint_on_glued_points(a, data):
     _generated_matches(a, data)
+
+
+# -- rows, with the pair sets built on first read ---------------------------------
+
+
+def _no_pairs(*args):
+    raise AssertionError("a pair set was built")
+
+
+def test_enumeration_builds_no_pair_set_until_rel_is_read(monkeypatch):
+    monkeypatch.setattr(congruence, "_rows_to_pairs", _no_pairs)
+    a = lower_sets(FinPoset("abcd", [("a", "b"), ("c", "d")]))
+    cs = enumerate_order_congruences(a)
+    assert len(cs) == 16 and len(set(cs)) == 16
+    bot, top = a.bot, a.top
+    assert [c.holds(top, bot) for c in (cs[0], cs[-1])] == [False, True]
+    assert [len(c.classes()) for c in (cs[0], cs[-1])] == [len(a), 1]
+    comparable = sum(x <= y for x in a.elements for y in a.elements)
+    assert repr(cs[0]) == f"OrderCongruence({comparable} pairs on 9 elements)"
+    for c in cs[:4]:
+        lat, q = quotient(a, c)  # checks the kernel on rows
+        assert order_kernel(q) == c
+    with pytest.raises(AssertionError, match="a pair set was built"):
+        cs[1].rel
+
+
+def test_enumeration_certifies_every_congruence(monkeypatch):
+    seen = []
+    real = congruence._certify
+    monkeypatch.setattr(congruence, "_certify", lambda a, r, rules: seen.append(r) or real(a, r, rules))
+    cs = enumerate_order_congruences(chain_lattice(4))
+    assert len(cs) == 8 and sorted(seen) == sorted(list(c._rows) for c in cs)
+
+
+def test_enumeration_refuses_a_relation_that_breaks_a_rule(monkeypatch):
+    real = congruence._rows
+
+    def spoiled(masks, s, above):
+        r = real(masks, s, above)
+        if s:
+            r[-1] |= 1  # the top relates to the bottom
+        return r
+
+    monkeypatch.setattr(congruence, "_rows", spoiled)
+    with pytest.raises(StructureError, match="congruence must be transitive"):
+        enumerate_order_congruences(chain_lattice(3))
+
+
+def test_holds_and_equivalent_are_false_off_the_lattice():
+    a = chain_lattice(3)
+    c = gen_order_congruence(a, [(a.top, a.bot)])
+    for x in FOREIGN + (frozenset([0, 9]),):
+        assert not c.holds(x, a.top) and not c.holds(a.bot, x)
+        assert not c.equivalent(x, x)
+    assert c.equivalent(a.top, a.bot) and c.classes() == [frozenset(a.elements)]
+
+
+def _kernel_matches(a, b):
+    for f in enumerate_homs(a, b):
+        assert order_kernel(f).rel == oracles.order_kernel(f)
+
+
+@settings(max_examples=60)
+@given(posets(max_points=3), posets(max_points=3))
+def test_order_kernel_matches_the_pair_definition(p, q):
+    _kernel_matches(lower_sets(p), lower_sets(q))
+
+
+@settings(max_examples=30)
+@given(glued_lattices(max_points=3), posets(max_points=3))
+def test_order_kernel_matches_the_pair_definition_on_glued_points(a, q):
+    _kernel_matches(a, lower_sets(q))

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from localix import dissolution
 from localix.budgets import DEFAULT_BUDGETS
 from localix.congruence import enumerate_order_congruences
-from localix.dissolution import dissolve, eta_principal, nA_congruence_bijection, neg
-from localix.errors import DomainError, ResourceBudgetError
+from localix.dissolution import Dissolution, dissolve, eta_principal, nA_congruence_bijection, neg
+from localix.errors import DomainError, ResourceBudgetError, StructureError
 from localix.lattice import (
     FinLattice,
+    LatticeHom,
     join_irreducibles,
     lattice_isomorphic,
     lower_sets,
@@ -201,3 +202,47 @@ def test_congruence_bijection_matches_the_fixpoint(p):
 @given(glued_lattices(max_points=3))
 def test_congruence_bijection_matches_the_fixpoint_on_glued_points(a):
     _bijection_matches(a)
+
+
+# -- the unit on masks, with the pair sets built on first read --------------------
+
+
+def test_dissolve_builds_no_pair_set_until_repr_is_read(monkeypatch):
+    def no_pairs(*args):
+        raise AssertionError("a pair set was built")
+
+    monkeypatch.setattr(dissolution, "_pair_sets", no_pairs)
+    a = lower_sets(FinPoset("abcd", [("a", "b"), ("c", "d")]))
+    d = dissolve(a)
+    assert len(d.result) == 16 and d.result.kind == "boolean"
+    assert d.unit.is_injective() and len({d.unit(x) for x in a.elements}) == len(a)
+    with pytest.raises(AssertionError, match="a pair set was built"):
+        d.repr
+
+
+def test_dissolve_checks_its_unit_in_the_hom_core(monkeypatch):
+    real = dissolution._new
+
+    def spoiled(cls, *core):
+        if cls is LatticeHom:  # swap the images of the two middle elements
+            dom, cod, image = core
+            image = list(image)
+            image[1], image[2] = image[2], image[1]
+            core = dom, cod, image
+        return real(cls, *core)
+
+    monkeypatch.setattr(dissolution, "_new", spoiled)
+    with pytest.raises(StructureError, match="not preserved"):
+        dissolve(chain_lattice(4))
+
+
+def test_dissolution_checks_injectivity_and_complements_on_masks():
+    a = chain_lattice(3)
+    two = powerset_lattice("x")
+    collapse = LatticeHom(a, two, {e: two.top if e == a.top else two.bot for e in a.elements})
+    with pytest.raises(StructureError, match="unit must be injective"):
+        Dissolution(a, two, collapse, {})
+    with pytest.raises(StructureError, match=r"frozenset\(\{0\}\) has no complement"):
+        Dissolution(a, a, LatticeHom.identity(a), {})
+    with pytest.raises(DomainError, match="unit must go from the base to the result"):
+        Dissolution(two, two, collapse, {})

@@ -273,10 +273,13 @@ def test_budget_violation_stops_the_run():
 
 
 def test_bool_lattice_checks_its_size_before_building(monkeypatch):
-    def no_lattice(points):
+    def no_lattice(*args):
         raise AssertionError("the powerset was built")
 
-    monkeypatch.setattr(dsl, "powerset_lattice", no_lattice)
+    # the check is powerset_lattice's own: neither its points nor its
+    # elements may be built
+    monkeypatch.setattr(lattice, "FinPoset", no_lattice)
+    monkeypatch.setattr(lattice, "_new", no_lattice)
     for n, shown in ((14, "2^14 > 4096"), (10**12, f"2^{10**12} > 4096")):
         report = run(parse(f"lattice B = bool {n};"))
         assert report.exit_code == 2

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from localix import lattice
 from localix.baire import FrameTopology, regular_opens
-from localix.errors import DomainError, PreconditionError, StructureError
+from localix.budgets import DEFAULT_BUDGETS
+from localix.errors import DomainError, PreconditionError, ResourceBudgetError, StructureError
 from localix.lattice import (
     FinLattice,
     LatticeHom,
@@ -557,3 +558,17 @@ def test_from_json_raises_what_the_frozenset_decoder_raises(edit):
     text = json.dumps(data)
     want = _error(oracles.lattice_from_json, text)
     assert want is not None and _error(FinLattice.from_json, text) == want
+
+
+def test_powerset_checks_the_elements_budget_before_listing(monkeypatch):
+    assert len(powerset_lattice(range(12), DEFAULT_BUDGETS)) == 4096  # exactly the limit
+
+    def no_lattice(*args):
+        raise AssertionError("the powerset was listed")
+
+    monkeypatch.setattr(lattice, "FinPoset", no_lattice)
+    monkeypatch.setattr(lattice, "_new", no_lattice)
+    with pytest.raises(ResourceBudgetError, match=r"elements budget exceeded: 2\^40 > 4096"):
+        powerset_lattice(range(40), DEFAULT_BUDGETS)
+    with pytest.raises(ResourceBudgetError, match=r"elements budget exceeded: 2\^13 > 4096"):
+        powerset_lattice(range(13), DEFAULT_BUDGETS)

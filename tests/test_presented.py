@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from localix import presented
+from localix.budgets import DEFAULT_BUDGETS
 from localix.errors import (
     DomainError,
     PreconditionError,
@@ -130,6 +131,29 @@ def test_pushout_of_booleans_is_spectra_pullback():
     assert len(d) == 2 ** 4  # 2x2 atom pairs
     pts, i1, i2 = pushout_points(f, f)
     assert len(pts) == 4
+
+
+def test_pushout_checks_the_elements_budget_before_its_powerset():
+    b = powerset_lattice("pq")
+    t = two()
+    f = LatticeHom(t, b, {t.bot: b.bot, t.top: b.top})
+    with pytest.raises(ResourceBudgetError, match=r"elements budget exceeded: 2\^4 > 8"):
+        pushout_ba(f, f, DEFAULT_BUDGETS.bumped(elements=8))
+
+
+def test_spec_checks_its_point_limit_before_listing(monkeypatch):
+    p = Presentation(("a", "b", "c"), ((var("a"), var("b")),))  # a <= b: 6 points
+    monkeypatch.setattr(presented, "_SPEC_POINTS", 6)
+    assert len(spec(p).points) == 6
+    monkeypatch.setattr(presented, "_SPEC_POINTS", 5)
+    assert len(spec(p, DEFAULT_BUDGETS.bumped(unsafe=True)).points) == 6
+
+    def no_points(*args, **kwargs):
+        raise AssertionError("the points were listed")
+
+    monkeypatch.setattr(presented.itertools, "product", no_points)
+    with pytest.raises(ResourceBudgetError, match="spec points exceeded: 6 > 5"):
+        spec(p)
 
 
 def test_pushout_requires_boolean():

@@ -7,13 +7,9 @@ that is generous for a slow host, with a ``tracemalloc`` peak bound, or
 shows that it is refused before the engine starts (the engine patched to
 raise).  The bounds are far above the measured figures quoted with each
 test; they catch a return to an exponential walk, not small slowdowns.
-
-A known row left unbounded: ``spec`` on 20 free generators takes about
-2.9 s at 328 MB max RSS under ``localix run``, because ``SpecModel.points``
-is a public list of 2^20 tuples of bools; the 2^20-bit spectrum itself is
-128 KB.
 """
 
+import hashlib
 import itertools
 import json
 import sys
@@ -98,6 +94,46 @@ def test_spec_on_the_generator_budget_with_a_relation_per_pair():
     assert all(not (x and y) for pt in model.points for x, y in zip(pt, pt[1:]))
     assert seconds < 3.0
     assert peak < 64 * 2**20
+
+
+def test_spec_on_twenty_free_generators_is_refused_before_any_point(monkeypatch):
+    # 2^20 points, past spec's 2^16 limit: refused on the spectrum's bit
+    # count.  Measured under 0.01 s and a 3 MB peak (traced) on a 2-vCPU
+    # VM; listing the points took 2.9 s at 328 MB max RSS and printed 23 MB.
+    def no_points(*args, **kwargs):
+        raise AssertionError("the points were listed")
+
+    monkeypatch.setattr(itertools, "product", no_points)
+    script = dsl.parse(f"gens {' '.join(GENS20)};\nspec;")
+    report, seconds, peak = _measured(lambda: dsl.run(script))
+    assert report.exit_code == 2
+    assert report.records[-1]["error"] == "budget"
+    assert report.records[-1]["detail"].startswith("spec points exceeded: 1048576 > 65536")
+    assert seconds < 2.0
+    assert peak < 16 * 2**20
+
+
+def test_prove_prints_the_dnf_tautology_of_the_generator_budget():
+    # the same 64-clause tautology over 6 generators: 320 distinct
+    # derivation nodes printed as a tree of about 11,800 lines.  The text is
+    # pinned by its length and SHA-256, as printed when every term was
+    # rendered again at every tree node, which took 8-11 s.  Measured at
+    # 0.35 s and a 120 MB peak (traced), most of it the 30.8 MB text and
+    # its record, on a 2-vCPU VM.
+    gens = "abcdef"
+    conj = [
+        "(" + " & ".join(g if bit else f"!{g}" for g, bit in zip(gens, bits)) + ")"
+        for bits in itertools.product((False, True), repeat=len(gens))
+    ]
+    script = dsl.parse(f"prove {{}} |- {{{' | '.join(conj)}}};")
+    text, seconds, peak = _measured(lambda: dsl.render(dsl.run(script), "text"))
+    data = text.encode()
+    assert len(data) == 30_765_217
+    assert hashlib.sha256(data).hexdigest() == (
+        "e143308fa899abeade639e76b751e4fa2fee9274ec967ecfeee237643eba2626"
+    )
+    assert seconds < 10.0
+    assert peak < 512 * 2**20
 
 
 def _boom(*args, **kwargs):
