@@ -91,12 +91,14 @@ class FrameTopology:
 
 
 def interior(t: FrameTopology, b: frozenset) -> frozenset:
-    """Largest open below ``b``."""
+    """Largest open below ``b``: the upper adjoint of the inclusion of the
+    opens.  An open holds the least neighbourhood of each of its points,
+    so it is the union of the least neighbourhoods inside ``b``."""
     t.check(b)
     out = frozenset()
-    for o in t.opens:
-        if o <= b:
-            out |= o
+    for x in b:
+        if t.min_nbhd[x] <= b:
+            out |= t.min_nbhd[x]
     return out
 
 
@@ -119,18 +121,23 @@ def regular_opens(t: FrameTopology) -> list[frozenset]:
     return [u for u in t.opens if regularize(t, u) == u]
 
 
-def comgr(t: FrameTopology) -> tuple[frozenset, FinLattice]:
-    """The comeager core and the regular-open algebra.
+def _core(t: FrameTopology) -> frozenset:
+    """The comeager core: the meet over all opens U of (closure(U)
+    implies U), implication taken in the ambient Boolean algebra.
 
-    The core is the meet over all opens U of (closure(U) implies U),
-    implication taken in the ambient Boolean algebra.
+    A point x is in closure(U) iff U meets x's least neighbourhood, so
+    the core holds x iff x's least neighbourhood is {x}: another point y
+    in it has a least neighbourhood U meeting it, and after the T0
+    collapse U misses x.
     """
-    core = t.top()
-    for u in t.opens:
-        core &= (t.top() - closure(t, u)) | u
+    return frozenset(x for x in t.reps if len(t.min_nbhd[x]) == 1)
+
+
+def comgr(t: FrameTopology) -> tuple[frozenset, FinLattice]:
+    """The comeager core (``_core``) and the regular-open algebra."""
     regs = regular_opens(t)
     lat, _ = lattice_from_abstract(regs, lambda u, v: u <= v)
-    return core, lat
+    return _core(t), lat
 
 
 def is_dense(t: FrameTopology, b: frozenset) -> bool:
@@ -140,23 +147,23 @@ def is_dense(t: FrameTopology, b: frozenset) -> bool:
 def is_meager(t: FrameTopology, b: frozenset) -> bool:
     """Meager: disjoint from the comeager core."""
     t.check(b)
-    return not (b & comgr(t)[0])
+    return not (b & _core(t))
 
 
 def baire_decompose(t: FrameTopology, b: frozenset) -> tuple[frozenset, frozenset]:
     """An open differing from ``b`` by a meager set.
 
-    Scans the opens in canonical order and returns the first one whose
-    symmetric difference with ``b`` misses the comeager core; existence
-    is a theorem at finite scale, so exhaustion is an error.
+    The opens u with b ^ u meager are those that agree with ``b`` on
+    the comeager core, a family closed under intersection; its least
+    member, the first in canonical order, is b's part in the core,
+    whose points are open.  Certified open; what is left, b minus the
+    core, is meager.
     """
     t.check(b)
-    core = comgr(t)[0]
-    for u in t.opens:
-        m = b ^ u
-        if not (m & core):
-            return u, m
-    raise StructureError("no open differs from the element by a meager set")
+    u = b & _core(t)
+    if interior(t, u) != u:
+        raise StructureError("no open differs from the element by a meager set")
+    return u, b ^ u
 
 
 def sigma2_family(t: FrameTopology) -> frozenset:

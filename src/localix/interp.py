@@ -1,21 +1,22 @@
 """Interpolants and separators.
 
 Maehara-style extraction over the one-sided calculus, Boolean pushout
-separators via spectra, cocomma and bilax-pushout interpolation by
-extremal witnesses, and spatial Novikov separation.  Every witness is
-re-checked before it is returned.  Sequent interpolants are read off a
-derivation of split sequents, once per distinct node, and their two
-obligations are certified on truth tables.  ``interpolate_sequent``
-extracts from the derivation ``prove`` has just validated and does not
-validate it again; ``maehara_interpolant``, which takes any derivation,
-does.
+separators via spectra, cocomma and bilax-pushout interpolation, and
+spatial Novikov separation.  The algebraic witnesses are extremal, so
+each is an adjoint of a hom: the least a with b <= f(a) (the lower
+adjoint, ``lattice.borel_image``) or the greatest a with f(a) <= c (the
+upper adjoint).  Every witness is re-checked before it is returned.
+Sequent interpolants are read off a derivation of split sequents, once
+per distinct node, and their two obligations are certified on truth
+tables.  ``interpolate_sequent`` extracts from the derivation ``prove``
+has just validated and does not validate it again;
+``maehara_interpolant``, which takes any derivation, does.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
 from .errors import (
@@ -24,9 +25,9 @@ from .errors import (
     PreconditionError,
     StructureError,
 )
-from .lattice import FinLattice, LatticeHom
+from .lattice import FinLattice, LatticeHom, _upper_adjoint, borel_image
 from .order import canon_key
-from .presented import bilax_pushout, cocomma_dl
+from .presented import _pullback, bilax_pushout, cocomma_dl
 from .sequent import (
     BOT,
     TOP,
@@ -243,30 +244,6 @@ def _interpolate(s, left: Iterable, right: Iterable, budgets: Budgets) -> tuple:
 # -- Boolean pushout separation ----------------------------------------------
 
 
-def _atom_trace(h: LatticeHom, q) -> Optional[object]:
-    """The atom of the domain that an atom of the codomain restricts to."""
-    for p in h.dom.atoms():
-        if q <= h(p):
-            return p
-    return None
-
-
-def _pushout_tuples(homs: list[LatticeHom]) -> list[tuple]:
-    """Spectra pullback: codomain-atom tuples over a common domain atom."""
-    a = homs[0].dom
-    for h in homs:
-        if h.dom != a:
-            raise DomainError("separator homs must share a source")
-        if h.dom.kind != "boolean" or h.cod.kind != "boolean":
-            raise DomainError("pushout separation requires Boolean lattices")
-    out = []
-    for qs in itertools.product(*[h.cod.atoms() for h in homs]):
-        traces = [_atom_trace(h, q) for h, q in zip(homs, qs)]
-        if len(set(traces)) == 1 and traces[0] is not None:
-            out.append((traces[0], qs))
-    return out
-
-
 def pushout_separators(
     a: FinLattice,
     homs: list[LatticeHom],
@@ -277,30 +254,31 @@ def pushout_separators(
 
     The hypothesis — the meet of the b_i lies below the target inside
     the pushout — is checked first on the spectra pullback.  The answer
-    is the spectral witness: a_i is the join of the atoms traced by the
-    atoms under b_i, the least a with b_i <= f_i(a).  Under the
-    hypothesis the Boolean interpolation theorem makes it a separator;
-    it is re-checked before it is returned.  The exhaustive search over
-    tuples from ``a`` is the test oracle (``tests/oracles.py``).
+    is the spectral witness: a_i is ``borel_image(f_i, b_i)``, the least
+    a with b_i <= f_i(a), the join of the atoms traced by the atoms
+    under b_i.  Under the hypothesis the Boolean interpolation theorem
+    makes it a separator; it is re-checked before it is returned.  The
+    exhaustive search over tuples from ``a`` is the test oracle
+    (``tests/oracles.py``).
     """
     if len(homs) != len(bs) or not homs:
         raise DomainError("one element per hom required")
     if target not in a:
         raise DomainError("target must be an element of the shared source")
-    pts = _pushout_tuples(homs)
-    for p, qs in pts:
+    for h in homs:
+        if h.dom != homs[0].dom:
+            raise DomainError("separator homs must share a source")
+        if h.dom.kind != "boolean" or h.cod.kind != "boolean":
+            raise DomainError("pushout separation requires Boolean lattices")
+    for h, b in zip(homs, bs):
+        if b not in h.cod:
+            raise DomainError(f"{b!r} is not in its stated lattice")
+    for p, qs in _pullback(homs):
         if all(q <= b for q, b in zip(qs, bs)) and not p <= target:
             raise PreconditionError(
                 "hypothesis", "meet of the b_i is not below the target in the pushout"
             )
-    spectral = []
-    for h, b in zip(homs, bs):
-        traced = [_atom_trace(h, q) for q in h.cod.atoms() if q <= b]
-        x = a.bot
-        for p in traced:
-            if p is not None:
-                x |= p
-        spectral.append(x)
+    spectral = [borel_image(h, b) for h, b in zip(homs, bs)]
     if a.meet_of(spectral) <= target and all(b <= h(x) for h, b, x in zip(homs, bs, spectral)):
         return spectral
     raise StructureError("no separator tuple exists despite the hypothesis")
@@ -318,14 +296,15 @@ def cocomma_interpolant(
     """The least element a with b <= f(a) \\/ b2 and c /\\ g(a) <= c2.
 
     The hypothesis b /\\ c <= b2 \\/ c2 is checked inside the cocomma of
-    ``f`` and ``g``.  The first clause is closed upward and ``f``
-    preserves meets, so its least solution is x0, the meet of all y
-    with b <= f(y) \\/ b2.  The second clause is closed downward, so an
-    interpolant exists exactly when x0 satisfies it, which the
-    hypothesis guarantees; x0 failing is a structural error, not a
-    result.  The scan of the domain for the first solution in
-    ``canon_key`` order, which is x0, is the test oracle
-    (``tests/oracles.py``).
+    ``f`` and ``g``.  The first clause holds exactly when f(a) holds
+    each point x of b outside b2, that is when f(a) contains the least
+    element ``least[x]`` holding x; so its least solution x0 is the lower
+    adjoint (``borel_image``) of ``f`` at the join of those ``least[x]``.  The second clause
+    is closed downward, so an interpolant exists exactly when x0
+    satisfies it, which the hypothesis guarantees; x0 failing is a
+    structural error, not a result.  The scan of the domain for the
+    first solution in ``canon_key`` order, which is x0, is the test
+    oracle (``tests/oracles.py``).
     """
     for x, lat in ((b, f.cod), (b2, f.cod), (c, g.cod), (c2, g.cod)):
         if x not in lat:
@@ -335,10 +314,7 @@ def cocomma_interpolant(
         raise PreconditionError(
             "hypothesis", "b /\\ c <= b2 \\/ c2 fails in the cocomma"
         )
-    x = f.dom.top
-    for y in f.dom.elements:
-        if b <= f(y) | b2:
-            x &= y
+    x = borel_image(f, f.cod._hull(b - b2))
     if b <= f(x) | b2 and c & g(x) <= c2:
         return x
     raise StructureError("no interpolant exists despite the hypothesis")
@@ -355,44 +331,24 @@ def bilax_separators(
     and g_j(a_j) <= c_j, given the mixed inequality in the bilax apex.
 
     Witnesses are extremal: each a_i is the least element pushed above
-    b_i, each a_j the greatest pulled below c_j; since those choices
-    only ease the middle inequality, the greedy pick is complete.
+    b_i, the lower adjoint of f_i at b_i, and each a_j the greatest
+    pulled below c_j, the upper adjoint of g_j at c_j; since those
+    choices only ease the middle inequality, the greedy pick is
+    complete.  The scans of the domain for them are the test oracle
+    (``tests/oracles.py``).
     """
     if len(fs) != len(bs) or len(gs) != len(cs) or not (fs or gs):
         raise DomainError("one element per hom required")
     apex, _, inls, outs = bilax_pushout(fs, gs, budgets)
-    lhs = apex.top
-    for h, b in zip(inls, bs):
-        lhs &= h(b)
-    rhs = apex.bot
-    for h, c in zip(outs, cs):
-        rhs |= h(c)
-    if not lhs <= rhs:
+    lhs = apex.meet_of(h(b) for h, b in zip(inls, bs))
+    if not lhs <= apex.join_of(h(c) for h, c in zip(outs, cs)):
         raise PreconditionError(
             "hypothesis", "the mixed inequality fails in the bilax pushout"
         )
     a = (fs or gs)[0].dom
-    als = []
-    for f, b in zip(fs, bs):
-        x = a.top
-        for y in a.elements:
-            if b <= f(y):
-                x &= y
-        als.append(x)
-    ars = []
-    for g, c in zip(gs, cs):
-        x = a.bot
-        for y in a.elements:
-            if g(y) <= c:
-                x |= y
-        ars.append(x)
-    m = a.top
-    for x in als:
-        m &= x
-    j = a.bot
-    for x in ars:
-        j |= x
-    if not m <= j:
+    als = [borel_image(f, b) for f, b in zip(fs, bs)]
+    ars = [a._element(_upper_adjoint(g, g.cod._mask_of(c))) for g, c in zip(gs, cs)]
+    if not a.meet_of(als) <= a.join_of(ars):
         raise StructureError("extremal separators fail despite the hypothesis")
     for f, b, x in zip(fs, bs, als):
         if not b <= f(x):

@@ -58,10 +58,17 @@ holds cost one dict probe each.  So ``lower_sets``,
 frozensets), ``birkhoff_embedding``,
 ``lattice_isomorphic``, ``enumerate_homs``, ``LatticeHom.compose``,
 ``is_injective``/``is_surjective`` and the JSON codec build none of
-the n element frozensets.  Readers of the masks: ``presented.extend_hom``
-reads J off ``_least``; ``congruence`` builds its rows and ``posite``
-its meets from ``_at``, and ``posite`` enumerates the lower sets of the
-element order as position masks; ``dissolution`` numbers J by
+the n element frozensets.  Readers of the masks: a hom's two adjoints,
+``_lower_adjoint`` (the least a with b <= f(a), the meet of the
+meet-irreducibles m with b <= f(m)) and ``_upper_adjoint`` (the greatest
+a with f(a) <= c, the join of the join-irreducibles j with f(j) <= c),
+read its image masks, and serve ``borel_image``, the spectra pullback
+of ``presented.pushout_points`` and every separator of ``interp``;
+``_hull`` joins ``_least`` over a set of points for the cocomma
+interpolant; ``presented.extend_hom`` reads J off ``_least``; ``congruence`` builds
+its rows and ``posite`` its meets from ``_at``, and ``posite``
+enumerates the lower sets of the element order as position masks;
+``dissolution`` numbers J by
 ``_irreducibles`` to name the points of 2^J; ``baire`` reads least
 neighbourhoods and glued points off ``_least``, and its opens off
 ``_at``; ``lattice_from_abstract`` (so ``cov_ideals``, ``quotient`` and
@@ -306,6 +313,18 @@ class FinLattice:
         ``join_irreducibles(self).elements`` order."""
         return sorted(set(self._least), key=_canon_mask_key(len(self._least)))
 
+    def _hull(self, pts: Iterable) -> frozenset:
+        """The least element containing the points ``pts``, the join of
+        their ``_least``."""
+        index, m = self.spectrum._index, 0
+        for x in pts:
+            m |= self._least[index[x]]
+        return self._element(m)
+
+    def _meet_irreducibles(self) -> list[int]:
+        """The masks of the meet-irreducibles, the elements with one upper cover."""
+        return [m for m, c in zip(self._at, self._covers) if c.bit_count() == 1]
+
     def atoms(self) -> tuple:
         return tuple(self.elements[k] for k in _bits(self._covers[0]))
 
@@ -381,7 +400,7 @@ class LatticeHom:
         # docstring), the elements with one upper cover.
         img = dict(zip(dom._at, image))
         joins = {j: img[j] for j in dom._least}.items()
-        meets = [(m, img[m]) for m, c in zip(dom._at, dom._covers) if c.bit_count() == 1]
+        meets = [(m, img[m]) for m in dom._meet_irreducibles()]
         for a, fa in img.items():
             v = ctop
             for m, fm in meets:
@@ -609,22 +628,52 @@ def enumerate_homs(a: FinLattice, b: FinLattice) -> list[LatticeHom]:
 # -- derived operations ------------------------------------------------------
 
 
+def _lower_adjoint(f: LatticeHom, b: int) -> int:
+    """The least domain mask a with ``b <= f(a)``, for a codomain mask ``b``.
+
+    Those a form a filter (``f`` keeps top and meets), and every element
+    is the meet of the meet-irreducibles above it, so the least one is
+    the meet of the meet-irreducibles m with ``b <= f(m)``.  Certified:
+    ``b <= f(a)``.
+    """
+    at, image = f.dom._at, f._image
+    a = (1 << len(f.dom.spectrum)) - 1
+    for m in f.dom._meet_irreducibles():
+        if not b & ~image[at[m]]:
+            a &= m
+    if b & ~image[at[a]]:
+        raise NoImageError(f"no least cover for {f.cod.spectrum._set(b)!r} along f")
+    return a
+
+
+def _upper_adjoint(f: LatticeHom, c: int) -> int:
+    """The greatest domain mask a with ``f(a) <= c``, for a codomain mask ``c``.
+
+    Dually, those a form an ideal and every element is the join of the
+    join-irreducibles below it, so the greatest one is the join of the
+    join-irreducibles j with ``f(j) <= c``.  Certified: ``f(a) <= c``.
+    """
+    at, image = f.dom._at, f._image
+    a = 0
+    for j in set(f.dom._least):
+        if not image[at[j]] & ~c:
+            a |= j
+    if image[at[a]] & ~c:
+        raise NoImageError(f"no greatest element below {f.cod.spectrum._set(c)!r} along f")
+    return a
+
+
 def borel_image(f: LatticeHom, b: frozenset) -> frozenset:
     """Least ``c`` in the domain of ``f`` with ``b <= f(c)``.
 
-    Satisfies the adjunction ``b <= f(c)  iff  borel_image(f, b) <= c``.
-    At finite scale the candidate set is meet-closed and nonempty, so
-    the minimum exists; the error path guards malformed inputs.
+    It is the lower adjoint of ``f`` at ``b``, so ``b <= f(c)  iff
+    borel_image(f, b) <= c``; the scan of the domain for it is the test
+    oracle (``tests/oracles.py``).
     """
-    if b not in f.cod:
+    m = f.cod._mask_of(b)
+    if m is None:
         raise DomainError(f"{b!r} not in the codomain of f")
-    candidates = [c for c in f.dom.elements if b <= f(c)]
-    m = f.dom.top
-    for c in candidates:
-        m &= c
-    if m not in f.dom or not b <= f(m):
-        raise NoImageError(f"no least cover for {b!r} along f")
-    return m
+    return f.dom._element(_lower_adjoint(f, m))
 
 
 def disjointify(a: FinLattice, cover: list[frozenset]) -> list[frozenset]:

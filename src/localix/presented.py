@@ -25,6 +25,7 @@ from .lattice import (
     LatticeHom,
     _hom_from_irreducibles,
     _hom_on_masks,
+    _lower_adjoint,
     join_irreducibles,
     powerset_lattice,
 )
@@ -351,6 +352,13 @@ def extend_hom(
     return h
 
 
+def _coprojection(src: FinLattice, realized: tuple[FinLattice, dict], irr: dict) -> LatticeHom:
+    """The hom from ``src`` into a realized presentation that sends each
+    join-irreducible of ``src`` to the element of the generator naming it."""
+    lat, gen_img = realized
+    return _hom_from_irreducibles(src, lat, {j: gen_img[g] for g, j in irr.items()})
+
+
 def coproduct_dl(
     a: FinLattice, b: FinLattice, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[FinLattice, LatticeHom, LatticeHom]:
@@ -358,21 +366,28 @@ def coproduct_dl(
     pa, irr_a = presentation_of_lattice(a, "l")
     pb, irr_b = presentation_of_lattice(b, "r")
     merged = Presentation(pa.gens + pb.gens, pa.rels + pb.rels, "distributive")
-    lat, gen_img = realize(merged, budgets)
-    inl = _hom_from_irreducibles(a, lat, {j: gen_img[g] for g, j in irr_a.items()})
-    inr = _hom_from_irreducibles(b, lat, {j: gen_img[g] for g, j in irr_b.items()})
-    return lat, inl, inr
+    realized = realize(merged, budgets)
+    return realized[0], _coprojection(a, realized, irr_a), _coprojection(b, realized, irr_b)
 
 
-def _point_of(a: FinLattice, hom_values: Callable[[frozenset], bool]) -> frozenset:
-    """The atom of a Boolean lattice carrying a given 2-valued hom."""
-    m = a.top
-    for x in a.elements:
-        if hom_values(x):
-            m &= x
-    if m not in a or not hom_values(m):
-        raise StructureError("valuation does not come from an atom")
-    return m
+def _pullback(homs: list[LatticeHom]) -> list[tuple]:
+    """The spectra pullback of Boolean homs out of one source.
+
+    Its points are the pairs (p, qs) of an atom p of the source and a
+    tuple qs of codomain atoms, one per hom, each traced to p.  An atom q
+    of the codomain of h traces to the least element a with q <= h(a),
+    the lower adjoint of h at q, which between Boolean lattices is an
+    atom; the points over p are the product of the fibres over p.
+    """
+    a = homs[0].dom
+    fibres = {a._mask_of(p): [[] for _ in homs] for p in a.atoms()}
+    for i, h in enumerate(homs):
+        for q in h.cod.atoms():
+            over = fibres.get(_lower_adjoint(h, h.cod._mask_of(q)))
+            if over is None:
+                raise StructureError("valuation does not come from an atom")
+            over[i].append(q)
+    return [(a._element(p), qs) for p, over in fibres.items() for qs in itertools.product(*over)]
 
 
 def pushout_points(
@@ -389,18 +404,7 @@ def pushout_points(
     for h in (f, g):
         if h.dom.kind != "boolean" or h.cod.kind != "boolean":
             raise PreconditionError("boolean", "pushout is for Boolean lattices")
-    b, c, a = f.cod, g.cod, f.dom
-
-    def trace(h: LatticeHom, atom: frozenset) -> frozenset:
-        return _point_of(a, lambda x: atom <= h(x))
-
-    points = [
-        (beta, gamma)
-        for beta in b.atoms()
-        for gamma in c.atoms()
-        if trace(f, beta) == trace(g, gamma)
-    ]
-    points.sort(key=canon_key)
+    points = sorted((qs for _, qs in _pullback([f, g])), key=canon_key)
 
     def i1(x: frozenset) -> frozenset:
         return frozenset(p for p in points if p[0] <= x)
@@ -430,28 +434,25 @@ def cocomma_dl(
     """Lax pushout of distributive lattices along a shared domain.
 
     Presented by the two codomains with the cross relations
-    ``inl(f(x)) <= inr(g(x))`` for every ``x`` in the shared domain.
+    ``inl(f(x)) <= inr(g(x))``, stated for the join-irreducibles ``x`` of
+    the shared domain: both sides are homs in ``x``, so the relation at
+    every other ``x``, a join of irreducibles, follows.  Laxity is
+    re-checked on every element.
     """
     if f.dom != g.dom:
         raise DomainError("cocomma requires a shared domain")
     pb, irr_b = presentation_of_lattice(f.cod, "l")
     pc, irr_c = presentation_of_lattice(g.cod, "r")
-    gb = {j: g_ for g_, j in irr_b.items()}
-    gc = {j: g_ for g_, j in irr_c.items()}
-    cross = []
-    for x in f.dom.elements:
-        lhs = join(*[var(gb[j]) for j in gb if j <= f(x)])
-        rhs = join(*[var(gc[j]) for j in gc if j <= g(x)])
-        cross.append((lhs, rhs))
-    merged = Presentation(
-        pb.gens + pc.gens, pb.rels + pc.rels + tuple(cross), "distributive"
+    cross = tuple(
+        (term_of_element(f.cod, f(x), irr_b), term_of_element(g.cod, g(x), irr_c))
+        for x in map(f.dom._element, f.dom._irreducibles())
     )
-    lat, gen_img = realize(merged, budgets)
-    inl = _hom_from_irreducibles(f.cod, lat, {j: gen_img[g_] for g_, j in irr_b.items()})
-    inr = _hom_from_irreducibles(g.cod, lat, {j: gen_img[g_] for g_, j in irr_c.items()})
+    merged = Presentation(pb.gens + pc.gens, pb.rels + pc.rels + cross, "distributive")
+    realized = realize(merged, budgets)
+    inl, inr = _coprojection(f.cod, realized, irr_b), _coprojection(g.cod, realized, irr_c)
     if any(not inl(f(x)) <= inr(g(x)) for x in f.dom.elements):
         raise StructureError("cocomma laxity failed")
-    return lat, inl, inr
+    return realized[0], inl, inr
 
 
 def bilax_pushout(
@@ -462,8 +463,10 @@ def bilax_pushout(
     """N-ary two-sided lax pushout over a shared domain.
 
     Generated by the shared domain and all codomains, subject to
-    ``in_i(f_i(x)) <= center(x)`` and ``center(x) <= out_j(g_j(x))``.
-    Returns the apex, the center hom, and both coprojection families.
+    ``in_i(f_i(x)) <= center(x)`` and ``center(x) <= out_j(g_j(x))``,
+    stated for the join-irreducibles ``x`` of the domain, as in
+    ``cocomma_dl``.  Returns the apex, the center hom, and both
+    coprojection families.
     """
     if not fs and not gs:
         raise DomainError("at least one leg required")
@@ -472,40 +475,20 @@ def bilax_pushout(
         raise DomainError("all legs must share one domain")
     a = next(iter(doms))
     pa, irr_a = presentation_of_lattice(a, "a")
-    ga = {j: g_ for g_, j in irr_a.items()}
-    gens, rels = list(pa.gens), list(pa.rels)
-    sides = []
+    gens, rels, irrs = list(pa.gens), list(pa.rels), []
+    js = list(map(a._element, a._irreducibles()))
     for tag, homs in (("b", fs), ("c", gs)):
-        per = []
         for i, h in enumerate(homs):
             pres, irr = presentation_of_lattice(h.cod, f"{tag}{i}_")
-            gens += list(pres.gens)
-            rels += list(pres.rels)
-            gmap = {j: g_ for g_, j in irr.items()}
-            per.append((h, irr, gmap))
-        sides.append(per)
-
-    def aterm(x):
-        return join(*[var(ga[j]) for j in ga if j <= x])
-
-    for h, irr, gmap in sides[0]:
-        for x in a.elements:
-            rels.append((join(*[var(gmap[j]) for j in gmap if j <= h(x)]), aterm(x)))
-    for h, irr, gmap in sides[1]:
-        for x in a.elements:
-            rels.append((aterm(x), join(*[var(gmap[j]) for j in gmap if j <= h(x)])))
-    merged = Presentation(tuple(gens), tuple(rels), "distributive")
-    lat, gen_img = realize(merged, budgets)
-    center = _hom_from_irreducibles(a, lat, {j: gen_img[g_] for g_, j in irr_a.items()})
-    inls = [
-        _hom_from_irreducibles(h.cod, lat, {j: gen_img[g_] for g_, j in irr.items()})
-        for h, irr, gmap in sides[0]
-    ]
-    inrs = [
-        _hom_from_irreducibles(h.cod, lat, {j: gen_img[g_] for g_, j in irr.items()})
-        for h, irr, gmap in sides[1]
-    ]
-    return lat, center, inls, inrs
+            gens += pres.gens
+            rels += pres.rels
+            irrs.append(irr)
+            for x in js:
+                leg, center = term_of_element(h.cod, h(x), irr), term_of_element(a, x, irr_a)
+                rels.append((leg, center) if tag == "b" else (center, leg))
+    realized = realize(Presentation(tuple(gens), tuple(rels), "distributive"), budgets)
+    legs = [_coprojection(h.cod, realized, irr) for h, irr in zip([*fs, *gs], irrs)]
+    return realized[0], _coprojection(a, realized, irr_a), legs[: len(fs)], legs[len(fs) :]
 
 
 # -- finite-set plumbing used by image/pullback checks ------------------------

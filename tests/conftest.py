@@ -1,6 +1,6 @@
 """Shared enumeration helpers: all small posets up to isomorphism,
-seeded random structure generators, and the hypothesis poset and
-glued-lattice strategies used across the suites."""
+seeded random structure generators, and the hypothesis poset,
+glued-lattice and hom strategies used across the suites."""
 
 from __future__ import annotations
 
@@ -10,10 +10,11 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import assume, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from localix.lattice import FinLattice
+from localix.budgets import DEFAULT_BUDGETS
+from localix.lattice import FinLattice, enumerate_homs, lower_sets
 from localix.order import FinPoset, lower_sets_of, poset_isomorphic
 
 # Property tests replay the same examples on every run and keep no example
@@ -88,6 +89,28 @@ def glued(p: FinPoset) -> FinLattice:
 @st.composite
 def glued_lattices(draw, max_points=4):
     return glued(draw(posets(max_points)))
+
+
+def small_lattices(max_points=3):
+    """The lower sets of a poset of at most ``max_points`` points, glued or not."""
+    return st.builds(lambda p, g: glued(p) if g else lower_sets(p), posets(max_points), st.booleans())
+
+
+@st.composite
+def homs_from(draw, a: FinLattice, max_points=3):
+    """A hom out of ``a`` into one of the ``small_lattices``; a trivial
+    ``a`` has homs into trivial lattices only, and other draws are
+    rejected."""
+    homs = enumerate_homs(a, draw(small_lattices(max_points)))
+    assume(homs)
+    return draw(st.sampled_from(homs))
+
+
+# bilax legs into small_lattices, as (left, right) counts: one or two, for
+# two-leg apexes over 3-point posets reach about 10^4 elements, past the
+# default elements budget
+BILAX_LEGS = st.sampled_from([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+APEX_BUDGETS = DEFAULT_BUDGETS.bumped(elements=1 << 16)
 
 
 def _poset_signature(p: FinPoset) -> tuple:

@@ -10,7 +10,14 @@ well-founded rank, the sublattice generated by a topology's opens and
 closeds, the ``prune`` record of a relation by canonical pruning
 of its whole descending-chain diagram, truth-table polyorder entailment, Maehara extraction
 by a walk of the derivation tree and the separator search in Boolean
-pushouts.  The rule fixpoints for dissolution,
+pushouts.  A hom's two adjoints (the least a with b <= f(a), the
+greatest a with f(a) <= c) are scans of its domain, and so are the
+witnesses built from them: atom traces and the spectra pullback over
+all tuples of atoms, the least cocomma clause solution and the extremal
+bilax separators.  The cocomma and bilax presentations state a cross
+relation per element of the domain, not per join-irreducible.  A
+topology's interior, comeager core and Baire decomposition are scans of
+its opens.  The rule fixpoints for dissolution,
 order-congruences and coverages work on a ``Table`` of the lattice,
 built from frozenset operations on its elements, not from the masks the
 library keeps; they share with the library only the one-step congruence
@@ -31,11 +38,11 @@ from operator import or_
 from localix.budgets import DEFAULT_BUDGETS, Budgets, check_budget
 from localix.congruence import OrderCongruence, _column_rule, _compose, _row_rule
 from localix.dissolution import Dissolution, neg
-from localix.errors import DomainError, PreconditionError, StructureError
+from localix.errors import DomainError, NoImageError, PreconditionError, StructureError
 from localix.lattice import FinLattice, LatticeHom, _bits
 from localix.order import FinPoset, _label, _unlabel, canon_key, lower_sets_of
 from localix.posite import Coverage, PolyOrder
-from localix.presented import check_assignment
+from localix.presented import Presentation, check_assignment, join, presentation_of_lattice, var
 from localix.pruning import Relation, desc_diagram, prune_sequence
 from localix.sequent import (
     BOT,
@@ -1100,4 +1107,158 @@ def cocomma_interpolant(f: LatticeHom, g: LatticeHom, b, b2, c, c2):
     for x in sorted(f.dom.elements, key=canon_key):
         if b <= f(x) | b2 and c & g(x) <= c2:
             return x
+    return None
+
+
+def borel_image(f: LatticeHom, b):
+    """The least c in the domain of ``f`` with b <= f(c), the meet of
+    the candidates over a scan of the domain; raises what
+    ``lattice.borel_image`` raises."""
+    if b not in f.cod:
+        raise DomainError(f"{b!r} not in the codomain of f")
+    m = f.dom.top
+    for c in f.dom.elements:
+        if b <= f(c):
+            m &= c
+    if m not in f.dom or not b <= f(m):
+        raise NoImageError(f"no least cover for {b!r} along f")
+    return m
+
+
+def greatest_below(f: LatticeHom, c):
+    """The greatest a in the domain of ``f`` with f(a) <= c, the join of
+    the candidates over a scan of the domain."""
+    m = f.dom.bot
+    for a in f.dom.elements:
+        if f(a) <= c:
+            m |= a
+    if m not in f.dom or not f(m) <= c:
+        raise StructureError(f"no greatest element below {c!r} along f")
+    return m
+
+
+def point_of(a: FinLattice, hom_values):
+    """The atom of a Boolean lattice carrying a 2-valued hom, the meet of
+    the elements it sends to true."""
+    m = a.top
+    for x in a.elements:
+        if hom_values(x):
+            m &= x
+    if m not in a or not hom_values(m):
+        raise StructureError("valuation does not come from an atom")
+    return m
+
+
+def pushout_points(f: LatticeHom, g: LatticeHom) -> list:
+    """The points of ``presented.pushout_points``: the pairs of codomain
+    atoms whose ``point_of`` traces agree, over all pairs."""
+
+    def trace(h, atom):
+        return point_of(h.dom, lambda x: atom <= h(x))
+
+    pairs = itertools.product(f.cod.atoms(), g.cod.atoms())
+    return sorted(((q, r) for q, r in pairs if trace(f, q) == trace(g, r)), key=canon_key)
+
+
+def atom_trace(h: LatticeHom, q):
+    """The first atom of the domain whose image holds the codomain atom
+    ``q``; None if there is none."""
+    for p in h.dom.atoms():
+        if q <= h(p):
+            return p
+    return None
+
+
+def pushout_tuples(homs) -> list:
+    """The spectra pullback of Boolean homs out of one source: every
+    tuple of codomain atoms whose ``atom_trace`` agree, with the trace,
+    over all tuples of atoms."""
+    out = []
+    for qs in itertools.product(*[h.cod.atoms() for h in homs]):
+        traces = [atom_trace(h, q) for h, q in zip(homs, qs)]
+        if len(set(traces)) == 1 and traces[0] is not None:
+            out.append((traces[0], qs))
+    return out
+
+
+def cocomma_least(f: LatticeHom, b, b2):
+    """The least x with b <= f(x) \\/ b2, the meet of the candidates
+    over a scan of the domain."""
+    x = f.dom.top
+    for y in f.dom.elements:
+        if b <= f(y) | b2:
+            x &= y
+    return x
+
+
+def bilax_separators(fs, gs, bs, cs) -> tuple:
+    """The extremal bilax witnesses by scans of the domain: the least a
+    with b_i <= f_i(a) and the greatest a with g_j(a) <= c_j."""
+    return (
+        [borel_image(f, b) for f, b in zip(fs, bs)],
+        [greatest_below(g, c) for g, c in zip(gs, cs)],
+    )
+
+
+def _join_term(irr: dict, x) -> tuple:
+    """The join of the generators naming the irreducibles below ``x``."""
+    return join(*[var(g) for g, j in irr.items() if j <= x])
+
+
+def cocomma_presentation(f: LatticeHom, g: LatticeHom) -> tuple:
+    """The presentation of ``cocomma_dl`` with a cross relation
+    inl(f(x)) <= inr(g(x)) for every element x of the domain, and the
+    generator maps of the two codomains."""
+    pb, irr_b = presentation_of_lattice(f.cod, "l")
+    pc, irr_c = presentation_of_lattice(g.cod, "r")
+    cross = tuple((_join_term(irr_b, f(x)), _join_term(irr_c, g(x))) for x in f.dom.elements)
+    return Presentation(pb.gens + pc.gens, pb.rels + pc.rels + cross, "distributive"), irr_b, irr_c
+
+
+def bilax_presentation(fs, gs) -> tuple:
+    """The presentation of ``bilax_pushout`` with its two families of
+    cross relations stated for every element of the domain, the
+    generator map of the domain and those of the codomains, legs of
+    ``fs`` first."""
+    a = (list(fs) + list(gs))[0].dom
+    pa, irr_a = presentation_of_lattice(a, "a")
+    gens, rels, irrs = list(pa.gens), list(pa.rels), []
+    for tag, homs in (("b", fs), ("c", gs)):
+        for i, h in enumerate(homs):
+            pres, irr = presentation_of_lattice(h.cod, f"{tag}{i}_")
+            gens += pres.gens
+            rels += pres.rels
+            irrs.append(irr)
+    for h, irr in zip(fs, irrs):
+        rels += [(_join_term(irr, h(x)), _join_term(irr_a, x)) for x in a.elements]
+    for h, irr in zip(gs, irrs[len(fs):]):
+        rels += [(_join_term(irr_a, x), _join_term(irr, h(x))) for x in a.elements]
+    return Presentation(tuple(gens), tuple(rels), "distributive"), irr_a, irrs
+
+
+def interior(t, b):
+    """The largest open below ``b``, the union of the opens inside it."""
+    out = frozenset()
+    for o in t.opens:
+        if o <= b:
+            out |= o
+    return out
+
+
+def comeager_core(t):
+    """The meet over all opens U of (closure(U) implies U); the
+    complement of closure(U) is the ``interior`` of the complement."""
+    core = top = t.top()
+    for u in t.opens:
+        core &= interior(t, top - u) | u
+    return core
+
+
+def baire_decompose(t, b) -> tuple:
+    """The first open in canonical order whose symmetric difference with
+    ``b`` misses ``comeager_core``, with that difference."""
+    core = comeager_core(t)
+    for u in sorted(t.opens, key=canon_key):
+        if not (b ^ u) & core:
+            return u, b ^ u
     return None

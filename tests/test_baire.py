@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 
+from localix import baire
 from localix.baire import (
     FrameTopology,
     baire_decompose,
@@ -171,6 +172,19 @@ def test_baire_decompose_witness(rng):
 @given(topologies())
 def test_sigma2_family_matches_the_fixpoint(t):
     assert sigma2_family(t) == oracles.sigma2_family(t)
+
+
+@settings(max_examples=150)
+@given(topologies())
+def test_closed_forms_match_the_scans_over_the_opens(t):
+    core = oracles.comeager_core(t)
+    assert baire._core(t) == core
+    for k in range(len(t.reps) + 1):
+        for s in itertools.combinations(t.reps, k):
+            b = frozenset(s)
+            assert interior(t, b) == oracles.interior(t, b)
+            assert baire_decompose(t, b) == oracles.baire_decompose(t, b)
+            assert is_meager(t, b) == (not b & core)
 
 
 def test_sigma2_family_is_full_powerset_small(rng):

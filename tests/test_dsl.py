@@ -10,6 +10,8 @@ from localix.dsl import Report, Script, parse, render, run
 from localix.errors import DomainError, ParseError
 from localix.pruning import Relation, desc_diagram
 
+import oracles
+
 FULL_SCRIPT = """\
 # declarations of every object kind
 gens a b;
@@ -239,7 +241,7 @@ _POINTS = st.sampled_from(["s", "t", "p", "q", 0, 1, 2])
 )
 def test_image_record_matches_the_powerset_path(fun, cod, subset):
     # the record, or the input error and its text, of the least cover
-    # read off the preimage hom between the two powersets
+    # found by a scan of the preimage hom's powerset domain
     arrows, cod, subset = (", ".join(map(str, xs)) for xs in ([f"{a} -> {b}" for a, b in fun], cod, subset))
     source = f"image {{{arrows}}} in {{{cod}}} of {{{subset}}};"
     script = parse(source)
@@ -247,7 +249,7 @@ def test_image_record_matches_the_powerset_path(fun, cod, subset):
     (rec,) = run(script).records
     f = dict(stmt.fun)
     try:
-        image = lattice.borel_image(presented.preimage_hom(f, list(f), stmt.cod), stmt.subset)
+        image = oracles.borel_image(presented.preimage_hom(f, list(f), stmt.cod), stmt.subset)
         want = {"kind": "image", "ok": True, "subset": dsl._elem_str(stmt.subset)}
         want["image"] = dsl._elem_str(image)
     except DomainError as e:

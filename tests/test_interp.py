@@ -38,7 +38,7 @@ from localix.sequent import (
 )
 
 import oracles
-from conftest import posets
+from conftest import APEX_BUDGETS, BILAX_LEGS, homs_from, posets, small_lattices
 from test_cli import invoke
 
 
@@ -381,6 +381,13 @@ def test_spectral_witness_separates_whenever_a_separator_exists(data):
     seps = pushout_separators(a, homs, bs, target)
     assert a.meet_of(seps) <= target
     assert all(b <= h(x) for h, b, x in zip(homs, bs, seps))
+    assert seps == [oracles.borel_image(h, b) for h, b in zip(homs, bs)]
+
+
+def test_pushout_separators_reject_a_foreign_element():
+    t, b = two(), powerset_lattice("pq")
+    with pytest.raises(DomainError, match="is not in its stated lattice"):
+        pushout_separators(t, [unit_hom(b)], [frozenset({"zz"})], t.top)
 
 
 def test_pushout_separators_require_boolean():
@@ -435,7 +442,7 @@ def test_cocomma_closed_form_is_the_scan(p, q, r, data):
         with pytest.raises(PreconditionError):
             cocomma_interpolant(f, g, bx, b2, cx, c2)
     else:
-        assert cocomma_interpolant(f, g, bx, b2, cx, c2) == found
+        assert cocomma_interpolant(f, g, bx, b2, cx, c2) == found == oracles.cocomma_least(f, bx, b2)
 
 
 def test_bilax_separators_clauses():
@@ -452,6 +459,23 @@ def test_bilax_separators_hypothesis_checked():
     h = LatticeHom.identity(t)
     with pytest.raises(PreconditionError):
         bilax_separators([h], [h], [t.top], [t.bot])
+
+
+@settings(max_examples=100)
+@given(small_lattices(), BILAX_LEGS, st.data())
+def test_bilax_separators_are_the_extremal_scans(a, legs, data):
+    nf, ng = legs
+    fs = [data.draw(homs_from(a)) for _ in range(nf)]
+    gs = [data.draw(homs_from(a)) for _ in range(ng)]
+    bs = [data.draw(st.sampled_from(f.cod.elements)) for f in fs]
+    cs = [data.draw(st.sampled_from(g.cod.elements)) for g in gs]
+    als, ars = oracles.bilax_separators(fs, gs, bs, cs)
+    # separators exist exactly when the extremal ones separate
+    if not a.meet_of(als) <= a.join_of(ars):
+        with pytest.raises(PreconditionError):
+            bilax_separators(fs, gs, bs, cs, APEX_BUDGETS)
+    else:
+        assert bilax_separators(fs, gs, bs, cs, APEX_BUDGETS) == (als, ars)
 
 
 def test_novikov_separation():

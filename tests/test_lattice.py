@@ -27,7 +27,7 @@ from localix.lattice import (
 from localix.order import FinPoset, _new, canon_key, lower_sets_of, poset_isomorphic
 
 import oracles
-from conftest import glued, glued_lattices, posets, posets_up_to, random_poset
+from conftest import glued, glued_lattices, homs_from, posets, posets_up_to, random_poset, small_lattices
 
 
 def chain_poset(n):
@@ -132,6 +132,21 @@ def test_borel_image_rejects_foreign_element():
     assert borel_image(h, frozenset("q")) == a.top
     with pytest.raises(DomainError):
         borel_image(h, frozenset("zz"))
+
+
+@settings(max_examples=150)
+@given(small_lattices(), st.data())
+def test_adjoints_are_the_scans_and_satisfy_the_galois_laws(a, data):
+    f = data.draw(homs_from(a))
+    for b in f.cod.elements:
+        m = f.cod._mask_of(b)
+        lower = f.dom._element(lattice._lower_adjoint(f, m))
+        upper = f.dom._element(lattice._upper_adjoint(f, m))
+        assert lower == borel_image(f, b) == oracles.borel_image(f, b)
+        assert upper == oracles.greatest_below(f, b)
+        for c in f.dom.elements:
+            assert (b <= f(c)) == (lower <= c)
+            assert (f(c) <= b) == (c <= upper)
 
 
 def test_disjointify():

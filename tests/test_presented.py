@@ -19,7 +19,7 @@ from localix.lattice import (
     lower_sets,
     powerset_lattice,
 )
-from localix.order import FinPoset
+from localix.order import FinPoset, canon_key
 from localix.presented import (
     Presentation,
     TOP,
@@ -42,7 +42,7 @@ from localix.presented import (
 )
 
 import oracles
-from conftest import posets, random_poset
+from conftest import APEX_BUDGETS, BILAX_LEGS, homs_from, posets, random_poset, small_lattices
 
 BOT = ("bot",)
 
@@ -133,6 +133,20 @@ def test_pushout_of_booleans_is_spectra_pullback():
     assert len(pts) == 4
 
 
+@settings(max_examples=150)
+@given(st.integers(1, 3), st.lists(st.integers(1, 3), min_size=1, max_size=3), st.data())
+def test_spectra_pullback_matches_the_trace_scans(n, sizes, data):
+    a = powerset_lattice(range(n))
+    homs = [
+        data.draw(st.sampled_from(enumerate_homs(a, powerset_lattice([f"q{i}{k}" for k in range(m)]))))
+        for i, m in enumerate(sizes)
+    ]
+    want = sorted(oracles.pushout_tuples(homs), key=canon_key)
+    assert sorted(presented._pullback(homs), key=canon_key) == want
+    f, g = homs[0], homs[-1]
+    assert pushout_points(f, g)[0] == oracles.pushout_points(f, g)
+
+
 def test_pushout_checks_the_elements_budget_before_its_powerset():
     b = powerset_lattice("pq")
     t = two()
@@ -187,6 +201,34 @@ def test_bilax_pushout_clauses():
     apex, center, inls, outs = bilax_pushout([h], [h])
     for x in t.elements:
         assert inls[0](x) <= center(x) <= outs[0](x)
+
+
+def _lands_on_generators(hom, gen_img: dict, irr: dict) -> bool:
+    return all(hom(j) == gen_img[g] for g, j in irr.items())
+
+
+@settings(max_examples=100)
+@given(small_lattices(), st.data())
+def test_cocomma_relations_at_the_irreducibles_present_the_same_lattice(a, data):
+    f, g = data.draw(homs_from(a)), data.draw(homs_from(a))
+    d, inl, inr = cocomma_dl(f, g)
+    pres, irr_b, irr_c = oracles.cocomma_presentation(f, g)
+    lat, gen_img = realize(pres)
+    assert d == lat
+    assert _lands_on_generators(inl, gen_img, irr_b) and _lands_on_generators(inr, gen_img, irr_c)
+
+
+@settings(max_examples=60)
+@given(small_lattices(), BILAX_LEGS, st.data())
+def test_bilax_relations_at_the_irreducibles_present_the_same_lattice(a, legs, data):
+    fs = [data.draw(homs_from(a)) for _ in range(legs[0])]
+    gs = [data.draw(homs_from(a)) for _ in range(legs[1])]
+    apex, center, inls, outs = bilax_pushout(fs, gs, APEX_BUDGETS)
+    pres, irr_a, irrs = oracles.bilax_presentation(fs, gs)
+    lat, gen_img = realize(pres, APEX_BUDGETS)
+    assert apex == lat
+    assert _lands_on_generators(center, gen_img, irr_a)
+    assert all(_lands_on_generators(h, gen_img, irr) for h, irr in zip(inls + outs, irrs))
 
 
 def test_strong_amalgamation_on_injective_instances(rng):
