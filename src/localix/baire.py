@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .errors import DomainError, StructureError
 from .lattice import FinLattice, lattice_from_abstract
-from .order import FinPoset, _bits, canon_key
+from .order import FinPoset, _bits, _new, canon_key
 
 __all__ = [
     "FrameTopology",
@@ -135,9 +135,27 @@ def _core(t: FrameTopology) -> frozenset:
 
 def comgr(t: FrameTopology) -> tuple[frozenset, FinLattice]:
     """The comeager core (``_core``) and the regular-open algebra."""
-    regs = regular_opens(t)
-    lat, _ = lattice_from_abstract(regs, lambda u, v: u <= v)
-    return _core(t), lat
+    core, _, lat = _comgr(t)
+    return core, lat
+
+
+def _comgr(t: FrameTopology) -> tuple[frozenset, list[frozenset], FinLattice]:
+    """``comgr`` with the regular opens.
+
+    The core points are the open points, and they are dense, so each
+    regular open is the regularization of its core points: the regular
+    opens form the Boolean algebra on the atoms ``regularize({x})``, x
+    in the core, and each is the mask of its core points over the
+    atoms.  Certified by 2^|core| distinct masks, and by ``FinLattice``.
+    """
+    regs, core = regular_opens(t), _core(t)
+    atom = {x: regularize(t, frozenset({x})) for x in core}
+    spectrum = FinPoset(atom.values())
+    bit = {x: 1 << spectrum._index[a] for x, a in atom.items()}
+    masks = {sum(bit[x] for x in u & core) for u in regs}
+    if not len(regs) == len(masks) == 1 << len(core):
+        raise StructureError(f"{len(regs)} regular opens, not 2^{len(core)}")
+    return core, regs, _new(FinLattice, spectrum, masks, "boolean")
 
 
 def is_dense(t: FrameTopology, b: frozenset) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
-from .errors import ResourceBudgetError
+from .errors import DomainError, ResourceBudgetError
 
 __all__ = ["Budgets", "DEFAULT_BUDGETS", "budgets_from_env", "check_budget"]
 
@@ -46,8 +46,11 @@ def budgets_from_env(base: Budgets = DEFAULT_BUDGETS) -> Budgets:
         key, _, val = item.partition("=")
         key = key.strip()
         if key not in _FIELDS:
-            raise ValueError(f"unknown budget {key!r} in LOCALIX_BUDGETS")
-        overrides[key] = int(val)
+            raise DomainError(f"unknown budget {key!r} in LOCALIX_BUDGETS")
+        try:
+            overrides[key] = int(val)
+        except ValueError:
+            raise DomainError(f"budget {key!r} in LOCALIX_BUDGETS is not an int: {val!r}") from None
     return base.bumped(**overrides)
 
 

@@ -18,6 +18,7 @@ import sys
 from . import dsl
 from .budgets import DEFAULT_BUDGETS, budgets_from_env, check_budget
 from .errors import DomainError, LocalixError, ParseError, ResourceBudgetError
+from .order import _decode
 from .pruning import CoDiagram
 
 __all__ = ["main"]
@@ -129,9 +130,10 @@ def _prune_invocation(args, budgets):
         with open(args.diagram, encoding="utf-8") as fh:
             text = fh.read()
         try:  # the level sizes, before the diagram is validated (cubic in its index)
-            size = sum(len(lv) for _, lv in json.loads(text)["levels"])
-            check_budget(budgets, "diagram", size)
-            diagram = CoDiagram.from_json(text)
+            data = json.loads(text)
+            levels = _decode(data["levels"])
+            check_budget(budgets, "diagram", sum(len(lv) for _, lv in levels))
+            diagram = CoDiagram._from_data(data, levels)
         except ResourceBudgetError as e:  # the record ``dsl.run`` makes for it
             report = dsl.Report(exit_code=2)
             report.add("error", ok=False, error="budget", detail=str(e))
@@ -178,15 +180,14 @@ def _selftest(seed: int) -> dsl.Report:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    budgets = budgets_from_env(DEFAULT_BUDGETS)
-    if args.budget_gens is not None:
-        budgets = budgets.bumped(gens=args.budget_gens)
-    if args.budget_carrier is not None:
-        budgets = budgets.bumped(carrier=args.budget_carrier)
-    if args.unsafe_budgets:
-        budgets = budgets.bumped(unsafe=True)
-
     try:
+        budgets = budgets_from_env(DEFAULT_BUDGETS)
+        if args.budget_gens is not None:
+            budgets = budgets.bumped(gens=args.budget_gens)
+        if args.budget_carrier is not None:
+            budgets = budgets.bumped(carrier=args.budget_carrier)
+        if args.unsafe_budgets:
+            budgets = budgets.bumped(unsafe=True)
         if args.command == "run":
             if args.script == "-":
                 source = sys.stdin.read()

@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import presented as pr
 from . import sequent as sq
-from .baire import FrameTopology, baire_decompose, comgr, regular_opens
+from .baire import FrameTopology, _comgr, baire_decompose
 from .budgets import Budgets, DEFAULT_BUDGETS, check_budget
 from .dissolution import dissolve
 from .errors import (
@@ -640,13 +640,13 @@ class BaireQuery(_Node):
 
     def run(self, r: _Runner) -> None:
         t = r.lookup(self.name, TopologyDecl)
-        core, reg = comgr(t)
+        core, regs, reg = _comgr(t)
         rec = dict(
             topology=self.name,
             points=[str(p) for p in t.reps],
             opens=[_elem_str(o) for o in t.opens],
             comgr=_elem_str(core),
-            regular_opens=[_elem_str(u) for u in regular_opens(t)],
+            regular_opens=[_elem_str(u) for u in regs],
             regular_kind=reg.kind,
         )
         if self.element is not None:

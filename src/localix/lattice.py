@@ -83,6 +83,12 @@ operations (``meet``, ``join``, ``leq``, ``complement``), a hom's
 ``ideal_completion``'s down-sets, the items and map
 ``lattice_from_abstract`` returns, and the engines that list elements
 (coverages, DSL records).
+
+JSON.  ``to_json`` writes the spectrum in the poset shape of
+``order._poset_data`` and each element as the list of its points,
+encoded by ``order._encode``, in spectrum order; ``from_json`` decodes
+them, encodes each element as a mask (``_point_masks``, shared with the
+public constructor and so raising its errors) and calls the core.
 """
 
 from __future__ import annotations
@@ -97,8 +103,8 @@ from typing import Callable, Hashable, Iterable
 from .budgets import Budgets, check_budget
 from .errors import DomainError, NoImageError, PreconditionError, StructureError
 from .order import (
-    FinPoset, _bits, _bits_set, _canon_mask_key, _dot, _lower_set_masks, _new, _pairs, _unlabeler,
-    canon_key, poset_isomorphic,
+    FinPoset, _bits, _bits_set, _canon_mask_key, _decode, _dot, _lower_set_masks, _new, _pairs,
+    _poset_data, _poset_from_data, canon_key, poset_isomorphic,
 )
 
 __all__ = [
@@ -122,6 +128,25 @@ __all__ = [
 _KINDS = ("distributive", "boolean")
 
 
+def _kind(kind: str) -> str:
+    if kind not in _KINDS:
+        raise DomainError(f"unknown lattice kind {kind!r}")
+    return kind
+
+
+def _point_masks(spectrum: FinPoset, family) -> list[int]:
+    """The point masks of the point sets in ``family`` (a collection), or
+    the error for the first set, in ``canon_key`` order, that is not a
+    subset of the spectrum."""
+    bit = {x: 1 << i for i, x in enumerate(spectrum.elements)}
+    try:
+        return [reduce(or_, map(bit.__getitem__, e), 0) for e in family]
+    except KeyError:
+        sets = map(frozenset, family)
+        e = min((e for e in sets if not all(map(bit.__contains__, e))), key=canon_key)
+        raise StructureError(f"element {e!r} is not a subset of the spectrum") from None
+
+
 def _frozensets(points: tuple, masks: Iterable[int]) -> tuple:
     """The point sets of ``masks``, one frozenset each."""
     return tuple(frozenset(compress(points, _bits_set(m))) for m in masks)
@@ -139,16 +164,8 @@ class FinLattice:
     __slots__ = ("spectrum", "kind", "_at", "_least", "_covers", "_hash", "_elements", "_seen")
 
     def __init__(self, spectrum: FinPoset, elements: Iterable[frozenset], kind: str = "distributive"):
-        if kind not in _KINDS:
-            raise DomainError(f"unknown lattice kind {kind!r}")
-        family = {frozenset(e) for e in elements}
-        bit = {x: 1 << i for i, x in enumerate(spectrum.elements)}
-        try:
-            masks = [sum(map(bit.__getitem__, e)) for e in family]
-        except KeyError:
-            e = min((e for e in family if not all(map(bit.__contains__, e))), key=canon_key)
-            raise StructureError(f"element {e!r} is not a subset of the spectrum") from None
-        self._fill(spectrum, masks, kind)
+        kind = _kind(kind)
+        self._fill(spectrum, _point_masks(spectrum, {frozenset(e) for e in elements}), kind)
 
     def _fill(self, spectrum: FinPoset, masks: Iterable[int], kind: str) -> None:
         """The constructor's core, on the elements' point masks (module docstring)."""
@@ -334,13 +351,13 @@ class FinLattice:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
-        spectrum = self.spectrum._json_data()
+        spectrum = _poset_data(self.spectrum)
         labels = spectrum["elements"]
         return json.dumps(
             {
                 "kind": self.kind,
                 "spectrum": spectrum,
-                "elements": [sorted(compress(labels, _bits_set(m))) for m in self._at],
+                "elements": [list(compress(labels, _bits_set(m))) for m in self._at],
             },
             sort_keys=True,
         )
@@ -348,20 +365,9 @@ class FinLattice:
     @staticmethod
     def from_json(text: str) -> "FinLattice":
         data = json.loads(text)
-        unlabel = _unlabeler()
-        spectrum = FinPoset._from_data(data["spectrum"], unlabel)
-        elems, kind = data["elements"], data["kind"]
-        if kind not in _KINDS:
-            raise DomainError(f"unknown lattice kind {kind!r}")
-        bit, index = {}, spectrum._index
-        try:
-            for e in elems:
-                for s in e:
-                    if s not in bit:
-                        bit[s] = 1 << index[unlabel(s)]
-        except KeyError:  # a label outside the spectrum: the public constructor's error
-            return FinLattice(spectrum, [frozenset(map(unlabel, e)) for e in elems], kind)
-        return _new(FinLattice, spectrum, [reduce(or_, map(bit.__getitem__, e), 0) for e in elems], kind)
+        spectrum = _poset_from_data(data["spectrum"])
+        kind = _kind(data["kind"])
+        return _new(FinLattice, spectrum, _point_masks(spectrum, _decode(data["elements"])), kind)
 
     def to_dot(self, name: str = "lattice") -> str:
         """Hasse diagram in DOT form, as ``FinPoset.to_dot`` draws ``element_poset()``."""

@@ -7,13 +7,19 @@ frozensets).  A deterministic total tie-break order on mixed element
 types is provided by :func:`canon_key`; every enumeration in the
 package lists elements in that order, which is what makes serialized
 output byte-stable across runs.
+
+Serialization.  ``_encode`` and ``_decode`` are the package's one JSON
+value codec: str, int, bool and None are JSON scalars, a tuple is an
+array and a frozenset is ``{"set": [...]}``.  Every ``to_json`` and
+``from_json`` (posets, lattices, presentations, relations, diagrams)
+goes through it, so labels round-trip exactly, and a poset is always
+``{"elements": [...], "pairs": [[a, b], ...]}`` (``_poset_data``).
 """
 
 from __future__ import annotations
 
 import json
-import re
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import or_
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
@@ -189,20 +195,11 @@ class FinPoset:
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps(self._json_data(), sort_keys=True)
-
-    def _json_data(self) -> dict:
-        labels = [_label(e) for e in self.elements]
-        return {"elements": labels, "leq": sorted(map(list, _pairs(labels, self._strict())))}
+        return json.dumps(_poset_data(self), sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "FinPoset":
-        return FinPoset._from_data(json.loads(text), _unlabeler())
-
-    @staticmethod
-    def _from_data(data: dict, unlabel: Callable) -> "FinPoset":
-        elems = [unlabel(e) for e in data["elements"]]
-        return FinPoset(elems, [(unlabel(a), unlabel(b)) for a, b in data["leq"]])
+        return _poset_from_data(json.loads(text))
 
     def to_dot(self, name: str = "poset") -> str:
         """Hasse diagram in DOT form: covering edges only, bottom-up."""
@@ -243,10 +240,8 @@ def _dot(name: str, elements: Iterable[Hashable], covers: Iterable[int]) -> str:
     return "\n".join(lines + ["}"]) + "\n"
 
 
-_INT_LABEL = re.compile(r"-?[0-9]+")  # the labels ``_unlabel`` reads as ints
-
-
 def _label(e) -> str:
+    """A DOT node label: the string itself, sets in braces and tuples in parentheses."""
     if isinstance(e, str):
         return e
     if isinstance(e, frozenset):
@@ -256,42 +251,39 @@ def _label(e) -> str:
     return repr(e)
 
 
-def _unlabel(s: str):
-    # JSON round-trips use string labels; nested structure is re-parsed
-    # only for the flat cases the package serializes.
-    if not isinstance(s, str):
-        return s
-    if s.startswith("{") and s.endswith("}"):
-        inner = s[1:-1]
-        return frozenset(_unlabel(p) for p in _split_top(inner)) if inner else frozenset()
-    if s.startswith("(") and s.endswith(")"):
-        inner = s[1:-1]
-        return tuple(_unlabel(p) for p in _split_top(inner))
-    if _INT_LABEL.fullmatch(s):
-        return int(s)
-    return s
+def _encode(x):
+    """The JSON value of a label: a tuple (or list) is an array, a
+    frozenset is ``{"set": [...]}`` in ``canon_key`` order, and anything
+    else is left to ``json``, which writes str, int, bool and None as
+    scalars and raises TypeError on a value it cannot hold."""
+    if isinstance(x, (tuple, list)):
+        return list(map(_encode, x))
+    if isinstance(x, frozenset):
+        return {"set": list(map(_encode, _sorted(x)))}
+    return x
 
 
-def _unlabeler() -> Callable:
-    """``_unlabel`` that decodes each distinct label once."""
-    return lru_cache(maxsize=None, typed=True)(_unlabel)
+def _decode(v):
+    """The inverse of ``_encode``: arrays come back as tuples.  A label is
+    hashable, so no label is itself an array or object, and only the
+    encoder's arrays and sets need telling apart."""
+    if isinstance(v, list):
+        return tuple(map(_decode, v))
+    if isinstance(v, dict):
+        return frozenset(map(_decode, v["set"]))
+    return v
 
 
-def _split_top(s: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in s:
-        if ch in "{(":
-            depth += 1
-        elif ch in "})":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return parts
+def _poset_data(p: FinPoset) -> dict:
+    """The JSON shape of a poset: encoded elements and its strict pairs, in
+    ``canon_key`` order."""
+    labels = list(map(_encode, p.elements))
+    return {"elements": labels, "pairs": list(_pairs(labels, p._strict()))}
+
+
+def _poset_from_data(data: dict) -> FinPoset:
+    """The poset of a ``_poset_data`` shape; any pairs generating the order will do."""
+    return FinPoset(_decode(data["elements"]), _decode(data["pairs"]))
 
 
 class MonotoneMap:

@@ -29,7 +29,7 @@ from .lattice import (
     join_irreducibles,
     powerset_lattice,
 )
-from .order import FinPoset, _bits_set, _lower_masks, _new, _pairs, canon_key
+from .order import FinPoset, _bits_set, _decode, _encode, _lower_masks, _new, _pairs, canon_key
 
 __all__ = [
     "TOP",
@@ -152,29 +152,15 @@ class Presentation:
             _check_term(rhs, gset, self.kind == "boolean")
 
     def to_json(self) -> str:
-        def enc(t):
-            return list(t[0:1]) + [enc(s) if isinstance(s, tuple) else s for s in t[1:]]
-
         return json.dumps(
-            {
-                "kind": self.kind,
-                "gens": list(self.gens),
-                "rels": [[enc(l), enc(r)] for l, r in self.rels],
-            },
+            {"kind": self.kind, "gens": _encode(self.gens), "rels": _encode(self.rels)},
             sort_keys=True,
         )
 
     @staticmethod
     def from_json(text: str) -> "Presentation":
-        def dec(t):
-            return tuple(dec(s) if isinstance(s, list) else s for s in t)
-
         data = json.loads(text)
-        return Presentation(
-            tuple(data["gens"]),
-            tuple((dec(l), dec(r)) for l, r in data["rels"]),
-            data["kind"],
-        )
+        return Presentation(_decode(data["gens"]), _decode(data["rels"]), data["kind"])
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 from .budgets import Budgets, check_budget
 from .errors import DomainError, StructureError, UnstabilizedError
-from .order import FinPoset, _bits, _close, canon_key
+from .order import FinPoset, _decode, _encode, _poset_data, _poset_from_data, _sorted, canon_key
 
 __all__ = [
     "Relation",
@@ -54,14 +54,14 @@ class Relation:
 
     def to_json(self) -> str:
         return json.dumps(
-            {"carrier": list(self.carrier), "pairs": sorted(map(list, self.pairs))},
+            {"carrier": _encode(self.carrier), "pairs": _encode(_sorted(self.pairs))},
             sort_keys=True,
         )
 
     @staticmethod
     def from_json(text: str) -> "Relation":
         data = json.loads(text)
-        return Relation.make(data["carrier"], [tuple(p) for p in data["pairs"]])
+        return Relation(_decode(data["carrier"]), frozenset(_decode(data["pairs"])))
 
 
 class CoDiagram:
@@ -196,59 +196,41 @@ class CoDiagram:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        """The diagram in the package's JSON shapes (``order._encode``): the
+        index as a poset, maps and base projections as sorted pair lists."""
+        levels = [(i, _sorted(self.levels[i])) for i in self.index.elements]
+        maps = [(j, i, _sorted(self.maps[j, i].items())) for j, i in _sorted(self.maps) if i != j]
+        base = None if self.base is None else (
+            _sorted(self.base[0]),
+            [(i, _sorted(self.base[1][i].items())) for i in self.index.elements],
+        )
         data = {
             "kind": self.kind,
             "complete": self.complete,
-            "index": {
-                "elements": list(self.index.elements),
-                "pairs": sorted(map(list, self.index.leq_pairs())),
-            },
-            "succ": sorted(map(list, self.succ)),
-            "levels": [
-                [i, sorted(self.levels[i], key=canon_key)] for i in self.index.elements
-            ],
-            "maps": [
-                [j, i, sorted(f.items(), key=canon_key)]
-                for (j, i), f in sorted(self.maps.items(), key=canon_key)
-                if i != j
-            ],
-            "base": None
-            if self.base is None
-            else [
-                sorted(self.base[0], key=canon_key),
-                [
-                    [i, sorted(self.base[1][i].items(), key=canon_key)]
-                    for i in self.index.elements
-                ],
-            ],
+            "index": _poset_data(self.index),
+            "succ": _encode(_sorted(self.succ)),
+            "levels": _encode(levels),
+            "maps": _encode(maps),
+            "base": _encode(base),
         }
         return json.dumps(data, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "CoDiagram":
         data = json.loads(text)
+        return CoDiagram._from_data(data, _decode(data["levels"]))
 
-        def fz(v):  # JSON has no tuples; stored tuples come back as lists
-            return tuple(fz(x) for x in v) if isinstance(v, list) else v
-
-        idx = FinPoset(data["index"]["elements"], [tuple(p) for p in data["index"]["pairs"]])
-        levels = {i: frozenset(fz(x) for x in lv) for i, lv in data["levels"]}
-        maps = {
-            (j, i): {fz(x): fz(v) for x, v in f} for j, i, f in data["maps"]
-        }
-        base = None
-        if data["base"] is not None:
-            y, ps = data["base"]
-            base = (
-                frozenset(fz(x) for x in y),
-                {i: {fz(x): fz(v) for x, v in f} for i, f in ps},
-            )
+    @staticmethod
+    def _from_data(data: dict, levels) -> "CoDiagram":
+        """The diagram of parsed ``to_json`` text, its levels decoded apart
+        so that a caller can size them before the diagram is validated."""
+        base = _decode(data["base"])
         return CoDiagram(
-            idx,
-            [tuple(p) for p in data["succ"]],
-            levels,
-            maps,
-            base,
+            _poset_from_data(data["index"]),
+            _decode(data["succ"]),
+            dict(levels),
+            {(j, i): dict(f) for j, i, f in _decode(data["maps"])},
+            None if base is None else (base[0], dict(base[1])),
             data["kind"],
             data["complete"],
         )
@@ -346,17 +328,9 @@ def desc_diagram(r: Relation, depth: int, with_base: bool = False) -> CoDiagram:
 
 
 def cycle_core(r: Relation) -> frozenset:
-    """Points from which a predecessor path reaches an ``r``-cycle: on the
-    closed predecessor rows, those reaching a point that its own
-    predecessors reach."""
-    pos = {x: i for i, x in enumerate(r.carrier)}
-    preds = [0] * len(pos)
-    for a, b in r.pairs:
-        preds[pos[b]] |= 1 << pos[a]
-    reach = [p | 1 << i for i, p in enumerate(preds)]
-    _close(reach, range(len(reach)))
-    on_cycle = sum(1 << i for i, p in enumerate(preds) if any(reach[j] >> i & 1 for j in _bits(p)))
-    return frozenset(x for x, i in pos.items() if reach[i] & on_cycle)
+    """Points from which a predecessor path reaches an ``r``-cycle: the
+    core of ``rank``, the points whose descents never end."""
+    return rank(r)[1]
 
 
 def _descents(r: Relation) -> tuple[list[list[int]], list[int]]:

@@ -6,7 +6,8 @@ closure and the queries read off it (Hasse covers and their DOT, linear
 extension, lower sets, isomorphism), the glb/lub realization of abstract lattices, the hom search,
 the spectrum of a presentation one valuation at a time on its tuple
 terms, the generation closures of ``realize`` and ``extend_hom``, the recursive
-well-founded rank, the sublattice generated by a topology's opens and
+well-founded rank and the cycle core by transitive closure, the
+regular-open algebra realized from its order pair by pair, the sublattice generated by a topology's opens and
 closeds, the ``prune`` record of a relation by canonical pruning
 of its whole descending-chain diagram, truth-table polyorder entailment, Maehara extraction
 by a walk of the derivation tree and the separator search in Boolean
@@ -26,6 +27,8 @@ hom's order kernel are read off pair sets, where the library reads rows.  The po
 on masks over the carrier.  A lattice's element frozensets, its JSON
 encoding and decoding, and the hom check are rebuilt from frozensets:
 the library keeps masks and builds frozensets only when they are read.
+The JSON oracles share no codec with the library: labels are written
+by ``json_value`` and read back by a ``json.loads`` object hook.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ from localix.congruence import OrderCongruence, _column_rule, _compose, _row_rul
 from localix.dissolution import Dissolution, neg
 from localix.errors import DomainError, NoImageError, PreconditionError, StructureError
 from localix.lattice import FinLattice, LatticeHom, _bits
-from localix.order import FinPoset, _label, _unlabel, canon_key, lower_sets_of
+from localix.lattice import lattice_from_abstract as lib_lattice_from_abstract
+from localix.order import FinPoset, _label, canon_key, lower_sets_of
 from localix.posite import Coverage, PolyOrder
 from localix.presented import Presentation, check_assignment, join, presentation_of_lattice, var
 from localix.pruning import Relation, desc_diagram, prune_sequence
@@ -207,22 +211,53 @@ def eager_elements(a: FinLattice) -> tuple:
     return tuple(sorted(sets, key=canon_key))
 
 
+def json_value(x):
+    """A label as JSON holds it: tuples as arrays, frozensets as
+    ``{"set": [...]}`` in ``canon_key`` order, scalars as they are."""
+    if isinstance(x, tuple):
+        return [json_value(e) for e in x]
+    if isinstance(x, frozenset):
+        return {"set": [json_value(e) for e in sorted(x, key=canon_key)]}
+    return x
+
+
+def _tuples(v):
+    """Parsed JSON with every array, also inside objects, turned into a tuple."""
+    if isinstance(v, list):
+        return tuple(map(_tuples, v))
+    if isinstance(v, dict):
+        return {k: _tuples(x) for k, x in v.items()}
+    return v
+
+
+def _set_object(pairs: list):
+    """A ``json.loads`` object hook: ``{"set": [...]}`` is a frozenset (its
+    members were parsed first), any other object a dict."""
+    d = dict(pairs)
+    return frozenset(_tuples(d["set"])) if d.keys() == {"set"} else d
+
+
+def loads(text: str):
+    """Parsed JSON read back as labels: sets as frozensets, arrays as tuples."""
+    return _tuples(json.loads(text, object_pairs_hook=_set_object))
+
+
 def lattice_to_json(a: FinLattice) -> str:
     """``FinLattice.to_json`` from the frozensets and the spectrum's pairs."""
     p = a.spectrum
     spectrum = {
-        "elements": [_label(x) for x in p.elements],
-        "leq": sorted([_label(x), _label(y)] for x, y in p.leq_pairs() if x != y),
+        "elements": [json_value(x) for x in p.elements],
+        "pairs": [json_value(xy) for xy in sorted(p.leq_pairs(), key=canon_key) if xy[0] != xy[1]],
     }
-    elements = [sorted(_label(x) for x in e) for e in eager_elements(a)]
+    elements = [[json_value(x) for x in sorted(e, key=canon_key)] for e in eager_elements(a)]
     return json.dumps({"kind": a.kind, "spectrum": spectrum, "elements": elements}, sort_keys=True)
 
 
 def lattice_from_json(text: str) -> FinLattice:
-    """``FinLattice.from_json`` through frozensets and the public constructor."""
-    data = json.loads(text)
-    spectrum = FinPoset.from_json(json.dumps(data["spectrum"]))
-    elems = [frozenset(_unlabel(x) for x in e) for e in data["elements"]]
+    """``FinLattice.from_json`` through frozensets and the public constructors."""
+    data = loads(text)
+    spectrum = FinPoset(data["spectrum"]["elements"], data["spectrum"]["pairs"])
+    elems = [frozenset(e) for e in data["elements"]]
     return FinLattice(spectrum, elems, data["kind"])
 
 
@@ -1064,6 +1099,20 @@ def rank_oracle(r: Relation) -> object:
     return best + 1
 
 
+def cycle_core(r: Relation) -> frozenset:
+    """The points from which a predecessor path reaches an ``r``-cycle, by
+    the transitive closure of the predecessor relation."""
+    below = {x: r.predecessors(x) for x in r.carrier}  # one or more steps down
+    changed = True
+    while changed:
+        changed = False
+        for x in r.carrier:
+            grown = below[x].union(*(below[y] for y in below[x]))
+            if grown != below[x]:
+                below[x], changed = grown, True
+    return frozenset(x for x in r.carrier if any(y in below[y] for y in below[x] | {x}))
+
+
 def prune_record(r: Relation) -> dict:
     """The fields of the DSL's ``prune`` record on a relation, by pruning
     the descending-chain diagram to depth |r| + 1 stage by stage: the
@@ -1252,6 +1301,13 @@ def comeager_core(t):
     for u in t.opens:
         core &= interior(t, top - u) | u
     return core
+
+
+def regular_algebra(t) -> FinLattice:
+    """The regular opens of ``t`` as an abstract lattice under inclusion,
+    realized by ``lattice_from_abstract``, which reads the order pair by pair."""
+    regs = [u for u in t.opens if interior(t, t.top() - interior(t, t.top() - u)) == u]
+    return lib_lattice_from_abstract(regs, frozenset.__le__)[0]
 
 
 def baire_decompose(t, b) -> tuple:

@@ -187,6 +187,26 @@ def test_closed_forms_match_the_scans_over_the_opens(t):
             assert is_meager(t, b) == (not b & core)
 
 
+@settings(max_examples=200)
+@given(topologies(max_points=6))
+def test_regular_open_algebra_matches_the_abstract_realization(t):
+    core, lat = comgr(t)
+    assert lat == oracles.regular_algebra(t)
+    assert baire._comgr(t)[1] == regular_opens(t)
+
+
+def test_regular_open_algebra_reads_no_order_pairs(monkeypatch):
+    def scan(*args):
+        raise AssertionError("the regular opens were compared pairwise")
+
+    monkeypatch.setattr(baire, "lattice_from_abstract", scan)
+    pts = [f"x{i}" for i in range(10)]
+    subsets = itertools.product((0, 1), repeat=len(pts))
+    t = FrameTopology(pts, [frozenset(itertools.compress(pts, b)) for b in subsets])
+    core, lat = comgr(t)  # discrete: 1024 regular opens
+    assert core == t.top() and len(lat) == 1024 and lat.kind == "boolean"
+
+
 def test_sigma2_family_is_full_powerset_small(rng):
     # on a T0 space of <= 3 points the opens and closeds generate everything
     t = sierpinski()

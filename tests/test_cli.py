@@ -112,6 +112,14 @@ def test_budget_flags_lift_limits(monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("raw", ["gens=x", "bogus=3", "gens"])
+def test_malformed_budget_environment_is_an_input_error(raw, monkeypatch):
+    monkeypatch.setenv("LOCALIX_BUDGETS", raw)
+    code, out = invoke(["prove", "{x} |- {x}"])
+    assert code == 2
+    assert out.startswith("input error: ") and "LOCALIX_BUDGETS" in out
+
+
 def test_unsafe_budgets_reach_the_interpolation_re_proofs():
     code, out = invoke([
         "--unsafe-budgets", "interp", "--left", "a,b,c,d,e,f,g,h", "--right", "a,h",
@@ -209,3 +217,11 @@ def test_prune_reports_malformed_diagram_json_as_input_error(text, tmp_path):
     code, out = invoke(["prune", "--diagram", str(path)])
     assert code == 2
     assert out.startswith("input error: malformed diagram JSON: ")
+
+
+def test_prune_diagram_parses_the_file_once(monkeypatch):
+    loads, calls = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda text, **kw: calls.append(text) or loads(text, **kw))
+    monkeypatch.chdir(GOLDEN)
+    code, out = invoke(["prune", "--diagram", "diagram.json"])
+    assert code == 0 and len(calls) == 1

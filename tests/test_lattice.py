@@ -560,11 +560,12 @@ def test_kernel_calls_build_no_element_frozensets(monkeypatch):
     [
         lambda d: d.update(kind="modular"),
         lambda d: d["elements"][2].append("zz"),
-        lambda d: d["elements"][-1].append("{q}"),
+        lambda d: d["elements"][-1].append({"set": ["q"]}),
         lambda d: d["elements"].pop(1),
         lambda d: d["elements"].remove([]),
         lambda d: d.update(kind="boolean"),
         lambda d: d["elements"].append(["b"]),
+        lambda d: d["elements"][1].append(["a", 0]),
     ],
 )
 def test_from_json_raises_what_the_frozenset_decoder_raises(edit):

@@ -289,3 +289,24 @@ def test_chain_lattice_keeps_its_elements_as_masks(monkeypatch):
     assert report.exit_code == 0 and all(rec["ok"] for rec in report.records)
     assert seconds < 20.0
     assert peak < 4 * 2**20
+
+
+def test_prune_diagram_file_counts_a_set_level_by_its_points(tmp_path, monkeypatch, capsys):
+    # one index point whose level is written as an encoded set of 100
+    # points: the pre-check counts the decoded points, not the JSON object's
+    # single key, so the file is refused before the diagram is validated.
+    data = {
+        "kind": "finite",
+        "complete": True,
+        "index": {"elements": [0], "pairs": []},
+        "succ": [],
+        "levels": [[0, {"set": list(range(100))}]],
+        "maps": [],
+        "base": None,
+    }
+    path = tmp_path / "set_level.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(CoDiagram, "__init__", _boom)
+    code = main(["prune", "--diagram", str(path)])
+    assert code == 2
+    assert "diagram budget exceeded: 100 > 64" in capsys.readouterr().out
