@@ -13,25 +13,31 @@ the public constructor only encodes its frozensets, and producers that
 hold masks call the core through ``order._new``.  With ``n`` elements
 and ``p`` spectrum points:
 
-* ``least[x]``, the intersection of the elements containing ``x``, in
-  one pass over the bits, O(n·p);
-* lower sets: each ``least[x]`` holds the points below x, O(p);
-* closure under intersection and union, certified by the Hasse covers,
-  O(n·|J|) with J the distinct ``least[x]``: ``m | least[x]`` is an
-  element for every element m and every x minimal outside m in the
-  preorder "y in least[x]", that is, whose ``least[x]`` holds, outside
-  m, only points x' glued to x (``least[x'] == least[x]``: no element
-  separates them).  A closed family passes.  Conversely, for any
-  down-set D of the preorder, from m = {} a point x minimal in D outside
-  m is minimal outside m, so ``m | least[x]`` is a larger element inside
-  D, until m = D: the family is all the down-sets, closed under both
-  operations, with J its join-irreducibles (Birkhoff; Davey & Priestley,
-  *Introduction to Lattices and Order*, ch. 5).  These ``m | least[x]``
-  are the covers of m, kept in ``_covers`` for ``to_dot``, ``atoms`` and
-  ``element_poset``; one may add several glued points;
-* Boolean kind: an antichain spectrum and ``full ^ m`` in the family;
 * element order: ``canon_key``, which on masks over the ``canon_key``
-  ordered points is (size, bit positions), O(n log n) comparisons.
+  ordered points is (size, bit positions); ``order._canon_sorted`` builds
+  these keys by C-level maps, with no Python call per mask;
+* ``least[x]``, the intersection of the elements containing ``x``, read
+  off columns: a fixed chunk of elements at a time is written as one
+  byte string, a byte per bit, in which point x's column (which of the
+  chunk's elements hold x) is every p-th byte, and ``least[x]`` is the
+  ``and`` of the chunk's elements that the column selects.  O(n·p) in
+  C, and no n·p table is held;
+* lower sets: each ``least[x]`` holds the points below x, O(p);
+* closure under intersection and union, certified by a count.  The
+  relation "y in least[x]" is a preorder: ``least[x]`` is an element
+  holding y, so it contains ``least[y]``.  Each element m is the union
+  of the ``least[x]`` over its points, since ``least[x]`` is the true
+  intersection and m is one of the sets intersected; so every element is
+  a down-set of the preorder.  The down-sets are closed under both
+  operations, and a family closed under intersection and union, with
+  the empty and the full set, holds each ``least[x]`` and so every
+  down-set: the family is closed iff it is all the down-sets, iff there
+  are exactly n of them (Birkhoff; Davey & Priestley, *Introduction to
+  Lattices and Order*, ch. 5).  They are listed along the distinct
+  ``least[x]`` by size (``order._lower_masks``, points with the same
+  ``least[x]``, glued, joining together), O(n·|J|) with J the distinct
+  ``least[x]``, and the listing stops as soon as it holds more than n;
+* Boolean kind: an antichain spectrum and ``full ^ m`` in the family.
 
 A :class:`LatticeHom` has the same split: its core ``_fill`` takes the
 image of each domain element as a codomain mask, in ``elements`` order,
@@ -48,17 +54,24 @@ mask to its position (its keys are the masks in ``elements`` order), and
 join-irreducibles J are the distinct ``_least``; ``_irreducibles`` lists
 them in ``join_irreducibles`` order.  Points with the same ``_least``
 are glued, and a subset S of J is the mask of the points x with
-``_least[x]`` in S.  The frozensets are built only when read: the
+``_least[x]`` in S.  The meet-irreducibles are read off ``_least`` too:
+per class of glued points, the points whose ``_least`` misses it, the
+largest element missing the class; and the atoms are the classes whose
+``_least`` holds nothing else.  The Hasse covers of an element m, the
+``m | j`` for each j in J whose points outside m are all glued, are
+built on first read (``_covers``) and read only by ``to_dot`` and
+``element_poset``.  The frozensets are built only when read: the
 ``elements`` tuple on first read, a hom's ``graph`` likewise, and
 ``_element(m)`` makes one frozenset without building the rest;
 ``__contains__`` encodes its argument instead and memoizes the masks of
 the members it has seen, so the lattice operations on elements a caller
 holds cost one dict probe each.  So ``lower_sets``,
 ``join_irreducibles`` (whose poset holds the |J| irreducible
-frozensets), ``birkhoff_embedding``,
+frozensets), ``birkhoff_embedding``, ``atoms``,
 ``lattice_isomorphic``, ``enumerate_homs``, ``LatticeHom.compose``,
 ``is_injective``/``is_surjective`` and the JSON codec build none of
-the n element frozensets.  Readers of the masks: a hom's two adjoints,
+the n element frozensets, and none of them builds the covers.  Readers
+of the masks: a hom's two adjoints,
 ``_lower_adjoint`` (the least a with b <= f(a), the meet of the
 meet-irreducibles m with b <= f(m)) and ``_upper_adjoint`` (the greatest
 a with f(a) <= c, the join of the join-irreducibles j with f(j) <= c),
@@ -77,7 +90,7 @@ positions and calls the core.  The engines keep masks too: an
 ``OrderCongruence`` keeps one row mask per element and builds its pair
 set ``rel`` on first read, and ``dissolve`` builds its unit through the
 ``LatticeHom`` core and its pair sets only when ``repr`` is read.  Still
-on frozensets: ``to_dot``, ``atoms``, ``element_poset``, the lattice
+on frozensets: ``to_dot``, ``element_poset``, the lattice
 operations (``meet``, ``join``, ``leq``, ``complement``), a hom's
 ``__call__``, ``filterquotient``, ``product_decompose``,
 ``ideal_completion``'s down-sets, the items and map
@@ -96,15 +109,15 @@ from __future__ import annotations
 import itertools
 import json
 from functools import reduce
-from itertools import compress
-from operator import or_
+from itertools import compress, repeat
+from operator import and_, or_
 from typing import Callable, Hashable, Iterable
 
 from .budgets import Budgets, check_budget
 from .errors import DomainError, NoImageError, PreconditionError, StructureError
 from .order import (
-    FinPoset, _bits, _bits_set, _canon_mask_key, _decode, _dot, _lower_set_masks, _new, _pairs,
-    _poset_data, _poset_from_data, canon_key, poset_isomorphic,
+    FinPoset, _bits, _bits_set, _canon_sorted, _decode, _dot, _lower_masks, _lower_set_masks,
+    _new, _pairs, _poset_data, _poset_from_data, canon_key, poset_isomorphic,
 )
 
 __all__ = [
@@ -126,6 +139,11 @@ __all__ = [
 
 
 _KINDS = ("distributive", "boolean")
+# elements per chunk of ``FinLattice._fill``'s columns, so that a chunk's
+# bit strings stay small however many points there are
+_CHUNK = 128
+# a bit string's "0" and "1" as bytes 0 and 1, true or false for ``compress``
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def _kind(kind: str) -> str:
@@ -147,6 +165,15 @@ def _point_masks(spectrum: FinPoset, family) -> list[int]:
         raise StructureError(f"element {e!r} is not a subset of the spectrum") from None
 
 
+def _glued(least: Iterable[int]) -> dict[int, int]:
+    """Each join-irreducible (a distinct ``least[x]``) with the mask of its
+    glued points, the x with that ``least[x]``, in order of first point."""
+    glued = dict.fromkeys(least, 0)
+    for x, j in enumerate(least):
+        glued[j] |= 1 << x
+    return glued
+
+
 def _frozensets(points: tuple, masks: Iterable[int]) -> tuple:
     """The point sets of ``masks``, one frozenset each."""
     return tuple(frozenset(compress(points, _bits_set(m))) for m in masks)
@@ -161,7 +188,7 @@ def _moved(masks: Iterable[int], weight: list[int]) -> list[int]:
 class FinLattice:
     """Immutable finite distributive (or Boolean) lattice of sets."""
 
-    __slots__ = ("spectrum", "kind", "_at", "_least", "_covers", "_hash", "_elements", "_seen")
+    __slots__ = ("spectrum", "kind", "_at", "_least", "_hasse", "_hash", "_elements", "_seen")
 
     def __init__(self, spectrum: FinPoset, elements: Iterable[frozenset], kind: str = "distributive"):
         kind = _kind(kind)
@@ -171,33 +198,31 @@ class FinLattice:
         """The constructor's core, on the elements' point masks (module docstring)."""
         n = len(spectrum.elements)
         full = (1 << n) - 1
-        ordered = sorted(set(masks), key=_canon_mask_key(n))
-        at = {m: i for i, m in enumerate(ordered)}
+        ordered = _canon_sorted(set(masks), n)
+        at = dict(zip(ordered, itertools.count()))
         if 0 not in at or full not in at:
             raise StructureError("element family must contain the empty and full set")
         pts, least = spectrum.elements, [full] * n
-        for m in ordered:
-            for x in compress(range(n), _bits_set(m)):
-                least[x] &= m
+        width, starts = f"0{n}b", range(n - 1, -1, -1)  # bit x is byte n - 1 - x of a row
+        for k in range(0, len(ordered), _CHUNK):
+            # the chunk's bit strings, one byte per bit; point x's column
+            # (which of the chunk's elements hold x) is every n-th byte
+            chunk = ordered[k : k + _CHUNK]
+            rows = "".join(map(format, chunk, repeat(width))).encode().translate(_BIT_BYTES)
+            columns = map(rows.__getitem__, map(slice, starts, repeat(None), repeat(n)))
+            least = list(map(reduce, repeat(and_), map(compress, repeat(chunk), columns), least))
         down = spectrum._down
         if any(d & ~j for d, j in zip(down, least)):  # the first element that is no lower set
             m, x = next((m, x) for m in ordered for x in _bits(m) if down[x] & ~m)
             y = pts[next(_bits(down[x] & ~m))]
             e = spectrum._set(m)
             raise StructureError(f"element {e!r} is not a lower set: misses {y!r} <= {pts[x]!r}")
-        glued = dict.fromkeys(least, 0)
-        for x, j in enumerate(least):
-            glued[j] |= 1 << x
-        strict = [(j, j & ~g) for j, g in glued.items()]
-        covers = []
-        for m in ordered:
-            row, out = 0, full ^ m
-            for j, below in strict:
-                if j & out and not below & out:  # j's points are minimal outside m
-                    if m | j not in at:
-                        raise StructureError("family not closed under intersection/union")
-                    row |= 1 << at[m | j]
-            covers.append(row)
+        # every element is a down-set of the preorder "y in least[x]"; the
+        # family is closed iff it holds them all, iff there are as many
+        by_size = sorted(_glued(least).items(), key=lambda jg: jg[0].bit_count())
+        downs = _lower_masks(((g, j ^ g) for j, g in by_size), None, len(at))
+        if len(downs) != len(at):
+            raise StructureError("family not closed under intersection/union")
         if kind == "boolean":
             if not spectrum.is_antichain():
                 raise StructureError("boolean lattice requires an antichain spectrum")
@@ -208,7 +233,7 @@ class FinLattice:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "_at", at)
         object.__setattr__(self, "_least", tuple(least))
-        object.__setattr__(self, "_covers", tuple(covers))
+        object.__setattr__(self, "_hasse", None)
         object.__setattr__(self, "_hash", hash((spectrum, tuple(ordered), kind)))
         object.__setattr__(self, "_elements", None)
         object.__setattr__(self, "_seen", {})
@@ -328,7 +353,7 @@ class FinLattice:
     def _irreducibles(self) -> list[int]:
         """The masks of the join-irreducibles, the distinct ``_least``, in
         ``join_irreducibles(self).elements`` order."""
-        return sorted(set(self._least), key=_canon_mask_key(len(self._least)))
+        return _canon_sorted(set(self._least), len(self._least))
 
     def _hull(self, pts: Iterable) -> frozenset:
         """The least element containing the points ``pts``, the join of
@@ -339,11 +364,39 @@ class FinLattice:
         return self._element(m)
 
     def _meet_irreducibles(self) -> list[int]:
-        """The masks of the meet-irreducibles, the elements with one upper cover."""
-        return [m for m, c in zip(self._at, self._covers) if c.bit_count() == 1]
+        """The masks of the meet-irreducibles: per class of glued points,
+        the points whose least element misses it (the largest element
+        missing the class)."""
+        glued = _glued(self._least)
+        return [sum(h for j, h in glued.items() if not j & g) for g in glued.values()]
+
+    def _cover_rows(self) -> tuple:
+        """Row k masks the positions of the elements covering the k-th
+        element m: the ``m | j`` for each join-irreducible j whose points
+        outside m are all glued (module docstring)."""
+        at, full = self._at, (1 << len(self._least)) - 1
+        strict = [(j, j ^ g) for j, g in _glued(self._least).items()]
+        rows = []
+        for m in at:
+            row, out = 0, full ^ m
+            for j, below in strict:
+                if j & out and not below & out:  # j's points are minimal outside m
+                    row |= 1 << at[m | j]
+            rows.append(row)
+        return tuple(rows)
+
+    @property
+    def _covers(self) -> tuple:
+        """The Hasse cover rows, by position; built on first read."""
+        if self._hasse is None:
+            object.__setattr__(self, "_hasse", self._cover_rows())
+        return self._hasse
 
     def atoms(self) -> tuple:
-        return tuple(self.elements[k] for k in _bits(self._covers[0]))
+        """The elements covering bottom, in ``elements`` order: the
+        join-irreducibles with nothing strictly below them."""
+        atoms = [j for j, g in _glued(self._least).items() if j == g]
+        return tuple(map(self._element, sorted(atoms, key=self._at.__getitem__)))
 
     def element_poset(self) -> FinPoset:
         return FinPoset(self.elements, _pairs(self.elements, self._covers))

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 from functools import reduce
-from operator import or_
+from itertools import repeat
+from operator import itemgetter, or_
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
 from .budgets import Budgets, check_budget
@@ -235,7 +236,7 @@ def _dot(name: str, elements: Iterable[Hashable], covers: Iterable[int]) -> str:
     """Hasse diagram in DOT form, bottom-up: node ``n{i}`` is the i-th
     element, with an edge to each position in its cover row."""
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    lines += [f'  n{i} [label="{_label(e)}"];' for i, e in enumerate(elements)]
+    lines += [f'  n{i} [label="{_escaped(_label(e))}"];' for i, e in enumerate(elements)]
     lines += [f"  n{i} -> n{j};" for i, c in enumerate(covers) for j in _bits(c)]
     return "\n".join(lines + ["}"]) + "\n"
 
@@ -249,6 +250,12 @@ def _label(e) -> str:
     if isinstance(e, tuple):
         return "(" + ",".join(_label(x) for x in e) + ")"
     return repr(e)
+
+
+def _escaped(label: str) -> str:
+    """``label`` as the inside of a quoted DOT string: backslashes and
+    double quotes escaped."""
+    return label.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _encode(x):
@@ -334,27 +341,43 @@ def _new(cls: type, *core):
     return obj
 
 
-def _canon_mask_key(n: int) -> Callable[[int], tuple]:
-    """Sort key on masks over ``n`` points in ``canon_key`` order that lists
-    their point sets in ``canon_key`` order: by size, then by bit positions
-    (in the reversed bit string the lowest differing one is the most significant)."""
-    width = f"0{n}b"
-    return lambda m: (m.bit_count(), -int(format(m, width)[::-1], 2))
+_REVERSED = itemgetter(slice(None, None, -1))
 
 
-def _lower_masks(steps: Iterable[tuple[int, int]], budgets: Budgets | None) -> list[int]:
+def _canon_sorted(masks: Iterable[int], n: int) -> list[int]:
+    """The masks over ``n`` points in ``canon_key`` order, sorted so that
+    their point sets are in ``canon_key`` order: by size, then by bit
+    positions.  Two sets of one size first differ at the lowest bit of
+    their symmetric difference, and the one holding it comes first: it
+    is the one whose complement, read as a bit string from bit 0 down,
+    is the smaller number.  The keys come from C-level maps, with no
+    Python call per mask."""
+    masks = list(masks)
+    full = (1 << n) - 1
+    rev = map(_REVERSED, map(format, map(full.__xor__, masks), repeat(f"0{n}b")))
+    keyed = sorted(zip(map(int.bit_count, masks), map(int, rev, repeat(2)), masks))
+    return list(map(itemgetter(2), keyed))
+
+
+def _lower_masks(
+    steps: Iterable[tuple[int, int]], budgets: Budgets | None, cap: int | None = None
+) -> list[int]:
     """The masks of all lower sets of a poset, grown one point at a time.
 
-    ``steps`` yields each point's bit with the mask of the points strictly
-    below it, along a linear extension: a point joins a lower set once
-    everything strictly below it is present.  The list only grows, so
-    the ``elements`` budget is checked after each point.
+    ``steps`` yields each point's bit (or the mask of a class of points
+    that come together) with the mask of the points strictly below it,
+    along a linear extension: a point joins a lower set once everything
+    strictly below it is present.  The list only grows, so the
+    ``elements`` budget is checked after each point, and with ``cap`` the
+    listing stops at the first point that takes it past ``cap``.
     """
     downs = [0]
     for bit, below in steps:
         downs += [d | bit for d in downs if below & d == below]
         if budgets is not None:
             check_budget(budgets, "elements", len(downs))
+        if cap is not None and len(downs) > cap:
+            break
     return downs
 
 
@@ -371,7 +394,7 @@ def lower_sets_of(p: FinPoset, budgets: Budgets | None = None) -> list[frozenset
     With ``budgets``, their number is checked against the ``elements``
     budget while they are enumerated.
     """
-    return [p._set(m) for m in sorted(_lower_set_masks(p, budgets), key=_canon_mask_key(len(p)))]
+    return [p._set(m) for m in _canon_sorted(_lower_set_masks(p, budgets), len(p))]
 
 
 def poset_isomorphic(p: FinPoset, q: FinPoset) -> bool:

@@ -20,7 +20,7 @@ from typing import Iterable
 from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
 from .errors import DomainError, StructureError
 from .lattice import FinLattice, _bits, lattice_from_abstract
-from .order import _canon_mask_key, _lower_masks, canon_key
+from .order import _canon_sorted, _lower_masks, canon_key
 
 __all__ = [
     "Coverage",
@@ -178,7 +178,7 @@ def _ideals_against(
     steps = ((1 << i, d ^ 1 << i) for i, d in enumerate(_down(base)))
     return [
         frozenset(base.elements[i] for i in _bits(d))
-        for d in sorted(_lower_masks(steps, None), key=_canon_mask_key(len(base)))
+        for d in _canon_sorted(_lower_masks(steps, None), len(base))
         if (d & 1 or not include_empty_join) and pair_test(d)
     ]
 

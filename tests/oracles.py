@@ -3,7 +3,10 @@
 Most oracles follow the definition directly, with frozenset pairs and no
 masks, so that they share no logic with the code under test: the poset
 closure and the queries read off it (Hasse covers and their DOT, linear
-extension, lower sets, isomorphism), the glb/lub realization of abstract lattices, the hom search,
+extension, lower sets, isomorphism), a lattice's meet-irreducibles and
+atoms read off its pairwise element order, its Hasse cover rows by the
+cover pass its constructor once ran to certify closure, the glb/lub
+realization of abstract lattices, the hom search,
 the spectrum of a presentation one valuation at a time on its tuple
 terms, the generation closures of ``realize`` and ``extend_hom``, the recursive
 well-founded rank and the cycle core by transitive closure, the
@@ -142,13 +145,58 @@ def element_order(a: FinLattice) -> frozenset:
 
 def hasse_dot(elements, rel, name: str) -> str:
     """What ``FinPoset.to_dot`` and ``FinLattice.to_dot`` draw for the
-    order ``rel`` on ``elements``, from the cubic cover pairs."""
+    order ``rel`` on ``elements``, from the cubic cover pairs, with each
+    backslash and double quote of a label escaped."""
     elems = sorted(elements, key=canon_key)
     ids = {e: f"n{i}" for i, e in enumerate(elems)}
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    lines += [f'  {ids[e]} [label="{_label(e)}"];' for e in elems]
+    for e in elems:
+        label = "".join("\\" + c if c in '\\"' else c for c in _label(e))
+        lines.append(f'  {ids[e]} [label="{label}"];')
     lines += [f"  {ids[x]} -> {ids[y]};" for x, y in cover_pairs(elems, rel)]
     return "\n".join(lines + ["}"]) + "\n"
+
+
+def lattice_cover_rows(a: FinLattice) -> tuple:
+    """The Hasse cover rows ``FinLattice._covers`` holds, by the cover pass
+    the constructor once ran to certify closure: for each element m and
+    each distinct ``least[x]`` j whose points outside m are all glued to
+    x, ``m | j`` must be an element, and it covers m.  Raises the
+    constructor's closure error otherwise."""
+    at, least = a._at, a._least
+    full = (1 << len(least)) - 1
+    glued = dict.fromkeys(least, 0)
+    for x, j in enumerate(least):
+        glued[j] |= 1 << x
+    strict = [(j, j & ~g) for j, g in glued.items()]
+    covers = []
+    for m in at:
+        row, out = 0, full ^ m
+        for j, below in strict:
+            if j & out and not below & out:  # j's points are minimal outside m
+                if m | j not in at:
+                    raise StructureError("family not closed under intersection/union")
+                row |= 1 << at[m | j]
+        covers.append(row)
+    return tuple(covers)
+
+
+def _upper_covers(a: FinLattice) -> dict:
+    """Each element's upper covers in the pairwise element order."""
+    ups: dict = {x: set() for x in a.elements}
+    for x, y in cover_pairs(a.elements, element_order(a)):
+        ups[x].add(y)
+    return ups
+
+
+def meet_irreducibles(a: FinLattice) -> frozenset:
+    """The elements with exactly one upper cover."""
+    return frozenset(x for x, ups in _upper_covers(a).items() if len(ups) == 1)
+
+
+def atoms(a: FinLattice) -> tuple:
+    """The elements covering bottom, in ``canon_key`` order."""
+    return tuple(sorted(_upper_covers(a)[a.bot], key=canon_key))
 
 
 def lattice_elements(spectrum: FinPoset, elements, kind: str = "distributive") -> tuple:

@@ -2,7 +2,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from localix import lattice
 from localix.baire import FrameTopology, regular_opens
@@ -310,6 +310,41 @@ def test_lattice_accepts_what_the_pairwise_oracle_accepts(case):
         assert join_irreducibles(got) == oracles.join_irreducibles(got)
     else:
         assert got == want
+
+
+@settings(max_examples=200)
+@given(families())
+def test_covers_meet_irreducibles_and_atoms_match_the_pairwise_oracles(case):
+    # the count accepts; the old cover pass, now the oracle, re-checks closure
+    got = _outcome(FinLattice, *case)
+    assume(isinstance(got, FinLattice))
+    assert got._covers == oracles.lattice_cover_rows(got)
+    assert set(map(got._element, got._meet_irreducibles())) == oracles.meet_irreducibles(got)
+    assert got.atoms() == oracles.atoms(got)
+
+
+def test_least_is_read_across_chunks_of_columns():
+    # a chain has more elements than one chunk, and the least element of
+    # each upper point lies in a later chunk
+    n = 2 * lattice._CHUNK + 5
+    a = lower_sets(chain_poset(n))
+    assert a._least == tuple((2 << x) - 1 for x in range(n))
+    assert len(a) == n + 1 and a.atoms() == (frozenset([0]),)
+
+
+def test_lower_sets_birkhoff_and_homs_build_no_cover_rows(monkeypatch):
+    def no_covers(self):
+        raise AssertionError("cover rows built")
+
+    monkeypatch.setattr(FinLattice, "_cover_rows", no_covers)
+    p = FinPoset("abcd", [("a", "c"), ("b", "c")])
+    a, b = lower_sets(p), lower_sets(chain_poset(3))
+    rep, unit = birkhoff_embedding(a)
+    assert lattice_isomorphic(a, rep) and unit.is_surjective()
+    assert len(enumerate_homs(a, b)) == len(oracles.enumerate_homs(a, b))
+    assert a.atoms() == (frozenset("a"), frozenset("b"), frozenset("d"))
+    with pytest.raises(AssertionError, match="cover rows built"):
+        a.to_dot()
 
 
 def _built(a: FinLattice) -> tuple:

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from localix.errors import DomainError, StructureError
-from localix.order import FinPoset, MonotoneMap, canon_key, lower_sets_of, poset_isomorphic
+from localix.lattice import FinLattice
+from localix.order import (
+    FinPoset, MonotoneMap, _canon_sorted, canon_key, lower_sets_of, poset_isomorphic,
+)
 
 import oracles
 from conftest import LABELS, posets_up_to, random_poset
@@ -88,6 +91,27 @@ def test_dot_output_mentions_covers():
     p = chain(3)
     dot = p.to_dot()
     assert dot.startswith("digraph") and dot.count("->") == len(p.cover_pairs())
+
+
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    p = FinPoset(['a"b', "c\\d", "e"], [('a"b', "e")])
+    dot = p.to_dot()
+    assert '  n0 [label="a\\"b"];' in dot and '  n1 [label="c\\\\d"];' in dot
+    assert dot == oracles.hasse_dot(p.elements, p.leq_pairs(), "poset")
+    a = FinLattice(p, [frozenset(), frozenset(['a"b']), frozenset(p.elements)])
+    assert '[label="{a\\"b}"];' in a.to_dot()
+    assert a.to_dot() == oracles.hasse_dot(a.elements, oracles.element_order(a), "lattice")
+
+
+@given(st.integers(0, 6), st.data())
+def test_canon_sorted_lists_the_point_sets_in_canon_key_order(n, data):
+    pts = sorted(data.draw(st.lists(LABELS, unique=True, min_size=n, max_size=n)), key=canon_key)
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), unique=True))
+
+    def points(m):
+        return frozenset(x for i, x in enumerate(pts) if m >> i & 1)
+
+    assert list(map(points, _canon_sorted(masks, n))) == sorted(map(points, masks), key=canon_key)
 
 
 def test_isomorphism_positive_negative():

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localix import presented
+from localix import lattice, presented
 from localix.budgets import DEFAULT_BUDGETS
 from localix.errors import (
     DomainError,
@@ -145,6 +145,21 @@ def test_spectra_pullback_matches_the_trace_scans(n, sizes, data):
     assert sorted(presented._pullback(homs), key=canon_key) == want
     f, g = homs[0], homs[-1]
     assert pushout_points(f, g)[0] == oracles.pushout_points(f, g)
+
+
+def test_pushout_points_build_no_cover_rows_and_no_element_tuple(monkeypatch):
+    a = powerset_lattice(range(2))
+    f, g = (enumerate_homs(a, powerset_lattice([f"q{i}{k}" for k in range(3)]))[-1] for i in (0, 1))
+    want = oracles.pushout_points(f, g)
+
+    def built(*args):
+        raise AssertionError("cover rows or element tuple built")
+
+    for lat in (a, f.cod, g.cod):
+        object.__setattr__(lat, "_elements", None)
+    monkeypatch.setattr(lattice.FinLattice, "_cover_rows", built)
+    monkeypatch.setattr(lattice, "_frozensets", built)
+    assert pushout_points(f, g)[0] == want
 
 
 def test_pushout_checks_the_elements_budget_before_its_powerset():
