@@ -99,8 +99,6 @@ from .pruning import (
     Relation,
     canonical_prune,
     cycle_core,
-    desc_diagram,
-    inverse_limit,
     limit_image,
     prune_sequence,
     rank,

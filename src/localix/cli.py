@@ -129,7 +129,7 @@ def _prune_invocation(args, budgets):
     if args.diagram is not None:
         with open(args.diagram, encoding="utf-8") as fh:
             text = fh.read()
-        try:  # the level sizes, before the diagram is validated (cubic in its index)
+        try:  # the level sizes, before validation pushes every point down the index
             data = json.loads(text)
             levels = _decode(data["levels"])
             check_budget(budgets, "diagram", sum(len(lv) for _, lv in levels))

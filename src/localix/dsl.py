@@ -44,7 +44,7 @@ from .lattice import lower_sets, powerset_lattice
 from .order import FinPoset, canon_key
 from .posite import cov_ideals, saturate_coverage
 from .presented import Presentation, image_along, realize, spec
-from .pruning import CoDiagram, Relation, _limit_image, _prune_chains, prune_sequence, rank
+from .pruning import CoDiagram, Relation, _limit_image, _prune_chains, prune_sequence
 
 __all__ = ["Script", "Report", "parse", "run", "render"]
 
@@ -662,8 +662,7 @@ class PruneQuery(_OnName):
     def run(self, r: _Runner) -> None:
         kind, val = r.named.get(self.name, (None, None))
         if kind == RelationDecl.keyword:
-            verdict, core = rank(val)
-            sizes, images, pruned = _prune_chains(val, r.budgets)
+            (verdict, core), sizes, images, pruned = _prune_chains(val, r.budgets)
             core = [str(x) for x in sorted(core, key=canon_key)]
             rec = dict(
                 verdict=verdict,

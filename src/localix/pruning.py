@@ -16,18 +16,17 @@ from typing import Iterable, Optional
 
 from .budgets import Budgets, check_budget
 from .errors import DomainError, StructureError, UnstabilizedError
-from .order import FinPoset, _decode, _encode, _poset_data, _poset_from_data, _sorted, canon_key
+from .order import FinPoset, _bits, _decode, _encode, _escaped, _sorted, canon_key
+from .order import _poset_data, _poset_from_data
 
 __all__ = [
     "Relation",
     "CoDiagram",
     "canonical_prune",
     "prune_sequence",
-    "desc_diagram",
     "rank",
     "cycle_core",
     "limit_image",
-    "inverse_limit",
 ]
 
 
@@ -67,14 +66,17 @@ class Relation:
 class CoDiagram:
     """Finite levels over a directed index with backward maps.
 
-    ``succ`` lists the generating steps i -> j (i below j); for the
-    ``finite`` kind the confluence condition "j >= i, i succ k implies
-    some l with j succ l >= k" is enforced, for depth-truncated chains
-    it necessarily fails at the top and is waived.  ``base`` is an
-    optional commuting family of projections to a common set.
+    ``succ`` lists the generating steps i -> j (i below j), and ``maps``
+    holds one map per step, level j down to level i under the key (j, i);
+    ``composite`` composes them along the steps, and every path of steps
+    between two indices composes to the same map.  For the ``finite``
+    kind the confluence condition "j >= i, i succ k implies some l with
+    j succ l >= k" is enforced, for depth-truncated chains it necessarily
+    fails at the top and is waived.  ``base`` is an optional commuting
+    family of projections to a common set.
     """
 
-    __slots__ = ("index", "succ", "levels", "maps", "base", "kind", "complete")
+    __slots__ = ("index", "succ", "levels", "maps", "base", "kind", "complete", "_succs", "_preds")
 
     def __init__(
         self,
@@ -86,6 +88,9 @@ class CoDiagram:
         kind: str = "finite",
         complete: bool = True,
     ):
+        """``maps`` holds a map for each ``succ`` step and may hold
+        composites too (``to_json`` writes them); a composite is checked
+        against the composed steps and not stored."""
         if kind not in ("finite", "truncated_chain"):
             raise DomainError(f"unknown diagram kind {kind!r}")
         succ = frozenset(tuple(s) for s in succ)
@@ -96,23 +101,14 @@ class CoDiagram:
             raise StructureError("succ relation does not generate the index order")
         if not index.is_directed():
             raise StructureError("index must be directed")
+        succs = {i: [] for i in index.elements}
+        preds = {i: [] for i in index.elements}
+        for i, j in succ:
+            succs[i].append(j)
+            preds[j].append(i)
         if kind == "finite":
-            # when j >= k the restriction factors through f_jk, so only
-            # incomparable-upward j need a successor above k
-            for i, k in succ:
-                for j in index.elements:
-                    if not index.leq(i, j) or index.leq(k, j):
-                        continue
-                    if not any(
-                        (j, l) in succ and index.leq(k, l) for l in index.elements
-                    ):
-                        raise StructureError(
-                            f"succ condition fails at j={j!r} >= {i!r} succ {k!r}"
-                        )
+            _check_confluence(index, succ, succs)
         levels = {i: frozenset(levels[i]) for i in index.elements}
-        full_maps = {}
-        for i in index.elements:
-            full_maps[(i, i)] = {x: x for x in levels[i]}
         for (j, i), f in maps.items():
             if not index.lt(i, j):
                 raise DomainError(f"map ({j!r} -> {i!r}) must go strictly down")
@@ -121,21 +117,25 @@ class CoDiagram:
             for v in f.values():
                 if v not in levels[i]:
                     raise StructureError(f"map {j!r}->{i!r} image escapes the level")
-            full_maps[(j, i)] = dict(f)
-        for j in index.elements:
-            for i in index.elements:
-                if index.lt(i, j) and (j, i) not in full_maps:
-                    raise StructureError(f"missing map {j!r} -> {i!r}")
+        steps = {}
+        for i, j in succ:
+            if (j, i) not in maps:
+                raise StructureError(f"missing map {j!r} -> {i!r}")
+            steps[j, i] = dict(maps[j, i])
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "succ", succ)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "maps", steps)
+        object.__setattr__(self, "_succs", succs)
+        object.__setattr__(self, "_preds", preds)
+        supplied = {k: [] for k in index.elements}
+        for (j, i), f in maps.items():
+            supplied[j].append((i, f))
         for k in [k for k in index.elements if levels[k]]:  # an empty top composes nothing
-            for j in index.elements:
-                for i in index.elements:
-                    if index.lt(i, j) and index.lt(j, k):
-                        f, g, h = full_maps[(k, j)], full_maps[(j, i)], full_maps[(k, i)]
-                        for x in levels[k]:
-                            if g[f[x]] != h[x]:
-                                raise StructureError(
-                                    f"maps {k!r}->{j!r}->{i!r} are not functorial"
-                                )
+            down = self._down(k)
+            for i, f in supplied[k]:
+                if f != down[i]:
+                    raise StructureError(f"map {k!r}->{i!r} is not the composite of the succ maps")
         if base is not None:
             y, ps = base
             y = frozenset(y)
@@ -146,18 +146,37 @@ class CoDiagram:
                 for v in ps[i].values():
                     if v not in y:
                         raise StructureError("projection escapes the base")
-            for (j, i), f in full_maps.items():
+            for (j, i), f in steps.items():
                 for x in levels[j]:
                     if ps[i][f[x]] != ps[j][x]:
                         raise StructureError("projections do not commute with the maps")
             base = (y, ps)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "succ", succ)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "maps", full_maps)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "complete", complete)
+
+    def _down(self, k) -> dict:
+        """The map from level ``k`` down to each index below it, composed
+        along the succ steps; a second path to an index must give the same
+        map, which certifies functoriality for every point of level ``k``."""
+        out = {k: {x: x for x in self.levels[k]}}
+        todo = [k]
+        for j in todo:  # every step below k is tried once, against the first path's map
+            for i in self._preds[j]:
+                f = self.maps[j, i]
+                g = {x: f[v] for x, v in out[j].items()}
+                if i not in out:
+                    out[i] = g
+                    todo.append(i)
+                elif out[i] != g:
+                    raise StructureError(f"maps {k!r}->{j!r}->{i!r} are not functorial")
+        return out
+
+    def composite(self, j, i) -> dict:
+        """The map from level ``j`` down to level ``i`` (i <= j)."""
+        if not self.index.leq(i, j):
+            raise DomainError(f"no map {j!r} -> {i!r}: {i!r} is not below {j!r}")
+        return self._down(j)[i]
 
     def __setattr__(self, *a):
         raise AttributeError("CoDiagram is immutable")
@@ -183,23 +202,25 @@ class CoDiagram:
         return sum(len(v) for v in self.levels.values())
 
     def succs_of(self, i) -> list:
-        return [j for (k, j) in self.succ if k == i]
+        return list(self._succs[i])
 
     def to_dot(self, name: str = "diagram") -> str:
         lines = [f"digraph {name} {{", "  rankdir=TB;"]
         for i in self.index.elements:
             label = "{" + ",".join(str(x) for x in sorted(self.levels[i], key=canon_key)) + "}"
-            lines.append(f'  "{i}" [label="{i}: {label}"];')
+            lines.append(f'  "{_escaped(str(i))}" [label="{_escaped(f"{i}: {label}")}"];')
         for i, j in self.succ:
-            lines.append(f'  "{j}" -> "{i}";')
+            lines.append(f'  "{_escaped(str(j))}" -> "{_escaped(str(i))}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         """The diagram in the package's JSON shapes (``order._encode``): the
-        index as a poset, maps and base projections as sorted pair lists."""
+        index as a poset, maps and base projections as sorted pair lists.
+        The maps are written for every pair of indices i < j, composed."""
         levels = [(i, _sorted(self.levels[i])) for i in self.index.elements]
-        maps = [(j, i, _sorted(self.maps[j, i].items())) for j, i in _sorted(self.maps) if i != j]
+        table = {(j, i): f for j in self.index.elements for i, f in self._down(j).items() if i != j}
+        maps = [(j, i, _sorted(table[j, i].items())) for j, i in _sorted(table)]
         base = None if self.base is None else (
             _sorted(self.base[0]),
             [(i, _sorted(self.base[1][i].items())) for i in self.index.elements],
@@ -240,27 +261,33 @@ class CoDiagram:
         """Depth-truncated chain: levels[k] sits at index k+1, maps[k]
         sends level k+1 down to level k."""
         n = len(levels)
-        idx = FinPoset(range(1, n + 1), [(k, k + 1) for k in range(1, n)])
         succ = [(k, k + 1) for k in range(1, n)]
-        full = {}
-        for hi in range(2, n + 1):
-            f = {x: x for x in levels[hi - 1]}
-            for lo in range(hi - 1, 0, -1):
-                f = {x: maps[lo - 1][v] for x, v in f.items()}
-                full[(hi, lo)] = f
         b = None
         if base is not None:
             y, ps = base
             b = (y, {k + 1: ps[k] for k in range(n)})
         return CoDiagram(
-            idx,
+            FinPoset(range(1, n + 1), succ),
             succ,
             {k + 1: levels[k] for k in range(n)},
-            full,
+            {(k + 1, k): maps[k - 1] for k in range(1, n)},
             b,
             kind="truncated_chain",
             complete=complete,
         )
+
+
+def _check_confluence(index: FinPoset, succ: frozenset, succs: dict) -> None:
+    """The condition "j >= i, i succ k implies some l with j succ l >= k",
+    read on the index rows: when j >= k the restriction factors through
+    f_jk, so only the j in up(i) outside up(k) need a successor in up(k)."""
+    pos, up = index._index, index._up
+    above = {j: sum(1 << pos[l] for l in ls) for j, ls in succs.items()}
+    for i, k in succ:
+        for b in _bits(up[pos[i]] & ~up[pos[k]]):
+            j = index.elements[b]
+            if not above[j] & up[pos[k]]:
+                raise StructureError(f"succ condition fails at j={j!r} >= {i!r} succ {k!r}")
 
 
 def canonical_prune(d: CoDiagram) -> CoDiagram:
@@ -273,8 +300,6 @@ def canonical_prune(d: CoDiagram) -> CoDiagram:
         new_levels[i] = cur
     new_maps = {}
     for (j, i), f in d.maps.items():
-        if i == j:
-            continue
         g = {x: f[x] for x in new_levels[j]}
         for v in g.values():
             if v not in new_levels[i]:
@@ -298,33 +323,6 @@ def prune_sequence(d: CoDiagram) -> tuple[list[CoDiagram], int]:
         if nxt.levels == stages[-1].levels:
             return stages, len(stages) - 1
         stages.append(nxt)
-
-
-def desc_diagram(r: Relation, depth: int, with_base: bool = False) -> CoDiagram:
-    """Chain diagram of descending sequences of ``r``.
-
-    Level k holds the chains (x_0, ..., x_{k-1}) with each later entry
-    related to its predecessor; maps drop the last coordinate.  With a
-    base, level 0 (the empty chain) is omitted and chains project to
-    their first coordinate.
-    """
-    if depth < 1:
-        raise DomainError("depth must be at least 1")
-    levels = [[()], [(x,) for x in r.carrier]]
-    while len(levels) <= depth:
-        prev = levels[-1]
-        levels.append(
-            [c + (y,) for c in prev for y in r.predecessors(c[-1])]
-        )
-    maps = [{c: c[:-1] for c in levels[k + 1]} for k in range(depth)]
-    complete = depth >= len(r.carrier) + 1 or not levels[depth]
-    if with_base:
-        base = (
-            frozenset(r.carrier),
-            [{c: c[0] for c in levels[k]} for k in range(1, depth + 1)],
-        )
-        return CoDiagram.chain(levels[1:], maps[1:], base, complete)
-    return CoDiagram.chain(levels, maps, None, complete)
 
 
 def cycle_core(r: Relation) -> frozenset:
@@ -353,20 +351,28 @@ def rank(r: Relation) -> tuple[object, frozenset]:
     """The stage at which pruning the descending-chain diagram empties its
     length-1 chains, max ext + 1; or "ill-founded" with the points that
     reach a cycle and so are never pruned (the cycle-fed core)."""
-    ext = _descents(r)[1]
+    return _ranked(r, _descents(r)[1])
+
+
+def _ranked(r: Relation, ext: list[int]) -> tuple[object, frozenset]:
+    """``rank(r)`` read off the descent lengths ``ext`` of ``r``."""
     core = frozenset(x for x, e in zip(r.carrier, ext) if e == len(ext))
     return ("ill-founded", core) if core else (max(ext, default=-1) + 1, core)
 
 
 def _prune_chains(r: Relation, budgets: Budgets) -> tuple:
-    """Level sizes and base image of each stage of pruning ``desc_diagram(r,
-    |r| + 1, with_base=True)`` until it repeats, and its last stage, listed
-    once ``diagram`` admits its size.  Stage a keeps, at level k, the chains
-    ending at an x with ext[x] >= min(a, |r| + 1 - k)."""
+    """``rank(r)``, then the level sizes and base image of each stage of
+    pruning the descending-chain diagram of ``r`` until it repeats, and its
+    last stage, listed once ``diagram`` admits its size; all read off one
+    ``_descents`` pass.  Its level k = 1, ..., |r| + 1 holds the chains
+    (x_0, ..., x_{k-1}) with each entry related to the one before, its
+    maps drop the last entry and its base takes the first.  Stage a keeps,
+    at level k, the chains ending at an x with ext[x] >= min(a, |r| + 1 - k)."""
     preds, ext = _descents(r)
     n = len(ext)
+    ranked = _ranked(r, ext)
     if not n:
-        return [], [], None
+        return ranked, [], [], None
     suffix, count = [], [1] * n  # suffix[k][t]: length-(k+1) chains ending at ext >= t
     for _ in range(n + 1):
         by_ext = [0] * (n + 1)
@@ -388,27 +394,7 @@ def _prune_chains(r: Relation, budgets: Budgets) -> tuple:
     levels = [[tuple(r.carrier[i] for i in c) for c in lv] for lv in levels]
     maps = [{c: c[:-1] for c in lv} for lv in levels[1:]]
     base = (frozenset(r.carrier), [{c: c[0] for c in lv} for lv in levels])
-    return sizes, images, CoDiagram.chain(levels, maps, base, complete=True)
-
-
-def inverse_limit(d: CoDiagram) -> list[dict]:
-    """All compatible threads of a finite-index diagram."""
-    if d.kind != "finite":
-        raise DomainError("direct limits are computed for finite indices only")
-    import itertools
-
-    order = list(d.index.elements)
-    threads = []
-    for combo in itertools.product(*[sorted(d.levels[i], key=canon_key) for i in order]):
-        t = dict(zip(order, combo))
-        if all(
-            d.maps[(j, i)][t[j]] == t[i]
-            for j in order
-            for i in order
-            if d.index.lt(i, j)
-        ):
-            threads.append(t)
-    return threads
+    return ranked, sizes, images, CoDiagram.chain(levels, maps, base, complete=True)
 
 
 def limit_image(d: CoDiagram) -> frozenset:

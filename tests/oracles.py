@@ -50,7 +50,7 @@ from localix.lattice import lattice_from_abstract as lib_lattice_from_abstract
 from localix.order import FinPoset, _label, canon_key, lower_sets_of
 from localix.posite import Coverage, PolyOrder
 from localix.presented import Presentation, check_assignment, join, presentation_of_lattice, var
-from localix.pruning import Relation, desc_diagram, prune_sequence
+from localix.pruning import CoDiagram, Relation, prune_sequence
 from localix.sequent import (
     BOT,
     TOP,
@@ -1159,6 +1159,155 @@ def cycle_core(r: Relation) -> frozenset:
             if grown != below[x]:
                 below[x], changed = grown, True
     return frozenset(x for x in r.carrier if any(y in below[y] for y in below[x] | {x}))
+
+
+def all_pairs_diagram(index: FinPoset, succ, levels: dict, maps: dict, base=None, kind: str = "finite"):
+    """The diagram check that stores and certifies a map for every pair of
+    comparable indices: the levels, the full map table (identities
+    included) and the base, or the first StructureError or DomainError.
+    Every pair i < j needs a map, functoriality is checked on every
+    triple i < j < k below a non-empty level k, and the base commutes
+    with every map of the table."""
+    if kind not in ("finite", "truncated_chain"):
+        raise DomainError(f"unknown diagram kind {kind!r}")
+    succ = frozenset(tuple(s) for s in succ)
+    for i, j in succ:
+        if not index.lt(i, j):
+            raise StructureError(f"succ pair ({i!r}, {j!r}) must go strictly up")
+    if FinPoset(index.elements, succ) != index:
+        raise StructureError("succ relation does not generate the index order")
+    if not index.is_directed():
+        raise StructureError("index must be directed")
+    if kind == "finite":
+        for i, k in succ:
+            for j in index.elements:
+                if not index.leq(i, j) or index.leq(k, j):
+                    continue
+                if not any((j, l) in succ and index.leq(k, l) for l in index.elements):
+                    raise StructureError(f"succ condition fails at j={j!r} >= {i!r} succ {k!r}")
+    levels = {i: frozenset(levels[i]) for i in index.elements}
+    full_maps = {(i, i): {x: x for x in levels[i]} for i in index.elements}
+    for (j, i), f in maps.items():
+        if not index.lt(i, j):
+            raise DomainError(f"map ({j!r} -> {i!r}) must go strictly down")
+        if set(f) != set(levels[j]):
+            raise StructureError(f"map {j!r}->{i!r} domain mismatch")
+        for v in f.values():
+            if v not in levels[i]:
+                raise StructureError(f"map {j!r}->{i!r} image escapes the level")
+        full_maps[(j, i)] = dict(f)
+    for j in index.elements:
+        for i in index.elements:
+            if index.lt(i, j) and (j, i) not in full_maps:
+                raise StructureError(f"missing map {j!r} -> {i!r}")
+    for k in [k for k in index.elements if levels[k]]:
+        for j in index.elements:
+            for i in index.elements:
+                if index.lt(i, j) and index.lt(j, k):
+                    f, g, h = full_maps[(k, j)], full_maps[(j, i)], full_maps[(k, i)]
+                    for x in levels[k]:
+                        if g[f[x]] != h[x]:
+                            raise StructureError(f"maps {k!r}->{j!r}->{i!r} are not functorial")
+    if base is not None:
+        y, ps = base
+        y = frozenset(y)
+        ps = {i: dict(ps[i]) for i in index.elements}
+        for i in index.elements:
+            if set(ps[i]) != set(levels[i]):
+                raise StructureError(f"projection at {i!r} domain mismatch")
+            for v in ps[i].values():
+                if v not in y:
+                    raise StructureError("projection escapes the base")
+        for (j, i), f in full_maps.items():
+            for x in levels[j]:
+                if ps[i][f[x]] != ps[j][x]:
+                    raise StructureError("projections do not commute with the maps")
+        base = (y, ps)
+    return levels, full_maps, base
+
+
+def path_composites(index: FinPoset, succ, steps: dict):
+    """For each pair i < j, the map from level j down to level i that the
+    ``steps`` (keyed (j, i) for each ``succ`` pair (i, j)) compose to along
+    every path of steps from j to i; None if two paths compose to
+    different maps."""
+    below = {}
+    for i, j in succ:
+        below.setdefault(j, []).append(i)
+
+    def paths(j, i):
+        if j == i:
+            yield [j]
+        for k in below.get(j, ()):
+            if index.leq(i, k):
+                yield from ([j] + p for p in paths(k, i))
+
+    out = {}
+    for j in index.elements:
+        for i in index.elements:
+            if index.lt(i, j):
+                found = set()
+                for p in paths(j, i):
+                    f = dict(steps[p[0], p[1]])
+                    for hi, lo in zip(p[1:], p[2:]):
+                        f = {x: steps[hi, lo][v] for x, v in f.items()}
+                    found.add(tuple(sorted(f.items(), key=canon_key)))
+                if len(found) > 1:
+                    return None
+                out[j, i] = dict(found.pop())
+    return out
+
+
+def chain_composites(levels: list, maps: list) -> dict:
+    """Every composite of a chain whose levels[k] sits at index k + 1 and
+    whose maps[k] sends level k + 1 down to level k, keyed (hi, lo)."""
+    full = {}
+    for hi in range(2, len(levels) + 1):
+        f = {x: x for x in levels[hi - 1]}
+        for lo in range(hi - 1, 0, -1):
+            f = {x: maps[lo - 1][v] for x, v in f.items()}
+            full[(hi, lo)] = f
+    return full
+
+
+def desc_diagram(r: Relation, depth: int, with_base: bool = False) -> CoDiagram:
+    """Chain diagram of descending sequences of ``r``.
+
+    Level k holds the chains (x_0, ..., x_{k-1}) with each later entry
+    related to its predecessor; maps drop the last coordinate.  With a
+    base, level 0 (the empty chain) is omitted and chains project to
+    their first coordinate.
+    """
+    if depth < 1:
+        raise DomainError("depth must be at least 1")
+    levels = [[()], [(x,) for x in r.carrier]]
+    while len(levels) <= depth:
+        prev = levels[-1]
+        levels.append([c + (y,) for c in prev for y in r.predecessors(c[-1])])
+    maps = [{c: c[:-1] for c in levels[k + 1]} for k in range(depth)]
+    complete = depth >= len(r.carrier) + 1 or not levels[depth]
+    if with_base:
+        base = (
+            frozenset(r.carrier),
+            [{c: c[0] for c in levels[k]} for k in range(1, depth + 1)],
+        )
+        return CoDiagram.chain(levels[1:], maps[1:], base, complete)
+    return CoDiagram.chain(levels, maps, None, complete)
+
+
+def inverse_limit(d: CoDiagram) -> list[dict]:
+    """All compatible threads of a finite-index diagram, by trying every
+    combination of points against the map of every comparable pair."""
+    if d.kind != "finite":
+        raise DomainError("direct limits are computed for finite indices only")
+    order = list(d.index.elements)
+    maps = {(j, i): d.composite(j, i) for j in order for i in order if d.index.lt(i, j)}
+    threads = []
+    for combo in itertools.product(*[sorted(d.levels[i], key=canon_key) for i in order]):
+        t = dict(zip(order, combo))
+        if all(f[t[j]] == t[i] for (j, i), f in maps.items()):
+            threads.append(t)
+    return threads
 
 
 def prune_record(r: Relation) -> dict:

@@ -66,8 +66,6 @@ from localix.pruning import (
     CoDiagram,
     Relation,
     cycle_core,
-    desc_diagram,
-    inverse_limit,
     limit_image,
     prune_sequence,
     rank,
@@ -85,7 +83,7 @@ from localix.sequent import (
 
 import oracles
 from conftest import posets_up_to, random_poset, random_relation_pairs
-from oracles import polyposet_oracle, rank_oracle
+from oracles import inverse_limit, polyposet_oracle, rank_oracle
 
 
 @contextlib.contextmanager

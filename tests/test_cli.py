@@ -225,3 +225,25 @@ def test_prune_diagram_parses_the_file_once(monkeypatch):
     monkeypatch.chdir(GOLDEN)
     code, out = invoke(["prune", "--diagram", "diagram.json"])
     assert code == 0 and len(calls) == 1
+
+
+def test_prune_diagram_dot_escapes_quotes_and_backslashes(tmp_path):
+    # the labels a"b and c\ inside a quoted DOT string, and an index label
+    # holding a quote as a node name
+    data = {
+        "kind": "finite",
+        "complete": True,
+        "index": {"elements": ['i"0', "i1"], "pairs": [['i"0', "i1"]]},
+        "succ": [['i"0', "i1"]],
+        "levels": [['i"0', ['a"b', "e"]], ["i1", ["c\\"]]],
+        "maps": [["i1", 'i"0', [["c\\", 'a"b']]]],
+        "base": None,
+    }
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps(data))
+    code, out = invoke(["--format", "dot", "prune", "--diagram", str(path)])
+    assert code == 0
+    assert out == (
+        'digraph pruned {\n  rankdir=TB;\n  "i\\"0" [label="i\\"0: {a\\"b}"];\n'
+        '  "i1" [label="i1: {c\\\\}"];\n  "i1" -> "i\\"0";\n}\n'
+    )

@@ -8,7 +8,7 @@ from localix import dsl, lattice, presented, pruning
 from localix.budgets import DEFAULT_BUDGETS
 from localix.dsl import Report, Script, parse, render, run
 from localix.errors import DomainError, ParseError
-from localix.pruning import Relation, desc_diagram
+from localix.pruning import Relation
 
 import oracles
 
@@ -348,7 +348,7 @@ def test_diagram_validation():
 
 def test_preloaded_named_objects():
     r = Relation.make(range(2), [(1, 0)])
-    d = desc_diagram(r, 3, with_base=True)
+    d = oracles.desc_diagram(r, 3, with_base=True)
     report = run(parse("prune D;"), named={"D": ("diagram", d)})
     assert report.records[0]["kind"] == "prune"
     assert report.records[0]["verdict"] == "stabilized"
@@ -368,7 +368,7 @@ def test_relation_prune_reads_the_golden_record_off_counts(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("the descending-chain diagram was pruned in full")
 
-    for name in ("desc_diagram", "prune_sequence", "limit_image"):
+    for name in ("prune_sequence", "limit_image"):
         monkeypatch.setattr(pruning, name, boom)
         monkeypatch.setattr(dsl, name, boom, raising=False)
     report = run(parse(decl + "\nprune R;"))
@@ -380,7 +380,7 @@ def test_diagram_budget_is_checked_on_declared_and_preloaded_diagrams(monkeypatc
     report = run(parse("diagram D { [u, v], [w] : w -> u };"), small)
     assert report.exit_code == 2
     assert report.records[-1]["detail"].startswith("diagram budget exceeded: 3 > 2")
-    d = desc_diagram(Relation.make(range(2), [(1, 0)]), 3, with_base=True)
+    d = oracles.desc_diagram(Relation.make(range(2), [(1, 0)]), 3, with_base=True)
     monkeypatch.setattr(dsl, "prune_sequence", lambda *a: pytest.fail("pruned first"))
     report = run(parse("prune D;"), small, named={"D": ("diagram", d)})
     assert report.exit_code == 2

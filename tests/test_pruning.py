@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,14 +8,12 @@ from localix import pruning
 from localix.budgets import DEFAULT_BUDGETS
 from localix.dsl import parse, run
 from localix.errors import DomainError, StructureError, UnstabilizedError
-from localix.order import FinPoset, canon_key
+from localix.order import FinPoset, _encode, _sorted, canon_key
 from localix.pruning import (
     CoDiagram,
     Relation,
     canonical_prune,
     cycle_core,
-    desc_diagram,
-    inverse_limit,
     limit_image,
     prune_sequence,
     rank,
@@ -22,7 +21,7 @@ from localix.pruning import (
 
 import oracles
 from conftest import LABELS, random_relation_pairs
-from oracles import prune_record, rank_oracle
+from oracles import desc_diagram, inverse_limit, prune_record, rank_oracle
 
 
 def rel(carrier, pairs):
@@ -204,6 +203,17 @@ def test_functoriality_enforced():
         CoDiagram(idx, [("a", "b"), ("b", "c")], lv, maps)
 
 
+def test_two_paths_of_steps_must_agree():
+    # no composite is supplied: t -> b -> a and t -> c -> a send 0 apart
+    idx = FinPoset("abct", [("a", "b"), ("a", "c"), ("b", "t"), ("c", "t")])
+    levels = {"a": {0, 1}, "b": {0}, "c": {0}, "t": {0}}
+    steps = {("b", "a"): {0: 0}, ("c", "a"): {0: 1}, ("t", "b"): {0: 0}, ("t", "c"): {0: 0}}
+    with pytest.raises(StructureError, match="not functorial"):
+        CoDiagram(idx, list(idx.cover_pairs()), levels, steps)
+    steps["c", "a"] = {0: 0}
+    assert CoDiagram(idx, list(idx.cover_pairs()), levels, steps).composite("t", "a") == {0: 0}
+
+
 def test_json_round_trip():
     d = square_diagram()
     assert CoDiagram.from_json(d.to_json()) == d
@@ -353,3 +363,127 @@ def test_inverse_limit_rejects_truncated_chains():
     r = rel(range(2), [(1, 0)])
     with pytest.raises(DomainError):
         inverse_limit(desc_diagram(r, 2))
+
+
+def test_prune_on_a_relation_runs_one_descent_pass(monkeypatch):
+    calls = []
+    real = pruning._descents
+    monkeypatch.setattr(pruning, "_descents", lambda r: calls.append(r) or real(r))
+    (rec,) = run(parse("relation R { 0, 1, 2 : 1 -> 0, 2 -> 1 };\nprune R;")).records
+    assert rec["verdict"] == 3 and len(calls) == 1
+
+
+# -- the step maps against the all-pairs check --------------------------------
+
+
+def test_a_diagram_stores_its_step_maps_and_composes_on_read():
+    d = square_diagram()
+    assert set(d.maps) == {(j, i) for i, j in d.succ}
+    assert d.composite("t", "a") == {0: 0} and d.composite("b", "b") == {0: 0, 1: 1}
+    assert sorted(d.succs_of("a")) == ["b", "c"] and d.succs_of("t") == []
+    with pytest.raises(DomainError):
+        d.composite("b", "c")
+    chain = CoDiagram.chain([[0], [1], [2]], [{1: 0}, {2: 1}])
+    assert chain.maps == {(2, 1): {1: 0}, (3, 2): {2: 1}}
+    assert chain.composite(3, 1) == {2: 0}
+
+
+_AJKLT = [("a", "j"), ("j", "l"), ("l", "t"), ("a", "k"), ("k", "t")]
+INDICES = [
+    ("0", []),
+    ("01", [("0", "1")]),
+    ("012", [("0", "1"), ("1", "2")]),
+    ("0123", [("0", "1"), ("1", "2"), ("2", "3")]),
+    ("abct", [("a", "b"), ("a", "c"), ("b", "t"), ("c", "t")]),
+    ("ajklt", _AJKLT),  # fails the succ condition at j
+    ("ajklt", _AJKLT + [("j", "t")]),
+]
+
+
+@st.composite
+def supplied_diagrams(draw):
+    """A diagram over one of INDICES, with a map for every comparable pair
+    and, sometimes, a base.  Points are partial threads, restricted to the
+    indices below their level, so the maps are functorial until some
+    values are corrupted, composites and steps alike."""
+    elems, succ = draw(st.sampled_from(INDICES))
+    idx = FinPoset(elems, succ)
+    values = st.lists(st.integers(0, 1), min_size=len(elems), max_size=len(elems))
+    seeds = draw(st.lists(st.tuples(st.sampled_from(idx.elements), values), max_size=4))
+
+    def below(t, i):
+        return tuple((k, v) for k, v in t if idx.leq(k, i))
+
+    levels = {i: set() for i in idx.elements}
+    for top, vals in seeds:
+        for i in idx.down(top):
+            levels[i].add(below(tuple(zip(idx.elements, vals)), i))
+    maps = {
+        (j, i): {x: below(x, i) for x in levels[j]}
+        for j in idx.elements for i in idx.elements if idx.lt(i, j)
+    }
+    base = None
+    if draw(st.booleans()):
+        (bottom,) = idx.minimal()
+        p0 = {x: draw(st.integers(0, 1)) for x in levels[bottom]}
+        base = ({0, 1}, {i: {x: p0[below(x, bottom)] for x in levels[i]} for i in idx.elements})
+    steps = sorted(((j, i) for i, j in succ), key=canon_key)
+    for _ in range(draw(st.integers(0, 2)) if maps else 0):
+        j, i = draw(st.sampled_from(draw(st.sampled_from([steps, sorted(maps, key=canon_key)]))))
+        if levels[j]:
+            x = draw(st.sampled_from(sorted(levels[j], key=canon_key)))
+            maps[j, i][x] = draw(st.sampled_from(sorted(levels[i], key=canon_key)))
+    if base is not None and draw(st.booleans()):
+        i = draw(st.sampled_from(idx.elements))
+        if levels[i]:
+            base[1][i][draw(st.sampled_from(sorted(levels[i], key=canon_key)))] = draw(st.integers(0, 1))
+    kind = draw(st.sampled_from(["finite", "truncated_chain"]))
+    return idx, succ, levels, maps, base, kind
+
+
+def _agrees_with_the_all_pairs_check(idx, succ, levels, maps, base, kind):
+    args = idx, succ, levels, maps, base, kind
+    try:
+        want_levels, full, want_base = oracles.all_pairs_diagram(*args)
+    except (DomainError, StructureError) as e:
+        with pytest.raises(type(e)):
+            CoDiagram(*args)
+        return
+    d = CoDiagram(*args)
+    assert d.levels == want_levels and d.base == want_base
+    assert d.maps == {(j, i): full[j, i] for i, j in d.succ}
+    assert {(j, i): d.composite(j, i) for j, i in full} == full
+    # to_json writes every composite, as the all-pairs table did
+    table = [(j, i, _sorted(full[j, i].items())) for j, i in _sorted(full) if i != j]
+    assert json.loads(d.to_json())["maps"] == _encode(table)
+    assert CoDiagram.from_json(d.to_json()) == d
+
+
+@settings(max_examples=300)
+@given(supplied_diagrams())
+def test_step_maps_accept_exactly_what_the_all_pairs_check_accepts(args):
+    idx, succ, levels, maps, base, kind = args
+    _agrees_with_the_all_pairs_check(*args)
+    # the steps alone: refused unless every path of steps composes alike
+    steps = {(j, i): maps[j, i] for i, j in succ}
+    table = oracles.path_composites(idx, succ, steps)
+    if table is None:
+        with pytest.raises(StructureError):
+            CoDiagram(idx, succ, levels, steps, base, kind)
+    else:
+        _agrees_with_the_all_pairs_check(idx, succ, levels, table, base, kind)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_chain_composes_what_the_all_pairs_chain_stored(data):
+    sizes = data.draw(st.lists(st.integers(1, 3), max_size=5))
+    levels = [list(range(n)) for n in sizes]
+    maps = [
+        {x: data.draw(st.integers(0, sizes[k] - 1)) for x in levels[k + 1]}
+        for k in range(len(sizes) - 1)
+    ]
+    d = CoDiagram.chain(levels, maps)
+    full = oracles.chain_composites(levels, maps)
+    assert len(d.maps) == max(len(sizes) - 1, 0)
+    assert {(j, i): d.composite(j, i) for j, i in full} == full
