@@ -3,11 +3,12 @@
 A FrameTopology is built from a point set and a family of opens closed
 under union and intersection, checked as a ``FinLattice`` over the
 discrete points.  Points with the same least neighbourhood (the
-lattice's ``_least``) are collapsed to a representative, so the ambient
-Boolean algebra is the powerset of the spectrum of the opens lattice and
-every open is join-irreducibly generated by a minimal neighborhood.  All
-category-style notions (dense, meager, comeager) live in that ambient,
-whose elements are frozensets of representatives; it is never built.
+lattice's ``_least``) are collapsed to a representative, and the
+topology keeps its lattice of opens over the representatives.  The
+ambient Boolean algebra is their powerset, and each open is the union of
+the least neighbourhoods of its points.  All category-style notions
+(dense, meager, comeager) live in that ambient, whose elements are
+frozensets of representatives; it is never built.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import DomainError, StructureError
-from .lattice import FinLattice, lattice_from_abstract
-from .order import FinPoset, _bits, _new, canon_key
+from .lattice import FinLattice, _moved, birkhoff_embedding
+from .order import FinPoset, _bits, _new
 
 __all__ = [
     "FrameTopology",
@@ -42,7 +43,7 @@ class FrameTopology:
     representatives with exactly one join-irreducible per point.
     """
 
-    __slots__ = ("points", "reps", "rep_of", "opens", "min_nbhd")
+    __slots__ = ("points", "reps", "rep_of", "min_nbhd", "_opens")
 
     def __init__(self, points: Iterable, opens: Iterable[frozenset]):
         spectrum = FinPoset(points)
@@ -57,37 +58,40 @@ class FrameTopology:
         # glued points share their least neighbourhood; the first is the rep
         first: dict[int, object] = {}
         rep_of = {p: first.setdefault(nb, p) for p, nb in zip(pts, lat._least)}
-        reps = tuple(first.values())
-        keep = sum(1 << spectrum._index[r] for r in reps)
-        red = {spectrum._set(m & keep) for m in lat._at}
+        reps = tuple(first.values())  # in canon_key order, as the points are
+        bit = {r: 1 << k for k, r in enumerate(reps)}
+        red = _new(FinLattice, FinPoset(reps), _moved(lat._at, [bit.get(p, 0) for p in pts]), "distributive")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "reps", reps)
         object.__setattr__(self, "rep_of", rep_of)
-        object.__setattr__(self, "opens", tuple(sorted(red, key=canon_key)))
-        object.__setattr__(
-            self, "min_nbhd", {r: spectrum._set(nb).intersection(reps) for nb, r in first.items()}
-        )
+        object.__setattr__(self, "min_nbhd", dict(zip(reps, map(red._element, red._least))))
+        object.__setattr__(self, "_opens", red)
 
     def __setattr__(self, *a):
         raise AttributeError("FrameTopology is immutable")
 
     def __repr__(self) -> str:
-        return f"FrameTopology({len(self.reps)} points, {len(self.opens)} opens)"
+        return f"FrameTopology({len(self.reps)} points, {len(self._opens)} opens)"
+
+    @property
+    def opens(self) -> tuple:
+        return self._opens.elements
 
     def top(self) -> frozenset:
         return frozenset(self.reps)
 
     def is_open(self, b: frozenset) -> bool:
         self.check(b)
-        return b in set(self.opens)
+        return b in self._opens
 
     def check(self, b: frozenset) -> None:
         if not b <= frozenset(self.reps):
             raise DomainError(f"{b!r} is not an ambient element")
 
     def opens_lattice(self) -> tuple[FinLattice, dict]:
-        """The opens as an abstract distributive lattice."""
-        return lattice_from_abstract(list(self.opens), lambda u, v: u <= v)
+        """The opens' ``birkhoff_embedding``, on the least neighbourhoods, and each open's image."""
+        rep, unit = birkhoff_embedding(self._opens)
+        return rep, unit.graph
 
 
 def interior(t: FrameTopology, b: frozenset) -> frozenset:

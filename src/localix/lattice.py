@@ -67,8 +67,9 @@ built on first read (``_covers``) and read only by ``to_dot`` and
 the members it has seen, so the lattice operations on elements a caller
 holds cost one dict probe each.  So ``lower_sets``,
 ``join_irreducibles`` (whose poset holds the |J| irreducible
-frozensets), ``birkhoff_embedding``, ``atoms``,
-``lattice_isomorphic``, ``enumerate_homs``, ``LatticeHom.compose``,
+frozensets), ``birkhoff_embedding`` (which builds its representation
+from the image masks), ``atoms``, ``lattice_isomorphic``,
+``enumerate_homs``, ``LatticeHom.compose``,
 ``is_injective``/``is_surjective`` and the JSON codec build none of
 the n element frozensets, and none of them builds the covers.  Readers
 of the masks: a hom's two adjoints,
@@ -82,20 +83,19 @@ interpolant; ``presented.extend_hom`` reads J off ``_least``; ``congruence`` bui
 its rows and ``posite`` its meets from ``_at``, and ``posite``
 enumerates the lower sets of the element order as position masks;
 ``dissolution`` numbers J by
-``_irreducibles`` to name the points of 2^J; ``baire`` reads least
-neighbourhoods and glued points off ``_least``, and its opens off
-``_at``; ``lattice_from_abstract`` (so ``cov_ideals``, ``quotient`` and
-``ideal_completion``) re-indexes its item masks onto the spectrum's
-positions and calls the core.  The engines keep masks too: an
+``_irreducibles`` to name the points of 2^J; ``baire`` reads glued
+points off ``_least`` and keeps its opens, moved onto representatives,
+as a lattice; ``lattice_from_abstract`` (so ``cov_ideals`` and
+``quotient``) re-indexes its item masks onto the spectrum's positions
+and calls the core.  The engines keep masks too: an
 ``OrderCongruence`` keeps one row mask per element and builds its pair
 set ``rel`` on first read, and ``dissolve`` builds its unit through the
 ``LatticeHom`` core and its pair sets only when ``repr`` is read.  Still
 on frozensets: ``to_dot``, ``element_poset``, the lattice
 operations (``meet``, ``join``, ``leq``, ``complement``), a hom's
-``__call__``, ``filterquotient``, ``product_decompose``,
-``ideal_completion``'s down-sets, the items and map
-``lattice_from_abstract`` returns, and the engines that list elements
-(coverages, DSL records).
+``__call__``, ``filterquotient``, ``product_decompose``, the items and
+map ``lattice_from_abstract`` returns, and the engines that list
+elements (coverages, DSL records).
 
 JSON.  ``to_json`` writes the spectrum in the poset shape of
 ``order._poset_data`` and each element as the list of its points,
@@ -545,20 +545,17 @@ def birkhoff_embedding(a: FinLattice) -> tuple[FinLattice, LatticeHom]:
 
     Returns the lattice of lower sets of the irreducible poset together
     with the map ``b -> {j irreducible | j <= b}``, and verifies that
-    the map is an isomorphism (it is, for any distributive lattice).
+    the map is an isomorphism (it is, for any distributive lattice).  The
+    lattice is built from the image: it holds each principal ``{j' <= j}``,
+    the image of j, so the core's count certifies it is every lower set.
     """
     jp = join_irreducibles(a)
-    rep = lower_sets(jp)
-    # j <= b iff b holds a point whose least element is j: one point per j
-    first: dict[int, int] = {}
-    for x, j in enumerate(a._least):
-        first.setdefault(j, x)
-    weight = [0] * len(a._least)
-    for i, j in enumerate(a._irreducibles()):
-        weight[first[j]] = 1 << i
-    image = _moved(a._at, weight)
-    if len(set(image)) != len(a) or set(image) != rep._at.keys():
+    # j <= b iff b holds a point whose least element is j; the first such point takes j's bit
+    bit = {j: 1 << i for i, j in enumerate(a._irreducibles())}
+    image = _moved(a._at, [bit.pop(j, 0) for j in a._least])
+    if len(set(image)) != len(a):
         raise StructureError("lattice is not distributive: set representation fails")
+    rep = _new(FinLattice, jp, image, "boolean" if jp.is_antichain() else "distributive")
     return rep, _new(LatticeHom, a, rep, image)
 
 
@@ -822,14 +819,13 @@ def ideal_completion(a: FinLattice) -> tuple[FinLattice, LatticeHom]:
     """Lattice of ideals (lower, join-closed, containing bottom) of ``a``.
 
     At finite scale every ideal is principal (it is the down-set of its
-    join), so the ideals are the down-sets ``down(x)``; the unit
-    ``x -> down(x)`` is asserted to be an isomorphism.
+    join), and ``down(x)`` holds ``down(j)`` iff ``j <= x``: the ideals
+    are ``birkhoff_embedding(a)`` with each point j relabelled
+    ``down(j)``, and the unit ``x -> down(x)`` is the embedding.
     """
-    elems = a.elements
-    down = {x: frozenset(y for y in elems if y <= x) for x in elems}
-    lat, to_elem = lattice_from_abstract(down.values(), lambda i, j: i <= j)
-    unit_graph = {x: to_elem[d] for x, d in down.items()}
-    unit = LatticeHom(a, lat, unit_graph)
-    if not (unit.is_injective() and unit.is_surjective()):
-        raise StructureError("ideal completion is not an isomorphism at finite scale")
-    return lat, unit
+    rep, unit = birkhoff_embedding(a)
+    down = {j: frozenset(y for y in a.elements if y <= j) for j in rep.spectrum.elements}
+    spectrum = rep.spectrum.relabel(down.__getitem__)
+    image = _moved(unit._image, [1 << spectrum._index[d] for d in down.values()])
+    lat = _new(FinLattice, spectrum, image, rep.kind)
+    return lat, _new(LatticeHom, a, lat, image)

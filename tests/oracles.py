@@ -1500,6 +1500,13 @@ def comeager_core(t):
     return core
 
 
+def opens_lattice(t) -> tuple:
+    """The opens of ``t`` as an abstract lattice under inclusion, and each
+    open's element, realized by ``lattice_from_abstract``, which reads the
+    order pair by pair."""
+    return lib_lattice_from_abstract(list(t.opens), frozenset.__le__)
+
+
 def regular_algebra(t) -> FinLattice:
     """The regular opens of ``t`` as an abstract lattice under inclusion,
     realized by ``lattice_from_abstract``, which reads the order pair by pair."""

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 
-from localix import baire
+from localix import baire, lattice
 from localix.baire import (
     FrameTopology,
     baire_decompose,
@@ -195,11 +195,25 @@ def test_regular_open_algebra_matches_the_abstract_realization(t):
     assert baire._comgr(t)[1] == regular_opens(t)
 
 
+@settings(max_examples=200)
+@given(topologies(max_points=6))
+def test_opens_lattice_matches_the_abstract_realization(t):
+    lat, image = t.opens_lattice()
+    want_lat, want_image = oracles.opens_lattice(t)
+    assert lat == want_lat
+    assert lat.spectrum.elements == want_lat.spectrum.elements
+    assert image == want_image
+    for k in range(len(t.reps) + 1):
+        for s in itertools.combinations(t.reps, k):
+            b = frozenset(s)
+            assert t.is_open(b) == any(o == b for o in t.opens)
+
+
 def test_regular_open_algebra_reads_no_order_pairs(monkeypatch):
     def scan(*args):
         raise AssertionError("the regular opens were compared pairwise")
 
-    monkeypatch.setattr(baire, "lattice_from_abstract", scan)
+    monkeypatch.setattr(lattice, "lattice_from_abstract", scan)
     pts = [f"x{i}" for i in range(10)]
     subsets = itertools.product((0, 1), repeat=len(pts))
     t = FrameTopology(pts, [frozenset(itertools.compress(pts, b)) for b in subsets])

@@ -65,6 +65,15 @@ def test_birkhoff_round_trip_exhaustive_small():
         assert lattice_isomorphic(a, rep)
 
 
+@settings(max_examples=200)
+@given(small_lattices(max_points=5))
+def test_birkhoff_embedding_is_the_lower_sets_of_the_irreducibles(a):
+    # the representation built from the image is the one listed afresh
+    rep, iso = birkhoff_embedding(a)
+    assert rep == lower_sets(join_irreducibles(a))
+    assert iso.graph == {x: frozenset(j for j in rep.spectrum.elements if j <= x) for x in a.elements}
+
+
 def test_join_irreducibles_of_powerset_are_atoms():
     b = powerset_lattice("abc")
     jp = join_irreducibles(b)
@@ -181,8 +190,9 @@ def test_product_decompose_round_trip():
 
 
 def test_ideal_completion_is_identity_at_finite_scale(rng):
-    for _ in range(5):
-        a = lower_sets(random_poset(rng, 4))
+    # a chain and a Boolean lattice besides the random ones: both kinds
+    inputs = [lower_sets(random_poset(rng, 4)) for _ in range(5)]
+    for a in inputs + [lower_sets(chain_poset(4)), powerset_lattice("abc")]:
         lat, unit = ideal_completion(a)
         assert len(lat) == len(a)
         want_lat, want_graph = oracles.ideal_completion(a)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from localix.budgets import DEFAULT_BUDGETS
 from localix.errors import DomainError, ResourceBudgetError
-from localix.lattice import lower_sets
+from localix.lattice import lower_sets, powerset_lattice
 from localix.order import FinPoset
 from localix.posite import (
     PolyOrder,
@@ -78,6 +78,21 @@ def test_nullary_cover_forces_bottom():
     c = saturate_coverage(a, [])
     lat, _ = cov_ideals(c, include_empty_join=True)
     assert len(lat) == 3  # every ideal now contains bottom
+
+
+def test_coverage_ideals_are_not_closed_under_union():
+    # so they are no ring of sets, and cov_ideals realizes them from their
+    # order: in the canonical coverage of 2^{a,b}, {a,b} is covered by
+    # {a} and {b}, so the union of their ideals is not an ideal
+    base = powerset_lattice("ab")
+    c = canonical_coverage(base)
+    lat, to_elem = cov_ideals(c)
+    a, b = frozenset("a"), frozenset("b")
+    down_a, down_b = frozenset([base.bot, a]), frozenset([base.bot, b])
+    assert down_a in to_elem and down_b in to_elem
+    assert c.covers(base.top, [a, b])
+    assert down_a | down_b not in to_elem
+    assert len(lat) == 4 and lat.kind == "boolean"
 
 
 def test_generated_vs_saturated_ideals_agree(rng):

@@ -19,6 +19,7 @@ import tracemalloc
 import pytest
 
 from localix import dsl, lattice, presented, pruning
+from localix.baire import FrameTopology
 from localix.cli import main
 from localix.errors import ResourceBudgetError, StructureError
 from localix.interp import interpolate_sequent
@@ -258,24 +259,23 @@ def test_prune_diagram_file_past_the_budget_is_refused_before_validation(tmp_pat
 
 
 
-def _refuse_powersets(monkeypatch):
-    """Patch ``powerset_lattice``, in every ``localix`` module that binds it, to raise."""
-    def no_powerset(*args):
-        raise AssertionError("a powerset lattice was built")
+def _refuse_everywhere(monkeypatch, real):
+    """Patch the function ``real``, in every ``localix`` module that binds it, to raise."""
+    def refused(*args):
+        raise AssertionError(f"{real.__name__} was called")
 
-    real = lattice.powerset_lattice
     for name, module in list(sys.modules.items()):
         if name == "localix" or name.startswith("localix."):
             for attr, val in list(vars(module).items()):
                 if val is real:
-                    monkeypatch.setattr(module, attr, no_powerset)
+                    monkeypatch.setattr(module, attr, refused)
 
 
 def test_image_on_a_two_hundred_point_domain(monkeypatch):
     # the least cover of a 100-point subset along a 200-point function onto
     # 7 points.  Measured under 0.001 s and a 20 KB peak (traced) on a
     # 2-vCPU VM; the powerset path hit MemoryError from 20 domain points.
-    _refuse_powersets(monkeypatch)
+    _refuse_everywhere(monkeypatch, lattice.powerset_lattice)
     arrows = ", ".join(f"x{i} -> y{i % 7}" for i in range(200))
     cod = ", ".join(f"y{j}" for j in range(7))
     subset = ", ".join(f"x{i}" for i in range(0, 200, 2))
@@ -292,7 +292,7 @@ def test_baire_on_twenty_points_separated_by_nested_opens(monkeypatch):
     # with no two points glued.  Measured at 0.007 s and a 47 KB peak
     # (traced) on a 2-vCPU VM; building the topology's ambient powerset
     # hit MemoryError from 20 points.
-    _refuse_powersets(monkeypatch)
+    _refuse_everywhere(monkeypatch, lattice.powerset_lattice)
     n = 20
     pts = ", ".join(f"x{i}" for i in range(n))
     opens = ", ".join("{" + ", ".join(f"x{i}" for i in range(k + 1)) + "}" for k in range(n))
@@ -303,6 +303,44 @@ def test_baire_on_twenty_points_separated_by_nested_opens(monkeypatch):
     assert rec["comgr"] == "{x0}"
     assert seconds < 2.0
     assert peak < 2 * 2**20
+
+
+def test_opens_of_a_twelve_point_discrete_topology_read_no_order_pairs(monkeypatch):
+    # all 4096 subsets of 12 points are open, the elements budget.  The
+    # lattice of opens is the Birkhoff representation of the one the
+    # topology keeps; realizing it from a subset predicate read 16.8 M
+    # pairs in 5.8 s (55 s traced, at a 13.5 MB peak).  Measured at 0.3 s
+    # untraced, parse included, and a 10.3 MB peak traced on a 2-vCPU VM.
+    _refuse_everywhere(monkeypatch, lattice.lattice_from_abstract)
+    pts = [f"x{i}" for i in range(12)]
+    subsets = [frozenset(itertools.compress(pts, bits)) for bits in itertools.product((0, 1), repeat=12)]
+    opens = ", ".join("{" + ", ".join(sorted(o)) + "}" for o in subsets)
+    text = f"topology T {{ {', '.join(pts)} : {opens} }};\nlattice O = opens T;"
+    t = time.perf_counter()
+    report = dsl.run(dsl.parse(text))
+    seconds = time.perf_counter() - t
+    assert report.exit_code == 0 and not report.records
+    assert seconds < 2.0
+    _, _, peak = _measured(lambda: dsl.run(dsl.parse(text)))
+    assert peak < 64 * 2**20
+    lat, _ = FrameTopology(pts, subsets).opens_lattice()
+    assert len(lat) == 4096 and lat.kind == "boolean"
+
+
+def test_ideals_of_the_empty_coverage_on_a_six_element_base():
+    # the carrier budget admits 6 base elements, so at most 2^6 ideals.
+    # The lower sets of 0 <= 1 beside 2 are the 6-element lattice 2 x 3,
+    # and with no covers every lower set of its element order is an
+    # ideal: 10 of them, the most of any 6-element base.  The ideals are
+    # not closed under union, so they are realized from their order
+    # (``lattice_from_abstract``).  Measured at 1 ms, and 6 ms at a 28 KB
+    # peak traced, on a 2-vCPU VM.
+    script = dsl.parse("poset P { 0, 1, 2 : 0 <= 1 };\nlattice L = downsets P;\ncoverage C on L { };\nideals C;")
+    report, seconds, peak = _measured(lambda: dsl.run(script))
+    (rec,) = report.records
+    assert rec["count"] == 10 and rec["lattice_kind"] == "distributive"
+    assert seconds < 2.0
+    assert peak < 4 * 2**20
 
 
 def test_chain_lattice_keeps_its_elements_as_masks(monkeypatch):
