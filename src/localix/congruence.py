@@ -26,7 +26,8 @@ from typing import Iterable
 
 from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
 from .errors import DomainError, StructureError
-from .lattice import FinLattice, LatticeHom, _bits, _bits_set, lattice_from_abstract
+from .lattice import FinLattice, LatticeHom, lattice_from_abstract
+from .order import _bits, _bits_set
 
 __all__ = [
     "OrderCongruence",

@@ -16,12 +16,16 @@ and ``p`` spectrum points:
 * element order: ``canon_key``, which on masks over the ``canon_key``
   ordered points is (size, bit positions); ``order._canon_sorted`` builds
   these keys by C-level maps, with no Python call per mask;
-* ``least[x]``, the intersection of the elements containing ``x``, read
-  off columns: a fixed chunk of elements at a time is written as one
-  byte string, a byte per bit, in which point x's column (which of the
-  chunk's elements hold x) is every p-th byte, and ``least[x]`` is the
-  ``and`` of the chunk's elements that the column selects.  O(n·p) in
-  C, and no n·p table is held;
+* ``least[x]``, the intersection of the elements containing ``x``, and
+  the number of those elements, read off columns by ``_column_meets``
+  with the elements as both values and keys: a fixed chunk of elements
+  at a time is written as one byte string, a byte per bit, in which
+  point x's column (which of the chunk's elements hold x) is every p-th
+  byte; ``least[x]`` is the ``and`` of the chunk's elements that the
+  column selects, and the count its number of ones.  O(n·p) in C, and
+  no n·p table is held.  An element holds x iff it lies above
+  ``least[x]``, so the count is the size of the principal filter of
+  ``least[x]``, kept per join-irreducible in ``_above``;
 * lower sets: each ``least[x]`` holds the points below x, O(p);
 * closure under intersection and union, certified by a count.  The
   relation "y in least[x]" is a preorder: ``least[x]`` is an element
@@ -41,23 +45,42 @@ and ``p`` spectrum points:
 
 A :class:`LatticeHom` has the same split: its core ``_fill`` takes the
 image of each domain element as a codomain mask, in ``elements`` order,
-and the public constructor encodes a graph of frozensets.  It is checked
-on the masks in O(n·(|J|+|M|)), not on all n² pairs: in a distributive
-lattice join-irreducibles are join-prime and meet-irreducibles (M, the
-largest elements missing a point) are meet-prime, so ``f`` preserves
-binary joins and meets iff ``f(a)`` is the union of ``f(j)`` over
-``j <= a`` in J and the intersection of ``f(m)`` over ``m >= a`` in M.
+and the public constructor encodes a graph of frozensets.  It is
+certified by its dual map of points (Birkhoff; Davey & Priestley, ch.
+5).  A map ``f`` keeping bottom and top is a hom iff, for every codomain
+point y, the pullback ``{a | y in f(a)}`` is a prime filter, which in a
+finite distributive lattice is the principal filter of a
+join-irreducible.  ``_column_meets``, with the domain's masks as values
+and the image masks as keys, gives each pullback's meet c_y and its
+size, and ``f`` passes iff every c_y is a join-irreducible with as many
+elements above it (``_above``) as the pullback holds.  Every member of
+the pullback lies above c_y, so equal counts make it all of the filter.
+Conversely, if each pullback is the filter above a join-irreducible
+c_y, then ``f(a)`` is the set of y with ``c_y <= a``, which keeps meets,
+and keeps joins because a join-irreducible of a distributive lattice is
+join-prime.  O(n·q) in C with q codomain points, and no pair of domain
+elements is visited.  Only a map that fails is scanned, to name the
+first element at which it breaks a formula: join-irreducibles are
+join-prime and meet-irreducibles (M, the largest elements missing a
+point) are meet-prime, so ``f`` keeps binary joins and meets iff
+``f(a)`` is the union of ``f(j)`` over ``j <= a`` in J and the
+intersection of ``f(m)`` over ``m >= a`` in M, and a map that fails the
+count breaks one of them at some a (``_broken_formula``, O(n·(|J|+|M|))
+in Python).
 
 Encoding.  A lattice is its point masks: ``_at`` sends each element's
 mask to its position (its keys are the masks in ``elements`` order), and
 ``_least[x]`` is the mask of the least element containing point x.  The
-join-irreducibles J are the distinct ``_least``; ``_irreducibles`` lists
-them in ``join_irreducibles`` order.  Points with the same ``_least``
-are glued, and a subset S of J is the mask of the points x with
-``_least[x]`` in S.  The meet-irreducibles are read off ``_least`` too:
-per class of glued points, the points whose ``_least`` misses it, the
-largest element missing the class; and the atoms are the classes whose
-``_least`` holds nothing else.  The Hasse covers of an element m, the
+join-irreducibles J are the distinct ``_least``, the keys of
+``_above``; ``_irreducibles`` lists them in ``join_irreducibles`` order,
+and ``_on_irreducibles`` moves element masks onto that numbering, which
+gives ``join_irreducibles`` its down rows and ``birkhoff_embedding`` its
+image.  Points with the same ``_least`` are glued, and a subset S of J
+is the mask of the points x with ``_least[x]`` in S.  The
+meet-irreducibles are read off ``_least`` too: per class of glued
+points, the points whose ``_least`` misses it, the largest element
+missing the class; and the atoms are the classes whose ``_least`` holds
+nothing else.  The Hasse covers of an element m, the
 ``m | j`` for each j in J whose points outside m are all glued, are
 built on first read (``_covers``) and read only by ``to_dot`` and
 ``element_poset``.  The frozensets are built only when read: the
@@ -99,8 +122,10 @@ elements (coverages, DSL records).
 
 JSON.  ``to_json`` writes the spectrum in the poset shape of
 ``order._poset_data`` and each element as the list of its points,
-encoded by ``order._encode``, in spectrum order; ``from_json`` decodes
-them, encodes each element as a mask (``_point_masks``, shared with the
+encoded by ``order._encode``, in spectrum order, picked from the labels
+by the mask's byte selector (``order._selectors``); ``from_json``
+decodes them (``order._decode`` takes an array of scalar labels in one
+pass), encodes each element as a mask (``_point_masks``, shared with the
 public constructor and so raising its errors) and calls the core.
 """
 
@@ -110,14 +135,14 @@ import itertools
 import json
 from functools import reduce
 from itertools import compress, repeat
-from operator import and_, or_
+from operator import add, and_, eq, itemgetter, or_
 from typing import Callable, Hashable, Iterable
 
 from .budgets import Budgets, check_budget
 from .errors import DomainError, NoImageError, PreconditionError, StructureError
 from .order import (
-    FinPoset, _bits, _bits_set, _canon_sorted, _decode, _dot, _lower_masks, _lower_set_masks,
-    _new, _pairs, _poset_data, _poset_from_data, canon_key, poset_isomorphic,
+    _BIT_BYTES, FinPoset, _bits, _canon_sorted, _decode, _dot, _lower_masks, _lower_set_masks,
+    _new, _pairs, _poset_data, _poset_from_data, _selectors, canon_key, poset_isomorphic,
 )
 
 __all__ = [
@@ -139,11 +164,10 @@ __all__ = [
 
 
 _KINDS = ("distributive", "boolean")
-# elements per chunk of ``FinLattice._fill``'s columns, so that a chunk's
-# bit strings stay small however many points there are
+# keys per chunk of ``_column_meets`` and rows per chunk of
+# ``_transposed``, so that a chunk's bit strings stay small however wide
+# they are
 _CHUNK = 128
-# a bit string's "0" and "1" as bytes 0 and 1, true or false for ``compress``
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def _kind(kind: str) -> str:
@@ -176,19 +200,72 @@ def _glued(least: Iterable[int]) -> dict[int, int]:
 
 def _frozensets(points: tuple, masks: Iterable[int]) -> tuple:
     """The point sets of ``masks``, one frozenset each."""
-    return tuple(frozenset(compress(points, _bits_set(m))) for m in masks)
+    return tuple(map(frozenset, map(compress, repeat(points), _selectors(masks, len(points)))))
 
 
 def _moved(masks: Iterable[int], weight: list[int]) -> list[int]:
-    """Each mask with its bit i replaced by ``weight[i]``: distinct single
-    bits move the points to new positions, and 0 drops a point."""
-    return [sum(compress(weight, _bits_set(m))) for m in masks]
+    """Each mask with its bit i replaced by ``weight[i]``: a single bit
+    moves the point to a new position, and 0 drops it.
+
+    The masks must be over the n = ``len(weight)`` points, and the
+    nonzero weights distinct single bits landing on 0..k-1, with k of them
+    (a KeyError otherwise).  Then bit t of a result is the
+    bit of the mask whose weight is ``1 << t``, and one ``itemgetter``
+    picks the result's bit string out of the mask's, highest bit first.
+    A mask's string is ``bin`` of it with bit n set, "0b1" and then its n
+    bits, so index 0 is a "0" to lead with, and the pick is a tuple even
+    for k = 0 or 1."""
+    n = len(weight)
+    src = {w.bit_length() - 1: i for i, w in enumerate(weight) if w}
+    pick = itemgetter(0, 0, *(n + 2 - src[t] for t in reversed(range(len(src)))))
+    rows = map("".join, map(pick, map(bin, map((1 << n).__or__, masks))))
+    return list(map(int, rows, repeat(2)))
+
+
+def _column_meets(values: list[int], keys: list[int], width: int, top: int) -> tuple[list, list]:
+    """For each bit y < ``width`` of the ``keys``, the ``and`` of ``top``
+    and of the ``values`` whose key holds y, and the number of those keys.
+
+    Read off columns: a chunk of keys at a time is written as one byte
+    string, a byte per bit, of ``bin`` of each key with bit ``width`` set
+    ("0b1" and then its bits), so bit y's column (which of the chunk's
+    keys hold y) is every (``width`` + 3)-th byte.  The column selects
+    the chunk's values to ``and``, and its count of ones is the chunk's
+    share of the count.  O(len(keys)·width) in C, and no table of that
+    size is held.  ``FinLattice._fill`` reads ``least`` off the elements
+    keyed by themselves, and ``LatticeHom._fill`` the pullback of each
+    codomain point off the domain keyed by the image (module docstring).
+    """
+    meets, counts = [top] * width, [0] * width
+    pad, stride = 1 << width, width + 3
+    starts = range(stride - 1, 2, -1)  # bit y is byte stride - 1 - y of a row
+    for k in range(0, len(keys), _CHUNK):
+        rows = "".join(map(bin, map(pad.__or__, keys[k : k + _CHUNK]))).encode().translate(_BIT_BYTES)
+        columns = list(map(rows.__getitem__, map(slice, starts, repeat(None), repeat(stride))))
+        chosen = map(compress, repeat(values[k : k + _CHUNK]), columns)
+        meets = list(map(reduce, repeat(and_), chosen, meets))
+        counts = list(map(add, counts, map(bytes.count, columns, repeat(b"\1"))))
+    return meets, counts
+
+
+def _transposed(rows: list[int], n: int) -> list[int]:
+    """The transpose of the n × n bit matrix ``rows``: bit i of row j is
+    bit j of ``rows[i]``.  A chunk of rows at a time, the columns of their
+    bit strings are read by ``zip``, with no Python call per bit; a row's
+    string is ``bin`` of it with bit n set, "0b1" and then its n bits."""
+    out, pad = [0] * n, 1 << n
+    for k in range(0, len(rows), _CHUNK):
+        # the columns of bits 0, 1, ..., n - 1, past the strings' "0b1"
+        columns = list(zip(*map(bin, map(pad.__or__, rows[k : k + _CHUNK]))))[:2:-1]
+        chunk = map(int, map("".join, map(reversed, columns)), repeat(2))
+        out = list(map(or_, out, map(int.__lshift__, chunk, repeat(k))))
+    return out
 
 
 class FinLattice:
     """Immutable finite distributive (or Boolean) lattice of sets."""
 
-    __slots__ = ("spectrum", "kind", "_at", "_least", "_hasse", "_hash", "_elements", "_seen")
+    __slots__ = ("spectrum", "kind", "_at", "_least", "_above", "_hasse", "_hash", "_elements", "_seen")
 
     def __init__(self, spectrum: FinPoset, elements: Iterable[frozenset], kind: str = "distributive"):
         kind = _kind(kind)
@@ -202,15 +279,9 @@ class FinLattice:
         at = dict(zip(ordered, itertools.count()))
         if 0 not in at or full not in at:
             raise StructureError("element family must contain the empty and full set")
-        pts, least = spectrum.elements, [full] * n
-        width, starts = f"0{n}b", range(n - 1, -1, -1)  # bit x is byte n - 1 - x of a row
-        for k in range(0, len(ordered), _CHUNK):
-            # the chunk's bit strings, one byte per bit; point x's column
-            # (which of the chunk's elements hold x) is every n-th byte
-            chunk = ordered[k : k + _CHUNK]
-            rows = "".join(map(format, chunk, repeat(width))).encode().translate(_BIT_BYTES)
-            columns = map(rows.__getitem__, map(slice, starts, repeat(None), repeat(n)))
-            least = list(map(reduce, repeat(and_), map(compress, repeat(chunk), columns), least))
+        pts = spectrum.elements
+        # least[x] holds x, so the elements holding x are those above least[x]
+        least, above = _column_meets(ordered, ordered, n, full)
         down = spectrum._down
         if any(d & ~j for d, j in zip(down, least)):  # the first element that is no lower set
             m, x = next((m, x) for m in ordered for x in _bits(m) if down[x] & ~m)
@@ -233,6 +304,7 @@ class FinLattice:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "_at", at)
         object.__setattr__(self, "_least", tuple(least))
+        object.__setattr__(self, "_above", dict(zip(least, above)))
         object.__setattr__(self, "_hasse", None)
         object.__setattr__(self, "_hash", hash((spectrum, tuple(ordered), kind)))
         object.__setattr__(self, "_elements", None)
@@ -353,7 +425,15 @@ class FinLattice:
     def _irreducibles(self) -> list[int]:
         """The masks of the join-irreducibles, the distinct ``_least``, in
         ``join_irreducibles(self).elements`` order."""
-        return _canon_sorted(set(self._least), len(self._least))
+        return _canon_sorted(self._above, len(self._least))
+
+    def _on_irreducibles(self, irr: list[int], masks: Iterable[int]) -> list[int]:
+        """Each element mask as the set of join-irreducibles below it, bit
+        i for ``irr[i]`` (``irr`` is ``_irreducibles()``): j <= m iff m
+        holds a point whose least element is j, and the first such point
+        takes j's bit."""
+        bit = {j: 1 << i for i, j in enumerate(irr)}
+        return _moved(masks, [bit.pop(j, 0) for j in self._least])
 
     def _hull(self, pts: Iterable) -> frozenset:
         """The least element containing the points ``pts``, the join of
@@ -406,11 +486,12 @@ class FinLattice:
     def to_json(self) -> str:
         spectrum = _poset_data(self.spectrum)
         labels = spectrum["elements"]
+        points = map(compress, repeat(labels), _selectors(self._at, len(labels)))
         return json.dumps(
             {
                 "kind": self.kind,
                 "spectrum": spectrum,
-                "elements": [list(compress(labels, _bits_set(m))) for m in self._at],
+                "elements": list(map(list, points)),
             },
             sort_keys=True,
         )
@@ -451,28 +532,15 @@ class LatticeHom:
         for v in image:
             if v not in cod._at:
                 raise DomainError(f"image {cod.spectrum._set(v)!r} not in codomain")
-        ctop = (1 << len(cod.spectrum)) - 1
-        if image[0] or image[-1] != ctop:  # the bottom and top of dom come first and last
+        q = len(cod.spectrum)
+        if image[0] or image[-1] != (1 << q) - 1:  # the bottom and top of dom come first and last
             raise StructureError("homomorphism must preserve bottom and top")
-        # f(a) must be the union of f(j) over join-irreducibles j <= a and
-        # the intersection of f(m) over meet-irreducibles m >= a (module
-        # docstring), the elements with one upper cover.
-        img = dict(zip(dom._at, image))
-        joins = {j: img[j] for j in dom._least}.items()
-        meets = [(m, img[m]) for m in dom._meet_irreducibles()]
-        for a, fa in img.items():
-            v = ctop
-            for m, fm in meets:
-                if not a & ~m:
-                    v &= fm
-            if v != fa:
-                raise StructureError(f"meet not preserved at {dom._element(a)!r}")
-            v = 0
-            for j, fj in joins:
-                if not j & ~a:
-                    v |= fj
-            if v != fa:
-                raise StructureError(f"join not preserved at {dom._element(a)!r}")
+        # each codomain point y pulls back to {a | y in f(a)}, of meet c_y:
+        # f is a hom iff each c_y is join-irreducible with as many elements
+        # above it as the pullback has (module docstring)
+        meets, counts = _column_meets(list(dom._at), image, q, (1 << len(dom.spectrum)) - 1)
+        if not all(map(eq, map(dom._above.get, meets), counts)):
+            raise _broken_formula(dom, image, q)
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "_image", image)
@@ -514,6 +582,32 @@ class LatticeHom:
         return _new(LatticeHom, a, a, a._at)
 
 
+def _broken_formula(dom: FinLattice, image: tuple, q: int) -> StructureError:
+    """The error naming the first domain element a, in ``elements`` order,
+    at which a map with the given ``image`` masks over ``q`` codomain
+    points, keeping bottom and top, breaks the meet or the join formula:
+    f(a) must be the intersection of f(m) over the meet-irreducibles
+    m >= a and the union of f(j) over the join-irreducibles j <= a.  Only
+    called on a map that fails the pullback count, which breaks one of
+    them (module docstring)."""
+    img = dict(zip(dom._at, image))
+    joins = {j: img[j] for j in dom._least}.items()
+    meets = [(m, img[m]) for m in dom._meet_irreducibles()]
+    for a, fa in img.items():
+        v = (1 << q) - 1
+        for m, fm in meets:
+            if not a & ~m:
+                v &= fm
+        if v != fa:
+            return StructureError(f"meet not preserved at {dom._element(a)!r}")
+        v = 0
+        for j, fj in joins:
+            if not j & ~a:
+                v |= fj
+        if v != fa:
+            return StructureError(f"join not preserved at {dom._element(a)!r}")
+
+
 # -- constructions ----------------------------------------------------------
 
 
@@ -532,12 +626,14 @@ def join_irreducibles(a: FinLattice) -> FinPoset:
 
     An element is join-irreducible when it differs from the join of
     everything strictly below it (so bottom is excluded).  These are the
-    least elements containing each spectrum point.
+    least elements containing each spectrum point.  Their down rows are
+    the irreducibles themselves moved onto their numbering
+    (``FinLattice._on_irreducibles``), and the up rows the transpose.
     """
-    irr = a._irreducibles()
-    up = [sum(1 << i for i, k in enumerate(irr) if j & k == j) for j in irr]
-    down = [sum(1 << i for i, k in enumerate(irr) if j & k == k) for j in irr]
-    return _new(FinPoset, tuple(map(a._element, irr)), up, down)
+    irr, pts = a._irreducibles(), a.spectrum.elements
+    down = a._on_irreducibles(irr, irr)
+    sets = map(frozenset, map(compress, repeat(pts), _selectors(irr, len(pts))))
+    return _new(FinPoset, tuple(sets), _transposed(down, len(irr)), down)
 
 
 def birkhoff_embedding(a: FinLattice) -> tuple[FinLattice, LatticeHom]:
@@ -550,9 +646,7 @@ def birkhoff_embedding(a: FinLattice) -> tuple[FinLattice, LatticeHom]:
     the image of j, so the core's count certifies it is every lower set.
     """
     jp = join_irreducibles(a)
-    # j <= b iff b holds a point whose least element is j; the first such point takes j's bit
-    bit = {j: 1 << i for i, j in enumerate(a._irreducibles())}
-    image = _moved(a._at, [bit.pop(j, 0) for j in a._least])
+    image = a._on_irreducibles(a._irreducibles(), a._at)
     if len(set(image)) != len(a):
         raise StructureError("lattice is not distributive: set representation fails")
     rep = _new(FinLattice, jp, image, "boolean" if jp.is_antichain() else "distributive")
@@ -711,7 +805,7 @@ def _upper_adjoint(f: LatticeHom, c: int) -> int:
     """
     at, image = f.dom._at, f._image
     a = 0
-    for j in set(f.dom._least):
+    for j in f.dom._above:
         if not image[at[j]] & ~c:
             a |= j
     if image[at[a]] & ~c:

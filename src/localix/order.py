@@ -270,11 +270,17 @@ def _encode(x):
     return x
 
 
+# the JSON types of the encoder's arrays and sets
+_COMPOUND = frozenset((list, dict))
+
+
 def _decode(v):
     """The inverse of ``_encode``: arrays come back as tuples.  A label is
     hashable, so no label is itself an array or object, and only the
     encoder's arrays and sets need telling apart."""
     if isinstance(v, list):
+        if _COMPOUND.isdisjoint(map(type, v)):  # an array of scalars, in one pass
+            return tuple(v)
         return tuple(map(_decode, v))
     if isinstance(v, dict):
         return frozenset(map(_decode, v["set"]))
@@ -342,6 +348,10 @@ def _new(cls: type, *core):
 
 
 _REVERSED = itemgetter(slice(None, None, -1))
+# each byte's complement with its bits in reverse order
+_BYTE_KEYS = bytes(int(_REVERSED(f"{255 ^ b:08b}"), 2) for b in range(256))
+# a bit string's "0" and "1" as bytes 0 and 1, true or false for ``compress``
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def _canon_sorted(masks: Iterable[int], n: int) -> list[int]:
@@ -350,13 +360,26 @@ def _canon_sorted(masks: Iterable[int], n: int) -> list[int]:
     positions.  Two sets of one size first differ at the lowest bit of
     their symmetric difference, and the one holding it comes first: it
     is the one whose complement, read as a bit string from bit 0 down,
-    is the smaller number.  The keys come from C-level maps, with no
-    Python call per mask."""
+    is the smaller number.  That string is the mask's bytes,
+    little-endian, each byte complemented and its bits reversed by a
+    256-byte table, and bytes of one length compare as those numbers.  So
+    the masks are sorted by it and then by size, both stable sorts.  The
+    keys come from C-level maps, with no Python call per mask."""
+    width = (n + 7) // 8
     masks = list(masks)
-    full = (1 << n) - 1
-    rev = map(_REVERSED, map(format, map(full.__xor__, masks), repeat(f"0{n}b")))
-    keyed = sorted(zip(map(int.bit_count, masks), map(int, rev, repeat(2)), masks))
-    return list(map(itemgetter(2), keyed))
+    keys = map(int.to_bytes, masks, repeat(width), repeat("little"))
+    masks.sort(key=dict(zip(masks, map(bytes.translate, keys, repeat(_BYTE_KEYS)))).__getitem__)
+    masks.sort(key=int.bit_count)
+    return masks
+
+
+def _selectors(masks: Iterable[int], n: int) -> Iterator[bytes]:
+    """Each mask over ``n`` points as bytes whose first ``n`` are 1 at the
+    set bits and 0 elsewhere: a selector for ``compress`` on ``n`` labels,
+    made by C-level maps.  It is ``bin`` of the mask with bit n set,
+    reversed, so "1b0" trails the n bits and ``compress`` never reaches it."""
+    rows = map(_REVERSED, map(bin, map((1 << n).__or__, masks)))
+    return map(bytes.translate, map(str.encode, rows), repeat(_BIT_BYTES))
 
 
 def _lower_masks(

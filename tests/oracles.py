@@ -31,7 +31,10 @@ on masks over the carrier.  A lattice's element frozensets, its JSON
 encoding and decoding, and the hom check are rebuilt from frozensets:
 the library keeps masks and builds frozensets only when they are read.
 The JSON oracles share no codec with the library: labels are written
-by ``json_value`` and read back by a ``json.loads`` object hook.
+by ``json_value`` and read back by a ``json.loads`` object hook.  The
+mask codecs keep their earlier per-mask forms: the canon sort by a key
+read off each complement's reversed bit string, and the moved masks as
+sums of the weights of their set bits.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from localix.dissolution import Dissolution, neg
 from localix.errors import DomainError, NoImageError, PreconditionError, StructureError
 from localix.lattice import FinLattice, LatticeHom, _bits
 from localix.lattice import lattice_from_abstract as lib_lattice_from_abstract
-from localix.order import FinPoset, _label, canon_key, lower_sets_of
+from localix.order import FinPoset, _bits_set, _label, canon_key, lower_sets_of
 from localix.posite import Coverage, PolyOrder
 from localix.presented import Presentation, check_assignment, join, presentation_of_lattice, var
 from localix.pruning import CoDiagram, Relation, prune_sequence
@@ -233,6 +236,20 @@ def lattice_elements(spectrum: FinPoset, elements, kind: str = "distributive") -
     return elems
 
 
+def canon_sorted(masks, n: int) -> list[int]:
+    """The masks over ``n`` points in ``canon_key`` order of their point
+    sets, keyed by size and then by the complement's bit string, read
+    from bit 0 down as a binary number."""
+    full = (1 << n) - 1
+    return sorted(masks, key=lambda m: (m.bit_count(), int(format(full ^ m, f"0{n}b")[::-1], 2)))
+
+
+def moved(masks, weight: list[int]) -> list[int]:
+    """Each mask with its bit i replaced by ``weight[i]``: the sum of the
+    weights of its set bits."""
+    return [sum(itertools.compress(weight, _bits_set(m))) for m in masks]
+
+
 def check_hom(dom, cod, graph: dict) -> None:
     """The checks ``LatticeHom`` makes, with every pair of domain elements."""
     if set(graph) != set(dom.elements):
@@ -310,8 +327,9 @@ def lattice_from_json(text: str) -> FinLattice:
 
 
 def hom_on_graph(dom: FinLattice, cod: FinLattice, graph: dict) -> None:
-    """The checks ``LatticeHom`` makes, read off the graph's frozensets: the
-    join- and meet-irreducible certificate of the module docstring of
+    """The errors ``LatticeHom`` raises, read off the graph's frozensets: a
+    map that is no hom is named by the first element at which it breaks
+    the join- or meet-irreducible formula of the module docstring of
     ``localix.lattice``, element by element."""
     if set(graph) != set(dom.elements):
         raise DomainError("graph must be defined on exactly the domain elements")

@@ -385,9 +385,9 @@ def test_mask_core_equals_the_public_constructor(p, shape):
     assert list(jp._index) == list(again._index)
 
 
-@given(posets(max_points=3), posets(max_points=3), st.data())
-def test_hom_accepts_what_the_pairwise_oracle_accepts(p, q, data):
-    a, b = lower_sets(p), lower_sets(q)
+@given(small_lattices(), small_lattices(), st.data())
+def test_hom_accepts_what_the_pairwise_oracle_accepts(a, b, data):
+    # glued spectra too, where the points and the join-irreducibles differ
     homs = enumerate_homs(a, b)
     if homs and data.draw(st.booleans()):
         graph = dict(data.draw(st.sampled_from(homs)).graph)
@@ -399,6 +399,40 @@ def test_hom_accepts_what_the_pairwise_oracle_accepts(p, q, data):
     want = _outcome(oracles.check_hom, a, b, graph)
     got = _outcome(LatticeHom, a, b, graph)
     assert (None if isinstance(got, LatticeHom) else got) == want
+
+
+def _weights(keep: list, targets: list) -> list:
+    """The weights of ``lattice._moved`` that send the kept points, in
+    order, to the bits ``targets`` and drop the rest."""
+    moves = iter(targets)
+    return [1 << next(moves) if k else 0 for k in keep]
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_moved_matches_the_weight_sum_on_every_partial_permutation(n):
+    # every subset of points kept, 0 and 1 of them included, in every order
+    for keep in itertools.product((False, True), repeat=n):
+        for targets in itertools.permutations(range(sum(keep))):
+            weight = _weights(keep, targets)
+            masks = range(1 << n)
+            assert lattice._moved(masks, weight) == oracles.moved(masks, weight)
+
+
+@given(st.integers(0, 20), st.data())
+def test_moved_matches_the_weight_sum(n, data):
+    keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    weight = _weights(keep, data.draw(st.permutations(range(sum(keep)))))
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=20))
+    assert lattice._moved(masks, weight) == oracles.moved(masks, weight)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 300), st.randoms(use_true_random=False))
+def test_transposed_matches_the_bit_by_bit_transpose(n, rng):
+    # past 128 rows the transpose is read a chunk of rows at a time
+    rows = [rng.getrandbits(n) if n else 0 for _ in range(n)]
+    want = [sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)]
+    assert lattice._transposed(rows, n) == want
 
 
 @st.composite

@@ -114,6 +114,13 @@ def test_canon_sorted_lists_the_point_sets_in_canon_key_order(n, data):
     assert list(map(points, _canon_sorted(masks, n))) == sorted(map(points, masks), key=canon_key)
 
 
+@given(st.integers(0, 20), st.data())
+def test_canon_sorted_matches_the_string_key_across_byte_boundaries(n, data):
+    # the byte-reversed key crosses byte boundaries at 8 and 16 points
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+    assert _canon_sorted(masks, n) == oracles.canon_sorted(masks, n)
+
+
 def test_isomorphism_positive_negative():
     p = FinPoset("ab", [("a", "b")])
     q = FinPoset("xy", [("y", "x")])

@@ -359,6 +359,28 @@ def test_chain_lattice_keeps_its_elements_as_masks(monkeypatch):
     assert peak < 4 * 2**20
 
 
+def test_homs_on_a_1024_point_chain_are_certified_by_the_column_pass(monkeypatch):
+    # The 1025 lower sets of a 1024-point chain: the identity and the
+    # Birkhoff unit are certified by the pullback count, and the scan of
+    # the meet and join formulas, which only names a failure, never runs.
+    # Measured traced on a 2-vCPU VM: the identity in 1.0 s at a 0.7 MB
+    # peak (14.2 s with the scan as the certificate), the embedding in
+    # 2.1 s at a 27 MB peak (20.4 s), most of the peak the 1024
+    # irreducible frozensets of ``join_irreducibles``.  Untraced they take
+    # 0.04 s and 0.24 s (0.32 s and 0.77 s before).
+    def scan(*args):
+        raise AssertionError("the formula scan ran on a hom")
+
+    monkeypatch.setattr(lattice, "_broken_formula", scan)
+    a = lattice.lower_sets(FinPoset(range(1024), [(i, i + 1) for i in range(1023)]))
+    _, seconds, peak = _measured(lambda: lattice.LatticeHom.identity(a))
+    assert seconds < 5.0
+    assert peak < 8 * 2**20
+    _, seconds, peak = _measured(lambda: lattice.birkhoff_embedding(a))
+    assert seconds < 10.0
+    assert peak < 64 * 2**20
+
+
 def test_a_family_far_from_closed_is_refused_by_the_capped_count():
     # The empty set, the 40 singletons and the full set of a 40-point
     # antichain: 42 elements, whose down-set preorder has 2^40 down-sets.
