@@ -43,7 +43,6 @@ from .errors import (
     UnstabilizedError,
 )
 from .interp import (
-    InterpolationProblem,
     bilax_separators,
     cocomma_interpolant,
     interpolate_sequent,

@@ -7,30 +7,36 @@ LOCALIX_BUDGETS environment variable (e.g. ``gens=24,carrier=8``).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
 
+from ._record import Record
 from .errors import DomainError, ResourceBudgetError
 
 __all__ = ["Budgets", "DEFAULT_BUDGETS", "budgets_from_env", "check_budget"]
 
 
-@dataclass(frozen=True)
-class Budgets:
-    gens: int = 20            # presentation generators (2^gens valuations)
-    carrier: int = 6          # polyposet / coverage base carrier size
-    elements: int = 4096      # materialized lattice size
-    sequent_gens: int = 6     # distinct generators per sequent (2^n-bit tables)
-    sequent_depth: int = 5    # term nesting depth
-    diagram: int = 64         # total diagram level size
-    unsafe: bool = False      # when set, budgets are not enforced
+class Budgets(Record):
+    __slots__ = ("gens", "carrier", "elements", "sequent_gens", "sequent_depth", "diagram", "unsafe")
+
+    def __init__(
+        self,
+        gens: int = 20,            # presentation generators (2^gens valuations)
+        carrier: int = 6,          # polyposet / coverage base carrier size
+        elements: int = 4096,      # materialized lattice size
+        sequent_gens: int = 6,     # distinct generators per sequent (2^n-bit tables)
+        sequent_depth: int = 5,    # term nesting depth
+        diagram: int = 64,         # total diagram level size
+        unsafe: bool = False,      # when set, budgets are not enforced
+    ):
+        super().__init__(gens, carrier, elements, sequent_gens, sequent_depth, diagram, unsafe)
 
     def bumped(self, **kw) -> "Budgets":
-        return replace(self, **kw)
+        """A copy with the fields named in ``kw`` replaced."""
+        return type(self)(**{f: getattr(self, f) for f in self._fields} | kw)
 
 
 DEFAULT_BUDGETS = Budgets()
 
-_FIELDS = {"gens", "carrier", "elements", "sequent_gens", "sequent_depth", "diagram"}
+_FIELDS = frozenset(Budgets._fields) - {"unsafe"}
 
 
 def budgets_from_env(base: Budgets = DEFAULT_BUDGETS) -> Budgets:

@@ -6,11 +6,12 @@ and the queries dispatching to the engine modules.  Parsing is
 recursive descent over a hand-rolled token stream; every statement
 renders back to canonical text that re-parses to an equal script.
 
-Each statement kind is one class holding its keywords, its fields (in
-``__slots__``), ``parse``, ``render`` and ``run``.  Defining the class
-enters its keywords in ``_TABLE``, which maps each keyword to its
-class in declaration order: the parser dispatches on it and lists its
-keys when a statement starts with an unknown name.  The first keyword
+Each statement kind is one class: a ``Record`` (``_record``) with its
+fields in ``__slots__``, plus its keywords, ``parse``, ``render`` and
+``run``.  Defining the class enters its keywords in ``_TABLE``, which
+maps each keyword to its class in declaration order: the parser
+dispatches on it and lists its keys when a statement starts with an
+unknown name.  The first keyword
 names the statement: ``render`` writes it, ``run`` uses it as the kind
 of the record it adds, and a declaration binds its name as that kind.
 
@@ -28,6 +29,7 @@ from typing import Optional
 
 from . import presented as pr
 from . import sequent as sq
+from ._record import Record
 from .baire import FrameTopology, _comgr, baire_decompose
 from .budgets import Budgets, DEFAULT_BUDGETS, check_budget
 from .dissolution import dissolve
@@ -296,42 +298,17 @@ def _render_sequent(seq: tuple) -> str:
 _TABLE: dict = {}  # keyword -> statement class, in declaration order
 
 
-class _Node:
-    """An immutable syntax node holding the fields named in ``__slots__``.
-
-    Nodes of one type are equal when their fields are; the constructor
-    takes the fields in order.  A statement class also names its
-    ``keywords`` and provides ``parse(p, keyword)``, ``render()`` and
-    ``run(runner)``.
-    """
+class _Node(Record):
+    """A syntax node; a statement class also names its ``keywords`` and
+    provides ``parse(p, keyword)``, ``render()`` and ``run(runner)``."""
 
     __slots__ = ()
     keywords: tuple = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(f for c in reversed(cls.__mro__) for f in c.__dict__.get("__slots__", ()))
+        super().__init_subclass__()
         cls.keyword = cls.keywords[0] if cls.keywords else None
         _TABLE.update(dict.fromkeys(cls.keywords, cls))
-
-    def __init__(self, *values):
-        for f, v in zip(self._fields, values, strict=True):
-            object.__setattr__(self, f, v)
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _key(self) -> tuple:
-        return (type(self), *(getattr(self, f) for f in self._fields))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Node) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({body})"
 
 
 class GensDecl(_Node):

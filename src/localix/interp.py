@@ -15,7 +15,6 @@ has just validated and does not validate it again;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
@@ -42,7 +41,6 @@ from .sequent import (
 )
 
 __all__ = [
-    "InterpolationProblem",
     "maehara_interpolant",
     "interpolate_sequent",
     "pushout_separators",
@@ -50,24 +48,6 @@ __all__ = [
     "bilax_separators",
     "novikov_separate",
 ]
-
-
-@dataclass(frozen=True)
-class InterpolationProblem:
-    """Either a derivation with a generator split, or algebraic data."""
-
-    derivation: Optional[Derivation] = None
-    left: frozenset = frozenset()
-    right: frozenset = frozenset()
-    homs: tuple = ()
-    elements: tuple = ()
-    target: object = None
-
-    def __post_init__(self):
-        if self.derivation is None and not self.homs:
-            raise DomainError("problem needs a derivation or algebraic homs")
-        if self.homs and any(h.dom != self.homs[0].dom for h in self.homs):
-            raise DomainError("algebraic homs must share a source")
 
 
 def _split(groups, left: frozenset, right: frozenset) -> tuple[frozenset, frozenset]:

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import sequent as sq
+from ._record import Record
 from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
 from .errors import DomainError, NoImageError, PreconditionError, ResourceBudgetError, StructureError
 from .lattice import (
@@ -133,23 +133,21 @@ def _check_term(t: tuple, gens: frozenset, boolean: bool) -> None:
     raise DomainError(f"unknown term operator {op!r}")
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Generators plus inequations ``lhs <= rhs`` between terms."""
 
-    gens: tuple
-    rels: tuple
-    kind: str = "distributive"
+    __slots__ = ("gens", "rels", "kind")
 
-    def __post_init__(self):
-        if self.kind not in ("distributive", "boolean"):
-            raise DomainError(f"unknown presentation kind {self.kind!r}")
-        if len(set(self.gens)) != len(self.gens):
+    def __init__(self, gens: tuple, rels: tuple, kind: str = "distributive"):
+        super().__init__(gens, rels, kind)
+        if kind not in ("distributive", "boolean"):
+            raise DomainError(f"unknown presentation kind {kind!r}")
+        if len(set(gens)) != len(gens):
             raise DomainError("duplicate generator names")
-        gset = frozenset(self.gens)
-        for lhs, rhs in self.rels:
-            _check_term(lhs, gset, self.kind == "boolean")
-            _check_term(rhs, gset, self.kind == "boolean")
+        gset = frozenset(gens)
+        for lhs, rhs in rels:
+            _check_term(lhs, gset, kind == "boolean")
+            _check_term(rhs, gset, kind == "boolean")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -163,12 +161,10 @@ class Presentation:
         return Presentation(_decode(data["gens"]), _decode(data["rels"]), data["kind"])
 
 
-@dataclass(frozen=True)
-class SpecModel:
+class SpecModel(Record):
     """All satisfying 2-valuations of a presentation, in lexicographic order."""
 
-    presentation: Presentation
-    points: tuple  # each point is a tuple of bools aligned with gens
+    __slots__ = ("presentation", "points")  # each point is a tuple of bools aligned with gens
 
 
 def _models(p: Presentation, budgets: Budgets) -> int:

@@ -10,10 +10,10 @@ relation's rank and pruning are read off its descent lengths instead.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Optional
 
+from ._record import Record
 from .budgets import Budgets, check_budget
 from .errors import DomainError, StructureError, UnstabilizedError
 from .order import FinPoset, _bits, _decode, _encode, _escaped, _sorted, canon_key
@@ -30,14 +30,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Relation:
-    carrier: tuple
-    pairs: frozenset
+class Relation(Record):
+    __slots__ = ("carrier", "pairs")
 
-    def __post_init__(self):
-        cs = set(self.carrier)
-        for a, b in self.pairs:
+    def __init__(self, carrier: tuple, pairs: frozenset):
+        super().__init__(carrier, pairs)
+        cs = set(carrier)
+        for a, b in pairs:
             if a not in cs or b not in cs:
                 raise DomainError(f"pair ({a!r}, {b!r}) escapes the carrier")
 

@@ -16,10 +16,10 @@ node of the derivation once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional
 
+from ._record import Record
 from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
 from .errors import DomainError, StructureError
 from .order import canon_key
@@ -186,13 +186,13 @@ def eval_term(t: Term, v: Mapping) -> bool:
     return any(eval_term(c, v) for c in t.children)
 
 
-@dataclass(frozen=True)
-class Sequent:
-    left: frozenset
-    right: frozenset
+class Sequent(Record):
+    __slots__ = ("left", "right")
 
-    def __post_init__(self):
-        for t in self.left | self.right:
+    def __init__(self, left: frozenset, right: frozenset):
+        object.__setattr__(self, "left", left)  # as ``Derivation`` does
+        object.__setattr__(self, "right", right)
+        for t in left | right:
             if not isinstance(t, Term):
                 raise DomainError("sequent sides must contain terms")
 
@@ -206,8 +206,7 @@ class Sequent:
         return f"{side(self.left)} |- {side(self.right)}"
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Record):
     """A one-sided derivation, a DAG when equal sub-sequents share a node.
 
     ``validate`` re-checks every distinct node (by identity) once, in
@@ -215,10 +214,14 @@ class Derivation:
     whole tree would raise first.
     """
 
-    sequent: frozenset
-    rule: str
-    principal: Optional[Term]
-    children: tuple
+    __slots__ = ("sequent", "rule", "principal", "children")
+
+    def __init__(self, sequent: frozenset, rule: str, principal: Optional[Term], children: tuple):
+        # field by field, faster than ``Record.__init__``: one per ``_replay`` node
+        object.__setattr__(self, "sequent", sequent)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "principal", principal)
+        object.__setattr__(self, "children", children)
 
     def validate(self) -> None:
         seen: set[int] = set()
@@ -287,11 +290,13 @@ class Derivation:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class ProofResult:
-    derivable: bool
-    derivation: Optional[Derivation]
-    countermodel: Optional[dict]
+class ProofResult(Record):
+    __slots__ = ("derivable", "derivation", "countermodel")
+
+    def __init__(self, derivable: bool, derivation: Optional[Derivation], countermodel: Optional[dict]):
+        object.__setattr__(self, "derivable", derivable)  # as ``Derivation`` does
+        object.__setattr__(self, "derivation", derivation)
+        object.__setattr__(self, "countermodel", countermodel)
 
 
 def _as_one_sided(s) -> frozenset:

@@ -34,13 +34,17 @@ The JSON oracles share no codec with the library: labels are written
 by ``json_value`` and read back by a ``json.loads`` object hook.  The
 mask codecs keep their earlier per-mask forms: the canon sort by a key
 read off each complement's reversed bit string, and the moved masks as
-sums of the weights of their set bits.
+sums of the weights of their set bits.  The value records
+(``Budgets``, ``Presentation``, ``Relation``, ``Sequent``) keep their
+earlier forms as frozen dataclasses, named alike so that they print
+alike.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
@@ -52,7 +56,7 @@ from localix.lattice import FinLattice, LatticeHom, _bits
 from localix.lattice import lattice_from_abstract as lib_lattice_from_abstract
 from localix.order import FinPoset, _bits_set, _label, canon_key, lower_sets_of
 from localix.posite import Coverage, PolyOrder
-from localix.presented import Presentation, check_assignment, join, presentation_of_lattice, var
+from localix.presented import Presentation, _check_term, check_assignment, join, presentation_of_lattice, var
 from localix.pruning import CoDiagram, Relation, prune_sequence
 from localix.sequent import (
     BOT,
@@ -1498,6 +1502,65 @@ def bilax_presentation(fs, gs) -> tuple:
     for h, irr in zip(gs, irrs[len(fs):]):
         rels += [(_join_term(irr_a, x), _join_term(irr, h(x))) for x in a.elements]
     return Presentation(tuple(gens), tuple(rels), "distributive"), irr_a, irrs
+
+
+@dataclass(frozen=True)
+class BudgetsTwin:
+    __qualname__ = "Budgets"
+
+    gens: int = 20
+    carrier: int = 6
+    elements: int = 4096
+    sequent_gens: int = 6
+    sequent_depth: int = 5
+    diagram: int = 64
+    unsafe: bool = False
+
+
+@dataclass(frozen=True)
+class PresentationTwin:
+    __qualname__ = "Presentation"
+
+    gens: tuple
+    rels: tuple
+    kind: str = "distributive"
+
+    def __post_init__(self):
+        if self.kind not in ("distributive", "boolean"):
+            raise DomainError(f"unknown presentation kind {self.kind!r}")
+        if len(set(self.gens)) != len(self.gens):
+            raise DomainError("duplicate generator names")
+        gset = frozenset(self.gens)
+        for lhs, rhs in self.rels:
+            _check_term(lhs, gset, self.kind == "boolean")
+            _check_term(rhs, gset, self.kind == "boolean")
+
+
+@dataclass(frozen=True)
+class RelationTwin:
+    __qualname__ = "Relation"
+
+    carrier: tuple
+    pairs: frozenset
+
+    def __post_init__(self):
+        cs = set(self.carrier)
+        for a, b in self.pairs:
+            if a not in cs or b not in cs:
+                raise DomainError(f"pair ({a!r}, {b!r}) escapes the carrier")
+
+
+@dataclass(frozen=True)
+class SequentTwin:
+    __qualname__ = "Sequent"
+
+    left: frozenset
+    right: frozenset
+
+    def __post_init__(self):
+        for t in self.left | self.right:
+            if not isinstance(t, Term):
+                raise DomainError("sequent sides must contain terms")
 
 
 def interior(t, b):

@@ -12,7 +12,6 @@ from localix.errors import (
     ResourceBudgetError,
 )
 from localix.interp import (
-    InterpolationProblem,
     bilax_separators,
     cocomma_interpolant,
     interpolate_sequent,
@@ -300,11 +299,6 @@ def test_maehara_checks_the_generator_budget_before_any_table(monkeypatch):
     monkeypatch.setattr(Derivation, "validate", fail)
     with pytest.raises(ResourceBudgetError):
         maehara_interpolant(d, set(gens), {"a"})
-
-
-def test_problem_validation():
-    with pytest.raises(DomainError):
-        InterpolationProblem()
 
 
 # -- algebraic separators -----------------------------------------------------
