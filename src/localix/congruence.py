@@ -101,9 +101,11 @@ def _column_rule(below: Iterable[Iterable[int]], r: list[int], cols: list[int]) 
 
 def _check_subsets(budgets: Budgets, a: FinLattice) -> None:
     """One structure per subset of J, each with a row per element: check
-    both counts against the ``elements`` budget, before J is listed."""
+    both counts against the ``elements`` budget, before J is listed.
+    Past the limit's bit length 2^|J| exceeds it anyway, so the first
+    count is capped there and shown as a power, never in digits."""
     nj = len(set(a._least))
-    check_budget(budgets, "elements", 2 ** nj)
+    check_budget(budgets, "elements", 1 << min(nj, budgets.elements.bit_length()), f"2^{nj}")
     check_budget(budgets, "elements", len(a) << nj)
 
 

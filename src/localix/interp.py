@@ -9,8 +9,10 @@ upper adjoint).  Every witness is re-checked before it is returned.
 Sequent interpolants are read off a derivation of split sequents, once
 per distinct node, and their two obligations are certified on truth
 tables.  ``interpolate_sequent`` extracts from the derivation ``prove``
-has just validated and does not validate it again;
-``maehara_interpolant``, which takes any derivation, does.
+has just validated, and certifies on the subterm tables ``prove`` built,
+so the sequent is validated, collected and tabulated once.
+``maehara_interpolant``, which takes any derivation, validates it and
+makes its own pass.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ from .sequent import (
     TOP,
     Derivation,
     Term,
-    _collect,
+    _by_key,
+    _prove,
+    _table,
     _tables,
     neg,
-    prove,
     term_key,
     term_vars,
 )
@@ -104,7 +107,8 @@ def maehara_interpolant(
     pinned = blocks or {}
     groups = [((t,), pinned[t]) for t in d.sequent if t in pinned]
     groups.append(([t for t in d.sequent if t not in pinned], "LR"))
-    return _extract(d, left, right, *_split(groups, left, right))
+    lpart, rpart = _split(groups, left, right)
+    return _extract(d, left, right, lpart, rpart, _tables(d.sequent))
 
 
 def _flat(kind: str, parts: Iterable[Term]) -> Term:
@@ -122,7 +126,8 @@ def _flat(kind: str, parts: Iterable[Term]) -> Term:
 
 
 def _extract(
-    d: Derivation, left: frozenset, right: frozenset, lpart: frozenset, rpart: frozenset
+    d: Derivation, left: frozenset, right: frozenset, lpart: frozenset, rpart: frozenset,
+    tables: tuple,
 ) -> Term:
     """The interpolant of the validated ``d`` for the split ``lpart ; rpart``.
 
@@ -134,13 +139,15 @@ def _extract(
     part) is extracted once.  The result is certified: its generators
     are shared, and |- lpart, I and |- rpart, not I hold on truth tables
     over the root's generators.
+
+    ``tables`` is the root's subterm pass, as ``_tables`` returns it: its
+    keys rank the subterms, and its tables certify the obligations, with
+    only the interpolant's own table computed here.
     """
-    subterms: dict[Term, None] = {}
-    for t in d.sequent:
-        _collect(t, subterms)
-    bit = {t: 1 << r for r, t in enumerate(subterms)}
+    table, gen_masks, full = tables
+    bit = {t: 1 << r for r, t in enumerate(table)}
     # complementary pairs, in term_key order of their positive literal
-    pos = sorted((t for t in subterms if t.kind == "pos" and t.dual in bit), key=term_key)
+    pos = sorted((t for t in table if t.kind == "pos" and t.dual in bit), key=_by_key)
     pairs = [(bit[t] | bit[t.dual], bit[t], t) for t in pos]
     masks: dict[int, int] = {}
     memo: dict[tuple, Term] = {}
@@ -182,15 +189,15 @@ def _extract(
     i = go(d, sum(map(bit.__getitem__, lpart)), sum(map(bit.__getitem__, rpart)))
     if not term_vars(i) <= left & right:
         raise StructureError("interpolant escapes the shared generators")
-    table, _, full = _tables(d.sequent | {i})
+    it = _table(i, gen_masks, full, table)
     lt = rt = 0
     for t in lpart:
         lt |= table[t]
     for t in rpart:
         rt |= table[t]
-    if lt | table[i] != full:
+    if lt | it != full:
         raise StructureError("left interpolation obligation fails on its truth table")
-    if rt | (full ^ table[i]) != full:
+    if rt | (full ^ it) != full:
         raise StructureError("right interpolation obligation fails on its truth table")
     return i
 
@@ -204,8 +211,9 @@ def interpolate_sequent(
     the right block, so shared-vocabulary terms interpolate the way the
     turnstile reads; a term on both sides of the one-sided sequent sits
     in both parts when it fits both.  ``prove`` has just checked the
-    budgets and validated the derivation, so extraction does neither
-    again; both obligations are certified on truth tables.
+    budgets, validated the derivation and tabulated its subterms, so
+    extraction does none of these again; both obligations are certified
+    on those truth tables.
     """
     return _interpolate(s, left, right, budgets)[:2]
 
@@ -214,11 +222,12 @@ def _interpolate(s, left: Iterable, right: Iterable, budgets: Budgets) -> tuple:
     """``interpolate_sequent`` plus the split it certified, the parts
     with |- lpart, I and |- rpart, not I."""
     left, right = frozenset(left), frozenset(right)
-    result = prove(s, budgets=budgets)
+    result, tables = _prove(s, "finitary", budgets)
     if not result.derivable:
         raise PreconditionError("derivable", f"{s} is not derivable")
     lpart, rpart = _split([([neg(t) for t in s.left], "LR"), (s.right, "RL")], left, right)
-    return _extract(result.derivation, left, right, lpart, rpart), result.derivation, lpart, rpart
+    d = result.derivation
+    return _extract(d, left, right, lpart, rpart, tables), d, lpart, rpart
 
 
 # -- Boolean pushout separation ----------------------------------------------

@@ -7,16 +7,20 @@ A two-sided sequent A |- B is decided through its one-sided form
 |- notA, B.  With n generators a term's meaning is its truth table, one
 int of 2^n bits (bit i is the i-th valuation in ``itertools.product``
 order), and the one-sided sequent is valid iff the OR of its tables is
-all ones.  A valid sequent's cut-free derivation is then built top-down
-without backtracking, on int masks over the ranks of its subterms in
-``term_key`` order; a refuted one gets the first falsifying valuation
-as its countermodel.  ``Derivation.validate`` re-checks each distinct
-node of the derivation once.
+all ones.  The subterms are collected and tabulated once per call, in
+one post-order pass (``_tables``).  A valid sequent's cut-free
+derivation is then built top-down without backtracking, on int masks
+over the ranks of those subterms in ``term_key`` order; a refuted one
+gets the first falsifying valuation as its countermodel.
+``Derivation.validate`` re-checks each distinct node of the derivation
+once.  Interpolation (``interp``) reads the tables ``_prove`` has just
+built instead of tabulating the sequent again.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
 from ._record import Record
@@ -145,6 +149,9 @@ def term_key(t: Term):
     return t.sort_key
 
 
+_by_key = attrgetter("sort_key")  # ``term_key`` with no Python frame, for the hot sorts
+
+
 def term_vars(t: Term) -> frozenset:
     if t.kind in ("pos", "neg"):
         return frozenset([t.gen])
@@ -206,12 +213,16 @@ class Sequent(Record):
         return f"{side(self.left)} |- {side(self.right)}"
 
 
+_REPR_WIDTH = 200  # characters of the root sequent a ``Derivation`` repr shows
+
+
 class Derivation(Record):
     """A one-sided derivation, a DAG when equal sub-sequents share a node.
 
     ``validate`` re-checks every distinct node (by identity) once, in
     pre-order, so the first error it raises is the one a walk of the
-    whole tree would raise first.
+    whole tree would raise first.  The ``repr`` is DAG-sized too: the
+    rule, the count of distinct nodes and the root sequent.
     """
 
     __slots__ = ("sequent", "rule", "principal", "children")
@@ -222,6 +233,19 @@ class Derivation(Record):
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "principal", principal)
         object.__setattr__(self, "children", children)
+
+    def __repr__(self) -> str:
+        seen = {id(self)}
+        stack = [self]
+        while stack:
+            for c in stack.pop().children:
+                if id(c) not in seen:
+                    seen.add(id(c))
+                    stack.append(c)
+        body = ",".join(term_to_str(t) for t in sorted(self.sequent, key=_by_key))
+        if len(body) > _REPR_WIDTH:
+            body = body[:_REPR_WIDTH] + "..."
+        return f"Derivation({self.rule}, {len(seen)} nodes, |- {{{body}}})"
 
     def validate(self) -> None:
         seen: set[int] = set()
@@ -249,14 +273,19 @@ class Derivation(Record):
         if self.rule == "meetR":
             if p.kind != "meet":
                 raise StructureError("meetR principal must be a meet")
-            want = tuple(a | {b} for b in sorted(p.children, key=term_key))
+            want = tuple(a | {b} for b in sorted(p.children, key=_by_key))
             if premises != want:
                 raise StructureError("meetR premises must add each conjunct")
         elif self.rule == "joinR":
             if p.kind != "join":
                 raise StructureError("joinR principal must be a join")
-            if len(premises) != 1 or not any(
-                premises[0] == a | {b} for b in p.children
+            # premises == (a | {b},) for a disjunct b, with no set built per
+            # disjunct: q adds one disjunct to a, or q is a and a holds one
+            q = premises[0] if len(premises) == 1 else None
+            added = len(q) - len(a) if q is not None and a <= q else -1
+            if not (
+                added == 1 and not (q - a).isdisjoint(p.children)
+                or added == 0 and not a.isdisjoint(p.children)
             ):
                 raise StructureError("joinR premise must add one disjunct")
         elif self.rule == "joinR-inf":
@@ -317,34 +346,42 @@ def prove(
     order); each is re-checked, the derivation by ``validate`` and the
     countermodel by evaluation.
     """
+    return _prove(s, calculus, budgets)[0]
+
+
+def _prove(s, calculus: str, budgets: Budgets) -> tuple[ProofResult, tuple]:
+    """``prove``'s result and the subterm pass it read, as ``_tables``
+    returns it: the tables, the generator masks and the all-ones table."""
     if calculus not in ("finitary", "infinitary"):
         raise DomainError(f"unknown calculus {calculus!r}")
     a0 = _as_one_sided(s)
     check_budget(budgets, "sequent_depth", max((t.depth for t in a0), default=0))
-    table, gens, full = _tables(a0, budgets)
-    n = len(gens)
+    tables = _tables(a0, budgets)
+    table, masks, full = tables
+    n = len(masks)
     union = 0
     for t in a0:
         union |= table[t]
     if union != full:
         i = ((union + 1) & ~union).bit_length() - 1  # the lowest zero bit
-        v = {g: bool(i >> (n - 1 - j) & 1) for j, g in enumerate(gens)}
+        v = {g: bool(i >> (n - 1 - j) & 1) for j, g in enumerate(masks)}
         if any(eval_term(t, v) for t in a0):
             raise StructureError("countermodel does not falsify the sequent")
-        return ProofResult(False, None, v)
+        return ProofResult(False, None, v), tables
     d = _replay(a0, table, calculus)
     d.validate()
-    return ProofResult(True, d, None)
+    return ProofResult(True, d, None), tables
 
 
-def _tables(terms: Iterable[Term], budgets: Optional[Budgets] = None) -> tuple[dict, list, int]:
-    """The truth table of every subterm of ``terms``, by ``_table``, the
-    one evaluator behind ``prove``, interpolation and presentations.
+def _tables(terms: Iterable[Term], budgets: Optional[Budgets] = None) -> tuple[dict, dict, int]:
+    """The truth table of every subterm of ``terms``: the one subterm pass
+    that ``prove``, its replay and interpolation read.
 
     Returns the tables keyed by subterm, children before their parents,
-    the generators in ``canon_key`` order and the all-ones table.  With
-    ``budgets`` the generator count is checked before any table is
-    built.
+    the generators' tables keyed by generator in ``canon_key`` order, and
+    the all-ones table.  With ``budgets`` the generator count is checked
+    before any table is built.  The tables are filled in that post-order,
+    each from its children's entries, as ``_table`` folds them.
     """
     subterms: dict[Term, None] = {}
     for t in terms:
@@ -358,8 +395,22 @@ def _tables(terms: Iterable[Term], budgets: Optional[Budgets] = None) -> tuple[d
     masks = dict(zip(gens, _gen_masks(n)))
     table: dict[Term, int] = {}
     for t in subterms:
-        table[t] = _table(t, masks, full, table)
-    return table, gens, full
+        kind = t.kind
+        if kind == "pos":
+            table[t] = masks[t.gen]
+        elif kind == "neg":
+            table[t] = full ^ masks[t.gen]
+        elif kind == "meet":
+            m = full
+            for c in t.children:
+                m &= table[c]
+            table[t] = m
+        else:
+            m = 0
+            for c in t.children:
+                m |= table[c]
+            table[t] = m
+    return table, masks, full
 
 
 def _table(t: Term, masks: Mapping, full: int, known: Mapping = {}) -> int:
@@ -425,7 +476,7 @@ def _replay(a0: frozenset, subterms: Iterable[Term], calculus: str) -> Derivatio
     the lowest absent child.  Equal sub-sequents (equal masks) share
     one node.
     """
-    order = sorted(subterms, key=term_key)
+    order = sorted(subterms, key=_by_key)
     rank = {t: i for i, t in enumerate(order)}
     kids = [0] * len(order)
     compound = meets = 0

@@ -642,6 +642,12 @@ def prove(s, calculus: str = "finitary", budgets: Budgets = DEFAULT_BUDGETS) -> 
     raise StructureError("refuted sequent admits no countermodel")
 
 
+def adds_one_disjunct(a: frozenset, q: frozenset, disjuncts: frozenset) -> bool:
+    """The joinR premise test, one set built per disjunct: q is a plus
+    one disjunct (possibly one a already holds)."""
+    return any(q == a | {b} for b in disjuncts)
+
+
 def flatten(t: Term) -> Term:
     """``t`` with same-kind children merged and one-child nodes replaced
     by their child, rebuilt bottom-up."""

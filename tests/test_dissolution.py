@@ -124,7 +124,7 @@ def test_budget_is_checked_before_any_pair_set_is_built(monkeypatch):
     # 16 result elements fit, 16 rows of 16 base elements do not
     with pytest.raises(ResourceBudgetError, match="elements budget exceeded: 256 > 64"):
         dissolve(powerset_lattice("wxyz"), small)
-    with pytest.raises(ResourceBudgetError, match="elements budget exceeded: 128 > 64"):
+    with pytest.raises(ResourceBudgetError, match="elements budget exceeded: 2\\^7 > 64"):
         dissolve(powerset_lattice(range(7)), small)
 
 

@@ -209,6 +209,27 @@ def test_memoized_extraction_is_the_tree_walk(data):
     assert i is oracles.maehara_tree(d, blocks)
 
 
+def _no_second_pass(*args, **kwargs):
+    raise AssertionError("the sequent was collected or tabulated a second time")
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_interpolate_sequent_reads_the_pass_prove_made(data):
+    s, left, right = _split_sequent(data, polarized=True)
+    if not prove(s).derivable:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        # interp imports no _collect; patched anyway, so that an import of
+        # it brought back cannot start a second pass unseen
+        mp.setattr(interp, "_collect", _no_second_pass, raising=False)
+        mp.setattr(interp, "_tables", _no_second_pass)
+        i, d = interpolate_sequent(s, left, right)
+    # the polarized split pins each antecedent term left, each succedent right
+    blocks = {**{neg(t): "L" for t in s.left}, **{t: "R" for t in s.right}}
+    assert i is maehara_interpolant(d, left, right, blocks)
+
+
 def test_term_reached_from_both_blocks_interpolates():
     # a conjunct added on one branch used to keep its block on the
     # sibling branch, where the succedent adds the same literal; the

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from localix import sequent
 from localix.budgets import DEFAULT_BUDGETS
 from localix.errors import DomainError, ResourceBudgetError, StructureError
 from localix.sequent import (
@@ -12,6 +13,8 @@ from localix.sequent import (
     Derivation,
     Sequent,
     Term,
+    _table,
+    _tables,
     cut_check,
     eval_term,
     join_t,
@@ -389,3 +392,83 @@ def test_corrupted_shared_node_raises_the_tree_walk_error():
         with pytest.raises(StructureError) as err:
             broken.validate()
         assert str(err.value) == tree_walk_error(broken)
+
+
+def test_prove_makes_one_subterm_pass(monkeypatch):
+    calls = []
+    tables = sequent._tables
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return tables(*args, **kwargs)
+
+    monkeypatch.setattr(sequent, "_tables", counted)
+    assert prove(frozenset([dnf_tautology(4)])).derivable
+    assert len(calls) == 1
+    a, b = var("a"), var("b")
+    assert not prove(Sequent(frozenset([join_t([a, b])]), frozenset([a]))).derivable
+    assert len(calls) == 2
+
+
+@given(sequents())
+def test_inline_table_fill_is_the_fold_from_nothing(s):
+    table, masks, full = _tables(s.one_sided())
+    assert list(masks) == sorted(masks, key=oracles.canon_key)
+    seen = set()
+    for t in table:
+        assert t.children <= seen  # children before their parents
+        seen.add(t)
+        assert table[t] == _table(t, masks, full)
+
+
+def test_derivation_repr_is_dag_sized():
+    d = prove(frozenset([dnf_tautology(6)])).derivation
+    text = repr(d)
+    assert len(text) < 1024
+    assert text.startswith("Derivation(joinR, 320 nodes, |- {\\/{/\\{!g0,")
+    assert repr(Derivation(frozenset([var("x"), nvar("x")]), "axiom", None, ())) == (
+        "Derivation(axiom, 1 nodes, |- {!x,x})"
+    )
+
+
+POOL = [var("a"), nvar("a"), var("b"), var("c"), nvar("c"), meet_t([var("a"), var("b")])]
+pool_sets = st.frozensets(st.sampled_from(POOL))
+
+
+def joinR_accepts(a: frozenset, p, premises: tuple) -> bool:
+    """Whether ``Derivation._check`` accepts a joinR node on ``p`` over ``a``."""
+    node = Derivation(a, "joinR", p, tuple(Derivation(q, "axiom", None, ()) for q in premises))
+    try:
+        node._check()
+    except StructureError as e:
+        assert str(e) == "joinR premise must add one disjunct"
+        return False
+    return True
+
+
+@settings(max_examples=300)
+@given(pool_sets, pool_sets, pool_sets, pool_sets, st.integers(0, 2))
+def test_joinR_check_is_the_per_disjunct_test(children, rest, added, dropped, copies):
+    p = join_t(children)
+    a = rest | {p}
+    q = (a | added) - dropped
+    want = copies == 1 and oracles.adds_one_disjunct(a, q, p.children)
+    assert joinR_accepts(a, p, (q,) * copies) == want
+
+
+def test_joinR_check_on_its_edge_cases():
+    x, y, z = var("x"), var("y"), var("z")
+    p = join_t([x, y])
+    a = frozenset([p, x])
+    cases = [
+        (a, True),  # adds a disjunct already there
+        (a | {y}, True),
+        (a | {y, z}, False),  # adds two terms
+        (frozenset([p]) | {y}, False),  # drops x, adds y
+        (a | {z}, False),  # adds a term that is no disjunct
+        (frozenset([p, z]), False),  # same size, not a superset
+    ]
+    for q, want in cases:
+        assert oracles.adds_one_disjunct(a, q, p.children) == want
+        assert joinR_accepts(a, p, (q,)) == want
+    assert not joinR_accepts(frozenset([join_t([]), x]), join_t([]), (frozenset([join_t([]), x]),))
