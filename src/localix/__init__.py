@@ -60,7 +60,6 @@ from .lattice import (
     filterquotient,
     ideal_completion,
     join_irreducibles,
-    lattice_from_abstract,
     lattice_isomorphic,
     lower_sets,
     powerset_lattice,

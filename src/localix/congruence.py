@@ -14,7 +14,8 @@ rule; the rule fixpoint itself is the test oracle (``tests/oracles.py``).
 A congruence keeps those rows: equality, hashing, ``holds``,
 ``equivalent``, ``classes`` and the enumeration order read them, and
 the pair set ``rel`` is built on first read, as ``FinLattice.elements``
-is.
+is.  ``quotient`` reads S off the rows and builds the quotient on the
+join-irreducibles outside S, through the ``FinLattice`` core.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Iterable
 
 from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
 from .errors import DomainError, StructureError
-from .lattice import FinLattice, LatticeHom, lattice_from_abstract
-from .order import _bits, _bits_set
+from .lattice import FinLattice, LatticeHom, _glued, _lattice_on
+from .order import _bits, _bits_set, _new
 
 __all__ = [
     "OrderCongruence",
@@ -112,10 +113,9 @@ def _check_subsets(budgets: Budgets, a: FinLattice) -> None:
 def _subsets(a: FinLattice, irr: list[int]) -> list[int]:
     """Every subset S of the irreducibles ``irr`` as a point mask: entry s
     holds the points x with ``_least[x] == irr[k]`` for some bit k of s."""
-    out = [0]
+    out, glued = [0], _glued(a._least)
     for j in irr:
-        glued = sum(1 << x for x, k in enumerate(a._least) if k == j)
-        out += [s | glued for s in out]
+        out += [s | glued[j] for s in out]
     return out
 
 
@@ -250,20 +250,21 @@ def order_kernel(f: LatticeHom) -> OrderCongruence:
 
 
 def quotient(a: FinLattice, c: OrderCongruence) -> tuple[FinLattice, LatticeHom]:
-    """Quotient lattice and projection; the projection's kernel is ``c``."""
+    """Quotient lattice and projection; the projection's kernel is ``c``.
+
+    ``c`` is the relation of a set S of join-irreducibles; j lies in S
+    when it relates to its lower cover, j minus its glued points.  The
+    quotient is built on the rest, each labelled by its class
+    (``lattice._lattice_on``), and the kernel is checked on rows."""
     if c.base != a:
         raise DomainError("congruence is not on this lattice")
-    classes = c.classes()
-    cls_of = {}
-    for cls in classes:
-        for x in cls:
-            cls_of[x] = cls
-
-    def cleq(p, q):
-        return c.holds(next(iter(p)), next(iter(q)))
-
-    lat, to_elem = lattice_from_abstract(classes, cleq)
-    q = LatticeHom(a, lat, {x: to_elem[cls_of[x]] for x in a.elements})
+    at, rows = a._at, c._rows
+    kept = [(j, g) for j, g in _glued(a._least).items() if not rows[at[j]] >> at[j ^ g] & 1]
+    by_row = dict(zip(dict.fromkeys(rows), c.classes()))  # both in order of first members
+    labels = [by_row[rows[at[j]]] for j, _ in kept]
+    points = [(g & -g).bit_length() - 1 for _, g in kept]
+    lat, image = _lattice_on(labels, [j for j, _ in kept], points, list(at), len(a._least))
+    q = _new(LatticeHom, a, lat, image)
     if order_kernel(q)._rows != c._rows:
         raise StructureError("projection kernel mismatch")
     return lat, q

@@ -102,22 +102,22 @@ a with f(a) <= c, the join of the join-irreducibles j with f(j) <= c),
 read its image masks, and serve ``borel_image``, the spectra pullback
 of ``presented.pushout_points`` and every separator of ``interp``;
 ``_hull`` joins ``_least`` over a set of points for the cocomma
-interpolant; ``presented.extend_hom`` reads J off ``_least``; ``congruence`` builds
-its rows and ``posite`` its meets from ``_at``, and ``posite``
-enumerates the lower sets of the element order as position masks;
-``dissolution`` numbers J by
-``_irreducibles`` to name the points of 2^J; ``baire`` reads glued
-points off ``_least`` and keeps its opens, moved onto representatives,
-as a lattice; ``lattice_from_abstract`` (so ``cov_ideals`` and
-``quotient``) re-indexes its item masks onto the spectrum's positions
-and calls the core.  The engines keep masks too: an
+interpolant; ``presented.extend_hom`` reads J off ``_least``;
+``congruence`` builds its rows and ``posite`` its meets from ``_at``,
+and ``posite`` enumerates the lower sets of the element order as
+position masks; ``dissolution`` numbers J by ``_irreducibles`` to name
+the points of 2^J; ``baire`` reads glued points off ``_least`` and
+keeps its opens, moved onto representatives, as a lattice;
+``congruence.quotient`` (on the irreducibles outside S) and
+``posite.cov_ideals`` (on the irreducible ideals) build their lattice on
+its join-irreducibles through ``_lattice_on``, which moves each mask
+onto them and calls the core.  The engines keep masks too: an
 ``OrderCongruence`` keeps one row mask per element and builds its pair
 set ``rel`` on first read, and ``dissolve`` builds its unit through the
 ``LatticeHom`` core and its pair sets only when ``repr`` is read.  Still
-on frozensets: ``to_dot``, ``element_poset``, the lattice
-operations (``meet``, ``join``, ``leq``, ``complement``), a hom's
-``__call__``, ``filterquotient``, ``product_decompose``, the items and
-map ``lattice_from_abstract`` returns, and the engines that list
+on frozensets: ``to_dot``, ``element_poset``, the lattice operations
+(``meet``, ``join``, ``leq``, ``complement``), a hom's ``__call__``,
+``filterquotient``, ``product_decompose``, and the engines that list
 elements (coverages, DSL records).
 
 JSON.  ``to_json`` writes the spectrum in the poset shape of
@@ -151,7 +151,6 @@ __all__ = [
     "lower_sets",
     "join_irreducibles",
     "birkhoff_embedding",
-    "lattice_from_abstract",
     "powerset_lattice",
     "lattice_isomorphic",
     "enumerate_homs",
@@ -220,6 +219,21 @@ def _moved(masks: Iterable[int], weight: list[int]) -> list[int]:
     pick = itemgetter(0, 0, *(n + 2 - src[t] for t in reversed(range(len(src)))))
     rows = map("".join, map(pick, map(bin, map((1 << n).__or__, masks))))
     return list(map(int, rows, repeat(2)))
+
+
+def _lattice_on(labels: list, irr: list[int], points: list[int], masks: list[int], n: int) -> tuple:
+    """The lattice of ``masks``, over n bits, built on its join-irreducibles:
+    ``irr[i]``, labelled ``labels[i]``, lies below a mask exactly when the
+    mask holds bit ``points[i]``.  The spectrum is the labels ordered as
+    their masks by inclusion, each mask moves onto it, and the core
+    certifies the family.  Returns the lattice and the moved masks."""
+    pairs = [(x, y) for j, x in zip(irr, labels) for k, y in zip(irr, labels) if not j & ~k]
+    spectrum = FinPoset(labels, pairs)
+    weight = [0] * n
+    for p, x in zip(points, labels):
+        weight[p] = 1 << spectrum._index[x]
+    image = _moved(masks, weight)
+    return _new(FinLattice, spectrum, image, "boolean" if spectrum.is_antichain() else "distributive"), image
 
 
 def _column_meets(values: list[int], keys: list[int], width: int, top: int) -> tuple[list, list]:
@@ -651,50 +665,6 @@ def birkhoff_embedding(a: FinLattice) -> tuple[FinLattice, LatticeHom]:
         raise StructureError("lattice is not distributive: set representation fails")
     rep = _new(FinLattice, jp, image, "boolean" if jp.is_antichain() else "distributive")
     return rep, _new(LatticeHom, a, rep, image)
-
-
-def lattice_from_abstract(
-    items: Iterable[Hashable],
-    leq: Callable[[Hashable, Hashable], bool],
-) -> tuple[FinLattice, dict]:
-    """Realize an abstract finite lattice given by a leq predicate.
-
-    ``leq`` is read once per pair of items, into one int row per item.
-    The join-irreducibles, the items with exactly one lower cover,
-    become the spectrum, and each item maps to the set of irreducibles
-    below it.  The items form a distributive lattice exactly when that
-    map is an order embedding onto a family closed under intersection
-    and union (Birkhoff; Davey & Priestley, *Introduction to Lattices
-    and Order*, ch. 5): the embedding is checked here and the closure by
-    ``FinLattice``, and both raise StructureError otherwise.  Returns
-    the lattice and the item->element map.
-    """
-    items = list(dict.fromkeys(items))
-    if not items:
-        raise StructureError("empty carrier is not a lattice")
-    up = [sum(1 << k for k, y in enumerate(items) if leq(x, y)) for x in items]
-    down = [sum(1 << i for i, u in enumerate(up) if u >> k & 1) for k in range(len(items))]
-    # k has one lower cover when its strict down-set has a greatest item
-    downs = set(down)
-    irr = sum(1 << k for k, d in enumerate(down) if d ^ 1 << k in downs)
-    masks = [d & irr for d in down]
-    if len(set(masks)) != len(items):
-        raise StructureError("not a distributive lattice: representation collapses items")
-    for u, m in zip(up, masks):
-        if u != sum(1 << k for k, m2 in enumerate(masks) if not m & ~m2):
-            raise StructureError("not a distributive lattice: order is not inclusion")
-    js = [items[j] for j in _bits(irr)]
-    spectrum = FinPoset(js, [(items[j], items[k]) for j in _bits(irr) for k in _bits(up[j] & irr)])
-    # the masks over item positions, re-indexed onto the spectrum's positions
-    weight = [0] * len(items)
-    for j in _bits(irr):
-        weight[j] = 1 << spectrum._index[items[j]]
-    masks = _moved(masks, weight)
-    # the spectrum is J, so the lattice is Boolean iff J is an antichain
-    kind = "boolean" if spectrum.is_antichain() else "distributive"
-    lat = _new(FinLattice, spectrum, masks, kind)
-    els, at = lat.elements, lat._at
-    return lat, {x: els[at[m]] for x, m in zip(items, masks)}
 
 
 def powerset_lattice(points: Iterable[Hashable], budgets: Budgets | None = None) -> FinLattice:

@@ -6,20 +6,24 @@ transitivities, and meet-stability.  Cover-ideals of the saturation
 form the presented frame at finite scale, and the saturation is read
 off them: a is covered by C exactly when a lies in the least down-set
 that contains C and is closed under the meet-stabilized generators
-(Johnstone, *Stone Spaces*, II.2.11).  Polyposets relate finite
-subsets to finite subsets and present lattices with both meets and
-joins; their saturation is Boolean entailment from the generators,
-read off the generators' models.  For both, the rule fixpoint that
-reaches the same relation is the test oracle (``tests/oracles.py``).
+(Johnstone, *Stone Spaces*, II.2.11).  The lattice of cover-ideals is
+built on its join-irreducible ideals, through the ``FinLattice`` core.
+Polyposets relate finite subsets to finite subsets and present lattices
+with both meets and joins; their saturation is Boolean entailment from
+the generators, read off the generators' models.  For both, the rule
+fixpoint that reaches the same relation is the test oracle
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_, or_
 from typing import Iterable
 
 from .budgets import DEFAULT_BUDGETS, Budgets, check_budget
 from .errors import DomainError, StructureError
-from .lattice import FinLattice, _bits, lattice_from_abstract
+from .lattice import FinLattice, _bits, _frozensets, _lattice_on
 from .order import _canon_sorted, _lower_masks, canon_key
 
 __all__ = [
@@ -170,17 +174,11 @@ def canonical_coverage(base: FinLattice, budgets: Budgets = DEFAULT_BUDGETS) -> 
     return Coverage(base, (), rel)
 
 
-def _ideals_against(
-    base: FinLattice, pair_test, include_empty_join: bool
-) -> list[frozenset]:
+def _ideals_against(base: FinLattice, pair_test) -> list[int]:
     """The lower sets of the element order, as position masks, that pass ``pair_test``."""
     # positions list the elements by size, a linear extension of inclusion
     steps = ((1 << i, d ^ 1 << i) for i, d in enumerate(_down(base)))
-    return [
-        frozenset(base.elements[i] for i in _bits(d))
-        for d in _canon_sorted(_lower_masks(steps, None), len(base))
-        if (d & 1 or not include_empty_join) and pair_test(d)
-    ]
+    return [d for d in _canon_sorted(_lower_masks(steps, None), len(base)) if pair_test(d)]
 
 
 def cov_ideals(
@@ -191,10 +189,15 @@ def cov_ideals(
     An ideal is a lower set D with: a covered by C, C a subset of D,
     implies a in D.  With ``include_empty_join`` only the ideals that
     contain bottom are kept: the ideals of ``c`` with the nullary cover
-    of bottom added.
+    of bottom added.  Ideals are closed under intersection, so d is
+    join-irreducible when the least ideal holding the ideals strictly
+    inside d, its lower cover, is not d (never so for the bottom ideal).
+    The lattice is built on those ideals (``lattice._lattice_on``).
     Returns the lattice together with the ideal -> element map.
     """
     def closed(dm: int) -> bool:
+        if include_empty_join and not dm & 1:
+            return False
         for a in range(len(c.base)):
             if dm >> a & 1:
                 continue
@@ -203,9 +206,20 @@ def cov_ideals(
                     return False
         return True
 
-    ideals = _ideals_against(c.base, closed, include_empty_join)
-    lat, to_elem = lattice_from_abstract(ideals, lambda i, j: i <= j)
-    return lat, to_elem
+    masks = _ideals_against(c.base, closed)
+    full = (1 << len(c.base)) - 1
+    irr, points = [], []
+    for d in masks:
+        inside = reduce(or_, (e for e in masks if e != d and not e & ~d), 0)
+        below = reduce(and_, (e for e in masks if not inside & ~e), full)
+        if below != d:  # an element of d outside its lower cover has d as its least ideal
+            irr.append(d)
+            points.append((d & ~below).bit_length() - 1)
+    elems = c.base.elements
+    lat, image = _lattice_on(_frozensets(elems, irr), irr, points, masks, len(elems))
+    if len(lat) != len(masks):
+        raise StructureError("cover-ideals collapse onto their irreducibles")
+    return lat, dict(zip(_frozensets(elems, masks), map(lat._element, image)))
 
 
 def cov_ideals_from_generators(
@@ -222,11 +236,7 @@ def cov_ideals_from_generators(
     if include_empty_join:
         pairs.add((base._pos(base.bot), 0))
     close = _ideal_closure(base, _down(base), pairs)
-
-    def closed(dm: int) -> bool:
-        return close(dm) == dm
-
-    return _ideals_against(base, closed, False)
+    return list(_frozensets(base.elements, _ideals_against(base, lambda dm: close(dm) == dm)))
 
 
 def downtri(c: Coverage, a: frozenset) -> frozenset:
@@ -236,6 +246,16 @@ def downtri(c: Coverage, a: frozenset) -> frozenset:
 
 
 # -- polyposets ---------------------------------------------------------------
+
+
+def _carrier_mask(index: dict, subset: Iterable) -> int:
+    """The mask of ``subset`` over the carrier positions ``index``."""
+    m = 0
+    for x in subset:
+        if x not in index:
+            raise DomainError(f"{x!r} not in the carrier")
+        m |= 1 << index[x]
+    return m
 
 
 class PolyOrder:
@@ -253,12 +273,7 @@ class PolyOrder:
         raise AttributeError("PolyOrder is immutable")
 
     def mask(self, subset: Iterable) -> int:
-        m = 0
-        for x in subset:
-            if x not in self._index:
-                raise DomainError(f"{x!r} not in the carrier")
-            m |= 1 << self._index[x]
-        return m
+        return _carrier_mask(self._index, subset)
 
     def unmask(self, m: int) -> frozenset:
         return frozenset(self.carrier[i] for i in range(len(self.carrier)) if m >> i & 1)
@@ -320,16 +335,7 @@ def saturate_polyposet(
     gm = set()
     gens = []
     for left, right in gen:
-        l = r = 0
-        for x in left:
-            if x not in index:
-                raise DomainError(f"{x!r} not in the carrier")
-            l |= 1 << index[x]
-        for x in right:
-            if x not in index:
-                raise DomainError(f"{x!r} not in the carrier")
-            r |= 1 << index[x]
-        gm.add((l, r))
+        gm.add((_carrier_mask(index, left), _carrier_mask(index, right)))
         gens.append((frozenset(left), frozenset(right)))
     rel = _entailed(len(carrier), gm)
     return PolyOrder(carrier, tuple(sorted(gens, key=canon_key)), rel)

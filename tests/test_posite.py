@@ -81,9 +81,10 @@ def test_nullary_cover_forces_bottom():
 
 
 def test_coverage_ideals_are_not_closed_under_union():
-    # so they are no ring of sets, and cov_ideals realizes them from their
-    # order: in the canonical coverage of 2^{a,b}, {a,b} is covered by
-    # {a} and {b}, so the union of their ideals is not an ideal
+    # so they are no ring of sets, and cov_ideals builds them on their
+    # join-irreducible ideals: in the canonical coverage of 2^{a,b},
+    # {a,b} is covered by {a} and {b}, so the union of their ideals is
+    # not an ideal
     base = powerset_lattice("ab")
     c = canonical_coverage(base)
     lat, to_elem = cov_ideals(c)
@@ -106,9 +107,13 @@ def test_generated_vs_saturated_ideals_agree(rng):
             assert sorted(to_elem, key=sorted) == sorted(plain, key=sorted)
 
 
-def _saturation_matches(base, data):
+def _drawn_generators(base, data):
     elems = st.sampled_from(base.elements)
-    gens = data.draw(st.lists(st.tuples(elems, st.lists(elems, max_size=2)), max_size=3))
+    return data.draw(st.lists(st.tuples(elems, st.lists(elems, max_size=2)), max_size=3))
+
+
+def _saturation_matches(base, data):
+    gens = _drawn_generators(base, data)
     budgets = DEFAULT_BUDGETS.bumped(carrier=8)
     got, want = saturate_coverage(base, gens, budgets), oracles.saturate_coverage(base, gens, budgets)
     assert got.pairs() == want.pairs()
@@ -127,6 +132,29 @@ def test_coverage_saturation_matches_the_rule_fixpoint(p, data):
 @given(glued_lattices(max_points=3), st.data())
 def test_coverage_saturation_matches_the_rule_fixpoint_on_glued_points(base, data):
     _saturation_matches(base, data)
+
+
+def _ideals_match(base, data):
+    c = saturate_coverage(base, _drawn_generators(base, data), DEFAULT_BUDGETS.bumped(carrier=8))
+    for include_empty_join in (False, True):
+        lat, to_elem = cov_ideals(c, include_empty_join)
+        want_lat, want = oracles.cov_ideals(c, include_empty_join)
+        assert lat == want_lat and lat.spectrum == want_lat.spectrum and lat.kind == want_lat.kind
+        assert to_elem == want
+
+
+@settings(max_examples=100)
+@given(posets(max_points=5), st.data())
+def test_cov_ideals_is_the_realization_of_the_ideal_order(p, data):
+    base = lower_sets(p)
+    assume(len(base) <= 8)
+    _ideals_match(base, data)
+
+
+@settings(max_examples=30)
+@given(glued_lattices(max_points=3), st.data())
+def test_cov_ideals_is_the_realization_of_the_ideal_order_on_glued_points(base, data):
+    _ideals_match(base, data)
 
 
 def test_coverage_saturation_on_empty_covers():

@@ -431,6 +431,49 @@ def test_derivation_repr_is_dag_sized():
     )
 
 
+def unshared(d, at=-1, alter=None):
+    """``d`` copied as a tree, one new node per path, with the node at
+    pre-order position ``at`` replaced by ``alter(node)``."""
+    count = itertools.count()
+
+    def go(node):
+        if next(count) == at:
+            return alter(node)
+        return Derivation(node.sequent, node.rule, node.principal, tuple(map(go, node.children)))
+
+    return go(d)
+
+
+ALTERATIONS = [
+    lambda n: Derivation(n.sequent, "bogus", n.principal, n.children),
+    lambda n: Derivation(n.sequent, n.rule, None, n.children),
+    lambda n: Derivation(n.sequent, n.rule, n.principal, n.children[1:]),
+    lambda n: Derivation(n.sequent | {BOT}, n.rule, n.principal, n.children),
+]
+
+
+@settings(max_examples=150)
+@given(sequents(max_literals=6), sequents(max_literals=6), st.integers(1, 3), st.data())
+def test_derivation_equality_is_the_tree_comparison(s, t, k, data):
+    # dnf_tautology(k) makes the sequent valid and its derivation share nodes
+    budgets = DEFAULT_BUDGETS.bumped(sequent_gens=len(MIXED_GENS) + k)
+    d = prove(frozenset([dnf_tautology(k)]) | s.one_sided(), budgets=budgets).derivation
+    size = sum(1 for _ in unshared(d).pretty().splitlines())  # the tree's nodes
+    alter = data.draw(st.sampled_from(ALTERATIONS))
+    others = [
+        prove(frozenset([dnf_tautology(k)]) | t.one_sided(), budgets=budgets).derivation,
+        replaced(d, {}),
+        unshared(d),
+        unshared(d, data.draw(st.integers(0, size - 1)), alter),
+        replaced(d, {id(d.children[0]): alter(d.children[0])}) if d.children else d,
+    ]
+    for e in others:
+        want = oracles.derivations_equal(d, e)
+        assert (d == e) == want and (e == d) == want
+        if want:
+            assert hash(d) == hash(e)
+
+
 POOL = [var("a"), nvar("a"), var("b"), var("c"), nvar("c"), meet_t([var("a"), var("b")])]
 pool_sets = st.frozensets(st.sampled_from(POOL))
 
