@@ -18,7 +18,10 @@ of the record it adds, and a declaration binds its name as that kind.
 Formula syntax: ``!`` binds tightest, then ``&``, then ``|``; ``0`` and
 ``1`` are the empty join and meet; ``/\\{A, ...}`` and ``\\/{A, ...}``
 are the meet and join of a list, as sequents print them; sequents are
-``{A, ...} |- {B, ...}``.
+``{A, ...} |- {B, ...}``.  A formula parses to a presentation's tuple
+term; in a sequent ``presented._term`` reads each one into a
+``sequent.Term`` as it is parsed, so ``prove`` and ``interp`` hold a
+``sequent.Sequent`` and render it as records print it.
 """
 
 from __future__ import annotations
@@ -227,10 +230,10 @@ class _Parser:
             return ("var", self.next().value)
         self.fail(("a formula",))
 
-    def sequent(self) -> tuple:
-        left = self.braced(self.term)
+    def sequent(self) -> sq.Sequent:
+        left = frozenset(map(pr._term, self.braced(self.term)))
         self.expect("|-")
-        return (left, self.braced(self.term))
+        return sq.Sequent(left, frozenset(map(pr._term, self.braced(self.term))))
 
     # statements ------------------------------------------------------------
 
@@ -289,10 +292,6 @@ def _render_set(s: frozenset) -> str:
     return "{" + _commas(sorted(s, key=canon_key)) + "}"
 
 
-def _render_sequent(seq: tuple) -> str:
-    return "{%s} |- {%s}" % tuple(_commas(map(_render_term, side)) for side in seq)
-
-
 # -- statements ----------------------------------------------------------------
 
 _TABLE: dict = {}  # keyword -> statement class, in declaration order
@@ -349,7 +348,7 @@ class RelDecl(_Node):
         if not r.rels:  # validate eagerly: the generators once, then each relation
             r.presentation()
         for t in (self.lhs, self.rhs):
-            pr._check_term(t, frozenset(r.gens.names), r.gens.boolean)
+            pr._term(t, frozenset(r.gens.names), r.gens.boolean)
         r.rels.append((self.lhs, self.rhs))
         if self.op == "=":
             r.rels.append((self.rhs, self.lhs))
@@ -512,23 +511,22 @@ class DiagramDecl(_Node):
 
 class ProveQuery(_Node):
     keywords = ("prove",)
-    __slots__ = ("sequent",)  # (left terms, right terms), presented-style tuples
+    __slots__ = ("sequent",)
 
     @classmethod
     def parse(cls, p: _Parser, kw: str):
         return cls(p.sequent())
 
     def render(self) -> str:
-        return f"{self.keyword} {_render_sequent(self.sequent)};"
+        return f"{self.keyword} {self.sequent};"
 
     def run(self, r: _Runner) -> None:
-        seq = _to_sequent(self.sequent)
-        res = sq.prove(seq, budgets=r.budgets)
-        left_origin = frozenset(sq.neg(t) for t in seq.left)
+        res = sq.prove(self.sequent, budgets=r.budgets)
+        left_origin = frozenset(sq.neg(t) for t in self.sequent.left)
         r.report.add(
             self.keyword,
             ok=res.derivable,
-            sequent=str(seq),
+            sequent=str(self.sequent),
             derivable=res.derivable,
             derivation=res.derivation.pretty(left_origin) if res.derivable else None,
             countermodel=(
@@ -549,25 +547,24 @@ class InterpQuery(_Node):
 
     def render(self) -> str:
         blocks = f"{{{_commas(self.left)}}} {{{_commas(self.right)}}}"
-        return f"{self.keyword} {blocks} {_render_sequent(self.sequent)};"
+        return f"{self.keyword} {blocks} {self.sequent};"
 
     def run(self, r: _Runner) -> None:
-        seq = _to_sequent(self.sequent)
         try:
-            i, _, lpart, rpart = _interpolate(seq, self.left, self.right, r.budgets)
+            i, _, lpart, rpart = _interpolate(self.sequent, self.left, self.right, r.budgets)
         except PreconditionError as e:
             r.report.add(
-                self.keyword, ok=False, sequent=str(seq), error="precondition",
+                self.keyword, ok=False, sequent=str(self.sequent), error="precondition",
                 clause=e.clause, detail=str(e),
             )
             return
         shared = sorted(frozenset(self.left) & frozenset(self.right), key=canon_key)
         r.report.add(
             self.keyword,
-            sequent=str(seq),
+            sequent=str(self.sequent),
             interpolant=sq.term_to_str(i),
             shared_generators=[str(g) for g in shared],
-            obligations=[str(o) for o in _obligations(seq, i, lpart, rpart)],
+            obligations=[str(o) for o in _obligations(self.sequent, i, lpart, rpart)],
         )
 
 
@@ -773,10 +770,6 @@ class Report:
         rec.update(fields)
         self.records.append(rec)
         return rec
-
-
-def _to_sequent(seq: tuple) -> sq.Sequent:
-    return sq.Sequent(*(frozenset(map(pr._to_sequent_term, side)) for side in seq))
 
 
 def _obligations(seq: sq.Sequent, i: sq.Term, lpart: frozenset, rpart: frozenset) -> list:

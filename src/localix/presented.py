@@ -1,12 +1,16 @@
 """Presented lattices: 2-valuation spectra, realization, colimits.
 
 A presentation lists generators and inequations between lattice terms,
-nested tuples kept as syntax; they mean the truth tables of ``sequent``.
-Its spectrum, the 2-valuations satisfying every relation l <= r, is one
-2^n-bit int: the AND of not T(l) or T(r).  Realizing a presentation
-embeds it into the powerset of its spectrum.  At finite scale this
-embedding is faithful, which is what makes the spectrum a usable
-decision procedure and a system-wide oracle for the colimit
+nested tuples kept as syntax.  One reader, ``_term``, checks a tuple
+term and reads it into its meaning, a ``sequent.Term``, whose truth
+table ``sequent._table`` folds from its generators' masks.  The
+spectrum, the 2-valuations satisfying every relation l <= r, is one
+2^n-bit int: the AND of not T(l) or T(r) over the valuations' masks.
+An assignment into a lattice of sets is checked by the same fold over
+the assigned values' point masks (``check_assignment``).  Realizing a
+presentation embeds it into the powerset of its spectrum.  At finite
+scale this embedding is faithful, which is what makes the spectrum a
+usable decision procedure and a system-wide oracle for the colimit
 constructions below.
 """
 
@@ -38,7 +42,6 @@ __all__ = [
     "neg",
     "meet",
     "join",
-    "eval_term_in",
     "Presentation",
     "SpecModel",
     "spec",
@@ -80,56 +83,27 @@ def join(*ts: tuple) -> tuple:
     return ("join", *ts)
 
 
-def _to_sequent_term(t: tuple) -> sq.Term:
-    """The meaning of a tuple term: a prenex term, ``not`` by ``sequent.neg``."""
+def _term(t: tuple, gens: frozenset | None = None, boolean: bool = True) -> sq.Term:
+    """The meaning of a tuple term, a prenex ``sequent.Term`` with ``not``
+    pushed to the literals by ``sequent.neg``, checked as it is read:
+    its generators against ``gens`` when given, and ``not`` only when
+    ``boolean``."""
     op = t[0]
     if op == "var":
+        if gens is not None and t[1] not in gens:
+            raise DomainError(f"unknown generator {t[1]!r}")
         return sq.var(t[1])
     if op == "top":
         return sq.TOP
     if op == "bot":
         return sq.BOT
     if op == "not":
-        return sq.neg(_to_sequent_term(t[1]))
-    mk = sq.meet_t if op == "meet" else sq.join_t
-    return mk(_to_sequent_term(s) for s in t[1:])
-
-
-def eval_term_in(t: tuple, assign: dict, target: FinLattice) -> frozenset:
-    """Evaluate a term in a target lattice under a generator assignment."""
-    op = t[0]
-    if op == "var":
-        return assign[t[1]]
-    if op == "top":
-        return target.top
-    if op == "bot":
-        return target.bot
-    if op == "not":
-        return target.complement(eval_term_in(t[1], assign, target))
-    out = target.top if op == "meet" else target.bot
-    for s in t[1:]:
-        v = eval_term_in(s, assign, target)
-        out = out & v if op == "meet" else out | v
-    return out
-
-
-def _check_term(t: tuple, gens: frozenset, boolean: bool) -> None:
-    op = t[0]
-    if op == "var":
-        if t[1] not in gens:
-            raise DomainError(f"unknown generator {t[1]!r}")
-        return
-    if op in ("top", "bot"):
-        return
-    if op == "not":
         if not boolean:
             raise StructureError("complement only allowed in boolean presentations")
-        _check_term(t[1], gens, boolean)
-        return
+        return sq.neg(_term(t[1], gens, boolean))
     if op in ("meet", "join"):
-        for s in t[1:]:
-            _check_term(s, gens, boolean)
-        return
+        mk = sq.meet_t if op == "meet" else sq.join_t
+        return mk([_term(s, gens, boolean) for s in t[1:]])
     raise DomainError(f"unknown term operator {op!r}")
 
 
@@ -146,8 +120,8 @@ class Presentation(Record):
             raise DomainError("duplicate generator names")
         gset = frozenset(gens)
         for lhs, rhs in rels:
-            _check_term(lhs, gset, kind == "boolean")
-            _check_term(rhs, gset, kind == "boolean")
+            _term(lhs, gset, kind == "boolean")
+            _term(rhs, gset, kind == "boolean")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -177,8 +151,7 @@ def _models(p: Presentation, budgets: Budgets) -> int:
     masks = dict(zip(p.gens, sq._gen_masks(n)))
     models = full
     for l, r in p.rels:
-        lt = sq._table(_to_sequent_term(l), masks, full)
-        models &= ~lt | sq._table(_to_sequent_term(r), masks, full)
+        models &= ~sq._table(_term(l), masks, full) | sq._table(_term(r), masks, full)
     return models
 
 
@@ -287,14 +260,23 @@ def term_of_element(a: FinLattice, x: frozenset, gen_of_irr: dict) -> tuple:
 
 
 def check_assignment(p: Presentation, assign: dict, target: FinLattice) -> bool:
-    """Does a generator assignment into ``target`` satisfy all relations?"""
+    """Does a generator assignment into ``target`` satisfy all relations?
+
+    The target's elements are sets of its points, so a term's value is
+    its truth table folded over the assigned values' point masks, with
+    complement taken in the powerset of the points: l <= r holds iff
+    T(l) has no bit outside T(r).
+    """
     if set(assign) != set(p.gens):
         raise DomainError("assignment must cover exactly the generators")
-    for v in assign.values():
-        if v not in target:
+    masks = {}
+    for g, v in assign.items():
+        masks[g] = target._mask_of(v)
+        if masks[g] is None:
             raise DomainError(f"{v!r} not in target")
+    full = (1 << len(target.spectrum.elements)) - 1
     return all(
-        eval_term_in(l, assign, target) <= eval_term_in(r, assign, target)
+        not sq._table(_term(l), masks, full) & ~sq._table(_term(r), masks, full)
         for l, r in p.rels
     )
 

@@ -54,7 +54,8 @@ __all__ = [
 class Term:
     """A prenex term: ``kind`` is pos/neg/meet/join.
 
-    Structurally equal terms are interned, so equality is identity and
+    Structurally equal terms are interned, a generator by its value and
+    its type, so 1 and True stay two generators; equality is identity and
     terms keep object's identity hash and equality; child sets
     deduplicate for free.  No output depends on the resulting set
     order: everything shown is sorted by ``term_key``.  ``sort_key`` (see
@@ -69,7 +70,8 @@ class Term:
     _interned: dict = {}
 
     def __new__(cls, kind: str, gen=None, children: frozenset = frozenset()):
-        key = (kind, gen, children)
+        # a literal has no children; it is keyed by its generator's type too
+        key = (kind, gen, children) if gen is None else (kind, gen, type(gen))
         hit = cls._interned.get(key)
         if hit is not None:
             return hit
@@ -80,7 +82,7 @@ class Term:
         dual = None
         if kind in ("pos", "neg"):
             depth, sort_key = 1, (0, kind, canon_key(gen))
-            dual = cls._interned.get(("neg" if kind == "pos" else "pos", gen, children))
+            dual = cls._interned.get(("neg" if kind == "pos" else "pos", *key[1:]))
             if dual is not None:
                 object.__setattr__(dual, "dual", self)
         else:
@@ -396,19 +398,23 @@ def _tables(terms: Iterable[Term], budgets: Optional[Budgets] = None) -> tuple[d
     Returns the tables keyed by subterm, children before their parents,
     the generators' tables keyed by generator in ``canon_key`` order, and
     the all-ones table.  With ``budgets`` the generator count is checked
-    before any table is built.  The tables are filled in that post-order,
-    each from its children's entries, as ``_table`` folds them.
+    before any table is built.  Generators equal in value but not in
+    type, as 1 and True are, are refused: they would share one table.
+    The tables are filled in that post-order, each from its children's
+    entries, as ``_table`` folds them.
     """
     subterms: dict[Term, None] = {}
     for t in terms:
         _collect(t, subterms)
-    keys = {t.gen: t.sort_key[2] for t in subterms if t.kind in ("pos", "neg")}
-    gens = sorted(keys, key=keys.__getitem__)  # in canon_key order
+    keys = {t.sort_key[2]: t.gen for t in subterms if t.kind in ("pos", "neg")}
+    gens = [keys[k] for k in sorted(keys)]  # in canon_key order
     if budgets is not None:
         check_budget(budgets, "sequent_gens", len(gens))
     n = len(gens)
     full = (1 << (1 << n)) - 1
     masks = dict(zip(gens, _gen_masks(n)))
+    if len(masks) < n:  # two generators equal in value, as 1 and True are
+        raise DomainError(f"sequent generators equal in value but not in type among {gens!r}")
     table: dict[Term, int] = {}
     for t in subterms:
         kind = t.kind

@@ -10,8 +10,11 @@ realization of abstract lattices and its leq-rows form
 (``leq_rows_lattice``), through which ``quotient`` and ``cov_ideals``
 realize a congruence's classes and the cover-ideals from their order,
 the hom search,
-the spectrum of a presentation one valuation at a time on its tuple
-terms, the generation closures of ``realize`` and ``extend_hom``, the recursive
+a tuple term's check and its ``sequent.Term`` in two separate walks,
+its value in a lattice by the lattice's own operations
+(``eval_term_in``), the spectrum of a presentation one valuation at a
+time on its tuple terms, the generation closures of ``realize`` and
+``extend_hom``, the recursive
 well-founded rank and the cycle core by transitive closure, derivation
 equality as a comparison of trees, the
 regular-open algebra realized from its order pair by pair, the sublattice generated by a topology's opens and
@@ -52,6 +55,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
+from localix import presented, sequent as sq
 from localix.budgets import DEFAULT_BUDGETS, Budgets, check_budget
 from localix.congruence import OrderCongruence, _column_rule, _compose, _row_rule
 from localix.dissolution import Dissolution, neg
@@ -59,7 +63,7 @@ from localix.errors import DomainError, NoImageError, PreconditionError, Structu
 from localix.lattice import FinLattice, LatticeHom, _bits, _moved
 from localix.order import FinPoset, _bits_set, _label, _new, canon_key, lower_sets_of
 from localix.posite import Coverage, PolyOrder
-from localix.presented import Presentation, _check_term, check_assignment, join, presentation_of_lattice, var
+from localix.presented import Presentation, join, presentation_of_lattice, var
 from localix.pruning import CoDiagram, Relation, prune_sequence
 from localix.sequent import (
     BOT,
@@ -515,6 +519,77 @@ def eval_tuple_term(t: tuple, val: dict) -> bool:
     raise DomainError(f"unknown term operator {op!r}")
 
 
+def _check_term(t: tuple, gens: frozenset, boolean: bool) -> None:
+    """Raise what ``presented._term`` raises on ``t``, in a walk that
+    builds nothing."""
+    op = t[0]
+    if op == "var":
+        if t[1] not in gens:
+            raise DomainError(f"unknown generator {t[1]!r}")
+        return
+    if op in ("top", "bot"):
+        return
+    if op == "not":
+        if not boolean:
+            raise StructureError("complement only allowed in boolean presentations")
+        _check_term(t[1], gens, boolean)
+        return
+    if op in ("meet", "join"):
+        for s in t[1:]:
+            _check_term(s, gens, boolean)
+        return
+    raise DomainError(f"unknown term operator {op!r}")
+
+
+def _to_sequent_term(t: tuple) -> Term:
+    """The ``sequent.Term`` that ``presented._term`` reads off a checked
+    term, in a walk that checks nothing: ``not`` by ``sequent.neg``."""
+    op = t[0]
+    if op == "var":
+        return sq.var(t[1])
+    if op == "top":
+        return TOP
+    if op == "bot":
+        return BOT
+    if op == "not":
+        return sq.neg(_to_sequent_term(t[1]))
+    mk = sq.meet_t if op == "meet" else sq.join_t
+    return mk(_to_sequent_term(s) for s in t[1:])
+
+
+def eval_term_in(t: tuple, assign: dict, target: FinLattice) -> frozenset:
+    """A tuple term's value in ``target`` under a generator assignment,
+    by the target's own operations; raises ``StructureError`` where a
+    complement it needs is missing."""
+    op = t[0]
+    if op == "var":
+        return assign[t[1]]
+    if op == "top":
+        return target.top
+    if op == "bot":
+        return target.bot
+    if op == "not":
+        return target.complement(eval_term_in(t[1], assign, target))
+    out = target.top if op == "meet" else target.bot
+    for s in t[1:]:
+        v = eval_term_in(s, assign, target)
+        out = out & v if op == "meet" else out | v
+    return out
+
+
+def check_assignment(p, assign: dict, target: FinLattice) -> bool:
+    """Each relation l <= r compared as ``eval_term_in`` values."""
+    if set(assign) != set(p.gens):
+        raise DomainError("assignment must cover exactly the generators")
+    for v in assign.values():
+        if v not in target:
+            raise DomainError(f"{v!r} not in target")
+    return all(
+        eval_term_in(l, assign, target) <= eval_term_in(r, assign, target)
+        for l, r in p.rels
+    )
+
+
 def spec(p, budgets: Budgets = DEFAULT_BUDGETS) -> tuple:
     """The points of the spectrum, each valuation of the generators in
     ``itertools.product`` order tested against every relation."""
@@ -574,7 +649,8 @@ def extend_hom(p, realized, assign: dict, target):
     """The hom extending ``assign``, by closing the (element, image) pairs
     of the generators under intersection, union and complement."""
     lat, gen_img = realized
-    if not check_assignment(p, assign, target):
+    # the library's precondition, so that both refuse the same assignments
+    if not presented.check_assignment(p, assign, target):
         raise PreconditionError("relations", "assignment does not satisfy the relations")
     images = {lat.bot: target.bot, lat.top: target.top}
     for g in p.gens:

@@ -1,6 +1,8 @@
 import json
 import pathlib
+import time
 
+import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -141,9 +143,33 @@ def test_generated_scripts_round_trip(statements):
     # a sequent as records print it parses back to the same sequent
     for stmt in script.statements:
         if isinstance(stmt, (dsl.ProveQuery, dsl.InterpQuery)):
-            seq = dsl._to_sequent(stmt.sequent)
-            (again,) = parse(f"prove {seq};").statements
-            assert dsl._to_sequent(again.sequent) == seq
+            (again,) = parse(f"prove {stmt.sequent};").statements
+            assert again.sequent == stmt.sequent
+
+
+SCHEMA = json.loads((pathlib.Path(dsl.__file__).parent / "schemas/report.schema.json").read_text())
+SCRIPT_WALL_S = 5.0  # a drawn script's run and renders; they take milliseconds
+
+
+@settings(max_examples=300)
+@given(st.lists(_STATEMENTS, max_size=6))
+def test_generated_scripts_run_and_render(statements):
+    # a statement's failure is an error record, never an exception
+    start = time.perf_counter()
+    report = run(parse("".join(f"{s};\n" for s in statements)))
+    data = json.loads(render(report, "json"))
+    jsonschema.validate(data, SCHEMA)
+    # text and JSON agree on each record's ok, and an input error stops the run
+    heads = [ln for ln in render(report, "text").splitlines() if ln.startswith("== ")]
+    assert heads == [f"== {r['kind']} {'ok' if r['ok'] else 'FAIL'}" for r in data["records"]]
+    stopped = [r for r in data["records"] if r["kind"] == "error" and r["error"] != "not-separable"]
+    assert report.exit_code == (2 if stopped else 0) and stopped in ([], data["records"][-1:])
+    if any(rec.get("dot") for rec in report.records):
+        assert render(report, "dot").startswith("digraph ")
+    else:
+        with pytest.raises(DomainError, match="no graph-shaped result"):
+            render(report, "dot")
+    assert time.perf_counter() - start < SCRIPT_WALL_S
 
 
 def test_list_formulas_as_sequents_print_them():
@@ -155,7 +181,7 @@ def test_list_formulas_as_sequents_print_them():
     assert rel.rhs == ("join", ("var", "a"), ("meet", ("var", "b")), ("not", ("var", "c")))
     assert rel.render() == "rel 1 <= a | /\\{b} | !c;"
     assert parse("rel \\/{} <= a;").statements[0].lhs == ("bot",)
-    assert str(dsl._to_sequent(parse("prove {a & a} |- {};").statements[0].sequent)) == "{/\\{a}} |- {}"
+    assert str(parse("prove {a & a} |- {};").statements[0].sequent) == "{/\\{a}} |- {}"
 
 
 def test_unknown_keyword_lists_the_statement_table_in_order():
@@ -330,10 +356,17 @@ def test_relations_are_validated_as_they_are_declared(source, detail):
 
 def test_each_relation_is_checked_once_and_realize_builds_one_presentation(monkeypatch):
     # every term here is a generator, so one check per term: the 2 * 40
-    # terms as declared, and once more when realize builds the presentation
+    # terms as declared, and once more when realize builds the presentation;
+    # a check is a read against the generators, the spectrum's reads are not
     calls = []
-    check = presented._check_term
-    monkeypatch.setattr(presented, "_check_term", lambda t, *a: calls.append(t) or check(t, *a))
+    read = presented._term
+
+    def counted(t, gens=None, boolean=True):
+        if gens is not None:
+            calls.append(t)
+        return read(t, gens, boolean)
+
+    monkeypatch.setattr(presented, "_term", counted)
     report = run(parse("gens a b;\n" + "rel a <= b;\n" * 40 + "realize;"))
     assert report.exit_code == 0
     assert len(calls) == 2 * 40 * 2

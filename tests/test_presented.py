@@ -7,6 +7,7 @@ from localix import lattice, presented
 from localix.budgets import DEFAULT_BUDGETS
 from localix.errors import (
     DomainError,
+    LocalixError,
     PreconditionError,
     ResourceBudgetError,
     StructureError,
@@ -380,3 +381,69 @@ def test_extend_hom_matches_the_generation_closure(p, q, data):
         assert got.graph == want.graph
     else:
         assert got == want
+
+
+# -- the one term reader and the point-mask evaluator -------------------------
+
+_RAW_LEAVES = st.one_of(
+    st.sampled_from(["g0", "g1", "h"]).map(var), st.sampled_from([TOP, BOT]), st.just(("xor",))
+)
+raw_terms = st.recursive(
+    _RAW_LEAVES,
+    lambda ts: st.one_of(
+        st.lists(ts, max_size=3).map(lambda xs: meet(*xs)),
+        st.lists(ts, max_size=3).map(lambda xs: join(*xs)),
+        ts.map(neg),
+        st.lists(ts, max_size=2).map(lambda xs: ("xor", *xs)),
+    ),
+    max_leaves=8,
+)
+
+
+def _raised(f, *args):
+    try:
+        return f(*args)
+    except (DomainError, StructureError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300)
+@given(raw_terms, st.sampled_from([None, frozenset({"g0", "g1"})]), st.booleans())
+def test_term_is_the_old_checker_then_the_old_converter(t, gens, boolean):
+    # without gens any generator is known; h is unknown to the frozenset
+    known = frozenset({"g0", "g1", "h"}) if gens is None else gens
+    want = _raised(oracles._check_term, t, known, boolean)
+    if want is None:
+        want = oracles._to_sequent_term(t)
+    assert _raised(presented._term, t, gens, boolean) == want
+
+
+@settings(max_examples=300)
+@given(presentations(max_gens=3), posets(max_points=3), st.data())
+def test_check_assignment_is_the_lattice_evaluation(p, q, data):
+    target = powerset_lattice(q.elements) if data.draw(st.booleans()) else lower_sets(q)
+    assign = {g: data.draw(st.sampled_from(target.elements)) for g in p.gens}
+    got = check_assignment(p, assign, target)
+    want = _outcome(oracles.check_assignment, p, assign, target)
+    if want is StructureError:
+        # a complement the target lacks: the powerset of its points decides
+        # the relations, and no hom into the target extends the assignment
+        assert p.kind == "boolean" and target.kind == "distributive"
+        with pytest.raises(LocalixError):
+            extend_hom(p, realize(p), assign, target)
+    else:
+        assert got is want
+
+
+def test_a_boolean_presentation_into_a_distributive_target_uses_the_points():
+    # the middle of the 3-chain has no complement, so the lattice
+    # evaluation stops; in the powerset of the points a | !a is all of
+    # them, and still no hom into the chain sends the free atom to it
+    chain = lower_sets(FinPoset(range(2), [(0, 1)]))
+    p = Presentation(("a",), ((TOP, join(var("a"), neg(var("a")))),), "boolean")
+    assign = {"a": frozenset({0})}
+    with pytest.raises(StructureError, match="no complement"):
+        oracles.check_assignment(p, assign, chain)
+    assert check_assignment(p, assign, chain)
+    with pytest.raises(StructureError, match="not preserved"):
+        extend_hom(p, realize(p), assign, chain)

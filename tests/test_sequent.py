@@ -308,6 +308,22 @@ def test_literal_is_linked_to_its_opposite_when_both_exist():
     assert p.dual is q and q.dual is p
 
 
+def test_generators_equal_in_value_are_two_generators():
+    # 1 == True, but each is its own term, whichever of the two is built first
+    t, one = var(True), var(1)
+    assert t is not one and type(one.gen) is int
+    assert nvar(True).dual is t and nvar(1).dual is one
+    assert prove(Sequent(frozenset([one]), frozenset([one]))).derivation.pretty() == "|- {!1,1}   [ax]"
+
+
+@pytest.mark.parametrize("terms", [(var(1), nvar(True)), (var(1), var(True))], ids=["opposite", "same"])
+def test_a_sequent_with_generators_equal_in_value_is_refused(terms):
+    # one truth table for both would make {1, !True} valid with no axiom
+    # and give {1, True} a countermodel with one key
+    with pytest.raises(DomainError, match="equal in value but not in type"):
+        prove(frozenset(terms))
+
+
 def dnf_tautology(n: int):
     gens = [f"g{i}" for i in range(n)]
     return join_t(
